@@ -75,11 +75,29 @@ def cmd_alpha(args) -> int:
     return 0
 
 
+def _certificate_ok(g: graphs.Graph, result, tol: float) -> bool:
+    """Replay the primal certificate against the bounds ThetaResult states:
+    symmetric, trace 1 within 1e-8, edge entries zero within 1e-7, PSD
+    within 1e-8, and entry sum equal to the value within max(gap, tol)."""
+    x = np.asarray(result.primal, dtype=float)
+    if x.shape != (g.n, g.n) or not np.all(np.isfinite(x)):
+        return False
+    if np.max(np.abs(x - x.T)) > 1e-12:
+        return False
+    if abs(float(np.trace(x)) - 1.0) > 1e-8:
+        return False
+    if any(abs(x[i, j]) > 1e-7 for i, j in g.edges):
+        return False
+    if float(np.linalg.eigvalsh(x)[0]) < -1e-8:
+        return False
+    return abs(float(x.sum()) - result.value) <= max(result.gap, tol)
+
+
 def cmd_theta(args) -> int:
     g = _resolve_graph(args.graph)
     result = theta.lovasz_theta(g, tol=args.tol)
     replay = float(result.primal.sum())
-    cert_ok = abs(replay - result.value) <= max(result.gap, args.tol)
+    cert_ok = _certificate_ok(g, result, args.tol)
     text = (
         f"theta = {result.value:.6f}\n"
         f"gap <= {result.gap:.2e}\n"

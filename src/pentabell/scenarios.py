@@ -9,6 +9,7 @@ checks, and the enumeration of all pentagonal inequalities up to relabeling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -226,6 +227,20 @@ def pr_box() -> Behavior:
     return Behavior(tables)
 
 
+@functools.cache
+def _ns_vertices() -> np.ndarray:
+    """Read-only (17, 2, 2, 2, 2) stack over (box, x, y, a, b): the 16
+    deterministic 2x2 behaviors, then the PR box."""
+    boxes = [
+        strategy_behavior(DeterministicStrategy(sa, sb))
+        for sa in itertools.product((0, 1), repeat=2)
+        for sb in itertools.product((0, 1), repeat=2)
+    ] + [pr_box()]
+    stack = np.array([[[box.table(x, y) for y in range(2)] for x in range(2)] for box in boxes])
+    stack.flags.writeable = False
+    return stack
+
+
 def random_ns_behavior(rng: np.random.Generator) -> Behavior:
     """Random point of the 2x2 no-signaling polytope.
 
@@ -234,16 +249,8 @@ def random_ns_behavior(rng: np.random.Generator) -> Behavior:
     """
     weights = rng.random(17)
     weights /= weights.sum()
-    tables = {(x, y): np.zeros((2, 2)) for x in range(2) for y in range(2)}
-    components = [
-        strategy_behavior(DeterministicStrategy(sa, sb))
-        for sa in itertools.product((0, 1), repeat=2)
-        for sb in itertools.product((0, 1), repeat=2)
-    ] + [pr_box()]
-    for w, comp in zip(weights, components):
-        for key in tables:
-            tables[key] += w * comp.table(*key)
-    return Behavior(tables)
+    tables = np.tensordot(weights, _ns_vertices(), axes=1)
+    return Behavior({(x, y): tables[x, y] for x in range(2) for y in range(2)})
 
 
 def exclusive(e: Event, f: Event) -> Optional[str]:

@@ -12,7 +12,7 @@ table bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -85,14 +85,16 @@ class CountTable:
             raise InvalidInputError(f"counts do not cover setting pair ({x},{y})") from None
 
 
-def sample_counts(model: QuantumModel, cfg: SimConfig) -> CountTable:
+def sample_counts(model: Union[QuantumModel, Behavior], cfg: SimConfig) -> CountTable:
     """Multinomial outcome counts for every setting pair of the model.
 
-    Each pair (x, y) draws cfg.shots outcomes from the visibility-mixed
-    distribution using its own derived substream, so tables are identical
-    for identical (model, cfg) regardless of evaluation order.
+    The model may also be given as its ideal Behavior (as behavior_of
+    returns it), which gives the same table.  Each pair (x, y) draws
+    cfg.shots outcomes from the visibility-mixed distribution using its own
+    derived substream, so tables are identical for identical (model, cfg)
+    regardless of evaluation order.
     """
-    behavior = behavior_of(model)
+    behavior = model if isinstance(model, Behavior) else behavior_of(model)
     counts = {}
     for x in behavior.alice_settings:
         for y in behavior.bob_settings:
@@ -208,8 +210,9 @@ def estimate(
 def run_experiment(iq: Inequality, model: QuantumModel, cfg: SimConfig) -> ExperimentReport:
     """Sample counts and report the estimated violation against the ideal
     column computed from the model at visibility 1."""
-    counts = sample_counts(model, cfg)
+    ideal = behavior_of(model)
+    counts = sample_counts(ideal, cfg)
     lhv = iq.lhv
     if lhv is None:
         lhv = float(lhv_bound(iq)[0])
-    return estimate(counts, iq, ideal=behavior_of(model), lhv=lhv)
+    return estimate(counts, iq, ideal=ideal, lhv=lhv)

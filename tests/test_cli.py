@@ -3,8 +3,10 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pentabell import theta
 from pentabell.cli import main
 from pentabell.graphs import circulant, complete_graph, cycle, empty_graph, save_graph
 
@@ -60,6 +62,29 @@ def test_theta_on_graph_files(tmp_path):
     save_graph(empty_graph(6), path6)
     code, out, _ = run_cli(["theta", str(path6), "--json"])
     assert json.loads(out)["theta"] == pytest.approx(6.0)
+
+
+def _bad_certificates():
+    # feasible for C5 except for the one defect each case names
+    trace2 = np.eye(5) * 2.0 / 5.0
+    not_psd = np.zeros((5, 5))
+    not_psd[0, 0] = 1.0
+    not_psd[0, 2] = not_psd[2, 0] = 1.0
+    edge = np.eye(5) / 5.0
+    edge[0, 1] = edge[1, 0] = 0.1
+    return {"trace-2": trace2, "not-psd": not_psd, "edge-nonzero": edge}
+
+
+@pytest.mark.parametrize("defect", sorted(_bad_certificates()))
+def test_theta_certificate_is_replayed(monkeypatch, defect):
+    primal = _bad_certificates()[defect]
+    # the value is the certificate's own entry sum, so only an independent
+    # replay of trace, edges and PSD can catch the defect
+    fake = theta.ThetaResult(float(primal.sum()), primal, 1, 0.0)
+    monkeypatch.setattr(theta, "lovasz_theta", lambda g, tol: fake)
+    code, out, _ = run_cli(["theta", "kcbs-graph", "--json"])
+    assert code == 0
+    assert json.loads(out)["certificate_ok"] is False
 
 
 def test_lhv_named_scenarios():

@@ -8,6 +8,7 @@ from pentabell.graphs import cycle
 from pentabell.numerics import max_eig
 from pentabell.quantum import (
     QuantumModel,
+    _bell_matrix,
     _seesaw_once,
     behavior_of,
     bell_operator,
@@ -42,6 +43,28 @@ IDEAL_COLUMN_1 = (0.464, 0.464, 0.323, 0.464, 0.464)
 def random_sym(n, rng):
     m = rng.standard_normal((n, n))
     return (m + m.T) / 2.0
+
+
+def random_projector(d, rng):
+    rank = int(rng.integers(1, d + 1))
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0][:, :rank]
+    return q @ q.T
+
+
+def kron_bell_matrix(iq, alice, bob, dims):
+    """Reference: one np.kron per term, summed in term order."""
+    d_a, d_b = dims
+    s = np.zeros((d_a * d_b, d_a * d_b))
+    for term in iq.terms:
+        op_a, op_b = np.eye(d_a), np.eye(d_b)
+        if term.alice is not None:
+            x, a = term.alice
+            op_a = alice[x] if a == 0 else np.eye(d_a) - alice[x]
+        if term.bob is not None:
+            y, b = term.bob
+            op_b = bob[y] if b == 0 else np.eye(d_b) - bob[y]
+        s += np.kron(op_a, op_b)
+    return (s + s.T) / 2.0
 
 
 # ---------------------------------------------------------------- validation ---
@@ -183,6 +206,26 @@ def test_seesaw_behavior_passes_eprinciple():
         assert not report.violated
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+@pytest.mark.parametrize("name", ["pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322"])
+def test_bell_matrix_broadcasts_over_projector_stacks(name, dims):
+    iq = named_inequality(name)
+    rng = np.random.default_rng(11)
+    k = 6
+    alice = [np.array([random_projector(dims[0], rng) for _ in range(k)]) for _ in range(iq.alice_settings)]
+    bob = [np.array([random_projector(dims[1], rng) for _ in range(k)]) for _ in range(iq.bob_settings)]
+    # Bob's setting 0 is one shared matrix, broadcast against the stacks
+    bob[0] = bob[0][0]
+    batched = _bell_matrix(iq, alice, bob, dims)
+    assert batched.shape == (k, dims[0] * dims[1], dims[0] * dims[1])
+    for i in range(k):
+        ref = kron_bell_matrix(iq, [p[i] for p in alice], [bob[0]] + [p[i] for p in bob[1:]], dims)
+        assert np.max(np.abs(batched[i] - ref)) <= 1e-15
+    # one pair of matrices reproduces the np.kron sum bit for bit
+    alice0, bob0 = [p[0] for p in alice], [bob[0]] + [p[0] for p in bob[1:]]
+    assert np.array_equal(_bell_matrix(iq, alice0, bob0, dims), kron_bell_matrix(iq, alice0, bob0, dims))
+
+
 def test_seesaw_capacity_and_validation():
     iq = named_inequality("pentagon-1")
     with pytest.raises(CapacityError):
@@ -203,6 +246,14 @@ def test_scan_matches_published_optimum():
     beh = behavior_of(result.model)
     probs = [beh.prob(t) for t in named_inequality("pentagon-1").terms]
     assert probs == pytest.approx(IDEAL_COLUMN_1, abs=1e-3)
+
+
+def test_scan_lands_on_first_coarse_maximum():
+    # The coarse grid has a second cell, (40, 40), one ulp below the first
+    # maximum; seeding the refinement from it ends at (0.6957, 0.6957).
+    result = qmax_scan_ineq2()
+    assert result.value == pytest.approx(2.1783945862, abs=1e-10)
+    assert result.angles == pytest.approx((2.4458718, 0.6957209), abs=1e-6)
 
 
 def test_scan_agrees_with_seesaw():

@@ -214,6 +214,25 @@ def test_decomposition_replays_on_random_ns_behaviors():
             assert abs(dec.predict(b) - evaluate(named_inequality(name), b)) <= 1e-10
 
 
+def test_random_ns_behavior_matches_component_loop():
+    components = [
+        strategy_behavior(DeterministicStrategy(sa, sb))
+        for sa in itertools.product((0, 1), repeat=2)
+        for sb in itertools.product((0, 1), repeat=2)
+    ] + [pr_box()]
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(50):
+        b = random_ns_behavior(rng)
+        weights = ref_rng.random(17)
+        weights /= weights.sum()
+        for x in range(2):
+            for y in range(2):
+                ref = sum(w * c.table(x, y) for w, c in zip(weights, components))
+                assert np.max(np.abs(b.table(x, y) - ref)) <= 1e-15
+    # exactly 17 draws per call: the generators stay in step
+    assert rng.random() == ref_rng.random()
+
+
 def test_decomposition_rejects_three_settings():
     with pytest.raises(InvalidInputError):
         chsh_decomposition(named_inequality("pentagon-3"))

@@ -74,6 +74,26 @@ def test_sampling_is_deterministic():
     assert r1.to_json_dict() == r2.to_json_dict()
 
 
+def test_run_experiment_samples_its_ideal_behavior(monkeypatch):
+    import pentabell.simkit as simkit
+
+    m = known_optimal_model("pentagon-1")
+    cfg = SimConfig(shots=3000, seed=5, visibility=0.8)
+    from_model = sample_counts(m, cfg)
+    from_behavior = sample_counts(behavior_of(m), cfg)
+    assert all(np.array_equal(from_model.counts[k], from_behavior.counts[k]) for k in from_model.counts)
+
+    calls = []
+
+    def counting_behavior_of(model):
+        calls.append(model)
+        return behavior_of(model)
+
+    monkeypatch.setattr(simkit, "behavior_of", counting_behavior_of)
+    run_experiment(named_inequality("pentagon-1"), m, cfg)
+    assert len(calls) == 1
+
+
 def test_zero_visibility_counts_are_uniform():
     m = known_optimal_model("pentagon-2")
     table = sample_counts(m, SimConfig(shots=100_000, seed=4, visibility=0.0))
