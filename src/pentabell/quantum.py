@@ -14,22 +14,30 @@ evaluates its coarse grid one batched row at a time and takes about 0.2 s
 (one BLAS thread, 2-vCPU Intel Xeon, numpy 2.4.6 with OpenBLAS 0.3.31),
 against 5-8 s when each of its 33,000 operators was built and diagonalized
 on its own.
+
+The see-saw runs all its restarts as one stack of projectors: each
+iteration is one batched Bell-operator build and eigenvalue call, then one
+batched measurement update per setting, for every restart still running.
+32 restarts for each of the 5 named inequalities at dims (2,2), (3,3) and
+(4,4), over seeds 0, 1 and 7, take 0.83 s (0.58 ms per restart) on the
+machine above, against 4.1 s run one restart at a time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 from .numerics import as_sym_matrix, svd
-from .scenarios import Behavior, Event, Inequality, named_inequality
+from .scenarios import Behavior, Inequality, named_inequality
 
 MAX_LOCAL_DIM = 4
 _PROJECTOR_TOL = 1e-10
+_RESTART_BLOCK = 1024  # see-saw restarts stacked at once; bounds the stack's memory
 
 
 @dataclass(frozen=True)
@@ -70,11 +78,16 @@ class QuantumModel:
 def projector_onto(vector) -> np.ndarray:
     """Rank-1 projector onto the direction of a real vector."""
     v = np.asarray(vector, dtype=float).reshape(-1)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    if np.linalg.norm(v) == 0.0:
         raise InvalidInputError("cannot project onto the zero vector")
-    v = v / norm
-    return np.outer(v, v)
+    return _rank_one_projectors(v)
+
+
+def _rank_one_projectors(vectors: np.ndarray) -> np.ndarray:
+    """Projector onto the direction of each vector of a (..., d) stack."""
+    norms = np.sqrt(vectors[..., None, :] @ vectors[..., :, None])  # the dot product np.linalg.norm takes
+    u = vectors / norms[..., 0]
+    return u[..., :, None] * u[..., None, :]
 
 
 def qubit_projector(angle: float) -> np.ndarray:
@@ -82,29 +95,26 @@ def qubit_projector(angle: float) -> np.ndarray:
     return projector_onto((np.cos(angle), np.sin(angle)))
 
 
-def _effect(projector: Optional[np.ndarray], outcome: int, dim: int) -> np.ndarray:
-    if projector is None:
-        return np.eye(dim)
-    return projector if outcome == 0 else np.eye(dim) - projector
+def _term_effects(iq, alice, bob, dims):
+    """(Alice effect, Bob effect) of each term; a wildcard gives the identity.
 
-
-def _term_effects(term: Event, alice, bob, dims):
+    Each outcome-1 complement and each identity is built once per call, so a
+    stack of projectors gives stacks of effects.
+    """
     d_a, d_b = dims
-    if term.alice is None:
-        op_a = np.eye(d_a)
-    else:
-        x, a = term.alice
-        if x >= len(alice):
-            raise InvalidInputError(f"no Alice measurement for setting {x}")
-        op_a = _effect(alice[x], a, d_a)
-    if term.bob is None:
-        op_b = np.eye(d_b)
-    else:
-        y, b = term.bob
-        if y >= len(bob):
-            raise InvalidInputError(f"no Bob measurement for setting {y}")
-        op_b = _effect(bob[y], b, d_b)
-    return op_a, op_b
+    eye_a, eye_b = np.eye(d_a), np.eye(d_b)
+    effects_a = [(p, eye_a - p) for p in alice]
+    effects_b = [(p, eye_b - p) for p in bob]
+
+    def pick(part, effects, eye, label):
+        if part is None:
+            return eye
+        setting, outcome = part
+        if setting >= len(effects):
+            raise InvalidInputError(f"no {label} measurement for setting {setting}")
+        return effects[setting][outcome]
+
+    return [(pick(t.alice, effects_a, eye_a, "Alice"), pick(t.bob, effects_b, eye_b, "Bob")) for t in iq.terms]
 
 
 def bell_operator(iq: Inequality, model: QuantumModel) -> np.ndarray:
@@ -120,11 +130,14 @@ def _bell_matrix(iq, alice, bob, dims) -> np.ndarray:
     product is formed as an outer product and the terms are summed in
     order, so a single pair of matrices gives exactly np.kron's sum.
     """
-    d_a, d_b = dims
-    n = d_a * d_b
+    return _bell_sum(_term_effects(iq, alice, bob, dims))
+
+
+def _bell_sum(effects) -> np.ndarray:
+    """Symmetrized sum of the Kronecker products of the terms' effects."""
+    n = effects[0][0].shape[-1] * effects[0][1].shape[-1]
     s = 0.0
-    for term in iq.terms:
-        op_a, op_b = _term_effects(term, alice, bob, dims)
+    for op_a, op_b in effects:
         outer = op_a[..., :, None, :, None] * op_b[..., None, :, None, :]
         s = s + outer.reshape(outer.shape[:-4] + (n, n))
     return (s + np.swapaxes(s, -1, -2)) / 2.0
@@ -134,14 +147,14 @@ def behavior_of(model: QuantumModel) -> Behavior:
     """Full probability table of the model over its declared settings."""
     d_a, d_b = model.dims
     psi = model.state.reshape(d_a, d_b)
+    effects_a = [(p, np.eye(d_a) - p) for p in model.alice]
+    effects_b = [(p, np.eye(d_b) - p) for p in model.bob]
     tables = {}
-    for x, pa in enumerate(model.alice):
-        for y, pb in enumerate(model.bob):
+    for x, pair_a in enumerate(effects_a):
+        for y, pair_b in enumerate(effects_b):
             block = np.zeros((2, 2))
-            for a in range(2):
-                ea = _effect(pa, a, d_a)
-                for b in range(2):
-                    eb = _effect(pb, b, d_b)
+            for a, ea in enumerate(pair_a):
+                for b, eb in enumerate(pair_b):
                     block[a, b] = float(np.sum(psi * (ea @ psi @ eb)))
             tables[(x, y)] = block
     return Behavior(tables)
@@ -157,63 +170,85 @@ def schmidt(state, dims) -> np.ndarray:
 
 
 def _positive_eigenspace_projector(f: np.ndarray) -> np.ndarray:
-    # strictly positive eigenvalues only; ties at zero are excluded
-    w, v = np.linalg.eigh((f + f.T) / 2.0)
-    cut = 1e-11 * max(1.0, float(np.abs(w).max()))
-    keep = v[:, w > cut]
-    return keep @ keep.T
+    """Projector onto the strictly positive eigenspace of each matrix of a
+    stack; eigenvalues within 1e-11 * max(1, max|w|) of zero are excluded."""
+    w, v = np.linalg.eigh((f + np.swapaxes(f, -1, -2)) / 2.0)
+    cut = 1e-11 * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
+    keep = v * (w > cut)[..., None, :]
+    return keep @ np.swapaxes(keep, -1, -2)
+
+
+def _effective_operator(iq, effects, psi, party, setting):
+    """Partial trace of the setting's outcome-0 minus outcome-1 terms of the
+    Bell operator against the states, one operator per stack element."""
+    psi_t = np.swapaxes(psi, -1, -2)
+    d = psi.shape[-2] if party == "alice" else psi.shape[-1]
+    f = np.zeros((psi.shape[0], d, d))
+    for term, (op_a, op_b) in zip(iq.terms, effects):
+        part = getattr(term, party)
+        if part is None or part[0] != setting:
+            continue
+        m = psi @ op_b @ psi_t if party == "alice" else psi_t @ op_a @ psi
+        f += m if part[1] == 0 else -m
+    return f
+
+
+def _seesaw(iq, dims, rngs):
+    """See-saw from one random start per generator, all run as one stack.
+
+    Returns the first best final value, its model, and every run's trace of
+    per-iteration values.  Each run stops on its own once its value has
+    failed twice in a row to grow by 1e-12; the others carry on.
+    """
+    d_a, d_b = dims
+    starts_a, starts_b = [], []
+    for rng in rngs:
+        # one random direction per setting, Alice's then Bob's, then an
+        # unused start state: the draw order of each stream is fixed
+        starts_a.append(rng.standard_normal((iq.alice_settings, d_a)))
+        starts_b.append(rng.standard_normal((iq.bob_settings, d_b)))
+        rng.standard_normal(d_a * d_b)
+    alice = list(_rank_one_projectors(np.array(starts_a)).swapaxes(0, 1))
+    bob = list(_rank_one_projectors(np.array(starts_b)).swapaxes(0, 1))
+
+    value = np.full(len(rngs), -np.inf)
+    stall = np.zeros(len(rngs), dtype=int)
+    traces = [[] for _ in rngs]
+    active = np.arange(len(rngs))
+    for _ in range(10_000):
+        if active.size == 0:
+            break
+        alice_act = [p[active] for p in alice]
+        bob_act = [p[active] for p in bob]
+        effects = _term_effects(iq, alice_act, bob_act, dims)
+        w, v = np.linalg.eigh(_bell_sum(effects))
+        new_value = w[:, -1]
+        for r, t in zip(active, new_value):
+            traces[r].append(float(t))
+        psi = v[:, :, -1].reshape(-1, d_a, d_b)
+
+        for x in range(iq.alice_settings):
+            alice_act[x] = _positive_eigenspace_projector(_effective_operator(iq, effects, psi, "alice", x))
+            alice[x][active] = alice_act[x]
+        effects = _term_effects(iq, alice_act, bob_act, dims)
+        for y in range(iq.bob_settings):
+            bob[y][active] = _positive_eigenspace_projector(_effective_operator(iq, effects, psi, "bob", y))
+
+        stalled = new_value - value[active] < 1e-12
+        stall[active] = np.where(stalled, stall[active] + 1, 0)
+        value[active] = np.maximum(value[active], new_value)
+        active = active[stall[active] < 2]
+
+    w, v = np.linalg.eigh(_bell_matrix(iq, alice, bob, dims))
+    best = int(np.argmax(w[:, -1]))
+    model = QuantumModel(dims, v[best, :, -1], tuple(p[best] for p in alice), tuple(p[best] for p in bob))
+    return float(w[best, -1]), model, traces
 
 
 def _seesaw_once(iq, dims, rng):
-    d_a, d_b = dims
-    alice = [projector_onto(rng.standard_normal(d_a)) for _ in range(iq.alice_settings)]
-    bob = [projector_onto(rng.standard_normal(d_b)) for _ in range(iq.bob_settings)]
-    state = rng.standard_normal(d_a * d_b)
-    state /= np.linalg.norm(state)
-
-    value = -np.inf
-    stall = 0
-    trace = []
-    for _ in range(10_000):
-        s = _bell_matrix(iq, alice, bob, dims)
-        w, v = np.linalg.eigh(s)
-        new_value = float(w[-1])
-        trace.append(new_value)
-        state = v[:, -1]
-        psi = state.reshape(d_a, d_b)
-
-        for x in range(iq.alice_settings):
-            f = np.zeros((d_a, d_a))
-            for term in iq.terms:
-                if term.alice is None or term.alice[0] != x:
-                    continue
-                _, op_b = _term_effects(term, alice, bob, dims)
-                m = psi @ op_b @ psi.T
-                f += m if term.alice[1] == 0 else -m
-            alice[x] = _positive_eigenspace_projector(f)
-        for y in range(iq.bob_settings):
-            f = np.zeros((d_b, d_b))
-            for term in iq.terms:
-                if term.bob is None or term.bob[0] != y:
-                    continue
-                op_a, _ = _term_effects(term, alice, bob, dims)
-                m = psi.T @ op_a @ psi
-                f += m if term.bob[1] == 0 else -m
-            bob[y] = _positive_eigenspace_projector(f)
-
-        if new_value - value < 1e-12:
-            stall += 1
-            if stall >= 2:
-                value = max(value, new_value)
-                break
-        else:
-            stall = 0
-        value = max(value, new_value)
-
-    s = _bell_matrix(iq, alice, bob, dims)
-    w, v = np.linalg.eigh(s)
-    model = QuantumModel(dims, v[:, -1], tuple(alice), tuple(bob))
-    return float(w[-1]), model, trace
+    """One see-saw run: its final value, model and per-iteration trace."""
+    value, model, (trace,) = _seesaw(iq, dims, [rng])
+    return value, model, trace
 
 
 def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
@@ -223,18 +258,23 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
     measurements (projector onto the strictly positive eigenspace of each
     setting's effective operator); the value is monotone along a run.
     Restart r uses seed + r, and ties keep the lowest restart index.
+    Restarts run as one stack, in blocks of up to 1024, so each iteration
+    makes one batched eigenvalue call per stage for every restart still
+    running; about 0.6 ms per restart, against about 2.9 ms when each ran
+    on its own (see the module docstring).
     """
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a > MAX_LOCAL_DIM or d_b > MAX_LOCAL_DIM:
         raise CapacityError(f"local dimensions limited to {MAX_LOCAL_DIM}")
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
-    best_value, best_model = -np.inf, None
-    for r in range(restarts):
-        value, model, _ = _seesaw_once(iq, (d_a, d_b), np.random.default_rng(seed + r))
-        if value > best_value:
-            best_value, best_model = value, model
-    return best_value, best_model
+    best = None
+    for start in range(seed, seed + restarts, _RESTART_BLOCK):
+        stop = min(start + _RESTART_BLOCK, seed + restarts)
+        value, model, _ = _seesaw(iq, (d_a, d_b), [np.random.default_rng(s) for s in range(start, stop)])
+        if best is None or value > best[0]:
+            best = (value, model)
+    return best
 
 
 class ScanResult(NamedTuple):

@@ -130,39 +130,46 @@ class Behavior:
     _ATOL = 1e-9
 
     def __init__(self, tables):
-        store = {}
-        for key, block in tables.items():
-            x, y = int(key[0]), int(key[1])
-            p = np.asarray(block, dtype=float).reshape(2, 2)
-            if np.any(p < -1e-12):
+        keys = [(int(key[0]), int(key[1])) for key in tables]
+        stack = np.array([np.asarray(block, dtype=float).reshape(2, 2) for block in tables.values()]).reshape(-1, 2, 2)
+        negative = (stack < -1e-12).any(axis=(1, 2))
+        bad = negative | (np.abs(stack.sum(axis=(1, 2)) - 1.0) > self._ATOL)
+        if bad.any():
+            i = int(bad.argmax())
+            x, y = keys[i]
+            if negative[i]:
                 raise InvalidInputError(f"negative probability at setting pair ({x},{y})")
-            if abs(p.sum() - 1.0) > self._ATOL:
-                raise InvalidInputError(f"probabilities at ({x},{y}) sum to {p.sum()}, not 1")
-            p = np.clip(p, 0.0, None)
-            p.flags.writeable = False
-            store[(x, y)] = p
-        self._tables = store
-        self._check_no_signaling()
+            raise InvalidInputError(f"probabilities at ({x},{y}) sum to {stack[i].sum()}, not 1")
+        stack = np.clip(stack, 0.0, None)
+        stack.flags.writeable = False
+        index = {key: i for i, key in enumerate(keys)}  # a repeated pair keeps its last table
+        self._tables = {key: stack[i] for key, i in index.items()}
+        self._alice_settings = tuple(sorted({x for x, _ in index}))
+        self._bob_settings = tuple(sorted({y for _, y in index}))
+        self._check_no_signaling(stack, index)
 
-    def _check_no_signaling(self):
-        for x in self.alice_settings:
-            margs = [self._tables[(x, y)].sum(axis=1) for y in self.bob_settings if (x, y) in self._tables]
-            for m in margs[1:]:
-                if np.max(np.abs(m - margs[0])) > self._ATOL:
-                    raise InvalidInputError(f"no-signaling violated for Alice setting {x}")
-        for y in self.bob_settings:
-            margs = [self._tables[(x, y)].sum(axis=0) for x in self.alice_settings if (x, y) in self._tables]
-            for m in margs[1:]:
-                if np.max(np.abs(m - margs[0])) > self._ATOL:
-                    raise InvalidInputError(f"no-signaling violated for Bob setting {y}")
+    def _check_no_signaling(self, stack, index):
+        # each party's marginal at every pair against its marginal at the
+        # lowest covered partner setting, all pairs at once
+        for party, label in ((0, "Alice"), (1, "Bob")):
+            marginals = stack.sum(axis=2 - party)
+            reference = {}
+            for key in sorted(index):
+                reference.setdefault(key[party], index[key])
+            rows = list(index.values())
+            refs = [reference[key[party]] for key in index]
+            deviation = np.abs(marginals[rows] - marginals[refs]).max(axis=1)
+            violated = [key[party] for key, dev in zip(index, deviation) if dev > self._ATOL]
+            if violated:
+                raise InvalidInputError(f"no-signaling violated for {label} setting {min(violated)}")
 
     @property
     def alice_settings(self):
-        return sorted({x for x, _ in self._tables})
+        return self._alice_settings
 
     @property
     def bob_settings(self):
-        return sorted({y for _, y in self._tables})
+        return self._bob_settings
 
     def table(self, x: int, y: int) -> np.ndarray:
         try:

@@ -7,6 +7,13 @@ mode: output i of stream s is mix64(s + i * GOLDEN_GAMMA).  The generator is
 fully specified by the two constants and the mix function below and ships
 with test vectors, so independent implementations can reproduce every count
 table bit for bit.
+
+Sampling a setting pair is threshold counting: with the pair's four outcome
+probabilities cumulated in row-major (a, b) order, a uniform draw u selects
+the first outcome whose cumulative edge exceeds u.  So the count of outcomes
+up to k is the number of draws below edge k, and the table is the
+differences of three such counts (one vectorised comparison per inner edge)
+and the shot total.
 """
 
 from __future__ import annotations
@@ -35,11 +42,15 @@ def mix64(z: int) -> int:
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of splitmix64 seeded with `seed` (uint64)."""
     with np.errstate(over="ignore"):
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(seed & _MASK64) + idx * np.uint64(GOLDEN_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(GOLDEN_GAMMA)
+        z += np.uint64(seed & _MASK64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:
@@ -99,11 +110,10 @@ def sample_counts(model: Union[QuantumModel, Behavior], cfg: SimConfig) -> Count
     for x in behavior.alice_settings:
         for y in behavior.bob_settings:
             p = cfg.visibility * behavior.table(x, y) + (1.0 - cfg.visibility) / 4.0
-            edges = np.cumsum(p.reshape(-1))
-            edges[-1] = 1.0
+            edges = np.cumsum(p.reshape(-1))[:3]
             u = uniforms(derive_seed(cfg.seed, x, y), cfg.shots)
-            outcome = np.searchsorted(edges, u, side="right")
-            block = np.bincount(outcome, minlength=4).reshape(2, 2)
+            below = [np.count_nonzero(u < edge) for edge in edges]
+            block = np.diff([0, *below, cfg.shots]).reshape(2, 2)
             block.flags.writeable = False
             counts[(x, y)] = block
     return CountTable(cfg.shots, counts)

@@ -9,6 +9,8 @@ from pentabell.numerics import max_eig
 from pentabell.quantum import (
     QuantumModel,
     _bell_matrix,
+    _positive_eigenspace_projector,
+    _seesaw,
     _seesaw_once,
     behavior_of,
     bell_operator,
@@ -65,6 +67,61 @@ def kron_bell_matrix(iq, alice, bob, dims):
             op_b = bob[y] if b == 0 else np.eye(d_b) - bob[y]
         s += np.kron(op_a, op_b)
     return (s + s.T) / 2.0
+
+
+def sequential_seesaw(iq, dims, rng):
+    """Reference: one see-saw run on single matrices, the measurement update
+    of each setting term by term.  Returns (value, state, alice, bob, trace)."""
+    d_a, d_b = dims
+    alice = [projector_onto(rng.standard_normal(d_a)) for _ in range(iq.alice_settings)]
+    bob = [projector_onto(rng.standard_normal(d_b)) for _ in range(iq.bob_settings)]
+    rng.standard_normal(d_a * d_b)
+
+    def effect(projs, part, d):
+        return projs[part[0]] if part[1] == 0 else np.eye(d) - projs[part[0]]
+
+    def positive_projector(f):
+        w, v = np.linalg.eigh((f + f.T) / 2.0)
+        keep = v[:, w > 1e-11 * max(1.0, float(np.abs(w).max()))]
+        return keep @ keep.T
+
+    value, stall, trace = -np.inf, 0, []
+    for _ in range(10_000):
+        w, v = np.linalg.eigh(kron_bell_matrix(iq, alice, bob, dims))
+        trace.append(float(w[-1]))
+        psi = v[:, -1].reshape(d_a, d_b)
+        for x in range(iq.alice_settings):
+            f = np.zeros((d_a, d_a))
+            for t in iq.terms:
+                if t.alice is not None and t.alice[0] == x:
+                    op_b = np.eye(d_b) if t.bob is None else effect(bob, t.bob, d_b)
+                    m = psi @ op_b @ psi.T
+                    f += m if t.alice[1] == 0 else -m
+            alice[x] = positive_projector(f)
+        for y in range(iq.bob_settings):
+            f = np.zeros((d_b, d_b))
+            for t in iq.terms:
+                if t.bob is not None and t.bob[0] == y:
+                    op_a = np.eye(d_a) if t.alice is None else effect(alice, t.alice, d_a)
+                    m = psi.T @ op_a @ psi
+                    f += m if t.bob[1] == 0 else -m
+            bob[y] = positive_projector(f)
+        stall = stall + 1 if trace[-1] - value < 1e-12 else 0
+        value = max(value, trace[-1])
+        if stall >= 2:
+            break
+    w, v = np.linalg.eigh(kron_bell_matrix(iq, alice, bob, dims))
+    return float(w[-1]), v[:, -1], alice, bob, trace
+
+
+class FixedStart:
+    """Stand-in generator whose every draw repeats one vector."""
+
+    def __init__(self, vector):
+        self.vector = np.asarray(vector, dtype=float)
+
+    def standard_normal(self, n):
+        return np.resize(self.vector, n)
 
 
 # ---------------------------------------------------------------- validation ---
@@ -179,6 +236,77 @@ def test_seesaw_monotone_along_iterations():
     for seed in range(5):
         _, _, trace = _seesaw_once(iq, (2, 2), np.random.default_rng(seed))
         assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])
+@pytest.mark.parametrize("name", ["pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322"])
+def test_batched_seesaw_matches_sequential_reference(name, dims):
+    iq = named_inequality(name)
+    for seed in (0, 1, 7):
+        value, model = qmax_seesaw(iq, dims=dims, restarts=32, seed=seed)
+        runs = [sequential_seesaw(iq, dims, np.random.default_rng(seed + r)) for r in range(32)]
+        best = runs[int(np.argmax([run[0] for run in runs]))]
+        assert abs(value - best[0]) <= 1e-12
+        assert np.max(np.abs(model.state - best[1])) <= 1e-12
+        for got, want in zip(model.alice + model.bob, best[2] + best[3]):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_positive_eigenspace_cut_is_per_matrix():
+    # 1e-9 is above the second matrix's own cut (1e-11) but below the
+    # first's (1e-8), so it is kept only under a per-matrix cut
+    f = np.array([np.diag([1e3, -1e3]), np.diag([1e-9, -1.0])])
+    stacked = _positive_eigenspace_projector(f)
+    assert np.array_equal(stacked[1], np.diag([1.0, 0.0]))
+    for i in range(2):
+        assert np.array_equal(stacked[i], _positive_eigenspace_projector(f[i]))
+
+
+def same_measurements(m1, m2):
+    return all(np.array_equal(a, b) for a, b in zip(m1.alice + m1.bob, m2.alice + m2.bob))
+
+
+def test_seesaw_ties_keep_the_lowest_restart():
+    iq = named_inequality("pentagon-1")
+    # both starts are deterministic strategies that stay at the value 2
+    low, high = FixedStart([1.0, 0.0]), FixedStart([0.0, 1.0])
+    v_low, m_low, _ = _seesaw_once(iq, (2, 2), low)
+    v_high, m_high, _ = _seesaw_once(iq, (2, 2), high)
+    assert v_low == v_high == 2.0
+    assert not same_measurements(m_low, m_high)
+    assert same_measurements(_seesaw(iq, (2, 2), [low, high])[1], m_low)
+    assert same_measurements(_seesaw(iq, (2, 2), [high, low])[1], m_high)
+
+
+@pytest.mark.parametrize("name", ["pentagon-1", "pentagon-3", "i3322"])
+def test_every_restart_trace_is_monotone(name):
+    iq = named_inequality(name)
+    _, _, traces = _seesaw(iq, (3, 3), [np.random.default_rng(r) for r in range(16)])
+    assert len(traces) == 16
+    for trace in traces:
+        assert trace and all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
+
+
+def test_restart_blocks_do_not_change_the_result(monkeypatch):
+    import pentabell.quantum as quantum
+
+    iq = named_inequality("pentagon-1")
+    value, model = qmax_seesaw(iq, dims=(3, 3), restarts=8, seed=2)
+    monkeypatch.setattr(quantum, "_RESTART_BLOCK", 3)
+    blocked_value, blocked_model = qmax_seesaw(iq, dims=(3, 3), restarts=8, seed=2)
+    assert blocked_value == value
+    assert np.array_equal(blocked_model.state, model.state)
+    assert same_measurements(blocked_model, model)
+
+
+def test_single_restart_is_one_seesaw_run():
+    iq = named_inequality("pentagon-2")
+    for seed in (0, 3):
+        value, model = qmax_seesaw(iq, dims=(3, 3), restarts=1, seed=seed)
+        once_value, once_model, _ = _seesaw_once(iq, (3, 3), np.random.default_rng(seed))
+        assert value == once_value
+        assert np.array_equal(model.state, once_model.state)
+        assert same_measurements(model, once_model)
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])

@@ -116,11 +116,27 @@ def test_pentagon_inside_i3322():
 
 def test_behavior_rejects_signaling_and_bad_tables():
     tables = {(x, y): np.full((2, 2), 0.25) for x in range(2) for y in range(2)}
-    tables[(0, 0)] = np.array([[0.5, 0.0], [0.25, 0.25]])  # alice marginal depends on y
+    tables[(0, 0)] = np.array([[0.5, 0.0], [0.25, 0.25]])  # bob marginal depends on x
     with pytest.raises(InvalidInputError):
         Behavior(tables)
     with pytest.raises(InvalidInputError):
         Behavior({(0, 0): np.array([[0.5, 0.5], [0.5, 0.5]])})
+
+
+@pytest.mark.parametrize(
+    "pair,block,message",
+    [
+        # Bob's setting changes Alice's marginal at x = 1 only
+        ((1, 1), [[0.5, 0.25], [0.0, 0.25]], "no-signaling violated for Alice setting 1"),
+        # Alice's setting changes Bob's marginal at y = 1 only
+        ((1, 1), [[0.5, 0.0], [0.25, 0.25]], "no-signaling violated for Bob setting 1"),
+    ],
+)
+def test_behavior_rejects_signaling_either_way(pair, block, message):
+    tables = {(x, y): np.full((2, 2), 0.25) for x in range(2) for y in range(2)}
+    tables[pair] = np.array(block)
+    with pytest.raises(InvalidInputError, match=message):
+        Behavior(tables)
 
 
 def test_strategy_behaviors_are_deterministic_and_no_signaling():

@@ -5,7 +5,15 @@ import pytest
 
 from pentabell.errors import InvalidInputError
 from pentabell.quantum import behavior_of, known_optimal_model
-from pentabell.scenarios import Event, Inequality, evaluate, named_inequality
+from pentabell.scenarios import (
+    DeterministicStrategy,
+    Event,
+    Inequality,
+    evaluate,
+    named_inequality,
+    pr_box,
+    strategy_behavior,
+)
 from pentabell.simkit import (
     CountTable,
     SimConfig,
@@ -92,6 +100,42 @@ def test_run_experiment_samples_its_ideal_behavior(monkeypatch):
     monkeypatch.setattr(simkit, "behavior_of", counting_behavior_of)
     run_experiment(named_inequality("pentagon-1"), m, cfg)
     assert len(calls) == 1
+
+
+def searchsorted_counts(behavior, cfg):
+    """Reference sampler: each draw's outcome located among the cumulative
+    edges with searchsorted, then tallied."""
+    counts = {}
+    for x in behavior.alice_settings:
+        for y in behavior.bob_settings:
+            p = cfg.visibility * behavior.table(x, y) + (1.0 - cfg.visibility) / 4.0
+            edges = np.cumsum(p.reshape(-1))
+            edges[-1] = 1.0
+            u = uniforms(derive_seed(cfg.seed, x, y), cfg.shots)
+            counts[(x, y)] = np.bincount(np.searchsorted(edges, u, side="right"), minlength=4).reshape(2, 2)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "behavior",
+    [
+        behavior_of(known_optimal_model("pentagon-1")),
+        strategy_behavior(DeterministicStrategy((0, 1), (1, 0))),  # three zero cells per pair
+        pr_box(),  # two zero cells per pair
+    ],
+    ids=["pentagon-1", "deterministic", "pr-box"],
+)
+@pytest.mark.parametrize("visibility", [1.0, 0.9, 0.0])
+def test_threshold_counts_match_searchsorted_reference(behavior, visibility):
+    for shots, seeds in ((20_000, (0, 7)), (1, range(40))):
+        for seed in seeds:
+            cfg = SimConfig(shots=shots, seed=seed, visibility=visibility)
+            table = sample_counts(behavior, cfg)
+            reference = searchsorted_counts(behavior, cfg)
+            assert table.counts.keys() == reference.keys()
+            for key, block in table.counts.items():
+                assert block.dtype == reference[key].dtype
+                assert np.array_equal(block, reference[key])
 
 
 def test_zero_visibility_counts_are_uniform():
