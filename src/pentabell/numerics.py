@@ -99,6 +99,12 @@ def project_psd(a) -> np.ndarray:
     m = as_sym_matrix(a)
     if m.shape[0] > MAX_ORDER:
         raise CapacityError(f"order {m.shape[0]} exceeds the {MAX_ORDER} envelope")
+    return _psd_part(m)
+
+
+def _psd_part(m: np.ndarray) -> np.ndarray:
+    """project_psd without its input checks, for a finite symmetric matrix
+    of order at most MAX_ORDER that the caller has already validated."""
     w, v = np.linalg.eigh(m)
     if w[0] >= 0.0:
         return m

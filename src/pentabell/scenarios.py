@@ -5,6 +5,14 @@ _1|_0, where only Bob's setting and outcome are fixed), exclusivity-graph
 extraction with typed edges, classical bounds by deterministic-strategy
 enumeration, correlator decomposition, the PR box, exclusivity-principle
 checks, and the enumeration of all pentagonal inequalities up to relabeling.
+
+An inequality's terms have one numeric form: `term_cells` resolves each
+event once into 0/1 cells c[t, x, y, a, b] over the covered setting pairs,
+placing a wildcard event at its lowest covered partner setting.  A Behavior
+is one dense (n_a, n_b, 2, 2) table, so probabilities, `evaluate`,
+`eprinciple_check`, the LHV bound (against the stacked tables of all
+deterministic strategies) and the correlator decomposition are contractions
+of those cells; `simkit` reads count tables the same way.
 """
 
 from __future__ import annotations
@@ -105,14 +113,6 @@ class DeterministicStrategy:
     alice: tuple
     bob: tuple
 
-    def matches(self, event: Event) -> bool:
-        """True when the strategy makes the event happen (wildcards vacuous)."""
-        if event.alice is not None and self.alice[event.alice[0]] != event.alice[1]:
-            return False
-        if event.bob is not None and self.bob[event.bob[0]] != event.bob[1]:
-            return False
-        return True
-
 
 class TypedEdge(NamedTuple):
     i: int
@@ -120,17 +120,67 @@ class TypedEdge(NamedTuple):
     kind: str  # 'A', 'B' or 'AB'
 
 
+def _dense_shape(pairs) -> tuple:
+    """(n_a, n_b) of a dense table over the setting pairs; a pair outside
+    [0, MAX_SETTING] is rejected."""
+    flat = [s for pair in pairs for s in pair]
+    if flat and (min(flat) < 0 or max(flat) > MAX_SETTING):
+        bad = min(pair for pair in pairs if min(pair) < 0 or max(pair) > MAX_SETTING)
+        raise InvalidInputError(f"setting pair {bad} outside [0,{MAX_SETTING}]")
+    return 1 + max(flat[0::2], default=-1), 1 + max(flat[1::2], default=-1)
+
+
+def _lowest_partners(pairs):
+    """The lowest covered Bob setting of each covered Alice setting and the
+    lowest covered Alice setting of each covered Bob setting.
+
+    A wildcard event is read at its party's lowest covered partner setting,
+    and no-signaling is checked against the marginal found there.
+    """
+    first_y, first_x = {}, {}
+    for x, y in sorted(pairs):
+        first_y.setdefault(x, y)
+        first_x.setdefault(y, x)
+    return first_y, first_x
+
+
+@functools.lru_cache(maxsize=1024)
+def term_cells(terms: tuple, pairs: frozenset) -> np.ndarray:
+    """Read-only 0/1 cells c[t, x, y, a, b] of each event over the covered
+    setting pairs (the dense shape of `_dense_shape`).
+
+    A two-party event is one cell; a wildcard event is the other party's two
+    cells at its lowest covered partner setting.  Every probability, count
+    and classical score of an event is the contraction of its cells with a
+    table, so this is the one place a wildcard is placed.
+    """
+    first_y, first_x = _lowest_partners(pairs)
+    cells = np.zeros((len(terms), *_dense_shape(pairs), 2, 2))
+    for t, event in enumerate(terms):
+        x, a = event.alice or (first_x.get(event.bob[0]), slice(None))
+        y, b = event.bob or (first_y.get(x), slice(None))
+        if (x, y) not in pairs:
+            raise InvalidInputError(f"setting pairs do not cover event {event}")
+        cells[t, x, y, a, b] = 1.0
+    cells.flags.writeable = False
+    return cells
+
+
 class Behavior:
     """Probability table P(ab|xy) with derived marginals and correlators.
 
-    Construction validates normalization, non-negativity, and no-signaling
-    (each within 1e-9); offending tables are rejected.
+    Stored as one dense (n_a, n_b, 2, 2) array over (x, y, a, b) plus the
+    set of covered setting pairs; uncovered pairs hold zeros.  Construction
+    validates the setting pairs (within [0, MAX_SETTING]), normalization,
+    non-negativity, and no-signaling (each within 1e-9); offending tables are
+    rejected.
     """
 
     _ATOL = 1e-9
 
     def __init__(self, tables):
         keys = [(int(key[0]), int(key[1])) for key in tables]
+        shape = _dense_shape(keys)
         stack = np.array([np.asarray(block, dtype=float).reshape(2, 2) for block in tables.values()]).reshape(-1, 2, 2)
         negative = (stack < -1e-12).any(axis=(1, 2))
         bad = negative | (np.abs(stack.sum(axis=(1, 2)) - 1.0) > self._ATOL)
@@ -140,28 +190,28 @@ class Behavior:
             if negative[i]:
                 raise InvalidInputError(f"negative probability at setting pair ({x},{y})")
             raise InvalidInputError(f"probabilities at ({x},{y}) sum to {stack[i].sum()}, not 1")
-        stack = np.clip(stack, 0.0, None)
-        stack.flags.writeable = False
         index = {key: i for i, key in enumerate(keys)}  # a repeated pair keeps its last table
-        self._tables = {key: stack[i] for key, i in index.items()}
-        self._alice_settings = tuple(sorted({x for x, _ in index}))
-        self._bob_settings = tuple(sorted({y for _, y in index}))
-        self._check_no_signaling(stack, index)
+        xs, ys = np.array(list(index), dtype=int).reshape(-1, 2).T
+        p = np.zeros(shape + (2, 2))
+        p[xs, ys] = np.maximum(stack[list(index.values())], 0.0)
+        p.flags.writeable = False
+        self._p, self._pairs = p, frozenset(index)
+        self._alice_settings = tuple(sorted(set(xs.tolist())))
+        self._bob_settings = tuple(sorted(set(ys.tolist())))
+        self._check_no_signaling(xs, ys)
 
-    def _check_no_signaling(self, stack, index):
-        # each party's marginal at every pair against its marginal at the
-        # lowest covered partner setting, all pairs at once
-        for party, label in ((0, "Alice"), (1, "Bob")):
-            marginals = stack.sum(axis=2 - party)
-            reference = {}
-            for key in sorted(index):
-                reference.setdefault(key[party], index[key])
-            rows = list(index.values())
-            refs = [reference[key[party]] for key in index]
-            deviation = np.abs(marginals[rows] - marginals[refs]).max(axis=1)
-            violated = [key[party] for key, dev in zip(index, deviation) if dev > self._ATOL]
-            if violated:
-                raise InvalidInputError(f"no-signaling violated for {label} setting {min(violated)}")
+    def _check_no_signaling(self, xs, ys):
+        # each party's marginal at every covered pair against its marginal at
+        # the lowest covered partner setting, all pairs at once
+        first_y, first_x = _lowest_partners(self._pairs)
+        alice, bob = self._p.sum(axis=3), self._p.sum(axis=2)
+        for label, settings, here, there in (
+            ("Alice", xs, alice[xs, ys], alice[xs, [first_y[x] for x in xs.tolist()]]),
+            ("Bob", ys, bob[xs, ys], bob[[first_x[y] for y in ys.tolist()], ys]),
+        ):
+            violated = settings[np.abs(here - there).max(axis=1) > self._ATOL]
+            if violated.size:
+                raise InvalidInputError(f"no-signaling violated for {label} setting {violated.min()}")
 
     @property
     def alice_settings(self):
@@ -172,39 +222,31 @@ class Behavior:
         return self._bob_settings
 
     def table(self, x: int, y: int) -> np.ndarray:
-        try:
-            return self._tables[(x, y)]
-        except KeyError:
-            raise InvalidInputError(f"behavior does not cover setting pair ({x},{y})") from None
+        if (x, y) not in self._pairs:
+            raise InvalidInputError(f"behavior does not cover setting pair ({x},{y})")
+        return self._p[x, y]
+
+    def probs(self, events) -> np.ndarray:
+        """Probability of each event: its cells (see term_cells) contracted
+        with the table, so wildcard parties are marginalized out."""
+        cells = term_cells(tuple(events), self._pairs)
+        return cells.reshape(len(cells), -1) @ self._p.reshape(-1)
 
     def prob(self, event: Event) -> float:
         """Probability of an event; wildcard parties are marginalized out."""
-        if event.alice is not None and event.bob is not None:
-            (x, a), (y, b) = event.alice, event.bob
-            return float(self.table(x, y)[a, b])
-        if event.bob is not None:
-            y, b = event.bob
-            xs = [x for x in self.alice_settings if (x, y) in self._tables]
-            if not xs:
-                raise InvalidInputError(f"behavior does not cover Bob setting {y}")
-            return float(self.table(xs[0], y)[:, b].sum())
-        x, a = event.alice
-        ys = [y for y in self.bob_settings if (x, y) in self._tables]
-        if not ys:
-            raise InvalidInputError(f"behavior does not cover Alice setting {x}")
-        return float(self.table(x, ys[0])[a, :].sum())
+        return float(self.probs((event,))[0])
 
     def correlator(self, x: int, y: int) -> float:
         p = self.table(x, y)
         return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
 
     def alice_expectation(self, x: int) -> float:
-        p = self.table(x, self.bob_settings[0])
-        return float(p[0, :].sum() - p[1, :].sum())
+        p0, p1 = self.probs((Event((x, 0), None), Event((x, 1), None)))
+        return float(p0 - p1)
 
     def bob_expectation(self, y: int) -> float:
-        p = self.table(self.alice_settings[0], y)
-        return float(p[:, 0].sum() - p[:, 1].sum())
+        p0, p1 = self.probs((Event(None, (y, 0)), Event(None, (y, 1))))
+        return float(p0 - p1)
 
 
 def strategy_behavior(strategy: DeterministicStrategy, alice_settings=None, bob_settings=None) -> Behavior:
@@ -235,15 +277,27 @@ def pr_box() -> Behavior:
 
 
 @functools.cache
+def _deterministic(n_a: int, n_b: int):
+    """Every local deterministic strategy for n_a x n_b settings, in
+    itertools.product order (Alice's outcomes outer), with the read-only
+    (2**(n_a+n_b), n_a, n_b, 2, 2) stack of their 0/1 tables."""
+    strategies = tuple(
+        DeterministicStrategy(sa, sb)
+        for sa in itertools.product((0, 1), repeat=n_a)
+        for sb in itertools.product((0, 1), repeat=n_b)
+    )
+    alice = np.eye(2)[np.array([s.alice for s in strategies], dtype=int).reshape(-1, n_a)]
+    bob = np.eye(2)[np.array([s.bob for s in strategies], dtype=int).reshape(-1, n_b)]
+    tables = alice[:, :, None, :, None] * bob[:, None, :, None, :]
+    tables.flags.writeable = False
+    return strategies, tables
+
+
+@functools.cache
 def _ns_vertices() -> np.ndarray:
     """Read-only (17, 2, 2, 2, 2) stack over (box, x, y, a, b): the 16
     deterministic 2x2 behaviors, then the PR box."""
-    boxes = [
-        strategy_behavior(DeterministicStrategy(sa, sb))
-        for sa in itertools.product((0, 1), repeat=2)
-        for sb in itertools.product((0, 1), repeat=2)
-    ] + [pr_box()]
-    stack = np.array([[[box.table(x, y) for y in range(2)] for x in range(2)] for box in boxes])
+    stack = np.concatenate([_deterministic(2, 2)[1], pr_box()._p[None]])
     stack.flags.writeable = False
     return stack
 
@@ -300,24 +354,26 @@ def exclusivity_graph(iq: Inequality):
 
 
 def lhv_bound(iq: Inequality, alice_settings: Optional[int] = None, bob_settings: Optional[int] = None):
-    """Exact deterministic-strategy maximum of the term count, with witness."""
+    """Exact deterministic-strategy maximum of the term count, with witness.
+
+    One contraction of the inequality's summed cells with the tables of all
+    2**(n_a+n_b) strategies; the witness is the first maximum in
+    itertools.product order.
+    """
     n_a = iq.alice_settings if alice_settings is None else int(alice_settings)
     n_b = iq.bob_settings if bob_settings is None else int(bob_settings)
     if n_a > MAX_ENUM_SETTINGS or n_b > MAX_ENUM_SETTINGS:
         raise CapacityError(f"strategy enumeration limited to {MAX_ENUM_SETTINGS} settings per party")
-    best, witness = -1, None
-    for sa in itertools.product((0, 1), repeat=n_a):
-        for sb in itertools.product((0, 1), repeat=n_b):
-            strategy = DeterministicStrategy(sa, sb)
-            score = sum(1 for t in iq.terms if strategy.matches(t))
-            if score > best:
-                best, witness = score, strategy
-    return best, witness
+    coefficients = term_cells(iq.terms, frozenset(itertools.product(range(n_a), range(n_b)))).sum(axis=0)
+    strategies, tables = _deterministic(n_a, n_b)
+    scores = tables.reshape(len(strategies), -1) @ coefficients.reshape(-1)
+    best = int(scores.argmax())
+    return int(scores[best]), strategies[best]
 
 
 def evaluate(iq: Inequality, behavior: Behavior) -> float:
-    """Sum of the term probabilities under the behavior."""
-    return float(sum(behavior.prob(t) for t in iq.terms))
+    """Sum of the term probabilities under the behavior, in term order."""
+    return float(sum(behavior.probs(iq.terms).tolist()))
 
 
 @dataclass(frozen=True)
@@ -358,19 +414,12 @@ def chsh_decomposition(iq: Inequality) -> CorrelatorDecomposition:
             raise InvalidInputError("correlator decomposition needs a 2x2-setting inequality")
 
     pairs = [(x, y) for x in range(2) for y in range(2)]
-    rows, targets = [], []
-    for sa in itertools.product((0, 1), repeat=2):
-        for sb in itertools.product((0, 1), repeat=2):
-            a_sign = [1 - 2 * o for o in sa]
-            b_sign = [1 - 2 * o for o in sb]
-            rows.append(
-                [1.0]
-                + [a_sign[x] * b_sign[y] for x, y in pairs]
-                + [a_sign[0], a_sign[1], b_sign[0], b_sign[1]]
-            )
-            targets.append(evaluate(iq, strategy_behavior(DeterministicStrategy(sa, sb))))
-    m = np.array(rows)
-    t = np.array(targets)
+    _, tables = _deterministic(2, 2)
+    signs = np.array([1.0, -1.0])
+    alice = np.einsum("sxyab,a->sxy", tables, signs)  # Alice's +-1 outcome at each pair
+    bob = np.einsum("sxyab,b->sxy", tables, signs)
+    m = np.column_stack([np.ones(16), (alice * bob).reshape(16, 4), alice[:, :, 0], bob[:, 0, :]])
+    t = tables.reshape(16, -1) @ term_cells(iq.terms, frozenset(pairs)).sum(axis=0).reshape(-1)
 
     sol, *_ = np.linalg.lstsq(m[:, :5], t, rcond=None)
     residual = float(np.max(np.abs(m[:, :5] @ sol - t)))
@@ -420,7 +469,7 @@ def eprinciple_check(iq: Inequality, behavior: Behavior) -> EPrincipleReport:
     g, _ = exclusivity_graph(iq)
     if g.n > 10:
         raise CapacityError("clique enumeration limited to 10 vertices")
-    probs = [behavior.prob(t) for t in iq.terms]
+    probs = behavior.probs(iq.terms).tolist()
     masks = g.adjacency_masks()
     best_sum, best_clique = 0.0, ()
     for subset in range(1, 1 << g.n):

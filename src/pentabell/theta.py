@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, ConvergenceError, InvalidInputError
 from .graphs import Graph
-from .numerics import project_psd
+from .numerics import _psd_part
 
 MAX_VERTICES = 32
 MAX_ITERATIONS = 200_000
@@ -117,7 +117,8 @@ def lovasz_theta(g: Graph, tol: float = 1e-7) -> ThetaResult:
         x = _affine_project(z - u + np.ones((n, n)) / rho, edge_index, n)
         x_hat = relax * x + (1.0 - relax) * z
         z_prev = z
-        z = project_psd(x_hat + u)
+        y = x_hat + u
+        z = _psd_part((y + y.T) / 2.0)  # inputs were validated on entry
         u = u + x_hat - z
 
         if iterations % _CHECK_EVERY == 0:

@@ -139,6 +139,38 @@ def test_behavior_rejects_signaling_either_way(pair, block, message):
         Behavior(tables)
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -2), (4, 0), (1, 7)])
+def test_behavior_rejects_setting_pairs_outside_range(pair):
+    tables = {(0, 0): np.full((2, 2), 0.25), pair: np.full((2, 2), 0.25)}
+    with pytest.raises(InvalidInputError, match="outside"):
+        Behavior(tables)
+
+
+def test_wildcards_read_at_lowest_covered_partner_setting():
+    # tables at (1,0), (1,1) and (2,1) only: Bob's setting 0 is covered
+    # only by Alice's setting 1, and Alice's setting 2 only by Bob's setting 1
+    partial = Behavior(
+        {
+            (1, 0): np.array([[0.3, 0.2], [0.1, 0.4]]),
+            (1, 1): np.array([[0.2, 0.3], [0.2, 0.3]]),
+            (2, 1): np.array([[0.1, 0.2], [0.3, 0.4]]),
+        }
+    )
+    assert partial.alice_settings == (1, 2) and partial.bob_settings == (0, 1)
+    assert partial.prob(Event.parse("_1|_0")) == 0.6000000000000001  # 0.2 + 0.4 at (1,0)
+    assert partial.prob(Event.parse("0_|2_")) == 0.30000000000000004  # 0.1 + 0.2 at (2,1)
+    assert partial.prob(Event.parse("_0|_1")) == 0.4  # at (1,1), not (2,1)
+    assert partial.prob(Event.parse("11|21")) == 0.4
+    # single-party expectations follow the same rule
+    assert partial.alice_expectation(2) == 0.30000000000000004 - 0.7
+    assert partial.bob_expectation(0) == 0.4 - 0.6000000000000001
+    for text in ("00|00", "_0|_2", "0_|0_", "00|20"):
+        with pytest.raises(InvalidInputError):
+            partial.prob(Event.parse(text))
+    with pytest.raises(InvalidInputError):
+        partial.table(-1, 0)
+
+
 def test_strategy_behaviors_are_deterministic_and_no_signaling():
     for sa in itertools.product((0, 1), repeat=2):
         for sb in itertools.product((0, 1), repeat=2):
@@ -161,13 +193,45 @@ def test_lhv_bounds(name, expected):
     iq = named_inequality(name)
     bound, strategy = lhv_bound(iq)
     assert bound == expected
-    assert sum(1 for t in iq.terms if strategy.matches(t)) == bound
+    assert evaluate(iq, strategy_behavior(strategy)) == bound
 
 
 def test_lhv_capacity():
     iq = named_inequality("pentagon-1")
     with pytest.raises(CapacityError):
         lhv_bound(iq, alice_settings=5)
+
+
+def test_lhv_rejects_settings_its_terms_need():
+    iq = named_inequality("pentagon-1")  # uses Alice setting 1
+    with pytest.raises(InvalidInputError):
+        lhv_bound(iq, alice_settings=1)
+    with pytest.raises(InvalidInputError):
+        lhv_bound(iq, bob_settings=0)
+
+
+def brute_force_lhv(iq, n_a, n_b):
+    """First maximum, in itertools.product order, of evaluate over every
+    deterministic strategy's behavior."""
+    best, witness = -1.0, None
+    for sa in itertools.product((0, 1), repeat=n_a):
+        for sb in itertools.product((0, 1), repeat=n_b):
+            strategy = DeterministicStrategy(sa, sb)
+            score = evaluate(iq, strategy_behavior(strategy))
+            if score > best:
+                best, witness = score, strategy
+    return best, witness
+
+
+def test_lhv_bound_equals_brute_force_evaluation():
+    named = [named_inequality(n) for n in ("pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322")]
+    cases = [(iq, iq.alice_settings, iq.bob_settings) for iq in named + enumerate_pentagonal(4, 4)]
+    cases.append((named[0], 3, 2))  # more settings than the terms use
+    for iq, n_a, n_b in cases:
+        bound, witness = lhv_bound(iq, n_a, n_b)
+        expected, expected_witness = brute_force_lhv(iq, n_a, n_b)
+        assert (bound, witness) == (expected, expected_witness), iq.terms
+        assert isinstance(bound, int)
 
 
 # --------------------------------------------------------------- evaluate ---

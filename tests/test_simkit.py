@@ -230,3 +230,22 @@ def test_omega_statistics_over_200_seeds():
     assert sigma / 1.5 <= float(omegas.std(ddof=1)) <= sigma * 1.5
     # and the estimator is unbiased
     assert abs(float(omegas.mean()) - ideal) <= 3 * sigma / math.sqrt(200)
+
+
+@pytest.mark.parametrize("name", ["pentagon-1", "pentagon-2"])
+def test_total_sigma_is_calibrated_over_1000_seeds(name):
+    # both inequalities put two terms on one setting pair, whose estimates
+    # are negatively correlated; the reported sigma must follow the spread
+    iq = named_inequality(name)
+    ideal = behavior_of(known_optimal_model(name))
+    reports = [estimate(sample_counts(ideal, SimConfig(shots=5000, seed=s)), iq) for s in range(1000)]
+    spread = float(np.std([r.omega for r in reports], ddof=1))
+    reported = float(np.mean([r.sigma for r in reports]))
+    assert 0.9 * spread <= reported <= 1.1 * spread
+
+
+def test_total_sigma_of_terms_on_distinct_pairs_adds_in_quadrature():
+    # pentagon-3 has one term per setting pair, so nothing is correlated
+    iq = named_inequality("pentagon-3")
+    report = run_experiment(iq, known_optimal_model("pentagon-3"), SimConfig(shots=3000, seed=2))
+    assert report.sigma == pytest.approx(math.sqrt(sum(t.sigma**2 for t in report.terms)), rel=1e-12)

@@ -89,3 +89,15 @@ def test_input_validation():
         lovasz_theta(cycle(5), tol=1e-2)
     with pytest.raises(InvalidInputError):
         lovasz_theta(cycle(5), tol=1e-12)
+
+
+def test_theta_loop_projects_without_revalidating(monkeypatch):
+    # the ADMM iterates are built inside the solver from a validated graph,
+    # so its loop uses the unchecked projection and never re-validates
+    import pentabell.numerics as numerics
+
+    calls = []
+    monkeypatch.setattr(numerics, "as_sym_matrix", lambda a: calls.append(a))
+    result = lovasz_theta(cycle(7))
+    assert not calls
+    assert result.value == pytest.approx(odd_cycle_theta(7), abs=1e-6)
