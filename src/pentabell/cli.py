@@ -76,33 +76,50 @@ def cmd_alpha(args) -> int:
 
 
 def _certificate_ok(g: graphs.Graph, result, tol: float) -> bool:
-    """Replay the primal certificate against the bounds ThetaResult states:
-    symmetric, trace 1 within 1e-8, edge entries zero within 1e-7, PSD
-    within 1e-8, and entry sum equal to the value within max(gap, tol)."""
+    """Replay both certificates against the bounds ThetaResult states.
+
+    Primal X: symmetric, trace 1 within 1e-8, edge entries zero within 1e-7,
+    PSD within 1e-8, and entry sum equal to the value within max(gap, tol).
+    Dual B: symmetric, exactly 1 on the diagonal and on every non-edge (so
+    B = J - Y with Y on the edges), and value <= lambda_max(B) <=
+    value + max(gap, tol), each within 1e-9.
+    """
+    slack = max(result.gap, tol)
     x = np.asarray(result.primal, dtype=float)
-    if x.shape != (g.n, g.n) or not np.all(np.isfinite(x)):
-        return False
-    if np.max(np.abs(x - x.T)) > 1e-12:
-        return False
+    b = np.asarray(result.dual, dtype=float)
+    for m in (x, b):
+        if m.shape != (g.n, g.n) or not np.all(np.isfinite(m)):
+            return False
+        if np.max(np.abs(m - m.T)) > 1e-12:
+            return False
     if abs(float(np.trace(x)) - 1.0) > 1e-8:
         return False
     if any(abs(x[i, j]) > 1e-7 for i, j in g.edges):
         return False
     if float(np.linalg.eigvalsh(x)[0]) < -1e-8:
         return False
-    return abs(float(x.sum()) - result.value) <= max(result.gap, tol)
+    if abs(float(x.sum()) - result.value) > slack:
+        return False
+    free = np.ones((g.n, g.n), dtype=bool)
+    for i, j in g.edges:
+        free[i, j] = free[j, i] = False
+    if not np.all(b[free] == 1.0):
+        return False
+    upper = float(np.linalg.eigvalsh(b)[-1])
+    return result.value - 1e-9 <= upper <= result.value + slack + 1e-9
 
 
 def cmd_theta(args) -> int:
     g = _resolve_graph(args.graph)
     result = theta.lovasz_theta(g, tol=args.tol)
-    replay = float(result.primal.sum())
+    lower = float(result.primal.sum())
+    upper = float(np.linalg.eigvalsh(result.dual)[-1])
     cert_ok = _certificate_ok(g, result, args.tol)
     text = (
         f"theta = {result.value:.6f}\n"
         f"gap <= {result.gap:.2e}\n"
         f"iterations = {result.iterations}\n"
-        f"certificate replay = {replay:.6f} ({'ok' if cert_ok else 'MISMATCH'})"
+        f"certificate replay = {lower:.6f} <= theta <= {upper:.6f} ({'ok' if cert_ok else 'MISMATCH'})"
     )
     _emit(
         args,

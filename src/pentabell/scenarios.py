@@ -250,9 +250,15 @@ class Behavior:
 
 
 def strategy_behavior(strategy: DeterministicStrategy, alice_settings=None, bob_settings=None) -> Behavior:
-    """Deterministic 0/1 behavior produced by a local strategy."""
+    """Deterministic 0/1 behavior produced by a local strategy on its first
+    alice_settings x bob_settings settings (default: all of them)."""
     n_a = len(strategy.alice) if alice_settings is None else alice_settings
     n_b = len(strategy.bob) if bob_settings is None else bob_settings
+    for party, outcomes, count in (("alice", strategy.alice, n_a), ("bob", strategy.bob, n_b)):
+        if not 1 <= count <= len(outcomes):
+            raise InvalidInputError(f"{party}_settings {count} outside [1, {len(outcomes)}] for this strategy")
+        if any(o not in (0, 1) for o in outcomes[:count]):
+            raise InvalidInputError(f"{party} outcomes {outcomes} are not all 0 or 1")
     tables = {}
     for x in range(n_a):
         for y in range(n_b):

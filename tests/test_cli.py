@@ -78,13 +78,71 @@ def _bad_certificates():
 @pytest.mark.parametrize("defect", sorted(_bad_certificates()))
 def test_theta_certificate_is_replayed(monkeypatch, defect):
     primal = _bad_certificates()[defect]
-    # the value is the certificate's own entry sum, so only an independent
-    # replay of trace, edges and PSD can catch the defect
-    fake = theta.ThetaResult(float(primal.sum()), primal, 1, 0.0)
+    # the value is the certificate's own entry sum and the dual J is valid
+    # with a gap up to its bound 5, so only an independent replay of trace,
+    # edges and PSD can catch the defect
+    value = float(primal.sum())
+    fake = theta.ThetaResult(value, primal, np.ones((5, 5)), 1, 5.0 - value)
     monkeypatch.setattr(theta, "lovasz_theta", lambda g, tol: fake)
     code, out, _ = run_cli(["theta", "kcbs-graph", "--json"])
     assert code == 0
     assert json.loads(out)["certificate_ok"] is False
+
+
+def _forged_duals():
+    # each breaks the form J - Y (Y on the edges) of the solver's own dual
+    # for C5, whose edges are {0,1}, {1,2}, {2,3}, {3,4} and {0,4}
+    b = theta.lovasz_theta(cycle(5)).dual
+    non_edge = b.copy()
+    non_edge[0, 2] = non_edge[2, 0] = 0.9
+    diagonal = b.copy()
+    diagonal[3, 3] = 0.9
+    asymmetric = b.copy()
+    asymmetric[0, 1] += 1e-3
+    return {"non-edge-not-one": non_edge, "diagonal-not-one": diagonal, "asymmetric": asymmetric}
+
+
+@pytest.mark.parametrize("defect", sorted(_forged_duals()))
+def test_theta_dual_form_is_replayed(monkeypatch, defect):
+    # value and gap are chosen so that lambda_max of the forged dual lies
+    # within the stated bounds; only a check of its form catches the defect
+    honest = theta.lovasz_theta(cycle(5))
+    dual = _forged_duals()[defect]
+    top = float(np.linalg.eigvalsh(dual)[-1])
+    fake = theta.ThetaResult(min(honest.value, top), honest.primal, dual, 1, abs(honest.value - top) + 0.01)
+    monkeypatch.setattr(theta, "lovasz_theta", lambda g, tol: fake)
+    code, out, _ = run_cli(["theta", "kcbs-graph", "--json"])
+    assert code == 0
+    assert json.loads(out)["certificate_ok"] is False
+
+
+@pytest.mark.parametrize("shift", [1e-6, 0.01])
+def test_theta_dual_bound_is_replayed(monkeypatch, shift):
+    # raising every edge entry keeps the form J - Y but lifts lambda_max
+    # above value + gap
+    honest = theta.lovasz_theta(cycle(5))
+    dual = honest.dual + shift * (honest.dual != 1.0)
+    fake = theta.ThetaResult(honest.value, honest.primal, dual, 1, honest.gap)
+    monkeypatch.setattr(theta, "lovasz_theta", lambda g, tol: fake)
+    code, out, _ = run_cli(["theta", "kcbs-graph", "--json"])
+    assert code == 0
+    assert json.loads(out)["certificate_ok"] is False
+
+
+def test_theta_honest_certificates_pass():
+    code, out, _ = run_cli(["theta", "kcbs-graph"])
+    assert code == 0
+    assert out.splitlines()[-1] == "certificate replay = 2.236068 <= theta <= 2.236068 (ok)"
+
+
+def test_theta_convergence_error_exits_two_with_best_gap(monkeypatch):
+    monkeypatch.setattr(theta, "MAX_ITERATIONS", 5)
+    code, out, err = run_cli(["theta", "kcbs-graph", "--json"])
+    assert code == 2
+    assert out == ""
+    # no bound check ran, so the best certified bounds are alpha = 2 and n = 5
+    assert err.startswith("error: theta solver did not reach gap 1e-07 in 5 iterations;")
+    assert "best certified gap 3.000e+00 (2.0000000000 <= theta <= 5.0000000000)" in err
 
 
 def test_lhv_named_scenarios():

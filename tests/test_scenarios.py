@@ -182,6 +182,21 @@ def test_strategy_behaviors_are_deterministic_and_no_signaling():
                     assert block.sum() == 1.0
 
 
+@pytest.mark.parametrize("party", ["alice", "bob"])
+def test_strategy_behavior_rejects_settings_beyond_the_strategy(party):
+    strategy = DeterministicStrategy((0, 1), (0, 1))
+    for count in (0, 3):
+        with pytest.raises(InvalidInputError, match=f"{party}_settings"):
+            strategy_behavior(strategy, **{f"{party}_settings": count})
+    fewer = strategy_behavior(strategy, **{f"{party}_settings": 1})
+    assert len(getattr(fewer, f"{party}_settings")) == 1
+
+
+def test_strategy_behavior_rejects_non_binary_outcomes():
+    with pytest.raises(InvalidInputError, match="bob outcomes"):
+        strategy_behavior(DeterministicStrategy((0, 1), (0, 2)))
+
+
 # ------------------------------------------------------------- lhv bounds ---
 
 

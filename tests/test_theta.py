@@ -3,13 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from pentabell.errors import CapacityError, InvalidInputError
-from pentabell.graphs import circulant, complete_graph, cycle, empty_graph, graph, independence_number
+from pentabell import theta
+from pentabell.errors import CapacityError, ConvergenceError, InvalidInputError
+from pentabell.graphs import (
+    circulant,
+    complement,
+    complete_graph,
+    cycle,
+    empty_graph,
+    graph,
+    independence_number,
+)
 from pentabell.theta import lovasz_theta, odd_cycle_theta
 
 
 def random_graph(n, p, rng):
     return graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def assert_certified(g, res, tol=1e-7):
+    x, b = res.primal, res.dual
+    assert np.array_equal(x, x.T) and np.array_equal(b, b.T)
+    assert abs(np.trace(x) - 1.0) <= 1e-8
+    assert all(abs(x[i, j]) <= 1e-7 for i, j in g.edges)
+    assert np.linalg.eigvalsh(x)[0] >= -1e-8
+    assert abs(float(x.sum()) - res.value) <= max(res.gap, 1e-12)
+    upper = float(np.linalg.eigvalsh(b)[-1])
+    assert res.value - 1e-9 <= upper <= res.value + res.gap + 1e-9
+    assert res.gap <= tol
 
 
 def test_pentagon():
@@ -21,14 +42,19 @@ def test_circulant_8_14():
 
 
 def test_extreme_graphs():
-    assert lovasz_theta(complete_graph(6)).value == pytest.approx(1.0, abs=1e-9)
-    assert lovasz_theta(empty_graph(6)).value == pytest.approx(6.0, abs=1e-9)
+    for g, value in ((complete_graph(6), 1.0), (empty_graph(6), 6.0)):
+        res = lovasz_theta(g)
+        assert res.value == pytest.approx(value, abs=1e-9)
+        assert_certified(g, res, tol=0.0)
 
 
-@pytest.mark.parametrize("n", [5, 7, 9, 11])
+@pytest.mark.parametrize("n", range(5, 32, 2))
 def test_odd_cycles_against_closed_form(n):
     # independent oracle: theta(C_n) = n cos(pi/n) / (1 + cos(pi/n)) for odd n
-    assert lovasz_theta(cycle(n)).value == pytest.approx(odd_cycle_theta(n), abs=1e-6)
+    res = lovasz_theta(cycle(n))
+    assert abs(res.value - odd_cycle_theta(n)) <= 1e-7
+    assert abs(float(res.primal.sum()) - odd_cycle_theta(n)) <= 1e-7
+    assert_certified(cycle(n), res)
 
 
 def test_certificate_invariants_and_replay():
@@ -36,14 +62,9 @@ def test_certificate_invariants_and_replay():
     cases = [cycle(5), circulant(8, {1, 4})]
     cases += [random_graph(int(rng.integers(3, 10)), rng.uniform(0.2, 0.8), rng) for _ in range(10)]
     for g in cases:
-        res = lovasz_theta(g)
-        x = res.primal
-        assert np.linalg.eigvalsh(x)[0] >= -1e-8
-        assert abs(np.trace(x) - 1.0) <= 1e-8
-        for i, j in g.edges:
-            assert abs(x[i, j]) <= 1e-7
-        # replaying the objective from the certificate reproduces the value
-        assert abs(float(x.sum()) - res.value) <= max(res.gap, 1e-7)
+        # both certificates replay independently of the solver: the primal's
+        # entry sum is the value and the dual's top eigenvalue bounds it
+        assert_certified(g, lovasz_theta(g))
 
 
 def test_alpha_lower_bounds_theta():
@@ -101,3 +122,60 @@ def test_theta_loop_projects_without_revalidating(monkeypatch):
     result = lovasz_theta(cycle(7))
     assert not calls
     assert result.value == pytest.approx(odd_cycle_theta(7), abs=1e-6)
+
+
+# odd cycles C7..C31 and five circulants with their complements, the fixed
+# family of the theta-graphs benchmark workload
+FIXED_CIRCULANTS = ((13, (1, 5)), (17, (1, 2, 4, 8)), (21, (1, 3, 8)), (29, (1, 12)), (31, (1, 5, 11)))
+
+
+@pytest.fixture(scope="module")
+def fixed_family():
+    solved = {f"C{n}": (cycle(n), lovasz_theta(cycle(n))) for n in range(7, 32, 2)}
+    for n, offsets in FIXED_CIRCULANTS:
+        g = circulant(n, offsets)
+        solved[f"C{n}{offsets}"] = (g, lovasz_theta(g))
+        solved[f"co-C{n}{offsets}"] = (complement(g), lovasz_theta(complement(g)))
+    return solved
+
+
+def test_fixed_family_converges_in_few_iterations(fixed_family):
+    iterations = {label: res.iterations for label, (_, res) in fixed_family.items()}
+    assert sum(iterations.values()) <= 3000, iterations
+    assert sum(it > 500 for it in iterations.values()) <= 1, iterations
+    for g, res in fixed_family.values():
+        assert_certified(g, res)
+
+
+def test_fixed_family_circulant_products_equal_n(fixed_family):
+    # theta(G) * theta(complement of G) = n for vertex-transitive G
+    for n, offsets in FIXED_CIRCULANTS:
+        value = fixed_family[f"C{n}{offsets}"][1].value
+        co_value = fixed_family[f"co-C{n}{offsets}"][1].value
+        assert abs(value * co_value - n) <= 1e-5
+
+
+def test_theta_equal_to_alpha_is_closed_by_the_independent_set():
+    # a G(12, 1/2) graph with theta = alpha = 4: rounding the ADMM iterate
+    # into the PSD cone approaches 4 only from below, while the independent
+    # set {3, 7, 9, 11} certifies the lower bound 4 exactly
+    edges = [
+        (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 9), (0, 10), (0, 11), (1, 5), (1, 7), (1, 9),
+        (1, 10), (1, 11), (2, 3), (2, 4), (2, 6), (2, 9), (2, 10), (3, 5), (3, 6), (3, 10), (4, 6), (4, 10),
+        (4, 11), (5, 6), (5, 9), (5, 11), (6, 11), (7, 8), (8, 9), (8, 11), (9, 10), (10, 11),
+    ]
+    g = graph(12, edges)
+    res = lovasz_theta(g)
+    assert independence_number(g)[0] == 4
+    assert res.value == 4.0
+    assert_certified(g, res)
+
+
+def test_convergence_error_carries_certified_bounds(monkeypatch):
+    monkeypatch.setattr(theta, "MAX_ITERATIONS", 20)
+    g = circulant(31, {1, 5, 11})
+    with pytest.raises(ConvergenceError, match=r"in 20 iterations; best certified gap") as info:
+        lovasz_theta(g)
+    best = info.value.result
+    assert best.iterations == 20 and best.gap > 1e-7
+    assert_certified(g, best, tol=best.gap)
