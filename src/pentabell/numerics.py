@@ -1,4 +1,6 @@
-"""Dense real linear algebra used by every other module.
+"""Dense real linear algebra used by every other module: validated
+matrices, the thin SVD, and one interior-point core for semidefinite
+programs in standard form (sdp_path).
 
 All operations work on plain numpy arrays in 64-bit floating point and
 validate their inputs (finiteness, shape, symmetry) before delegating to
@@ -8,7 +10,7 @@ are part of the public contract and are exercised by the test suite.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -18,13 +20,6 @@ MAX_ORDER = 64
 
 # Relative asymmetry accepted before a matrix is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-8
-
-
-class EigDecomposition(NamedTuple):
-    """Eigenvalues in ascending order and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 class SvdDecomposition(NamedTuple):
@@ -61,24 +56,6 @@ def as_sym_matrix(a) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def eig_sym(a) -> EigDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    Guarantees (checked by the tests): V^T V = I within 1e-10 and
-    M v_k = lambda_k v_k within 1e-9 * ||M||.
-    """
-    m = as_sym_matrix(a)
-    if m.shape[0] > MAX_ORDER:
-        raise CapacityError(f"order {m.shape[0]} exceeds the {MAX_ORDER} envelope")
-    w, v = np.linalg.eigh(m)
-    return EigDecomposition(w, v)
-
-
-def max_eig(a) -> float:
-    """Largest eigenvalue of a symmetric matrix."""
-    return float(eig_sym(a).eigenvalues[-1])
-
-
 def svd(a) -> SvdDecomposition:
     """Thin singular value decomposition A = U diag(s) V^T.
 
@@ -90,23 +67,114 @@ def svd(a) -> SvdDecomposition:
     return SvdDecomposition(u, s, vh.T)
 
 
-def project_psd(a) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix.
+def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Iterates (X, y, Z) of a dense infeasible primal-dual interior-point
+    method for the semidefinite program in standard form
 
-    Negative eigenvalues are clipped to zero; the result is symmetric,
-    PSD (min eigenvalue >= -1e-10) and idempotent within 1e-10.
+        minimize <C, X>  s.t.  <A_k, X> = b_k (k < m),  X PSD,
+        maximize b^T y   s.t.  Z = C - sum_k y_k A_k PSD.
+
+    Every A_k is a combination of unit-pair matrices
+    U_ij = (e_i e_j^T + e_j e_i^T) / 2: term t adds coef[t] U_ij with
+    (i, j) = pairs[t] to A_k with k = rows[t]; rows is non-decreasing and
+    names every k < m = len(b).
+
+    Each step takes the HKM direction (Helmberg, Rendl, Vanderbei &
+    Wolkowicz, SIAM J. Optim. 6, 1996) with a Mehrotra predictor-corrector
+    (SIAM J. Optim. 2, 1992), solved through the Schur matrix
+    M_kl = tr(A_k X A_l Z^-1).  X and Z stay positive definite, and a step
+    of length alpha scales the residuals b - A(X) and C - A^T(y) - Z by
+    1 - alpha.  The caller decides when to stop; the generator ends by
+    itself when a factorisation fails, which near the optimum means the
+    iterates have run out of precision.
     """
-    m = as_sym_matrix(a)
-    if m.shape[0] > MAX_ORDER:
-        raise CapacityError(f"order {m.shape[0]} exceeds the {MAX_ORDER} envelope")
-    return _psd_part(m)
+    c = as_sym_matrix(c)
+    n = len(c)
+    if n > MAX_ORDER:
+        raise CapacityError(f"order {n} exceeds the {MAX_ORDER} envelope")
+    b = np.asarray(b, dtype=float)
+    rows = np.asarray(rows, dtype=int)
+    pairs = np.asarray(pairs, dtype=int)
+    coef = np.asarray(coef, dtype=float)
+    if b.ndim != 1 or not np.all(np.isfinite(b)) or not np.all(np.isfinite(coef)):
+        raise InvalidInputError("b and coef must be finite vectors")
+    if pairs.shape != (len(rows), 2) or coef.shape != rows.shape or pairs.size == 0:
+        raise InvalidInputError("rows, pairs and coef must describe the same terms")
+    if pairs.min() < 0 or pairs.max() >= n:
+        raise InvalidInputError("a pair indexes outside the matrix")
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    if not np.array_equal(rows[starts], np.arange(len(b))):
+        raise InvalidInputError("rows must be non-decreasing and name every constraint")
+    i, j = pairs.T
+
+    def op(x):  # A(X) for a symmetric X
+        return np.add.reduceat(coef * x[i, j], starts)
+
+    def adjoint(y):  # A^T(y)
+        out = np.zeros((n, n))
+        half = coef * y[rows] / 2.0
+        np.add.at(out, (i, j), half)
+        np.add.at(out, (j, i), half)
+        return out
+
+    def schur(x, w):
+        # tr(U_p X U_q W) for every pair of terms p, q, summed over the
+        # terms of each constraint: M = S G S^T with S the coefficients
+        xi, xj, wi, wj = x[i], x[j], w[i], w[j]
+        g = xi[:, j] * wj[:, i]
+        g += g.T
+        g += xi[:, i] * wj[:, j]
+        g += xj[:, j] * wi[:, i]
+        g *= coef / 4.0
+        g *= coef[:, None]
+        return np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1)
+
+    def newton(x, y, z):
+        # one predictor-corrector step; a failed factorisation raises
+        lx = np.linalg.inv(np.linalg.cholesky(x))
+        lz = np.linalg.inv(np.linalg.cholesky(z))
+        w = _sym(lz.T @ lz)
+        rp = b - op(x)
+        rd = c - adjoint(y) - z
+        m = schur(x, w)
+
+        def direction(target, second_order, fraction):
+            # dX = target W - X - sym((X dZ + second_order) W) with
+            # dZ = rd - A^T(dy), where M dy = rp - A(dX at dZ = rd)
+            r = target * w - x - _sym((x @ rd + second_order) @ w)
+            dy = np.linalg.solve(m, rp - op(r))
+            if not np.all(np.isfinite(dy)):
+                raise np.linalg.LinAlgError("Schur system has no finite solution")
+            dz = rd - adjoint(dy)
+            dx = target * w - x - _sym((x @ dz + second_order) @ w)
+            return dx, dy, dz, _step_length(lx, dx, fraction), _step_length(lz, dz, fraction)
+
+        # the predictor runs to the boundary; the corrector stays a share of
+        # the way inside it, the larger the longer the predictor's steps
+        dx, dy, dz, step_x, step_z = direction(0.0, 0.0, 1.0)
+        gap = np.sum(x * z)
+        predicted = np.sum((x + step_x * dx) * (z + step_z * dz))
+        fraction = 0.9 + 0.09 * min(step_x, step_z)
+        dx, dy, dz, step_x, step_z = direction((predicted / gap) ** 3 * gap / n, dx @ dz, fraction)
+        return x + step_x * dx, y + step_z * dy, z + step_z * dz
+
+    def iterates():
+        x, y, z = np.eye(n), np.zeros(len(b)), np.eye(n)
+        while True:
+            try:
+                x, y, z = newton(x, y, z)
+            except np.linalg.LinAlgError:
+                return
+            yield x, y, z
+
+    return iterates()
 
 
-def _psd_part(m: np.ndarray) -> np.ndarray:
-    """project_psd without its input checks, for a finite symmetric matrix
-    of order at most MAX_ORDER that the caller has already validated."""
-    w, v = np.linalg.eigh(m)
-    if w[0] >= 0.0:
-        return m
-    x = (v * np.clip(w, 0.0, None)) @ v.T
-    return (x + x.T) / 2.0
+def _sym(a: np.ndarray) -> np.ndarray:
+    return (a + a.T) / 2.0
+
+
+def _step_length(l_inv: np.ndarray, d: np.ndarray, fraction: float) -> float:
+    """fraction of the longest step alpha keeping L L^T + alpha D PSD, at most 1."""
+    lam = float(np.linalg.eigvalsh(l_inv @ d @ l_inv.T)[0])
+    return 1.0 if lam >= -fraction else -fraction / lam

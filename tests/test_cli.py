@@ -136,13 +136,14 @@ def test_theta_honest_certificates_pass():
 
 
 def test_theta_convergence_error_exits_two_with_best_gap(monkeypatch):
-    monkeypatch.setattr(theta, "MAX_ITERATIONS", 5)
+    monkeypatch.setattr(theta, "MAX_ITERATIONS", 2)
     code, out, err = run_cli(["theta", "kcbs-graph", "--json"])
     assert code == 2
     assert out == ""
-    # no bound check ran, so the best certified bounds are alpha = 2 and n = 5
-    assert err.startswith("error: theta solver did not reach gap 1e-07 in 5 iterations;")
-    assert "best certified gap 3.000e+00 (2.0000000000 <= theta <= 5.0000000000)" in err
+    # the bounds are checked after every iteration, so two iterations
+    # already tighten alpha = 2 and n = 5
+    assert err.startswith("error: theta solver did not reach gap 1e-07 in 2 iterations;")
+    assert "best certified gap 3.692e-01 (2.1804890563 <= theta <= 2.5496783127)" in err
 
 
 def test_lhv_named_scenarios():

@@ -4,90 +4,12 @@ import numpy as np
 import pytest
 
 from pentabell.errors import CapacityError, InvalidInputError
-from pentabell.numerics import eig_sym, max_eig, project_psd, svd
+from pentabell.numerics import sdp_path, svd
 
 
 def random_symmetric(n, rng):
     m = rng.standard_normal((n, n))
     return (m + m.T) / 2.0
-
-
-def test_eig_identity():
-    dec = eig_sym(np.eye(4))
-    assert np.allclose(dec.eigenvalues, np.ones(4))
-
-
-def test_eig_diagonal_sorted_ascending():
-    dec = eig_sym(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(dec.eigenvalues, [1.0, 2.0, 3.0])
-
-
-def test_eig_reconstruction_oracle():
-    rng = np.random.default_rng(1)
-    m = random_symmetric(8, rng)
-    w, v = eig_sym(m)
-    assert np.max(np.abs(v @ np.diag(w) @ v.T - m)) < 1e-10
-
-
-@pytest.mark.parametrize("n", [2, 5, 8, 16, 33])
-def test_eig_invariants(n):
-    rng = np.random.default_rng(n)
-    m = random_symmetric(n, rng)
-    w, v = eig_sym(m)
-    scale = np.linalg.norm(m)
-    assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-10
-    assert np.max(np.abs(m @ v - v * w)) < 1e-9 * max(scale, 1.0)
-    assert np.all(np.diff(w) >= -1e-12)
-
-
-def test_eig_rejects_nonfinite_and_asymmetric():
-    with pytest.raises(InvalidInputError):
-        eig_sym(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-    with pytest.raises(InvalidInputError):
-        eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_eig_capacity_envelope():
-    with pytest.raises(CapacityError):
-        eig_sym(np.eye(65))
-
-
-def test_max_eig_trivial_cases():
-    assert max_eig(np.eye(4)) == pytest.approx(1.0)
-    assert max_eig(np.diag([0.0, 0.0, 5.0])) == pytest.approx(5.0)
-
-
-def test_max_eig_of_pentagon2_bell_operator():
-    # Bell operator of the exact optimal model for the marginal pentagonal
-    # inequality, assembled here by hand so the check is independent of the
-    # quantum module: four joint terms plus an identity (x) Bob-effect term.
-    c8, s8 = math.cos(math.pi / 8), math.sin(math.pi / 8)
-
-    def proj(v):
-        v = np.array(v, dtype=float)
-        v /= np.linalg.norm(v)
-        return np.outer(v, v)
-
-    a0, a1 = proj((0, 1)), proj((-1, 1))
-    b0, b1 = proj((-s8, c8)), proj((s8, c8))
-    eye = np.eye(2)
-    s = (
-        np.kron(a0, b0)                      # 00|00
-        + np.kron(eye - a0, eye - b1)        # 11|01
-        + np.kron(eye - a1, b1)              # 10|11
-        + np.kron(a1, b0)                    # 00|10
-        + np.kron(eye, eye - b0)             # _1|_0
-    )
-    assert max_eig(s) == pytest.approx((3 + math.sqrt(2)) / 2, abs=1e-9)
-
-
-def test_max_eig_rayleigh_bound():
-    rng = np.random.default_rng(7)
-    m = random_symmetric(10, rng)
-    top = max_eig(m)
-    vs = rng.standard_normal((1000, 10))
-    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-    assert np.all(np.einsum("ki,ij,kj->k", vs, m, vs) <= top + 1e-10)
 
 
 def test_svd_identity():
@@ -117,7 +39,7 @@ def test_svd_matches_gram_eigenvalues(shape):
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
     a = rng.standard_normal(shape)
     s = svd(a).singular_values
-    gram_eigs = eig_sym(a.T @ a).eigenvalues
+    gram_eigs = np.linalg.eigvalsh(a.T @ a)
     expected = np.sqrt(np.clip(gram_eigs, 0.0, None))[::-1][: len(s)]
     assert np.max(np.abs(s - expected)) < 1e-8
     assert np.all(np.diff(s) <= 1e-12)
@@ -129,34 +51,92 @@ def test_svd_rejects_nonfinite():
         svd(np.array([[np.inf, 0.0]]))
 
 
-def test_project_psd_fixed_point():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((4, 4))
-    psd = m @ m.T
-    assert np.max(np.abs(project_psd(psd) - psd)) < 1e-12
+def unit_trace_sdp(c, tol=1e-9, max_iterations=50):
+    """minimize <C, X> s.t. trace X = 1, X PSD, whose optimum is lambda_min(C)
+    and whose dual is maximize y s.t. C - y I PSD; iterated until the
+    objectives agree within tol."""
+    n = len(c)
+    path = sdp_path(c, [1.0], [0] * n, [(i, i) for i in range(n)], [1.0] * n)
+    for k, (x, y, z) in enumerate(path, 1):
+        if abs(float(np.sum(c * x)) - y[0]) <= tol:
+            return x, y, z, k
+        assert k < max_iterations
+    pytest.fail("the interior-point iteration broke down")
 
 
-def test_project_psd_clips_negative_eigenvalues():
-    out = project_psd(np.diag([1.0, -1.0]))
-    assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+def assert_min_eigenvalue(c, expected):
+    x, y, z, _ = unit_trace_sdp(c)
+    # primal side: X is a feasible density matrix attaining lambda_min
+    assert abs(np.trace(x) - 1.0) <= 1e-9
+    assert np.linalg.eigvalsh(x)[0] >= -1e-12
+    assert float(np.sum(c * x)) == pytest.approx(expected, abs=1e-8)
+    # dual side: y is a lower bound that C - y I certifies as PSD
+    assert y[0] == pytest.approx(expected, abs=1e-8)
+    assert np.linalg.eigvalsh(c - y[0] * np.eye(len(c)))[0] >= -1e-8
+    assert np.max(np.abs(z - (c - y[0] * np.eye(len(c))))) <= 1e-8
 
 
-def test_project_psd_variational_oracle():
-    # the projection must beat 100 random PSD competitors in Frobenius norm
-    rng = np.random.default_rng(11)
-    m = random_symmetric(5, rng)
-    out = project_psd(m)
-    assert np.linalg.eigvalsh(out)[0] >= -1e-10
-    dist = np.linalg.norm(out - m)
-    for _ in range(100):
-        b = rng.standard_normal((5, 5))
-        competitor = b @ b.T
-        assert dist <= np.linalg.norm(competitor - m) + 1e-12
+@pytest.mark.parametrize("n", [2, 5, 8, 16, 33])
+def test_sdp_min_eigenvalue(n):
+    rng = np.random.default_rng(n)
+    c = random_symmetric(n, rng)
+    assert_min_eigenvalue(c, np.linalg.eigvalsh(c)[0])
 
 
-def test_project_psd_idempotent():
-    rng = np.random.default_rng(13)
-    m = random_symmetric(6, rng)
-    once = project_psd(m)
-    twice = project_psd(once)
-    assert np.max(np.abs(twice - once)) < 1e-10
+def test_sdp_top_eigenvalue_of_pentagon2_bell_operator():
+    # Bell operator of the exact optimal model for the marginal pentagonal
+    # inequality, assembled here by hand so the check is independent of the
+    # quantum module: four joint terms plus an identity (x) Bob-effect term;
+    # its largest eigenvalue is -min <-S, X> over density matrices X.
+    c8, s8 = math.cos(math.pi / 8), math.sin(math.pi / 8)
+
+    def proj(v):
+        v = np.array(v, dtype=float)
+        v /= np.linalg.norm(v)
+        return np.outer(v, v)
+
+    a0, a1 = proj((0, 1)), proj((-1, 1))
+    b0, b1 = proj((-s8, c8)), proj((s8, c8))
+    eye = np.eye(2)
+    s = (
+        np.kron(a0, b0)                      # 00|00
+        + np.kron(eye - a0, eye - b1)        # 11|01
+        + np.kron(eye - a1, b1)              # 10|11
+        + np.kron(a1, b0)                    # 00|10
+        + np.kron(eye, eye - b0)             # _1|_0
+    )
+    assert_min_eigenvalue(-s, -(3 + math.sqrt(2)) / 2)
+
+
+def test_sdp_equality_constraints_over_several_terms():
+    # minimize <C, X> s.t. X_00 - X_11 = 0.5, X_01 = 0.25, X_22 = 1: a
+    # constraint spanning two terms, an off-diagonal one and a diagonal one
+    c = np.diag([1.0, 2.0, 3.0])
+    rows, pairs, coef, b = [0, 0, 1, 2], [(0, 0), (1, 1), (0, 1), (2, 2)], [1.0, -1.0, 1.0, 1.0], [0.5, 0.25, 1.0]
+    for k, (x, y, z) in enumerate(sdp_path(c, b, rows, pairs, coef), 1):
+        if abs(float(np.sum(c * x)) - float(np.dot(b, y))) <= 1e-9:
+            break
+        assert k < 50
+    # on X_00 = X_11 + 0.5 with X_00 X_11 >= 1/16, the objective
+    # 3 X_11 + 3.5 is least at X_11 = (sqrt(2) - 1) / 4
+    x11 = (math.sqrt(2) - 1) / 4
+    assert float(np.sum(c * x)) == pytest.approx(3 * x11 + 3.5, abs=1e-7)
+    assert [x[0, 0] - x[1, 1], x[0, 1], x[2, 2]] == pytest.approx(b, abs=1e-9)
+
+
+def test_sdp_rejects_nonfinite_asymmetric_and_malformed_input():
+    eye = np.eye(2)
+    good = ([1.0], [0, 0], [(0, 0), (1, 1)], [1.0, 1.0])
+    with pytest.raises(InvalidInputError):
+        sdp_path(np.array([[1.0, np.nan], [np.nan, 1.0]]), *good)
+    with pytest.raises(InvalidInputError):
+        sdp_path(np.array([[1.0, 2.0], [0.0, 1.0]]), *good)
+    with pytest.raises(InvalidInputError):
+        sdp_path(eye, [1.0], [0, 0], [(0, 0), (1, 2)], [1.0, 1.0])
+    with pytest.raises(InvalidInputError):
+        sdp_path(eye, [1.0, 0.0], [1, 0], [(0, 0), (1, 1)], [1.0, 1.0])
+
+
+def test_sdp_capacity_envelope():
+    with pytest.raises(CapacityError):
+        sdp_path(np.eye(65), [1.0], [0], [(0, 0)], [1.0])
