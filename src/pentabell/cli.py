@@ -358,10 +358,8 @@ def _report_items():
         and all(abs(dec.coefficients[k] - expected[k]) <= 1e-10 for k in expected)
         and dec.residual <= 1e-10
     )
-    rng = np.random.default_rng(99)
-    for _ in range(1000):
-        b = scenarios.random_ns_behavior(rng)
-        ok &= abs(dec.predict(b) - scenarios.evaluate(iq2, b)) <= 1e-10
+    boxes = scenarios.random_ns_tables(np.random.default_rng(99), 1000)
+    ok &= bool(np.all(np.abs(dec.predict_tables(boxes) - scenarios.evaluate_tables(iq2, boxes)) <= 1e-10))
     box = scenarios.pr_box()
     chsh_value = (
         box.correlator(0, 0) + box.correlator(0, 1) + box.correlator(1, 0) - box.correlator(1, 1)
@@ -388,14 +386,9 @@ def _report_items():
     ideal_probs = [ideal.prob(t) for t in iq2.terms]
     ideal_total = sum(ideal_probs)
     ok = tuple(round(p, 3) for p in ideal_probs) == IDEAL_COLUMN_2 and round(ideal_total, 3) == 2.207
-    omegas = []
-    sigma_ref = None
-    for seed in range(200):
-        rep = simkit.run_experiment(iq2, model2, simkit.SimConfig(shots=5000, seed=seed))
-        omegas.append(rep.omega)
-        if seed == 0:
-            sigma_ref = rep
-    mean = float(np.mean(omegas))
+    reports = simkit.run_experiments(iq2, model2, simkit.SimConfig(shots=5000), range(200))
+    sigma_ref = reports[0]
+    mean = float(np.mean([rep.omega for rep in reports]))
     ok &= abs(mean - ideal_total) <= 3.0 * sigma_ref.sigma / math.sqrt(200)
     ok &= all(0.007 / 1.5 <= t.sigma <= 0.007 * 1.5 for t in sigma_ref.terms)
     item(

@@ -55,6 +55,8 @@ class QuantumModel:
         state = np.asarray(self.state, dtype=float).reshape(-1)
         if state.shape[0] != d_a * d_b:
             raise InvalidInputError(f"state length {state.shape[0]} != {d_a}*{d_b}")
+        if not np.all(np.isfinite(state)):
+            raise InvalidInputError("state has non-finite entries")
         if abs(np.linalg.norm(state) - 1.0) > 1e-12:
             raise InvalidInputError("state is not normalized (within 1e-12)")
         state.flags.writeable = False
@@ -65,6 +67,8 @@ class QuantumModel:
                 p = np.asarray(p, dtype=float)
                 if p.shape != (d, d):
                     raise InvalidInputError(f"{label} projector {k} is not {d}x{d}")
+                if not np.all(np.isfinite(p)):
+                    raise InvalidInputError(f"{label} projector {k} has non-finite entries")
                 if np.max(np.abs(p - p.T)) > _PROJECTOR_TOL:
                     raise InvalidInputError(f"{label} projector {k} is not symmetric")
                 if np.max(np.abs(p @ p - p)) > _PROJECTOR_TOL:

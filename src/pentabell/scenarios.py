@@ -12,7 +12,12 @@ placing a wildcard event at its lowest covered partner setting.  A Behavior
 is one dense (n_a, n_b, 2, 2) table, so probabilities, `evaluate`,
 `eprinciple_check`, the LHV bound (against the stacked tables of all
 deterministic strategies) and the correlator decomposition are contractions
-of those cells; `simkit` reads count tables the same way.
+of those cells; `simkit` reads count tables the same way.  The same
+contractions run over a leading axis of tables, validated once by
+`_checked_tables`.
+
+The enumeration works on integer event codes, on which the equivalence
+group acts through precomputed index maps.
 """
 
 from __future__ import annotations
@@ -166,52 +171,74 @@ def term_cells(terms: tuple, pairs: frozenset) -> np.ndarray:
     return cells
 
 
+_ATOL = 1e-9  # normalization and no-signaling tolerance of a probability table
+
+
+def _checked_tables(keys, blocks):
+    """Dense (..., n_a, n_b, 2, 2) tables of a (..., k, 2, 2) stack of
+    probability blocks at the k setting pairs `keys`, with the frozenset of
+    covered pairs.
+
+    Every leading axis is validated at once: setting pairs within
+    [0, MAX_SETTING], finite entries, non-negativity, normalization and
+    no-signaling (each party's marginal at every covered pair against its
+    marginal at the lowest covered partner setting), each within _ATOL.
+    Each condition is checked over the whole stack before the next, and the
+    first offending table in C order raises InvalidInputError naming the
+    setting pair or party setting, so a stack of one table fails exactly as
+    that table does.  Entries are clipped at 0; a repeated pair keeps its
+    last block.
+    """
+    shape = _dense_shape(keys)
+    lead, k = blocks.shape[:-3], len(keys)
+    flat = blocks.reshape((int(np.prod(lead)), k, 2, 2))
+    nonfinite = ~np.isfinite(flat).all(axis=(2, 3))
+    negative = (flat < -1e-12).any(axis=(2, 3))
+    bad = nonfinite | negative | (np.abs(flat.sum(axis=(2, 3)) - 1.0) > _ATOL)
+    if bad.any():
+        box, i = divmod(int(bad.argmax()), k)
+        x, y = keys[i]
+        if nonfinite[box, i]:
+            raise InvalidInputError(f"non-finite probability at setting pair ({x},{y})")
+        if negative[box, i]:
+            raise InvalidInputError(f"negative probability at setting pair ({x},{y})")
+        raise InvalidInputError(f"probabilities at ({x},{y}) sum to {flat[box, i].sum()}, not 1")
+    index = {key: i for i, key in enumerate(keys)}
+    xs, ys = np.array(list(index), dtype=int).reshape(-1, 2).T
+    p = np.zeros((flat.shape[0],) + shape + (2, 2))
+    p[:, xs, ys] = np.maximum(flat[:, list(index.values())], 0.0)
+    pairs = frozenset(index)
+    first_y, first_x = _lowest_partners(pairs)
+    alice, bob = p.sum(axis=4), p.sum(axis=3)
+    for label, settings, here, there in (
+        ("Alice", xs, alice[:, xs, ys], alice[:, xs, [first_y[x] for x in xs.tolist()]]),
+        ("Bob", ys, bob[:, xs, ys], bob[:, [first_x[y] for y in ys.tolist()], ys]),
+    ):
+        violated = np.abs(here - there).max(axis=2) > _ATOL
+        if violated.any():
+            box = int(violated.any(axis=1).argmax())
+            raise InvalidInputError(f"no-signaling violated for {label} setting {settings[violated[box]].min()}")
+    p = p.reshape(lead + shape + (2, 2))
+    p.flags.writeable = False
+    return p, pairs
+
+
 class Behavior:
     """Probability table P(ab|xy) with derived marginals and correlators.
 
     Stored as one dense (n_a, n_b, 2, 2) array over (x, y, a, b) plus the
     set of covered setting pairs; uncovered pairs hold zeros.  Construction
-    validates the setting pairs (within [0, MAX_SETTING]), normalization,
-    non-negativity, and no-signaling (each within 1e-9); offending tables are
-    rejected.
+    validates the tables with `_checked_tables` (setting pairs, finiteness,
+    normalization, non-negativity and no-signaling, each within 1e-9);
+    offending tables are rejected.
     """
-
-    _ATOL = 1e-9
 
     def __init__(self, tables):
         keys = [(int(key[0]), int(key[1])) for key in tables]
-        shape = _dense_shape(keys)
-        stack = np.array([np.asarray(block, dtype=float).reshape(2, 2) for block in tables.values()]).reshape(-1, 2, 2)
-        negative = (stack < -1e-12).any(axis=(1, 2))
-        bad = negative | (np.abs(stack.sum(axis=(1, 2)) - 1.0) > self._ATOL)
-        if bad.any():
-            i = int(bad.argmax())
-            x, y = keys[i]
-            if negative[i]:
-                raise InvalidInputError(f"negative probability at setting pair ({x},{y})")
-            raise InvalidInputError(f"probabilities at ({x},{y}) sum to {stack[i].sum()}, not 1")
-        index = {key: i for i, key in enumerate(keys)}  # a repeated pair keeps its last table
-        xs, ys = np.array(list(index), dtype=int).reshape(-1, 2).T
-        p = np.zeros(shape + (2, 2))
-        p[xs, ys] = np.maximum(stack[list(index.values())], 0.0)
-        p.flags.writeable = False
-        self._p, self._pairs = p, frozenset(index)
-        self._alice_settings = tuple(sorted(set(xs.tolist())))
-        self._bob_settings = tuple(sorted(set(ys.tolist())))
-        self._check_no_signaling(xs, ys)
-
-    def _check_no_signaling(self, xs, ys):
-        # each party's marginal at every covered pair against its marginal at
-        # the lowest covered partner setting, all pairs at once
-        first_y, first_x = _lowest_partners(self._pairs)
-        alice, bob = self._p.sum(axis=3), self._p.sum(axis=2)
-        for label, settings, here, there in (
-            ("Alice", xs, alice[xs, ys], alice[xs, [first_y[x] for x in xs.tolist()]]),
-            ("Bob", ys, bob[xs, ys], bob[[first_x[y] for y in ys.tolist()], ys]),
-        ):
-            violated = settings[np.abs(here - there).max(axis=1) > self._ATOL]
-            if violated.size:
-                raise InvalidInputError(f"no-signaling violated for {label} setting {violated.min()}")
+        blocks = np.array([np.asarray(block, dtype=float).reshape(2, 2) for block in tables.values()])
+        self._p, self._pairs = _checked_tables(keys, blocks.reshape(-1, 2, 2))
+        self._alice_settings = tuple(sorted({x for x, _ in self._pairs}))
+        self._bob_settings = tuple(sorted({y for _, y in self._pairs}))
 
     @property
     def alice_settings(self):
@@ -299,6 +326,9 @@ def _deterministic(n_a: int, n_b: int):
     return strategies, tables
 
 
+_PAIRS_2X2 = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 @functools.cache
 def _ns_vertices() -> np.ndarray:
     """Read-only (17, 2, 2, 2, 2) stack over (box, x, y, a, b): the 16
@@ -308,16 +338,25 @@ def _ns_vertices() -> np.ndarray:
     return stack
 
 
-def random_ns_behavior(rng: np.random.Generator) -> Behavior:
-    """Random point of the 2x2 no-signaling polytope.
+def random_ns_tables(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Validated (count, 2, 2, 2, 2) stack over (box, x, y, a, b) of random
+    points of the 2x2 no-signaling polytope.
 
-    Convex mixture of the 16 deterministic behaviors and the PR box, so the
-    result is no-signaling by construction.
+    Each box is a convex mixture of the 16 deterministic behaviors and the
+    PR box, so it is no-signaling by construction; the weights are one
+    (count, 17) draw, which takes the same numbers from rng as count calls
+    of random_ns_behavior.
     """
-    weights = rng.random(17)
-    weights /= weights.sum()
-    tables = np.tensordot(weights, _ns_vertices(), axes=1)
-    return Behavior({(x, y): tables[x, y] for x in range(2) for y in range(2)})
+    weights = rng.random((count, 17))
+    weights /= weights.sum(axis=1, keepdims=True)
+    tables = weights @ _ns_vertices().reshape(17, -1)
+    return _checked_tables(_PAIRS_2X2, tables.reshape(count, 4, 2, 2))[0]
+
+
+def random_ns_behavior(rng: np.random.Generator) -> Behavior:
+    """Random point of the 2x2 no-signaling polytope (see random_ns_tables)."""
+    tables = random_ns_tables(rng, 1)[0]
+    return Behavior({pair: tables[pair] for pair in _PAIRS_2X2})
 
 
 def exclusive(e: Event, f: Event) -> Optional[str]:
@@ -378,8 +417,19 @@ def lhv_bound(iq: Inequality, alice_settings: Optional[int] = None, bob_settings
 
 
 def evaluate(iq: Inequality, behavior: Behavior) -> float:
-    """Sum of the term probabilities under the behavior, in term order."""
-    return float(sum(behavior.probs(iq.terms).tolist()))
+    """Sum of the term probabilities under the behavior (see evaluate_tables)."""
+    return float(evaluate_tables(iq, behavior._p, behavior._pairs))
+
+
+def evaluate_tables(iq: Inequality, tables: np.ndarray, pairs: Optional[frozenset] = None) -> np.ndarray:
+    """Inequality value of each table of a dense (..., n_a, n_b, 2, 2)
+    stack: one contraction with the summed cells of its terms (term_cells
+    over `pairs`, by default every setting pair of the shape)."""
+    tables = np.asarray(tables, dtype=float)
+    if pairs is None:
+        pairs = frozenset(itertools.product(*map(range, tables.shape[-4:-2])))
+    weights = term_cells(iq.terms, pairs).sum(axis=0)
+    return tables.reshape(tables.shape[:-4] + (-1,)) @ weights.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -397,15 +447,35 @@ class CorrelatorDecomposition:
     alice_coefficients: dict = field(default_factory=dict)
     bob_coefficients: dict = field(default_factory=dict)
 
-    def predict(self, behavior: Behavior) -> float:
-        total = self.offset
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only (2, 2, 2, 2) tensor w[x, y, a, b] with value = offset +
+        sum w * P over the four setting pairs: c_xy s_a s_b for the
+        correlators (s = +1, -1), plus the marginal coefficients on each
+        party's outcomes at partner setting 0, where every table covering
+        the four pairs reads its marginals."""
+        s = np.array([1.0, -1.0])
+        w = np.zeros((2, 2, 2, 2))
         for (x, y), c in self.coefficients.items():
-            total += c * behavior.correlator(x, y)
+            w[x, y] += c * np.outer(s, s)
         for x, c in self.alice_coefficients.items():
-            total += c * behavior.alice_expectation(x)
+            w[x, 0] += c * s[:, None]
         for y, c in self.bob_coefficients.items():
-            total += c * behavior.bob_expectation(y)
-        return float(total)
+            w[0, y] += c * s[None, :]
+        w.flags.writeable = False
+        return w
+
+    def predict(self, behavior: Behavior) -> float:
+        """The affine form on a behavior that covers the four setting pairs."""
+        for x, y in self.coefficients:
+            behavior.table(x, y)  # raises for an uncovered pair
+        return float(self.predict_tables(behavior._p))
+
+    def predict_tables(self, tables: np.ndarray) -> np.ndarray:
+        """The affine form on each table of a dense (..., n_a, n_b, 2, 2)
+        stack whose settings 0 and 1 cover the four pairs."""
+        block = np.asarray(tables, dtype=float)[..., :2, :2, :, :]
+        return self.offset + block.reshape(block.shape[:-4] + (16,)) @ self.weights.reshape(16)
 
 
 def chsh_decomposition(iq: Inequality) -> CorrelatorDecomposition:
@@ -554,61 +624,22 @@ def feasible_patterns():
     return [c for c in edge_patterns_c5() if not any(_has_triple_run(m) for m in c.members)]
 
 
-def _event_key(event: Event):
-    part = lambda p: (1, -1, -1) if p is None else (0, p[0], p[1])
-    return part(event.alice) + part(event.bob)
+# Integer event codes: a party's part is 2 * setting + outcome, or 8 for a
+# wildcard, and an event is 9 * alice part + bob part.  Codes order events
+# as their canonical keys (wildcards last, then setting, then outcome).
+_WILDCARD = 8
 
 
-def _compact(terms):
-    """Relabel each party's used settings to 0..k-1 preserving order."""
-    used_a = sorted({e.alice[0] for e in terms if e.alice is not None})
-    used_b = sorted({e.bob[0] for e in terms if e.bob is not None})
-    map_a = {x: i for i, x in enumerate(used_a)}
-    map_b = {y: i for i, y in enumerate(used_b)}
-    out = []
-    for e in terms:
-        alice = None if e.alice is None else (map_a[e.alice[0]], e.alice[1])
-        bob = None if e.bob is None else (map_b[e.bob[0]], e.bob[1])
-        out.append(Event(alice, bob))
-    return frozenset(out)
+def _code(event: Event) -> int:
+    part = lambda p: _WILDCARD if p is None else 2 * p[0] + p[1]
+    return 9 * part(event.alice) + part(event.bob)
 
 
-def _orbit(compacted: frozenset):
-    """All compacted images of an event set under the equivalence group:
-    party swap x per-party setting permutation x per-party-setting outcome
-    flip."""
-    results = set()
-    for swap in (False, True):
-        if swap:
-            base = [Event(e.bob, e.alice) for e in compacted]
-        else:
-            base = list(compacted)
-        used_a = sorted({e.alice[0] for e in base if e.alice is not None})
-        used_b = sorted({e.bob[0] for e in base if e.bob is not None})
-        k_a, k_b = len(used_a), len(used_b)
-        for perm_a in itertools.permutations(range(k_a)):
-            for flips_a in itertools.product((0, 1), repeat=k_a):
-                for perm_b in itertools.permutations(range(k_b)):
-                    for flips_b in itertools.product((0, 1), repeat=k_b):
-                        image = []
-                        for e in base:
-                            alice = e.alice
-                            if alice is not None:
-                                i = used_a.index(alice[0])
-                                alice = (perm_a[i], alice[1] ^ flips_a[i])
-                            bob = e.bob
-                            if bob is not None:
-                                i = used_b.index(bob[0])
-                                bob = (perm_b[i], bob[1] ^ flips_b[i])
-                            image.append(Event(alice, bob))
-                        results.add(frozenset(image))
-    return results
-
-
-def canonical_form(terms):
-    """Canonical encoding of an event set modulo the equivalence group."""
-    compacted = _compact(tuple(terms))
-    return min(tuple(sorted(_event_key(e) for e in member)) for member in _orbit(compacted))
+def _key(code: int) -> tuple:
+    """Canonical key of an event code: (1, -1, -1) for a wildcard part, else
+    (0, setting, outcome), for Alice then Bob."""
+    part = lambda p: (1, -1, -1) if p == _WILDCARD else (0, p // 2, p % 2)
+    return part(code // 9) + part(code % 9)
 
 
 def _event_from_key(key):
@@ -617,10 +648,87 @@ def _event_from_key(key):
     return Event(alice, bob)
 
 
+def _compacted(codes: np.ndarray) -> np.ndarray:
+    """Each row of an (N, n) code array with every party's used settings
+    relabeled to 0..k-1 in order."""
+    parts = []
+    for part in np.divmod(codes, 9):
+        setting = np.minimum(part // 2, MAX_SETTING)  # a wildcard's value is discarded below
+        used = (part[..., None] // 2 == np.arange(MAX_SETTING + 1)).any(axis=-2)
+        rank = np.take_along_axis(np.cumsum(used, axis=-1) - 1, setting, axis=-1)
+        parts.append(np.where(part == _WILDCARD, _WILDCARD, 2 * rank + part % 2))
+    return 9 * parts[0] + parts[1]
+
+
+@functools.cache
+def _part_maps(k: int) -> np.ndarray:
+    """Read-only (k! 2^k, 9) image of each part code under every permutation
+    of k settings combined with every per-setting outcome flip; codes of
+    unused settings and the wildcard map to themselves."""
+    maps = []
+    for perm in itertools.permutations(range(k)):
+        for flips in itertools.product((0, 1), repeat=k):
+            m = list(range(9))
+            for s, o in itertools.product(range(k), (0, 1)):
+                m[2 * s + o] = 2 * perm[s] + (o ^ flips[s])
+            maps.append(m)
+    maps = np.array(maps)
+    maps.flags.writeable = False
+    return maps
+
+
+def _orbit_rows(row: np.ndarray) -> np.ndarray:
+    """Sorted code rows of every image of one compacted event set under the
+    equivalence group: party swap x per-party setting permutation x
+    per-party-setting outcome flip."""
+    a, b = np.divmod(row, 9)
+    maps_a = _part_maps(int(a[a != _WILDCARD].max(initial=-1)) // 2 + 1)
+    maps_b = _part_maps(int(b[b != _WILDCARD].max(initial=-1)) // 2 + 1)
+    images = np.concatenate(
+        [
+            (9 * maps_a[:, a][:, None] + maps_b[:, b][None]).reshape(-1, len(row)),
+            (9 * maps_b[:, b][:, None] + maps_a[:, a][None]).reshape(-1, len(row)),
+        ]
+    )
+    images.sort(axis=1)
+    return images
+
+
+def _lexmin(rows: np.ndarray) -> np.ndarray:
+    for col in range(rows.shape[1]):
+        rows = rows[rows[:, col] == rows[:, col].min()]
+    return rows[0]
+
+
+def canonical_form(terms):
+    """Canonical encoding of an event set modulo the equivalence group: the
+    lexicographically least sorted image, as a tuple of event keys."""
+    codes = np.unique([_code(e) for e in terms])
+    return tuple(_key(c) for c in _lexmin(_orbit_rows(_compacted(codes[None])[0])).tolist())
+
+
 def canonicalize(iq: Inequality) -> Inequality:
     """Representative inequality of iq's equivalence class."""
     keys = canonical_form(iq.terms)
     return Inequality(tuple(_event_from_key(k) for k in keys), name=iq.name)
+
+
+def _induced_five_cycles(adjacent: np.ndarray) -> np.ndarray:
+    """(N, 5) vertex indices of every induced 5-cycle of a graph, each
+    undirected cycle once: v0 is its smallest vertex and v1 < v4."""
+    n = len(adjacent)
+    idx = np.arange(n)
+    v0, v1, v2 = np.nonzero(
+        adjacent[:, :, None]
+        & adjacent[None, :, :]
+        & ~adjacent[:, None, :]
+        & (idx[:, None, None] < idx[None, :, None])
+        & (idx[:, None, None] < idx[None, None, :])
+    )
+    path, v3 = np.nonzero(adjacent[v2] & ~adjacent[v0] & ~adjacent[v1] & (idx > v0[:, None]))
+    v0, v1, v2 = v0[path], v1[path], v2[path]
+    path, v4 = np.nonzero(adjacent[v3] & adjacent[v0] & ~adjacent[v1] & ~adjacent[v2] & (idx > v1[:, None]))
+    return np.stack([v0[path], v1[path], v2[path], v3[path], v4])
 
 
 def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3):
@@ -632,57 +740,33 @@ def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3)
     representative Inequality per class; representatives matching a built-in
     named inequality reuse its terms and recorded bounds.
     """
-    events = []
-    parts_a = [None] + [(x, a) for x in range(max_alice_settings) for a in (0, 1)]
-    parts_b = [None] + [(y, b) for y in range(max_bob_settings) for b in (0, 1)]
-    for pa in parts_a:
-        for pb in parts_b:
-            if pa is None and pb is None:
-                continue
-            events.append(Event(pa, pb))
+    for label, count in (("bob", max_bob_settings), ("alice", max_alice_settings)):
+        if count > MAX_SETTING + 1:
+            raise InvalidInputError(f"{label} setting {MAX_SETTING + 1} outside [0,{MAX_SETTING}]")
+    parts_a = np.array([_WILDCARD, *range(2 * max(max_alice_settings, 0))])
+    parts_b = np.array([_WILDCARD, *range(2 * max(max_bob_settings, 0))])
+    codes = (9 * parts_a[:, None] + parts_b[None, :]).reshape(-1)[1:]  # drops the all-wildcard code
+    exclusive_parts = [
+        (p[:, None] != _WILDCARD) & (p[:, None] // 2 == p[None, :] // 2) & (p[:, None] != p[None, :])
+        for p in np.divmod(codes, 9)
+    ]
+    cycles = codes[_induced_five_cycles(exclusive_parts[0] | exclusive_parts[1]).T]
+    # a sorted row of five codes is one base-81 number
+    digits = 81 ** np.arange(5)
+    remaining = np.unique(np.sort(_compacted(cycles), axis=1) @ digits)
 
-    n = len(events)
-    adjacent = [[exclusive(events[i], events[j]) is not None for j in range(n)] for i in range(n)]
-    partners = [[j for j in range(n) if adjacent[i][j]] for i in range(n)]
-
-    found = set()
-    # each undirected 5-cycle is collected once: v0 is the smallest index and
-    # the traversal direction is fixed by v1 < v4
-    for v0 in range(n):
-        for v1 in partners[v0]:
-            if v1 <= v0:
-                continue
-            for v2 in partners[v1]:
-                if v2 <= v0 or v2 == v1 or adjacent[v0][v2]:
-                    continue
-                for v3 in partners[v2]:
-                    if v3 <= v0 or v3 in (v1, v2) or adjacent[v0][v3] or adjacent[v1][v3]:
-                        continue
-                    for v4 in partners[v3]:
-                        if (
-                            v4 <= v1  # enforces v4 > v0 and direction v1 < v4
-                            or v4 in (v2, v3)
-                            or not adjacent[v4][v0]
-                            or adjacent[v1][v4]
-                            or adjacent[v2][v4]
-                        ):
-                            continue
-                        found.add(_compact(tuple(events[v] for v in (v0, v1, v2, v3, v4))))
-
-    classes = {}
-    seen = set()
-    for member_set in found:
-        if member_set in seen:
-            continue
-        orbit = _orbit(member_set)
-        canon = min(tuple(sorted(_event_key(e) for e in m)) for m in orbit)
-        classes[canon] = member_set
-        seen |= orbit
+    # each class is one orbit of compacted cycles: take the canonical form of
+    # the first cycle left and drop its whole orbit
+    canons = []
+    while len(remaining):
+        orbit = _orbit_rows(remaining[0] // digits % 81)
+        canons.append(tuple(_key(c) for c in _lexmin(orbit).tolist()))
+        remaining = remaining[~np.isin(remaining, orbit @ digits)]
 
     representatives = []
     named = [named_inequality(k) for k in ("pentagon-1", "pentagon-2", "pentagon-3")]
     named_by_canon = {canonical_form(iq.terms): iq for iq in named}
-    for canon in sorted(classes):
+    for canon in sorted(canons):
         if canon in named_by_canon:
             representatives.append(named_by_canon[canon])
         else:

@@ -13,7 +13,10 @@ probabilities cumulated in row-major (a, b) order, a uniform draw u selects
 the first outcome whose cumulative edge exceeds u.  So the count of outcomes
 up to k is the number of draws below edge k, and the table is the
 differences of three such counts (one vectorised comparison per inner edge)
-and the shot total.
+and the shot total.  Because the generator is counter-mode, the streams of
+many setting pairs and master seeds stack into one (stream, draw) grid,
+which is generated and counted in blocks of a fixed number of draws; a
+table does not depend on which other streams share its blocks.
 
 Estimates contract each term's cells (`scenarios.term_cells`) with the
 count table.  The total's sigma is exact for the sum: terms measured at one
@@ -26,6 +29,8 @@ in quadrature overstated it by 24-25%).
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -37,6 +42,7 @@ from .scenarios import Behavior, Inequality, lhv_bound, term_cells
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_BLOCK_DRAWS = 1 << 15  # draws generated at once; bounds the sampler's working memory
 
 
 def mix64(z: int) -> int:
@@ -47,18 +53,22 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def splitmix64_stream(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of splitmix64 seeded with `seed` (uint64)."""
+def _counter_words(seeds: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """splitmix64 outputs start..stop-1 of each stream, as a (len(seeds),
+    stop - start) uint64 array: mix64(seed + (i + 1) * GOLDEN_GAMMA)."""
     with np.errstate(over="ignore"):
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(GOLDEN_GAMMA)
-        z += np.uint64(seed & _MASK64)
+        z = np.arange(start + 1, stop + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA) + seeds[:, None]
         z ^= z >> np.uint64(30)
         z *= np.uint64(0xBF58476D1CE4E5B9)
         z ^= z >> np.uint64(27)
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
         return z
+
+
+def splitmix64_stream(seed: int, count: int) -> np.ndarray:
+    """First `count` outputs of splitmix64 seeded with `seed` (uint64)."""
+    return _counter_words(np.array([seed & _MASK64], dtype=np.uint64), 0, count)[0]
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:
@@ -84,6 +94,9 @@ class SimConfig:
     visibility: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.shots, bool) or not isinstance(self.shots, numbers.Integral):
+            raise InvalidInputError(f"shots must be an integer, not {self.shots!r}")
+        object.__setattr__(self, "shots", int(self.shots))
         if self.shots < 1:
             raise InvalidInputError("shots must be >= 1")
         if not 0.0 <= self.visibility <= 1.0:
@@ -98,6 +111,50 @@ class CountTable:
     counts: dict  # (x, y) -> 2x2 integer array over (a, b)
 
 
+def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray) -> np.ndarray:
+    """(k, 3) number of the `shots` uniforms of stream seeds[i] below each of
+    its three edges[i].
+
+    The (stream, draw) grid is generated _BLOCK_DRAWS words at a time: whole
+    rows of several streams, or column chunks of one stream when a stream is
+    longer than a block.  Counts add up over chunks, so the result does not
+    depend on the blocking; uniform u = m 2^-53 with m the top 53 bits is
+    below e exactly when m < ceil(e 2^53), so the comparison runs on m.
+    """
+    limits = np.ceil(edges * 2.0**53).astype(np.uint64)
+    below = np.zeros(edges.shape, dtype=np.int64)
+    cols = min(shots, _BLOCK_DRAWS)
+    rows = max(1, _BLOCK_DRAWS // shots)
+    for start in range(0, shots, cols):
+        for r in range(0, len(seeds), rows):
+            m = _counter_words(seeds[r : r + rows], start, min(start + cols, shots))
+            m >>= np.uint64(11)
+            for i, words in enumerate(m, start=r):  # count_nonzero of a whole row is far cheaper than with axis=
+                for k in range(3):
+                    below[i, k] += np.count_nonzero(words < limits[i, k])
+    return below
+
+
+def _count_stack(behavior: Behavior, cfg: SimConfig, seeds) -> np.ndarray:
+    """(len(seeds), n_a, n_b, 2, 2) int64 count tables of cfg's experiment at
+    each master seed, over the product of the behavior's settings.
+
+    The pair (x, y) at master seed s thresholds the uniforms of substream
+    derive_seed(s, x, y) against the visibility-mixed distribution cumulated
+    in row-major (a, b) order; all streams are counted in one pass.
+    """
+    pairs = [(x, y) for x in behavior.alice_settings for y in behavior.bob_settings]
+    p = cfg.visibility * np.array([behavior.table(x, y) for x, y in pairs]) + (1.0 - cfg.visibility) / 4.0
+    edges = np.cumsum(p.reshape(-1, 4), axis=1)[:, :3]
+    streams = np.array([derive_seed(s, x, y) for s in seeds for x, y in pairs], dtype=np.uint64)
+    below = _threshold_counts(streams, cfg.shots, np.tile(edges, (len(seeds), 1)))
+    shape = (1 + max(behavior.alice_settings, default=-1), 1 + max(behavior.bob_settings, default=-1))
+    table = np.zeros((len(seeds), *shape, 2, 2), dtype=np.int64)
+    xs, ys = np.array(pairs, dtype=int).reshape(-1, 2).T
+    table[:, xs, ys] = np.diff(below, axis=1, prepend=0, append=cfg.shots).reshape(len(seeds), len(pairs), 2, 2)
+    return table
+
+
 def sample_counts(model: Union[QuantumModel, Behavior], cfg: SimConfig) -> CountTable:
     """Multinomial outcome counts for every setting pair of the model.
 
@@ -105,20 +162,13 @@ def sample_counts(model: Union[QuantumModel, Behavior], cfg: SimConfig) -> Count
     returns it), which gives the same table.  Each pair (x, y) draws
     cfg.shots outcomes from the visibility-mixed distribution using its own
     derived substream, so tables are identical for identical (model, cfg)
-    regardless of evaluation order.
+    regardless of evaluation order.  This is the one-seed case of the
+    sampler behind run_experiments.
     """
     behavior = model if isinstance(model, Behavior) else behavior_of(model)
-    counts = {}
-    for x in behavior.alice_settings:
-        for y in behavior.bob_settings:
-            p = cfg.visibility * behavior.table(x, y) + (1.0 - cfg.visibility) / 4.0
-            edges = np.cumsum(p.reshape(-1))[:3]
-            u = uniforms(derive_seed(cfg.seed, x, y), cfg.shots)
-            below = [np.count_nonzero(u < edge) for edge in edges]
-            block = np.diff([0, *below, cfg.shots]).reshape(2, 2)
-            block.flags.writeable = False
-            counts[(x, y)] = block
-    return CountTable(cfg.shots, counts)
+    table = _count_stack(behavior, cfg, (cfg.seed,))[0]
+    table.flags.writeable = False
+    return CountTable(cfg.shots, {(x, y): table[x, y] for x in behavior.alice_settings for y in behavior.bob_settings})
 
 
 @dataclass(frozen=True)
@@ -184,33 +234,43 @@ def estimate(
     ideal: Optional[Behavior] = None,
     lhv: Optional[float] = None,
 ) -> ExperimentReport:
-    """Estimate every term of the inequality from a count table.
+    """Estimate every term of the inequality from a count table (the
+    one-table case of the estimates run_experiments makes)."""
+    pairs = frozenset(counts.counts)
+    table = np.zeros((1, *term_cells(iq.terms, pairs).shape[1:]))
+    for (x, y), block in counts.counts.items():
+        table[0, x, y] = block
+    return _estimates(table, pairs, counts.shots, iq, ideal, lhv)[0]
+
+
+def _estimates(tables, pairs, n, iq, ideal, lhv) -> list:
+    """One report per count table of an (S, n_a, n_b, 2, 2) stack over the
+    covered setting pairs, n shots per pair.
 
     Each term's count is its cells (see term_cells) contracted with the count
     table, so a marginal (wildcard) term sums the wildcard party's outcomes
-    at the lowest covered partner setting.  The total's variance is summed
-    over setting pairs, each (sum c^2 p - (sum c p)^2) / N with c the summed
-    cells of all terms: terms of one pair are multinomially correlated.
+    at the lowest covered partner setting.  The total is the sum of the
+    term estimates in term order; its variance is summed over setting pairs,
+    each (sum c^2 p - (sum c p)^2) / N with c the summed cells of all terms:
+    terms of one pair are multinomially correlated.
     """
-    n = counts.shots
-    cells = term_cells(iq.terms, frozenset(counts.counts))
-    table = np.zeros(cells.shape[1:])
-    for (x, y), block in counts.counts.items():
-        table[x, y] = block
-    p_hat = (cells.reshape(len(cells), -1) @ table.reshape(-1)) / n
+    cells = term_cells(iq.terms, pairs)
+    p_hat = tables.reshape(len(tables), -1) @ cells.reshape(len(cells), -1).T / n
     sigmas = np.sqrt(p_hat * (1.0 - p_hat) / n)
-    ideals = [None] * len(cells) if ideal is None else ideal.probs(iq.terms).tolist()
-    terms = tuple(
-        TermEstimate(str(t), p, s, i) for t, p, s, i in zip(iq.terms, p_hat.tolist(), sigmas.tolist(), ideals)
-    )
-    omega = float(sum(t.p_hat for t in terms))
-    c, freq = cells.sum(axis=0), table / n
-    per_pair = (c * c * freq).sum(axis=(2, 3)) - (c * freq).sum(axis=(2, 3)) ** 2
+    omegas = np.cumsum(p_hat, axis=1)[:, -1]
+    c, freq = cells.sum(axis=0), tables / n
+    per_pair = (c * c * freq).sum(axis=(3, 4)) - (c * freq).sum(axis=(3, 4)) ** 2
     # round-off can leave a zero variance (one outcome per pair) slightly negative
-    sigma = float(np.sqrt(max(float(per_pair.sum()) / n, 0.0)))
-    ideal_total = None if ideal is None else float(sum(t.ideal for t in terms))
-    violated = None if lhv is None else bool(omega - lhv > 3.0 * sigma)
-    return ExperimentReport(terms, omega, sigma, ideal_total, lhv, violated)
+    totals = np.sqrt(np.maximum(per_pair.reshape(len(tables), -1).sum(axis=1) / n, 0.0))
+    ideals = [None] * len(cells) if ideal is None else ideal.probs(iq.terms).tolist()
+    ideal_total = None if ideal is None else float(sum(ideals))
+    names = [str(t) for t in iq.terms]
+    reports = []
+    for row, row_sigmas, omega, sigma in zip(p_hat.tolist(), sigmas.tolist(), omegas.tolist(), totals.tolist()):
+        terms = tuple(TermEstimate(*term) for term in zip(names, row, row_sigmas, ideals))
+        violated = None if lhv is None else bool(omega - lhv > 3.0 * sigma)
+        reports.append(ExperimentReport(terms, omega, sigma, ideal_total, lhv, violated))
+    return reports
 
 
 def run_experiment(iq: Inequality, model: QuantumModel, cfg: SimConfig) -> ExperimentReport:
@@ -222,3 +282,19 @@ def run_experiment(iq: Inequality, model: QuantumModel, cfg: SimConfig) -> Exper
     if lhv is None:
         lhv = float(lhv_bound(iq)[0])
     return estimate(counts, iq, ideal=ideal, lhv=lhv)
+
+
+def run_experiments(iq: Inequality, model: QuantumModel, cfg: SimConfig, seeds) -> list:
+    """run_experiment at each master seed of `seeds` in place of cfg.seed.
+
+    The ideal behavior is computed once and the count tables of all seeds
+    are sampled over one seed axis; each report equals run_experiment's at
+    that seed.
+    """
+    ideal = behavior_of(model)
+    lhv = iq.lhv
+    if lhv is None:
+        lhv = float(lhv_bound(iq)[0])
+    tables = _count_stack(ideal, cfg, list(seeds))
+    pairs = frozenset(itertools.product(ideal.alice_settings, ideal.bob_settings))
+    return _estimates(tables.astype(float), pairs, cfg.shots, iq, ideal, lhv)

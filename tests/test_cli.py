@@ -37,6 +37,12 @@ def test_golden_json_outputs(name):
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
+def test_report_json_golden():
+    code, out, _ = run_cli(["report", "--json"])
+    assert code == 0
+    assert out == (GOLDEN_DIR / "report.json").read_text()
+
+
 def test_alpha_on_graph_files(tmp_path):
     cases = [
         (cycle(5), 2),
@@ -188,6 +194,31 @@ def test_simulate_with_model_file(tmp_path):
     )
     assert code == 0
     assert out == (GOLDEN_DIR / "simulate_pentagon2.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "defect,message",
+    [
+        ("nan-state", "state has non-finite entries"),
+        ("nan-projector", "alice projector 0 has non-finite entries"),
+        ("no-alice-settings", "setting pairs do not cover event 00|00"),
+    ],
+)
+def test_simulate_rejects_bad_model_files(tmp_path, defect, message):
+    from pentabell.quantum import known_optimal_model, model_to_json
+
+    data = model_to_json(known_optimal_model("pentagon-2"))
+    if defect == "nan-state":
+        data["state"] = [float("nan")] * len(data["state"])
+    elif defect == "nan-projector":
+        data["alice"][0] = {"setting": 0, "matrix": [[float("nan")] * 2] * 2}
+    else:
+        data["alice"] = []
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))  # json writes the non-standard NaN literal
+    code, out, err = run_cli(["simulate", "pentagon-2", "--model", str(path), "--shots", "100"])
+    assert code == 1 and out == ""
+    assert message in err
 
 
 def test_simulate_reproducible_byte_identically():

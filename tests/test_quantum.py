@@ -132,6 +132,13 @@ def test_model_validation():
     not_projector = np.array([[0.5, 0.0], [0.0, 0.8]])
     with pytest.raises(InvalidInputError):
         QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (not_projector,), (np.eye(2),))
+    with pytest.raises(InvalidInputError, match="state has non-finite entries"):
+        QuantumModel((2, 2), np.full(4, np.nan), (np.eye(2),), (np.eye(2),))
+    nan_projector = np.full((2, 2), np.nan)
+    with pytest.raises(InvalidInputError, match="alice projector 0 has non-finite entries"):
+        QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (nan_projector,), (np.eye(2),))
+    with pytest.raises(InvalidInputError, match="bob projector 1 has non-finite entries"):
+        QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (np.eye(2),), (np.eye(2), nan_projector))
 
 
 # --------------------------------------------------------------- behavior_of ---

@@ -6,6 +6,7 @@ import pytest
 
 from pentabell.errors import CapacityError, InvalidInputError
 from pentabell.graphs import cycle, find_induced, independence_number, is_isomorphic
+from pentabell import scenarios
 from pentabell.scenarios import (
     Behavior,
     DeterministicStrategy,
@@ -18,6 +19,7 @@ from pentabell.scenarios import (
     enumerate_pentagonal,
     eprinciple_check,
     evaluate,
+    evaluate_tables,
     exclusive,
     exclusivity_graph,
     feasible_patterns,
@@ -26,6 +28,7 @@ from pentabell.scenarios import (
     named_inequality,
     pr_box,
     random_ns_behavior,
+    random_ns_tables,
     save_scenario,
     scenario_from_json,
     scenario_to_json,
@@ -137,6 +140,56 @@ def test_behavior_rejects_signaling_either_way(pair, block, message):
     tables[pair] = np.array(block)
     with pytest.raises(InvalidInputError, match=message):
         Behavior(tables)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_behavior_rejects_non_finite_tables(value):
+    with pytest.raises(InvalidInputError, match=r"non-finite probability at setting pair \(0,0\)"):
+        Behavior({(0, 0): np.full((2, 2), value)})
+    tables = {(x, y): np.full((2, 2), 0.25) for x in range(2) for y in range(2)}
+    tables[(1, 0)] = np.array([[0.5, np.nan], [0.25, 0.25]])
+    with pytest.raises(InvalidInputError, match=r"non-finite probability at setting pair \(1,0\)"):
+        Behavior(tables)
+
+
+def _bad_2x2_tables():
+    """Full 2x2 tables, each with one defect Behavior rejects."""
+    uniform = np.full((2, 2), 0.25)
+    cases = {
+        "nan": ((0, 1), [[0.25, np.nan], [0.25, 0.25]]),
+        "inf": ((1, 1), [[np.inf, 0.0], [0.0, 0.0]]),
+        "negative": ((1, 0), [[0.5, -0.25], [0.5, 0.25]]),
+        "sum": ((0, 0), [[0.25, 0.25], [0.25, 0.5]]),
+        "signals-alice": ((1, 1), [[0.5, 0.25], [0.0, 0.25]]),
+        "signals-bob": ((1, 1), [[0.5, 0.0], [0.25, 0.25]]),
+    }
+    out = {}
+    for name, (pair, block) in cases.items():
+        tables = {(x, y): uniform for x in range(2) for y in range(2)}
+        tables[pair] = np.array(block)
+        out[name] = tables
+    return out
+
+
+@pytest.mark.parametrize("defect", sorted(_bad_2x2_tables()))
+@pytest.mark.parametrize("box", [0, 3, 6])
+def test_stacked_validation_rejects_what_behavior_rejects(defect, box):
+    tables = _bad_2x2_tables()[defect]
+    with pytest.raises(InvalidInputError) as single:
+        Behavior(tables)
+    stack = np.array(random_ns_tables(np.random.default_rng(box), 7)).reshape(7, 4, 2, 2)
+    stack[box] = np.array([tables[pair] for pair in sorted(tables)])
+    with pytest.raises(InvalidInputError) as stacked:
+        scenarios._checked_tables(sorted(tables), stack)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stacked_validation_accepts_and_densifies_like_behavior():
+    stack = random_ns_tables(np.random.default_rng(3), 5)
+    assert stack.shape == (5, 2, 2, 2, 2) and not stack.flags.writeable
+    for tables in stack:
+        b = Behavior({(x, y): tables[x, y] for x in range(2) for y in range(2)})
+        assert np.array_equal(b._p, tables)
 
 
 @pytest.mark.parametrize("pair", [(-1, 0), (0, -2), (4, 0), (1, 7)])
@@ -309,6 +362,37 @@ def test_decomposition_replays_on_random_ns_behaviors():
             assert abs(dec.predict(b) - evaluate(named_inequality(name), b)) <= 1e-10
 
 
+def test_stacked_predict_and_evaluate_match_per_behavior_loop():
+    rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
+    boxes = random_ns_tables(rng, 200)
+    behaviors = [random_ns_behavior(ref_rng) for _ in range(200)]
+    # the stacked draws are the sequential single draws: the generators stay in step
+    assert rng.random() == ref_rng.random()
+    for name in ("pentagon-2", "chsh-prob"):
+        iq = named_inequality(name)
+        dec = chsh_decomposition(iq)
+        predicted, evaluated = dec.predict_tables(boxes), evaluate_tables(iq, boxes)
+        for k, b in enumerate(behaviors):
+            assert np.max(np.abs(b._p - boxes[k])) <= 1e-15
+            # the loop reference: offset plus correlators, per term probabilities
+            loop = dec.offset + sum(c * b.correlator(x, y) for (x, y), c in dec.coefficients.items())
+            assert abs(predicted[k] - loop) <= 1e-12
+            assert abs(evaluated[k] - sum(b.prob(t) for t in iq.terms)) <= 1e-12
+            assert dec.predict(b) == pytest.approx(predicted[k], abs=1e-15)
+            assert evaluate(iq, b) == pytest.approx(evaluated[k], abs=1e-15)
+
+
+def test_predict_needs_the_four_setting_pairs():
+    dec = chsh_decomposition(named_inequality("pentagon-2"))
+    partial = Behavior({(0, 0): np.full((2, 2), 0.25), (1, 0): np.full((2, 2), 0.25)})
+    with pytest.raises(InvalidInputError, match=r"does not cover setting pair \(0,1\)"):
+        dec.predict(partial)
+    # marginal terms read at partner setting 0
+    marginal = chsh_decomposition(Inequality((Event.parse("00|00"),), alice_settings=2, bob_settings=2))
+    box = random_ns_behavior(np.random.default_rng(4))
+    assert marginal.predict(box) == pytest.approx(box.table(0, 0)[0, 0], abs=1e-12)
+
+
 def test_random_ns_behavior_matches_component_loop():
     components = [
         strategy_behavior(DeterministicStrategy(sa, sb))
@@ -444,6 +528,90 @@ def test_variant_fifth_event_is_not_a_fourth_class():
 
     value, _ = qmax_seesaw(variant, restarts=8, seed=0)
     assert value == pytest.approx(2.1784, abs=1e-3)
+
+
+def _reference_compact(terms):
+    """Event-based reference: relabel each party's used settings to 0..k-1."""
+    used_a = sorted({e.alice[0] for e in terms if e.alice is not None})
+    used_b = sorted({e.bob[0] for e in terms if e.bob is not None})
+    out = []
+    for e in terms:
+        alice = None if e.alice is None else (used_a.index(e.alice[0]), e.alice[1])
+        bob = None if e.bob is None else (used_b.index(e.bob[0]), e.bob[1])
+        out.append(Event(alice, bob))
+    return frozenset(out)
+
+
+def _reference_orbit(compacted):
+    """Event-based reference: every image of a compacted event set under
+    party swap x setting permutations x outcome flips."""
+    results = set()
+    for swap in (False, True):
+        base = [Event(e.bob, e.alice) if swap else e for e in compacted]
+        k_a = len({e.alice[0] for e in base if e.alice is not None})
+        k_b = len({e.bob[0] for e in base if e.bob is not None})
+        for perm_a, flips_a, perm_b, flips_b in itertools.product(
+            itertools.permutations(range(k_a)),
+            itertools.product((0, 1), repeat=k_a),
+            itertools.permutations(range(k_b)),
+            itertools.product((0, 1), repeat=k_b),
+        ):
+            image = frozenset(
+                Event(
+                    None if e.alice is None else (perm_a[e.alice[0]], e.alice[1] ^ flips_a[e.alice[0]]),
+                    None if e.bob is None else (perm_b[e.bob[0]], e.bob[1] ^ flips_b[e.bob[0]]),
+                )
+                for e in base
+            )
+            results.add(image)
+    return results
+
+
+def _reference_key(event):
+    part = lambda p: (1, -1, -1) if p is None else (0, p[0], p[1])
+    return part(event.alice) + part(event.bob)
+
+
+@pytest.mark.parametrize("settings", [3, 4])
+def test_integer_canonical_form_matches_event_reference_on_every_five_cycle(settings):
+    events = [
+        Event(pa, pb)
+        for pa in [None] + [(x, a) for x in range(settings) for a in (0, 1)]
+        for pb in [None] + [(y, b) for y in range(settings) for b in (0, 1)]
+        if pa is not None or pb is not None
+    ]
+    n = len(events)
+    adjacent = [[exclusive(events[i], events[j]) is not None for j in range(n)] for i in range(n)]
+    partners = [[j for j in range(n) if adjacent[i][j]] for i in range(n)]
+    found = set()
+    for v0 in range(n):
+        for v1, v4 in itertools.combinations(partners[v0], 2):
+            if v1 < v0 or adjacent[v1][v4]:
+                continue
+            for v2 in partners[v1]:
+                if v2 <= v0 or adjacent[v0][v2] or adjacent[v2][v4]:
+                    continue
+                for v3 in partners[v2]:
+                    if v3 > v0 and adjacent[v3][v4] and not (adjacent[v0][v3] or adjacent[v1][v3]):
+                        found.add(_reference_compact([events[v] for v in (v0, v1, v2, v3, v4)]))
+    assert len(found) == 512
+    canon = {}
+    for member in found:
+        if member not in canon:
+            orbit = _reference_orbit(member)
+            least = min(tuple(sorted(_reference_key(e) for e in image)) for image in orbit)
+            canon.update((image, least) for image in orbit)
+    for member in found:
+        assert canonical_form(tuple(member)) == canon[member]
+    classes = enumerate_pentagonal(settings, settings)
+    assert {canonical_form(iq.terms) for iq in classes} == set(canon.values())
+
+
+def test_canonical_form_matches_event_reference_on_named_inequalities():
+    for name in ("pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322"):
+        orbit = _reference_orbit(_reference_compact(named_inequality(name).terms))
+        least = min(tuple(sorted(_reference_key(e) for e in image)) for image in orbit)
+        assert canonical_form(named_inequality(name).terms) == least
 
 
 def test_canonicalization_idempotent():

@@ -5,7 +5,9 @@ import pytest
 
 from pentabell.errors import InvalidInputError
 from pentabell.quantum import behavior_of, known_optimal_model
+from pentabell import simkit
 from pentabell.scenarios import (
+    Behavior,
     DeterministicStrategy,
     Event,
     Inequality,
@@ -21,6 +23,7 @@ from pentabell.simkit import (
     estimate,
     mix64,
     run_experiment,
+    run_experiments,
     sample_counts,
     splitmix64_stream,
     uniforms,
@@ -66,6 +69,10 @@ def test_config_validation():
         SimConfig(shots=0)
     with pytest.raises(InvalidInputError):
         SimConfig(shots=10, visibility=1.5)
+    for shots in (2.5, 2.0, True, "10"):
+        with pytest.raises(InvalidInputError, match="shots must be an integer"):
+            SimConfig(shots=shots)
+    assert SimConfig(shots=np.int64(7)).shots == 7
 
 
 def test_sampling_is_deterministic():
@@ -136,6 +143,33 @@ def test_threshold_counts_match_searchsorted_reference(behavior, visibility):
             for key, block in table.counts.items():
                 assert block.dtype == reference[key].dtype
                 assert np.array_equal(block, reference[key])
+
+
+def test_seed_blocked_counts_match_per_seed_reference():
+    m = known_optimal_model("pentagon-2")
+    ideal = behavior_of(m)
+    cfg = SimConfig(shots=5000)
+    stack = simkit._count_stack(ideal, cfg, range(200))
+    assert stack.dtype == np.int64
+    for seed in range(200):
+        per_seed = SimConfig(shots=5000, seed=seed)
+        reference = searchsorted_counts(ideal, per_seed)
+        table = sample_counts(m, per_seed)
+        for (x, y), block in reference.items():
+            assert np.array_equal(stack[seed, x, y], block)
+            assert np.array_equal(table.counts[(x, y)], block)
+    reports = run_experiments(named_inequality("pentagon-2"), m, cfg, range(200))
+    for seed in (0, 1, 117, 199):
+        single = run_experiment(named_inequality("pentagon-2"), m, SimConfig(shots=5000, seed=seed))
+        assert reports[seed] == single
+
+
+def test_million_shot_pair_spans_blocks_bit_identically():
+    one_pair = Behavior({(0, 0): behavior_of(known_optimal_model("pentagon-1")).table(0, 0)})
+    cfg = SimConfig(shots=1_000_000, seed=3, visibility=0.9)
+    assert cfg.shots > simkit._BLOCK_DRAWS
+    table = sample_counts(one_pair, cfg)
+    assert np.array_equal(table.counts[(0, 0)], searchsorted_counts(one_pair, cfg)[(0, 0)])
 
 
 def test_zero_visibility_counts_are_uniform():
