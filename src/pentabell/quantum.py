@@ -3,17 +3,18 @@
 Everything is real-valued: states are real unit vectors and measurements
 are real symmetric projectors (the stored projector is the outcome-0
 effect; outcome 1 is its complement).  Includes Bell operators, see-saw
-optimization of state and measurements, a dedicated two-angle eigenvalue
-scan for the first pentagonal inequality, the block reduction that shows
-two qubits suffice, Schmidt analysis, and the qutrit construction reaching
-the pentagon's Lovasz number.
+optimization of state and measurements, an eigenvalue scan for the first
+pentagonal inequality, the block reduction that shows two qubits suffice,
+Schmidt analysis, and the qutrit construction reaching the pentagon's
+Lovasz number.
 
 Bell operators come from one builder that broadcasts over stacks of
-projectors; the see-saw, `bell_operator` and the scan all use it.  The scan
-evaluates its coarse grid one batched row at a time and takes about 0.2 s
-(one BLAS thread, 2-vCPU Intel Xeon, numpy 2.4.6 with OpenBLAS 0.3.31),
-against 5-8 s when each of its 33,000 operators was built and diagonalized
-on its own.
+projectors; the see-saw, `bell_operator` and the scan all use it.  The
+scan's top eigenvalue is symmetric under theta -> pi - theta for either
+party and under swapping the parties' angles, so it searches one line,
+t -> (pi - t, t): a 91-point grid in one batched eigenvalue call, then a
+golden-section search.  It takes about 6 ms (one BLAS thread, 2-vCPU Intel
+Xeon, numpy 2.4.6 with OpenBLAS 0.3.31).
 
 The see-saw runs all its restarts as one stack of projectors: each
 iteration is one batched Bell-operator build and eigenvalue call, then one
@@ -38,6 +39,7 @@ from .scenarios import Behavior, Inequality, named_inequality
 MAX_LOCAL_DIM = 4
 _PROJECTOR_TOL = 1e-10
 _RESTART_BLOCK = 1024  # see-saw restarts stacked at once; bounds the stack's memory
+_TIE = 1e-12  # see-saw values closer than this count as equal
 
 
 @dataclass(frozen=True)
@@ -148,20 +150,23 @@ def _bell_sum(effects) -> np.ndarray:
 
 
 def behavior_of(model: QuantumModel) -> Behavior:
-    """Full probability table of the model over its declared settings."""
+    """Full probability table of the model over its declared settings.
+
+    P(ab|xy) = <psi| E_a^x (x) F_b^y |psi> = sum(E_a^x psi * psi F_b^y) for
+    the state as a d_a x d_b matrix psi, so the stacked (E psi) and (psi F)
+    matrices, flattened, give every entry in one matrix product.
+    """
     d_a, d_b = model.dims
     psi = model.state.reshape(d_a, d_b)
-    effects_a = [(p, np.eye(d_a) - p) for p in model.alice]
-    effects_b = [(p, np.eye(d_b) - p) for p in model.bob]
-    tables = {}
-    for x, pair_a in enumerate(effects_a):
-        for y, pair_b in enumerate(effects_b):
-            block = np.zeros((2, 2))
-            for a, ea in enumerate(pair_a):
-                for b, eb in enumerate(pair_b):
-                    block[a, b] = float(np.sum(psi * (ea @ psi @ eb)))
-            tables[(x, y)] = block
-    return Behavior(tables)
+    stacks = []
+    for projs, d in ((model.alice, d_a), (model.bob, d_b)):
+        p = np.reshape(projs, (-1, d, d))
+        stacks.append(np.stack([p, np.eye(d) - p], axis=1))  # (settings, outcome, d, d)
+    left = (stacks[0] @ psi).reshape(-1, d_a * d_b)
+    right = (psi @ stacks[1]).reshape(-1, d_a * d_b)
+    n_a, n_b = len(model.alice), len(model.bob)
+    probs = (left @ right.T).reshape(n_a, 2, n_b, 2).transpose(0, 2, 1, 3)
+    return Behavior({(x, y): probs[x, y] for x in range(n_a) for y in range(n_b)})
 
 
 def schmidt(state, dims) -> np.ndarray:
@@ -200,9 +205,10 @@ def _effective_operator(iq, effects, psi, party, setting):
 def _seesaw(iq, dims, rngs):
     """See-saw from one random start per generator, all run as one stack.
 
-    Returns the first best final value, its model, and every run's trace of
-    per-iteration values.  Each run stops on its own once its value has
-    failed twice in a row to grow by 1e-12; the others carry on.
+    Returns the final value and model of the first run within _TIE of the
+    best, and every run's trace of per-iteration values.  Each run stops on
+    its own once its value has failed twice in a row to grow by _TIE; the
+    others carry on.
     """
     d_a, d_b = dims
     starts_a, starts_b = [], []
@@ -238,13 +244,13 @@ def _seesaw(iq, dims, rngs):
         for y in range(iq.bob_settings):
             bob[y][active] = _positive_eigenspace_projector(_effective_operator(iq, effects, psi, "bob", y))
 
-        stalled = new_value - value[active] < 1e-12
+        stalled = new_value - value[active] < _TIE
         stall[active] = np.where(stalled, stall[active] + 1, 0)
         value[active] = np.maximum(value[active], new_value)
         active = active[stall[active] < 2]
 
     w, v = np.linalg.eigh(_bell_matrix(iq, alice, bob, dims))
-    best = int(np.argmax(w[:, -1]))
+    best = int(np.argmax(w[:, -1] >= w[:, -1].max() - _TIE))
     model = QuantumModel(dims, v[best, :, -1], tuple(p[best] for p in alice), tuple(p[best] for p in bob))
     return float(w[best, -1]), model, traces
 
@@ -261,7 +267,8 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
     Alternates the state (top eigenvector of the Bell operator) with the
     measurements (projector onto the strictly positive eigenspace of each
     setting's effective operator); the value is monotone along a run.
-    Restart r uses seed + r, and ties keep the lowest restart index.
+    Restart r uses seed + r, and values within 1e-12 of the best count as
+    ties, which keep the lowest restart index.
     Restarts run as one stack, in blocks of up to 1024, so each iteration
     makes one batched eigenvalue call per stage for every restart still
     running; about 0.6 ms per restart, against about 2.9 ms when each ran
@@ -276,7 +283,7 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
     for start in range(seed, seed + restarts, _RESTART_BLOCK):
         stop = min(start + _RESTART_BLOCK, seed + restarts)
         value, model, _ = _seesaw(iq, (d_a, d_b), [np.random.default_rng(s) for s in range(start, stop)])
-        if best is None or value > best[0]:
+        if best is None or value > best[0] + _TIE:
             best = (value, model)
     return best
 
@@ -287,49 +294,55 @@ class ScanResult(NamedTuple):
     model: QuantumModel
 
 
+def _pentagon1_settings(angle_a, angle_b):
+    """Alice's and Bob's projectors for the scan: setting 0 on sigma_z and
+    setting 1 at the given real-plane angle; the angles may be arrays of one
+    shape, giving stacks of setting-1 projectors."""
+    sigma_z0 = np.diag([1.0, 0.0])
+    return tuple(
+        (sigma_z0, _rank_one_projectors(np.stack([np.cos(t), np.sin(t)], axis=-1))) for t in (angle_a, angle_b)
+    )
+
+
 def qmax_scan_ineq2() -> ScanResult:
-    """Two-angle eigenvalue maximization for the first pentagonal inequality.
+    """Eigenvalue maximization for the first pentagonal inequality.
 
     Both setting-0 measurements are fixed to the sigma_z projector; the
     setting-1 projectors lie in the real plane at angles (theta_a, theta_b),
-    which covers every real-qubit model up to local rotations.  A 181x181
-    coarse grid over [0, pi]^2 is evaluated one row at a time (all theta_b
-    of a row in one batched eigenvalue call); its first maximum in row-major
-    order seeds a sequential first-improvement pattern search refined to a
-    1e-10 step.  The model's state is the Bell operator's top eigenvector.
+    which covers every real-qubit model up to local rotations.  The top
+    eigenvalue is unchanged by theta -> pi - theta for either party
+    (conjugation by diag(1, -1) fixes sigma_z) and by swapping the two
+    angles, so the search runs along t -> (pi - t, t) for t in [0, pi/2]:
+    a 91-point grid in one batched eigenvalue call, then a golden-section
+    search of the bracket around the grid's maximum down to a 1e-10 width.
+    The model's state is the Bell operator's top eigenvector.
     """
     iq = named_inequality("pentagon-1")
-    sigma_z0 = np.diag([1.0, 0.0])
 
-    def top_eig(proj_a, proj_b):
-        s = _bell_matrix(iq, [sigma_z0, proj_a], [sigma_z0, proj_b], (2, 2))
-        return np.linalg.eigvalsh(s)[..., -1]
+    def top_eig(t):
+        return np.linalg.eigvalsh(_bell_matrix(iq, *_pentagon1_settings(np.pi - t, t), (2, 2)))[..., -1]
 
-    grid = np.linspace(0.0, np.pi, 181)
-    # built one angle at a time so each entry equals qubit_projector bit for
-    # bit: the coarse grid has a second maximum one ulp below the first
-    grid_projectors = np.array([qubit_projector(t) for t in grid])
-    values = np.array([top_eig(p, grid_projectors) for p in grid_projectors])
-    i, j = np.unravel_index(np.argmax(values), values.shape)
-    value, ta, tb = float(values[i, j]), grid[i], grid[j]
+    grid = np.linspace(0.0, np.pi / 2, 91)
+    i = int(np.argmax(top_eig(grid)))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = top_eig(c), top_eig(d)
+    while hi - lo > 1e-10:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = top_eig(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = top_eig(d)
 
-    step = grid[1] - grid[0]
-    while step > 1e-10:
-        improved = False
-        for da, db in ((step, 0), (-step, 0), (0, step), (0, -step), (step, step), (step, -step), (-step, step), (-step, -step)):
-            v = float(top_eig(qubit_projector(ta + da), qubit_projector(tb + db)))
-            if v > value:
-                value, ta, tb = v, ta + da, tb + db
-                improved = True
-        if not improved:
-            step /= 2.0
-
-    alice = (sigma_z0, qubit_projector(ta))
-    bob = (sigma_z0, qubit_projector(tb))
-    s = _bell_matrix(iq, alice, bob, (2, 2))
-    _, v = np.linalg.eigh(s)
+    t = (lo + hi) / 2.0
+    alice, bob = _pentagon1_settings(np.pi - t, t)
+    _, v = np.linalg.eigh(_bell_matrix(iq, alice, bob, (2, 2)))
     model = QuantumModel((2, 2), v[:, -1], alice, bob)
-    return ScanResult(value, (float(ta), float(tb)), model)
+    return ScanResult(float(top_eig(t)), (float(np.pi - t), float(t)), model)
 
 
 @dataclass(frozen=True)
@@ -441,28 +454,19 @@ def kcbs_model():
 
 
 # ---------------------------------------------------------------------------
-# Hand-constructed optimal models for the named pentagonal inequalities
+# Optimal models for the named pentagonal inequalities
 # ---------------------------------------------------------------------------
 
 
 def known_optimal_model(name: str) -> QuantumModel:
-    """Hand-constructed optimal model for a named inequality.
+    """Optimal qubit model for a named pentagonal inequality.
 
     pentagon-2 and pentagon-3 are exact: the maximally entangled state with
-    pi/8 measurement angles.  pentagon-1 uses four-digit numeric constants
-    for its optimum and is accurate to about 5e-4 in each probability.
+    pi/8 measurement angles.  pentagon-1's optimum has no closed form, so
+    its model is the one `qmax_scan_ineq2` computes.
     """
     if name == "pentagon-1":
-        c, s = 0.7911, 0.6117
-        cc, ss = 0.2152, 0.9766
-        state = np.array([0.6338, 0.0, 0.0, 0.7735])
-        state /= np.linalg.norm(state)
-        return QuantumModel(
-            (2, 2),
-            state,
-            (projector_onto((c, -s)), projector_onto((cc, -ss))),
-            (projector_onto((-s, c)), projector_onto((-ss, cc))),
-        )
+        return qmax_scan_ineq2().model
     if name in ("pentagon-2", "pentagon-3"):
         c8, s8 = np.cos(np.pi / 8), np.sin(np.pi / 8)
         state = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)

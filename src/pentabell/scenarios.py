@@ -83,14 +83,12 @@ class Event:
 
 @dataclass(frozen=True)
 class Inequality:
-    """Unit-weight sum of event probabilities with optional recorded bounds."""
+    """Unit-weight sum of event probabilities."""
 
     terms: tuple
     name: str = ""
     alice_settings: Optional[int] = None
     bob_settings: Optional[int] = None
-    lhv: Optional[float] = None
-    quantum: Optional[float] = None
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -738,7 +736,7 @@ def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3)
     vertices of a cycle such that the induced exclusivity graph is exactly
     C5, then deduplicates modulo the equivalence group.  Returns one
     representative Inequality per class; representatives matching a built-in
-    named inequality reuse its terms and recorded bounds.
+    named inequality reuse its terms and name.
     """
     for label, count in (("bob", max_bob_settings), ("alice", max_alice_settings)):
         if count > MAX_SETTING + 1:
@@ -781,8 +779,6 @@ def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3)
 # Named scenarios and the scenario file format
 # ---------------------------------------------------------------------------
 
-SQRT2 = float(np.sqrt(2.0))
-
 _NAMED_TERMS = {
     "pentagon-1": ("00|00", "11|01", "10|11", "00|10", "11|00"),
     "pentagon-2": ("00|00", "11|01", "10|11", "00|10", "_1|_0"),
@@ -794,14 +790,6 @@ _NAMED_TERMS = {
     ),
 }
 
-_NAMED_BOUNDS = {
-    "pentagon-1": (2.0, 2.178),
-    "pentagon-2": (2.0, (3.0 + SQRT2) / 2.0),
-    "pentagon-3": (2.0, (3.0 + SQRT2) / 2.0),
-    "chsh-prob": (3.0, 2.0 + SQRT2),
-    "i3322": (4.0, None),
-}
-
 SCENARIO_NAMES = tuple(_NAMED_TERMS) + ("kcbs-graph",)
 
 
@@ -809,13 +797,7 @@ def named_inequality(name: str) -> Inequality:
     """Built-in inequality by name; see SCENARIO_NAMES."""
     if name not in _NAMED_TERMS:
         raise InvalidInputError(f"unknown scenario {name!r} (known: {', '.join(_NAMED_TERMS)})")
-    lhv, quantum = _NAMED_BOUNDS[name]
-    return Inequality(
-        tuple(Event.parse(t) for t in _NAMED_TERMS[name]),
-        name=name,
-        lhv=lhv,
-        quantum=quantum,
-    )
+    return Inequality(tuple(Event.parse(t) for t in _NAMED_TERMS[name]), name=name)
 
 
 def named_graph(name: str) -> Graph:

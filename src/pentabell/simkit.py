@@ -278,10 +278,7 @@ def run_experiment(iq: Inequality, model: QuantumModel, cfg: SimConfig) -> Exper
     column computed from the model at visibility 1."""
     ideal = behavior_of(model)
     counts = sample_counts(ideal, cfg)
-    lhv = iq.lhv
-    if lhv is None:
-        lhv = float(lhv_bound(iq)[0])
-    return estimate(counts, iq, ideal=ideal, lhv=lhv)
+    return estimate(counts, iq, ideal=ideal, lhv=float(lhv_bound(iq)[0]))
 
 
 def run_experiments(iq: Inequality, model: QuantumModel, cfg: SimConfig, seeds) -> list:
@@ -292,9 +289,6 @@ def run_experiments(iq: Inequality, model: QuantumModel, cfg: SimConfig, seeds) 
     that seed.
     """
     ideal = behavior_of(model)
-    lhv = iq.lhv
-    if lhv is None:
-        lhv = float(lhv_bound(iq)[0])
     tables = _count_stack(ideal, cfg, list(seeds))
     pairs = frozenset(itertools.product(ideal.alice_settings, ideal.bob_settings))
-    return _estimates(tables.astype(float), pairs, cfg.shots, iq, ideal, lhv)
+    return _estimates(tables.astype(float), pairs, cfg.shots, iq, ideal, float(lhv_bound(iq)[0]))

@@ -154,6 +154,37 @@ def test_behavior_of_product_state():
     assert behavior_of(m).prob(Event.parse("00|00")) == pytest.approx(1.0)
 
 
+def loop_behavior_tables(model):
+    """Reference: each P(ab|xy) as sum(psi * (E psi F)), one entry at a time."""
+    d_a, d_b = model.dims
+    psi = model.state.reshape(d_a, d_b)
+    tables = {}
+    for x, p in enumerate(model.alice):
+        for y, q in enumerate(model.bob):
+            block = np.zeros((2, 2))
+            for a, ea in enumerate((p, np.eye(d_a) - p)):
+                for b, eb in enumerate((q, np.eye(d_b) - q)):
+                    block[a, b] = float(np.sum(psi * (ea @ psi @ eb)))
+            tables[(x, y)] = block
+    return tables
+
+
+def test_behavior_of_matches_entrywise_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        dims = tuple(int(d) for d in rng.integers(2, 5, size=2))
+        state = rng.standard_normal(dims[0] * dims[1])
+        model = QuantumModel(
+            dims,
+            state / np.linalg.norm(state),
+            tuple(random_projector(dims[0], rng) for _ in range(int(rng.integers(1, 4)))),
+            tuple(random_projector(dims[1], rng) for _ in range(int(rng.integers(1, 4)))),
+        )
+        beh = behavior_of(model)
+        for (x, y), block in loop_behavior_tables(model).items():
+            assert np.max(np.abs(beh.table(x, y) - block)) <= 1e-15
+
+
 def test_behavior_of_pentagon1_matches_ideal_column():
     beh = behavior_of(known_optimal_model("pentagon-1"))
     probs = [beh.prob(t) for t in named_inequality("pentagon-1").terms]
@@ -251,7 +282,9 @@ def test_batched_seesaw_matches_sequential_reference(name, dims):
     for seed in (0, 1, 7):
         value, model = qmax_seesaw(iq, dims=dims, restarts=32, seed=seed)
         runs = [sequential_seesaw(iq, dims, np.random.default_rng(seed + r)) for r in range(32)]
-        best = runs[int(np.argmax([run[0] for run in runs]))]
+        # the first run within 1e-12 of the best, the rule qmax_seesaw keeps
+        values = np.array([run[0] for run in runs])
+        best = runs[int(np.argmax(values >= values.max() - 1e-12))]
         assert abs(value - best[0]) <= 1e-12
         assert np.max(np.abs(model.state - best[1])) <= 1e-12
         for got, want in zip(model.alice + model.bob, best[2] + best[3]):
@@ -282,6 +315,17 @@ def test_seesaw_ties_keep_the_lowest_restart():
     assert not same_measurements(m_low, m_high)
     assert same_measurements(_seesaw(iq, (2, 2), [low, high])[1], m_low)
     assert same_measurements(_seesaw(iq, (2, 2), [high, low])[1], m_high)
+
+
+def test_seesaw_near_ties_keep_the_lowest_restart():
+    # every restart of pentagon-1 at seed 0 ends within 5e-15 of the others,
+    # so the winner is restart 0, not whichever one rounding favours
+    iq = named_inequality("pentagon-1")
+    value, model = qmax_seesaw(iq, dims=(2, 2), restarts=32, seed=0)
+    first_value, first_model, _ = _seesaw_once(iq, (2, 2), np.random.default_rng(0))
+    assert abs(value - first_value) <= 1e-12
+    assert np.array_equal(model.state, first_model.state)
+    assert same_measurements(model, first_model)
 
 
 @pytest.mark.parametrize("name", ["pentagon-1", "pentagon-3", "i3322"])
@@ -382,12 +426,47 @@ def test_scan_matches_published_optimum():
     assert probs == pytest.approx(IDEAL_COLUMN_1, abs=1e-3)
 
 
-def test_scan_lands_on_first_coarse_maximum():
-    # The coarse grid has a second cell, (40, 40), one ulp below the first
-    # maximum; seeding the refinement from it ends at (0.6957, 0.6957).
+def test_scan_returns_the_pinned_optimum():
+    # The optimum is found on the line (pi - t, t) with t in [0, pi/2], so
+    # of its symmetric images the scan returns the one with theta_a > pi/2.
     result = qmax_scan_ineq2()
     assert result.value == pytest.approx(2.1783945862, abs=1e-10)
     assert result.angles == pytest.approx((2.4458718, 0.6957209), abs=1e-6)
+
+
+def pentagon1_top_eig(angle_a, angle_b):
+    sigma_z0 = np.diag([1.0, 0.0])
+    alice = [sigma_z0, qubit_projector(angle_a)]
+    bob = [sigma_z0, qubit_projector(angle_b)]
+    return np.linalg.eigvalsh(_bell_matrix(named_inequality("pentagon-1"), alice, bob, (2, 2)))[-1]
+
+
+def test_scan_eigenvalue_symmetries():
+    # the symmetries that reduce the two-angle scan to the line (pi - t, t)
+    rng = np.random.default_rng(17)
+    for a, b in rng.uniform(0.0, math.pi, size=(50, 2)):
+        top = pentagon1_top_eig(a, b)
+        for image in ((math.pi - a, b), (a, math.pi - b), (b, a)):
+            assert abs(pentagon1_top_eig(*image) - top) <= 1e-14
+
+
+def test_no_two_angle_grid_point_beats_the_scan():
+    # reference: every point of a 181 x 181 grid over [0, pi]^2, with no
+    # symmetry assumed
+    sigma_z0 = np.diag([1.0, 0.0])
+    grid = np.array([qubit_projector(t) for t in np.linspace(0.0, math.pi, 181)])
+    operators = _bell_matrix(named_inequality("pentagon-1"), [sigma_z0, grid[:, None]], [sigma_z0, grid], (2, 2))
+    assert operators.shape == (181, 181, 4, 4)
+    assert np.linalg.eigvalsh(operators)[..., -1].max() <= qmax_scan_ineq2().value + 1e-12
+
+
+def test_known_pentagon1_model_is_the_scan_model():
+    scan = qmax_scan_ineq2()
+    known, scanned = behavior_of(known_optimal_model("pentagon-1")), behavior_of(scan.model)
+    for x in range(2):
+        for y in range(2):
+            assert np.max(np.abs(known.table(x, y) - scanned.table(x, y))) <= 1e-12
+    assert abs(evaluate(named_inequality("pentagon-1"), known) - scan.value) <= 1e-12
 
 
 def test_scan_agrees_with_seesaw():
