@@ -229,6 +229,44 @@ IDEAL_COLUMN_1 = (0.464, 0.464, 0.323, 0.464, 0.464)
 IDEAL_COLUMN_2 = (0.427, 0.427, 0.427, 0.427, 0.5)
 
 
+def _block_spectra_worst_dev(rng, count: int) -> float:
+    """Largest gap between the sorted spectrum of P1 x Q1 + P2 x Q2 + 1 x Q0
+    and that of its `block_reduce` blocks plus residual, over `count` random
+    instances (Alice dimension 2-6, random ranks, random symmetric Q's).
+
+    The draws keep the order of one instance at a time; the QR factors, the
+    full operators and their spectra are then stacked per Alice dimension,
+    and the block spectra per block size.
+    """
+    draws = []
+    for _ in range(count):
+        d_a = int(rng.integers(2, 7))
+        ranks = rng.integers(1, d_a + 1, size=2)
+        draws.append((d_a, ranks, rng.standard_normal((2, d_a, d_a)), rng.standard_normal((3, 2, 2))))
+
+    reductions, full_spectra = [], []
+    for d_a in sorted({draw[0] for draw in draws}):
+        group = [draw[1:] for draw in draws if draw[0] == d_a]
+        bases = np.linalg.qr(np.stack([mats for _, mats, _ in group]))[0]
+        p = np.array(
+            [[b[:, :r] @ b[:, :r].T for b, r in zip(pair, ranks)] for pair, (ranks, _, _) in zip(bases, group)]
+        )
+        qs = np.stack([q for _, _, q in group])
+        qs = (qs + np.swapaxes(qs, -1, -2)) / 2
+        full = quantum.two_projector_operator(p[:, 0], p[:, 1], qs[:, 0], qs[:, 1], qs[:, 2])
+        full_spectra.extend(np.linalg.eigvalsh(full))
+        reductions.extend(quantum.block_reduce(*pp, *q) for pp, q in zip(p, qs))
+
+    blocks = [b for red in reductions for b in red.blocks]
+    sizes = {len(b) for b in blocks}
+    spectra = {n: iter(np.linalg.eigvalsh(np.stack([b for b in blocks if len(b) == n]))) for n in sizes}
+    worst = 0.0
+    for red, full_eigs in zip(reductions, full_spectra):
+        block_eigs = np.concatenate([next(spectra[len(b)]) for b in red.blocks] + [red.residual_spectrum])
+        worst = max(worst, float(np.max(np.abs(np.sort(block_eigs) - full_eigs))))
+    return worst
+
+
 def _report_items():
     sqrt5 = math.sqrt(5.0)
     two_sqrt2 = 2.0 + math.sqrt(2.0)
@@ -238,11 +276,19 @@ def _report_items():
     def item(name, ok, detail):
         items.append({"name": name, "ok": bool(ok), "detail": detail})
 
+    # theta once per distinct graph: C5 is also every pentagon's graph
+    thetas = {}
+
+    def theta_of(g):
+        if g not in thetas:
+            thetas[g] = theta.lovasz_theta(g).value
+        return thetas[g]
+
     c5 = graphs.cycle(5)
     ci8 = graphs.circulant(8, {1, 4})
 
     a5 = graphs.independence_number(c5)[0]
-    t5 = theta.lovasz_theta(c5).value
+    t5 = theta_of(c5)
     item(
         "pentagon alpha/theta",
         a5 == 2 and abs(t5 - sqrt5) <= 1e-6,
@@ -250,7 +296,7 @@ def _report_items():
     )
 
     a8 = graphs.independence_number(ci8)[0]
-    t8 = theta.lovasz_theta(ci8).value
+    t8 = theta_of(ci8)
     item(
         "circulant(8;1,4) alpha/theta",
         a8 == 3 and abs(t8 - two_sqrt2) <= 1e-6,
@@ -284,7 +330,7 @@ def _report_items():
         iq = scenarios.named_inequality(name)
         value, _ = quantum.qmax_seesaw(iq, dims=(2, 2), restarts=32, seed=0)
         seesaw_values[name] = value
-        tv = theta.lovasz_theta(scenarios.exclusivity_graph(iq)[0]).value
+        tv = theta_of(scenarios.exclusivity_graph(iq)[0])
         ok &= abs(value - target) <= 1e-6 and value <= tv + 1e-6
         details.append(f"{name}:{value:.7f}")
     item("see-saw quantum maxima", ok, " ".join(details))
@@ -305,22 +351,7 @@ def _report_items():
         f"value={scan.value:.6f} schmidt=({coeffs[0]:.4f},{coeffs[1]:.4f})",
     )
 
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(100):
-        d_a = int(rng.integers(2, 7))
-        ranks = rng.integers(1, d_a + 1, size=2)
-        mats = [np.linalg.qr(rng.standard_normal((d_a, d_a)))[0] for _ in range(2)]
-        p1 = mats[0][:, : ranks[0]] @ mats[0][:, : ranks[0]].T
-        p2 = mats[1][:, : ranks[1]] @ mats[1][:, : ranks[1]].T
-        qs = [rng.standard_normal((2, 2)) for _ in range(3)]
-        qs = [(q + q.T) / 2 for q in qs]
-        red = quantum.block_reduce(p1, p2, qs[0], qs[1], qs[2])
-        block_eigs = np.concatenate(
-            [np.linalg.eigvalsh(b) for b in red.blocks] + [red.residual_spectrum]
-        )
-        full = np.kron(p1, qs[1]) + np.kron(p2, qs[2]) + np.kron(np.eye(d_a), qs[0])
-        worst = max(worst, float(np.max(np.abs(np.sort(block_eigs) - np.sort(np.linalg.eigvalsh(full))))))
+    worst = _block_spectra_worst_dev(np.random.default_rng(2024), 100)
     ok = worst <= 1e-8
     details = [f"block spectra worst dev {worst:.2e}"]
     for name in ("pentagon-1", "pentagon-2", "pentagon-3"):
@@ -366,7 +397,7 @@ def _report_items():
     chsh_value = (
         box.correlator(0, 0) + box.correlator(0, 1) + box.correlator(1, 0) - box.correlator(1, 1)
     )
-    cap = scenarios.eprinciple_check(iq2, box).chsh_cap
+    cap = scenarios.eprinciple_check(iq2, box, pentagon_theta=theta_of(c5)).chsh_cap
     ok &= abs(scenarios.evaluate(iq2, box) - 2.5) <= 1e-12
     ok &= abs(chsh_value - 4.0) <= 1e-12
     ok &= cap is not None and abs(cap - (4.0 * sqrt5 - 6.0)) <= 1e-6

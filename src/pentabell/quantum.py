@@ -9,9 +9,11 @@ Schmidt analysis, and the qutrit construction reaching the pentagon's
 Lovasz number.
 
 Bell operators come from one builder that broadcasts over stacks of
-projectors; the see-saw, `bell_operator` and the scan all use it.  The
-scan's top eigenvalue is symmetric under theta -> pi - theta for either
-party and under swapping the parties' angles, so it searches one line,
+projectors; the see-saw, `bell_operator`, the scan and `block_reduce` all
+use it (`two_projector_operator` builds P1 x Q1 + P2 x Q2 + 1 x Q0 with it,
+for a whole stack of blocks or full operators at once).  The scan's top
+eigenvalue is symmetric under theta -> pi - theta for either party and
+under swapping the parties' angles, so it searches one line,
 t -> (pi - t, t): a 91-point grid in one batched eigenvalue call, then a
 golden-section search.  It takes about 6 ms (one BLAS thread, 2-vCPU Intel
 Xeon, numpy 2.4.6 with OpenBLAS 0.3.31).
@@ -91,9 +93,14 @@ def projector_onto(vector) -> np.ndarray:
 
 def _rank_one_projectors(vectors: np.ndarray) -> np.ndarray:
     """Projector onto the direction of each vector of a (..., d) stack."""
-    norms = np.sqrt(vectors[..., None, :] @ vectors[..., :, None])  # the dot product np.linalg.norm takes
-    u = vectors / norms[..., 0]
+    u = vectors / np.sqrt(_dots(vectors, vectors))  # the dot product np.linalg.norm takes
     return u[..., :, None] * u[..., None, :]
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each vector pair of two (..., d) stacks, as (..., 1):
+    the BLAS dot that `x @ y` takes on one pair with the same strides."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0]
 
 
 def qubit_projector(angle: float) -> np.ndarray:
@@ -349,8 +356,12 @@ def qmax_scan_ineq2() -> ScanResult:
 class BlockReduction:
     """Block-diagonal form of P1 x Q1 + P2 x Q2 + 1 x Q0 over Alice's space.
 
-    The multiset of all block eigenvalues plus the residual spectrum equals
-    the spectrum of the full operator (within 1e-8).
+    `blocks` holds one symmetric matrix per singular direction, in the
+    order of the singular values: (2 d_B) x (2 d_B) where the direction
+    pairs a vector of each range, d_B x d_B where it holds one.  Each is
+    `two_projector_operator` of the projectors compressed to the block's
+    Alice basis.  The multiset of all block eigenvalues plus the residual
+    spectrum equals the spectrum of the full operator (within 1e-8).
     """
 
     blocks: tuple
@@ -358,9 +369,26 @@ class BlockReduction:
     gram_singular_values: np.ndarray
 
 
+def two_projector_operator(p1, p2, q0, q1, q2) -> np.ndarray:
+    """Symmetrized P1 x Q1 + P2 x Q2 + 1 x Q0, summed in that order.
+
+    Every argument may be a stack (..., d, d); the leading axes broadcast,
+    giving one operator per stack element.  A single set of symmetric
+    matrices gives exactly the sum of the three np.kron products.
+    """
+    return _bell_sum([(p1, q1), (p2, q2), (np.eye(np.shape(p1)[-1]), q0)])
+
+
 def _range_basis(projector: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(projector)
     return v[:, w > 0.5]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a (k, d) stack, as a (k, 1) column: like
+    it, the dot of a contiguous copy of the row with itself."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt(_dots(x, x))
 
 
 def block_reduce(p1, p2, q0, q1, q2) -> BlockReduction:
@@ -372,6 +400,10 @@ def block_reduce(p1, p2, q0, q1, q2) -> BlockReduction:
     Alice subspace of dimension at most two, so each block acts on at most
     a (2 x Bob)-dimensional space.  Alice directions orthogonal to both
     ranges only feel Q0 and contribute the residual spectrum.
+
+    The paired directions' bases form one (k, d_A, 2) stack and the single
+    directions' one (k, d_A, 1) stack, so every block of one size comes
+    from one stacked compression and one `two_projector_operator` call.
     """
     p1 = as_sym_matrix(p1)
     p2 = as_sym_matrix(p2)
@@ -389,7 +421,7 @@ def block_reduce(p1, p2, q0, q1, q2) -> BlockReduction:
     f = _range_basis(p2)
     r1, r2 = e.shape[1], f.shape[1]
     if r1 == 0 and r2 == 0:
-        full = np.kron(np.eye(d_a), q0)
+        full = _bell_sum([(np.eye(d_a), q0)])
         return BlockReduction((), np.linalg.eigvalsh(full), np.zeros(0))
 
     gram = e.T @ f
@@ -397,35 +429,34 @@ def block_reduce(p1, p2, q0, q1, q2) -> BlockReduction:
         u, s_vals, vh = np.linalg.svd(gram, full_matrices=True)
     else:
         u, s_vals, vh = np.eye(r1), np.zeros(0), np.eye(r2)
-    e_rot = e @ u
-    f_rot = f @ vh.T
+    e_rot = (e @ u).T  # one direction per row
+    f_rot = (f @ vh.T).T
 
-    blocks = []
-    used = 0
-    for mu in range(max(r1, r2)):
-        basis = []
-        if mu < r1:
-            basis.append(e_rot[:, mu])
-        if mu < r2:
-            vec = f_rot[:, mu]
-            for b in basis:
-                vec = vec - (b @ vec) * b
-            norm = np.linalg.norm(vec)
-            if norm > 1e-9:
-                basis.append(vec / norm)
-        b_mat = np.column_stack(basis)
-        used += b_mat.shape[1]
-        block = (
-            np.kron(b_mat.T @ p1 @ b_mat, q1)
-            + np.kron(b_mat.T @ p2 @ b_mat, q2)
-            + np.kron(np.eye(b_mat.shape[1]), q0)
-        )
-        blocks.append((block + block.T) / 2.0)
+    # direction mu < min(r1, r2) pairs e_mu with f_mu made orthogonal to it;
+    # the pair is one-dimensional when f_mu is e_mu up to 1e-9
+    m = min(r1, r2)
+    vec = f_rot[:m] - _dots(e_rot[:m], f_rot[:m]) * e_rot[:m]
+    norm = _norms(vec)
+    paired = norm[:, 0] > 1e-9
+    # beyond min(r1, r2) only the larger range has a direction, normalised
+    # like a partner vector when it is f's
+    extra = e_rot[m:] if r1 > r2 else f_rot[m:] / _norms(f_rot[m:])
+    bases = (
+        np.stack([e_rot[:m][paired], vec[paired] / norm[paired]], axis=-1),
+        np.concatenate([e_rot[:m][~paired], extra])[..., None],
+    )
+    stacks = []
+    for b in bases:
+        b = np.ascontiguousarray(b)  # BLAS sums strided vectors in another order
+        b_t = np.swapaxes(b, -1, -2)
+        stacks.extend(two_projector_operator(b_t @ p1 @ b, b_t @ p2 @ b, q0, q1, q2))
+    order = np.concatenate([np.flatnonzero(paired), np.flatnonzero(~paired), np.arange(m, max(r1, r2))])
+    blocks = tuple(stacks[i] for i in np.argsort(order))
 
-    residual_multiplicity = d_a - used
+    residual_multiplicity = d_a - 2 * len(bases[0]) - len(bases[1])
     q0_eigs = np.linalg.eigvalsh(q0)
     residual = np.sort(np.tile(q0_eigs, residual_multiplicity)) if residual_multiplicity else np.zeros(0)
-    return BlockReduction(tuple(blocks), residual, s_vals)
+    return BlockReduction(blocks, residual, s_vals)
 
 
 def kcbs_vectors() -> np.ndarray:

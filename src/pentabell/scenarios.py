@@ -529,12 +529,15 @@ class EPrincipleReport:
     violated: bool
 
 
-def eprinciple_check(iq: Inequality, behavior: Behavior) -> EPrincipleReport:
+def eprinciple_check(
+    iq: Inequality, behavior: Behavior, pentagon_theta: Optional[float] = None
+) -> EPrincipleReport:
     """Check that pairwise-exclusive event probabilities sum to at most 1.
 
     All cliques of the exclusivity graph are enumerated exhaustively.  For
     pentagonal inequalities the principle additionally caps the full sum at
-    the pentagon's Lovasz number, and when the inequality is a pure
+    the pentagon's Lovasz number (`pentagon_theta` when the caller has
+    already solved it, else solved here), and when the inequality is a pure
     correlator combination that cap is translated into a bound on the
     unit-coefficient correlator form.
     """
@@ -558,7 +561,7 @@ def eprinciple_check(iq: Inequality, behavior: Behavior) -> EPrincipleReport:
     chsh_cap = None
     iso, _ = is_isomorphic(g, cycle(5)) if g.n == 5 else (False, None)
     if iso:
-        pentagon_cap = lovasz_theta(cycle(5)).value
+        pentagon_cap = lovasz_theta(cycle(5)).value if pentagon_theta is None else pentagon_theta
         try:
             dec = chsh_decomposition(iq)
         except InvalidInputError:

@@ -43,6 +43,22 @@ def test_report_json_golden():
     assert out == (GOLDEN_DIR / "report.json").read_text()
 
 
+def test_report_solves_theta_once_per_graph(monkeypatch):
+    # C5 (also the graph of every pentagon), circulant(8;1,4) and chsh-prob's graph
+    solved = []
+    solve = theta.lovasz_theta
+
+    def counting(g, *args, **kwargs):
+        solved.append(g)
+        return solve(g, *args, **kwargs)
+
+    monkeypatch.setattr(theta, "lovasz_theta", counting)
+    code, _, _ = run_cli(["report", "--json"])
+    assert code == 0
+    assert len(solved) == 3
+    assert len(set(solved)) == 3
+
+
 def test_alpha_on_graph_files(tmp_path):
     cases = [
         (cycle(5), 2),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pentabell.errors import InvalidInputError
-from pentabell.quantum import behavior_of, known_optimal_model
+from pentabell.quantum import behavior_of, known_optimal_model, qmax_scan_ineq2
 from pentabell import simkit
 from pentabell.scenarios import (
     Behavior,
@@ -235,7 +235,7 @@ def test_ideal_columns():
     assert [t.ideal for t in rep1.terms] == pytest.approx(
         (0.464, 0.464, 0.323, 0.464, 0.464), abs=5e-4
     )
-    assert rep1.ideal == pytest.approx(2.178, abs=1e-3)
+    assert rep1.ideal == pytest.approx(qmax_scan_ineq2().value, abs=1e-9)
 
     iq2 = named_inequality("pentagon-2")
     rep2 = run_experiment(iq2, known_optimal_model("pentagon-2"), SimConfig(shots=100, seed=0))
