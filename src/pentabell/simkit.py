@@ -16,7 +16,10 @@ differences of three such counts (one vectorised comparison per inner edge)
 and the shot total.  Because the generator is counter-mode, the streams of
 many setting pairs and master seeds stack into one (stream, draw) grid,
 which is generated and counted in blocks of a fixed number of draws; a
-table does not depend on which other streams share its blocks.
+table does not depend on which other streams share its blocks.  The blocks
+reuse buffers allocated once per call and are mixed in place, and each
+draw's full 64-bit word is compared with its edge scaled by 2^64, which
+counts exactly the draws whose top-53-bit uniform lies below the edge.
 
 Estimates contract each term's cells (`scenarios.term_cells`) with the
 count table.  The total's sigma is exact for the sum: terms measured at one
@@ -42,7 +45,9 @@ from .scenarios import Behavior, Inequality, lhv_bound, term_cells
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-_BLOCK_DRAWS = 1 << 15  # draws generated at once; bounds the sampler's working memory
+# Draws per block.  The sampler's working memory is the γ ramp and two work
+# buffers of this many uint64 words plus one bool row: at most 800 KiB.
+_BLOCK_DRAWS = 1 << 15
 
 
 def mix64(z: int) -> int:
@@ -53,22 +58,22 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _counter_words(seeds: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """splitmix64 outputs start..stop-1 of each stream, as a (len(seeds),
-    stop - start) uint64 array: mix64(seed + (i + 1) * GOLDEN_GAMMA)."""
-    with np.errstate(over="ignore"):
-        z = np.arange(start + 1, stop + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA) + seeds[:, None]
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return z
+def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """mix64 of every word of the uint64 array z, in place; tmp is scratch
+    of z's shape."""
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
 
 
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of splitmix64 seeded with `seed` (uint64)."""
-    return _counter_words(np.array([seed & _MASK64], dtype=np.uint64), 0, count)[0]
+    """First `count` outputs of splitmix64 seeded with `seed` (uint64):
+    output i is mix64(seed + (i + 1) * GOLDEN_GAMMA)."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA) + np.uint64(seed & _MASK64)
+    return _mix64_into(z, np.empty_like(z))
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:
@@ -79,6 +84,15 @@ def uniforms(seed: int, count: int) -> np.ndarray:
 def derive_seed(seed: int, x: int, y: int) -> int:
     """Per-setting-pair substream seed: mix64(mix64(seed) + 4x + y + 1)."""
     return mix64(mix64(seed) + 4 * x + y + 1)
+
+
+def _derive_seeds(seeds, pairs) -> np.ndarray:
+    """derive_seed(s, x, y) for every master seed s and (x, y) of pairs, as
+    a seed-major flat uint64 array."""
+    master = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    offsets = np.array([4 * x + y + 1 for x, y in pairs], dtype=np.uint64)
+    z = _mix64_into(master, np.empty_like(master))[:, None] + offsets
+    return _mix64_into(z, np.empty_like(z)).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -118,20 +132,38 @@ def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray) -> np.nd
     The (stream, draw) grid is generated _BLOCK_DRAWS words at a time: whole
     rows of several streams, or column chunks of one stream when a stream is
     longer than a block.  Counts add up over chunks, so the result does not
-    depend on the blocking; uniform u = m 2^-53 with m the top 53 bits is
-    below e exactly when m < ceil(e 2^53), so the comparison runs on m.
+    depend on the blocking.  Every block is a contiguous (rows, width) view
+    of the same two flat work buffers: the counters are one add of the γ
+    ramp (i + 1) γ, computed once, to seed + start γ, and the mixing runs in
+    place.  Uniform u = m 2^-53 with m the top 53 bits of word w is below e
+    exactly when m < L = ceil(e 2^53), that is when w < L 2^11; so the
+    comparison runs on the whole word, and an edge with L >= 2^53 (one that
+    rounds to 1 or above) counts every draw.
     """
     limits = np.ceil(edges * 2.0**53).astype(np.uint64)
+    every = limits >= np.uint64(1 << 53)
+    thresholds = np.where(every, np.uint64(0), limits) << np.uint64(11)
     below = np.zeros(edges.shape, dtype=np.int64)
     cols = min(shots, _BLOCK_DRAWS)
     rows = max(1, _BLOCK_DRAWS // shots)
+    ramp = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    base = np.empty(min(rows, len(seeds)), dtype=np.uint64)
+    z, tmp = np.empty(len(base) * cols, dtype=np.uint64), np.empty(len(base) * cols, dtype=np.uint64)
+    flag = np.empty(cols, dtype=bool)
     for start in range(0, shots, cols):
+        width = min(cols, shots - start)
+        offset = np.uint64(start * GOLDEN_GAMMA & _MASK64)
+        hits = flag[:width]
         for r in range(0, len(seeds), rows):
-            m = _counter_words(seeds[r : r + rows], start, min(start + cols, shots))
-            m >>= np.uint64(11)
-            for i, words in enumerate(m, start=r):  # count_nonzero of a whole row is far cheaper than with axis=
+            n = min(rows, len(seeds) - r)
+            block, scratch = z[: n * width].reshape(n, width), tmp[: n * width].reshape(n, width)
+            np.add(seeds[r : r + n], offset, out=base[:n])
+            np.add(ramp[:width], base[:n, None], out=block)
+            _mix64_into(block, scratch)
+            for i, row in enumerate(block, start=r):  # count_nonzero of a whole row is far cheaper than with axis=
                 for k in range(3):
-                    below[i, k] += np.count_nonzero(words < limits[i, k])
+                    below[i, k] += np.count_nonzero(np.less(row, thresholds[i, k], out=hits))
+    below[every] = shots
     return below
 
 
@@ -146,8 +178,7 @@ def _count_stack(behavior: Behavior, cfg: SimConfig, seeds) -> np.ndarray:
     pairs = [(x, y) for x in behavior.alice_settings for y in behavior.bob_settings]
     p = cfg.visibility * np.array([behavior.table(x, y) for x, y in pairs]) + (1.0 - cfg.visibility) / 4.0
     edges = np.cumsum(p.reshape(-1, 4), axis=1)[:, :3]
-    streams = np.array([derive_seed(s, x, y) for s in seeds for x, y in pairs], dtype=np.uint64)
-    below = _threshold_counts(streams, cfg.shots, np.tile(edges, (len(seeds), 1)))
+    below = _threshold_counts(_derive_seeds(seeds, pairs), cfg.shots, np.tile(edges, (len(seeds), 1)))
     shape = (1 + max(behavior.alice_settings, default=-1), 1 + max(behavior.bob_settings, default=-1))
     table = np.zeros((len(seeds), *shape, 2, 2), dtype=np.int64)
     xs, ys = np.array(pairs, dtype=int).reshape(-1, 2).T
@@ -177,14 +208,6 @@ class TermEstimate:
     p_hat: float
     sigma: float
     ideal: Optional[float] = None
-
-    @property
-    def z_score(self) -> Optional[float]:
-        if self.ideal is None:
-            return None
-        if self.sigma == 0.0:
-            return 0.0 if self.p_hat == self.ideal else float("inf")
-        return (self.p_hat - self.ideal) / self.sigma
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,33 @@ def test_uniforms_range_and_determinism():
 def test_derived_seeds_distinct():
     seeds = {derive_seed(0, x, y) for x in range(4) for y in range(4)}
     assert len(seeds) == 16
+
+
+def _unmix64(z):
+    """Inverse of mix64: undo each xor-shift and multiply in reverse."""
+
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & simkit._MASK64, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & simkit._MASK64, 30)
+
+
+def test_derive_seeds_array_matches_scalar_derive_seed():
+    rng = np.random.default_rng(11)
+    near_top = [(1 << 64) - 1 - i for i in range(4)]
+    # mix64(seed) + 4x + y + 1 wraps past 2^64 for these
+    wrapping = [_unmix64((1 << 64) - j) for j in range(1, 12)]
+    seeds = [int(s) for s in rng.integers(0, 1 << 63, size=200)] + near_top + wrapping
+    assert all(simkit.mix64(s) >= (1 << 64) - 11 for s in wrapping)
+    pairs = [(x, y) for x in range(3) for y in range(3)]
+    derived = simkit._derive_seeds(seeds, pairs)
+    assert derived.dtype == np.uint64
+    assert [int(v) for v in derived] == [derive_seed(s, x, y) for s in seeds for x, y in pairs]
 
 
 def test_config_validation():
@@ -170,6 +198,53 @@ def test_million_shot_pair_spans_blocks_bit_identically():
     assert cfg.shots > simkit._BLOCK_DRAWS
     table = sample_counts(one_pair, cfg)
     assert np.array_equal(table.counts[(0, 0)], searchsorted_counts(one_pair, cfg)[(0, 0)])
+
+
+def searchsorted_below(seeds, shots, edges):
+    """Reference for _threshold_counts: per stream, the number of its
+    uniforms below each edge, located in the sorted draws."""
+    return np.array([np.searchsorted(np.sort(uniforms(int(s), shots)), e, side="left") for s, e in zip(seeds, edges)])
+
+
+@pytest.mark.parametrize(
+    "streams, shots, edges",
+    [
+        # a cumulative edge that rounds above 1 counts every draw; the
+        # largest double below 1 gives the largest full-word threshold
+        (3, 5000, [[0.25, 0.5, 1.0 + 2.0**-52], [0.0, 1.0, 1.0], [0.5, 1.0 - 2.0**-53, 1.0 + 2.0**-52]]),
+        (4, 20_000, [[0.0, 0.0, 0.0]] * 4),
+        # 32 streams per block of 1,000 draws, the last row group partial
+        (70, 1000, None),
+        # one stream per block, spread over three column chunks
+        (3, 2 * (1 << 15) + 3, None),
+        (50, 1, None),
+    ],
+    ids=["edge-above-one", "zero-edges", "partial-row-group", "partial-column-chunk", "one-shot"],
+)
+def test_threshold_counts_edge_cases_match_searchsorted(streams, shots, edges):
+    rng = np.random.default_rng(streams * shots)
+    seeds = rng.integers(0, 1 << 63, size=streams, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    if edges is None:
+        edges = np.cumsum(rng.dirichlet(np.ones(4), size=streams), axis=1)[:, :3]
+    edges = np.array(edges, dtype=float)
+    below = simkit._threshold_counts(seeds, shots, edges)
+    assert below.dtype == np.int64
+    assert np.array_equal(below, searchsorted_below(seeds, shots, edges))
+
+
+def test_sampler_memory_is_fixed_buffers():
+    ideal = behavior_of(known_optimal_model("pentagon-2"))
+    cfg = SimConfig(shots=1_000_000, seed=8)
+    sample_counts(ideal, cfg)
+    tracemalloc.start()
+    try:
+        sample_counts(ideal, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two uint64 work buffers and the ramp of 2^15 words and one bool row,
+    # not memory per stream or per block
+    assert peak <= 1 << 20
 
 
 def test_zero_visibility_counts_are_uniform():
