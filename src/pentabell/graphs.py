@@ -1,9 +1,9 @@
-"""Small-graph combinatorics: constructors, exact independence number,
-isomorphism, and induced-subgraph search.
+"""Small-graph combinatorics: constructors, the exact independence number
+and the graph file format.
 
-Vertices are 0..n-1 and edges are unordered pairs.  All solvers are exact
-branch-and-bound / backtracking routines sized for the tiny graphs this
-package works with (capacity limits are enforced, not assumed).
+Vertices are 0..n-1 and edges are unordered pairs.  The independence
+number is an exact branch and bound sized for the tiny graphs this package
+works with (its capacity limit is enforced, not assumed).
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from typing import Iterable
 from .errors import CapacityError, InvalidInputError
 
 ALPHA_MAX_VERTICES = 32
-ISO_MAX_VERTICES = 12
-INDUCED_MAX_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -169,92 +167,6 @@ def independence_number(g: Graph):
 def is_independent_set(g: Graph, vertices: Iterable) -> bool:
     vs = list(vertices)
     return all(not g.has_edge(vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
-
-
-def is_isomorphic(g: Graph, h: Graph):
-    """Edge-preserving bijection test; returns (found, permutation or None).
-
-    The permutation maps vertex v of g to permutation[v] of h and is a
-    verified witness when found.
-    """
-    if g.n > ISO_MAX_VERTICES or h.n > ISO_MAX_VERTICES:
-        raise CapacityError(f"isomorphism limited to {ISO_MAX_VERTICES} vertices")
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False, None
-    dg, dh = g.degrees(), h.degrees()
-    if sorted(dg) != sorted(dh):
-        return False, None
-
-    g_adj = g.adjacency_masks()
-    h_adj = h.adjacency_masks()
-    order = sorted(range(g.n), key=lambda v: (-dg[v], v))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def backtrack(k: int) -> bool:
-        if k == g.n:
-            return True
-        v = order[k]
-        for w in range(h.n):
-            if used[w] or dh[w] != dg[v]:
-                continue
-            ok = True
-            for prev in order[:k]:
-                if bool(g_adj[v] >> prev & 1) != bool(h_adj[w] >> mapping[prev] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if backtrack(k + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    if backtrack(0):
-        return True, list(mapping)
-    return False, None
-
-
-def find_induced(h: Graph, g: Graph):
-    """Injective mapping of h onto an induced subgraph of g, or None.
-
-    Induced: vertices u, u' of h are adjacent exactly when their images are
-    adjacent in g (non-edges must be preserved too).
-    """
-    if g.n > INDUCED_MAX_VERTICES:
-        raise CapacityError(f"induced search limited to {INDUCED_MAX_VERTICES} vertices")
-    if h.n > g.n:
-        raise CapacityError("pattern graph larger than host graph")
-    h_adj = h.adjacency_masks()
-    g_adj = g.adjacency_masks()
-    dh, dg = h.degrees(), g.degrees()
-    mapping = [-1] * h.n
-    used = [False] * g.n
-
-    def backtrack(u: int):
-        if u == h.n:
-            return list(mapping)
-        for w in range(g.n):
-            if used[w] or dg[w] < dh[u]:
-                continue
-            ok = True
-            for prev in range(u):
-                if bool(h_adj[u] >> prev & 1) != bool(g_adj[w] >> mapping[prev] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = w
-                used[w] = True
-                found = backtrack(u + 1)
-                if found is not None:
-                    return found
-                used[w] = False
-                mapping[u] = -1
-        return None
-
-    return backtrack(0)
 
 
 def graph_to_json(g: Graph) -> dict:

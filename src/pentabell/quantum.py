@@ -8,22 +8,31 @@ pentagonal inequality, the block reduction that shows two qubits suffice,
 Schmidt analysis, and the qutrit construction reaching the pentagon's
 Lovasz number.
 
-Bell operators come from one builder that broadcasts over stacks of
-projectors; the see-saw, `bell_operator`, the scan and `block_reduce` all
-use it (`two_projector_operator` builds P1 x Q1 + P2 x Q2 + 1 x Q0 with it,
-for a whole stack of blocks or full operators at once).  The scan's top
-eigenvalue is symmetric under theta -> pi - theta for either party and
-under swapping the parties' angles, so it searches one line,
-t -> (pi - t, t): a 91-point grid in one batched eigenvalue call, then a
-golden-section search.  It takes about 6 ms (one BLAS thread, 2-vCPU Intel
-Xeon, numpy 2.4.6 with OpenBLAS 0.3.31).
+Bell operators come from one coefficient tensor and one builder.  An
+inequality enters only as its tensor W[x, y, a, b]
+(`scenarios.coefficient_tensor`, over the settings the caller's projectors
+supply), and its Bell operator is the sum over (x, a) of
+E_a^x x (sum over (y, b) of W[x, y, a, b] F_b^y).  `_kron_sum` forms such
+sums of Kronecker products for whole stacks of projectors at once; the
+see-saw, `bell_operator` and the scan use it through `_bell_matrix`, and
+`two_projector_operator` (P1 x Q1 + P2 x Q2 + 1 x Q0, for a whole stack of
+blocks or full operators at once) and so `block_reduce` use it with a
+three-pair stack.  The scan's top eigenvalue is symmetric under
+theta -> pi - theta for either party and under swapping the parties'
+angles, so it searches one line, t -> (pi - t, t): a 91-point grid in one
+batched eigenvalue call, then a golden-section search.  It takes about
+5 ms (one BLAS thread, 2-vCPU Intel Xeon, numpy 2.4.6 with OpenBLAS
+0.3.31).
 
 The see-saw runs all its restarts as one stack of projectors: each
 iteration is one batched Bell-operator build and eigenvalue call, then one
-batched measurement update per setting, for every restart still running.
-32 restarts for each of the 5 named inequalities at dims (2,2), (3,3) and
-(4,4), over seeds 0, 1 and 7, take 0.83 s (0.58 ms per restart) on the
-machine above, against 4.1 s run one restart at a time.
+batched measurement update per party.  A party's effective operators for
+all its settings are one contraction of W's outcome differences
+(W[x, y, 0, b] - W[x, y, 1, b] for Alice) with the other party's effects
+sandwiched by the states, followed by one eigenvalue call.  32 restarts
+for each of the 5 named inequalities at dims (2,2), (3,3) and (4,4), over
+seeds 0, 1 and 7, take 0.5-0.7 s (about 0.4 ms per restart) on the
+machine above.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 from .numerics import as_sym_matrix, svd
-from .scenarios import Behavior, Inequality, named_inequality
+from .scenarios import Behavior, Inequality, coefficient_tensor, named_inequality
 
 MAX_LOCAL_DIM = 4
 _PROJECTOR_TOL = 1e-10
@@ -108,52 +117,54 @@ def qubit_projector(angle: float) -> np.ndarray:
     return projector_onto((np.cos(angle), np.sin(angle)))
 
 
-def _term_effects(iq, alice, bob, dims):
-    """(Alice effect, Bob effect) of each term; a wildcard gives the identity.
-
-    Each outcome-1 complement and each identity is built once per call, so a
-    stack of projectors gives stacks of effects.
-    """
-    d_a, d_b = dims
-    eye_a, eye_b = np.eye(d_a), np.eye(d_b)
-    effects_a = [(p, eye_a - p) for p in alice]
-    effects_b = [(p, eye_b - p) for p in bob]
-
-    def pick(part, effects, eye, label):
-        if part is None:
-            return eye
-        setting, outcome = part
-        if setting >= len(effects):
-            raise InvalidInputError(f"no {label} measurement for setting {setting}")
-        return effects[setting][outcome]
-
-    return [(pick(t.alice, effects_a, eye_a, "Alice"), pick(t.bob, effects_b, eye_b, "Bob")) for t in iq.terms]
-
-
 def bell_operator(iq: Inequality, model: QuantumModel) -> np.ndarray:
-    """Sum over terms of (Alice effect) x (Bob effect); wildcard -> identity."""
-    return _bell_matrix(iq, model.alice, model.bob, model.dims)
+    """The inequality's Bell operator for the model's measurements, over the
+    settings the model has (see `_bell_matrix`)."""
+    w = coefficient_tensor(iq, len(model.alice), len(model.bob))
+    return _bell_matrix(w, np.array(model.alice), np.array(model.bob))
 
 
-def _bell_matrix(iq, alice, bob, dims) -> np.ndarray:
-    """Symmetrized sum over terms of (Alice effect) x (Bob effect).
+def _stack(matrices) -> np.ndarray:
+    """(..., k, d, d) stack of k matrices or matrix stacks whose leading axes
+    broadcast."""
+    return np.stack(np.broadcast_arrays(*matrices), axis=-3)
 
-    Each projector may be a stack of shape (..., d, d); the leading axes
-    broadcast, giving one operator per stack element.  Each Kronecker
-    product is formed as an outer product and the terms are summed in
-    order, so a single pair of matrices gives exactly np.kron's sum.
+
+def _effects(projectors: np.ndarray) -> np.ndarray:
+    """(..., 2 s, d, d) outcome-0 and outcome-1 effects, in (setting,
+    outcome) order, of a (..., s, d, d) stack of outcome-0 projectors."""
+    d = projectors.shape[-1]
+    e = np.concatenate([projectors, np.eye(d) - projectors], axis=-2)  # (..., s, 2 d, d)
+    return e.reshape(e.shape[:-3] + (-1, d, d))
+
+
+def _kron_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Symmetrized sum over k of left_k x right_k for (..., k, d, d) stacks
+    whose leading axes broadcast, one operator per stack element.
+
+    Each Kronecker product is an outer product and the sum runs in k order,
+    so single matrices give exactly the sum of the np.kron products.
     """
-    return _bell_sum(_term_effects(iq, alice, bob, dims))
-
-
-def _bell_sum(effects) -> np.ndarray:
-    """Symmetrized sum of the Kronecker products of the terms' effects."""
-    n = effects[0][0].shape[-1] * effects[0][1].shape[-1]
-    s = 0.0
-    for op_a, op_b in effects:
-        outer = op_a[..., :, None, :, None] * op_b[..., None, :, None, :]
-        s = s + outer.reshape(outer.shape[:-4] + (n, n))
+    outer = left[..., :, None, :, None] * right[..., None, :, None, :]
+    n = left.shape[-1] * right.shape[-1]
+    s = outer.sum(axis=-5).reshape(outer.shape[:-5] + (n, n))
     return (s + np.swapaxes(s, -1, -2)) / 2.0
+
+
+def _combine(coefficients: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """(..., m, d, d) stack of the sums over k of coefficients[i, k] stack_k,
+    for an (m, k) coefficient matrix and a (..., k, d, d) stack, summed in k
+    order."""
+    f = coefficients @ stack.reshape(stack.shape[:-2] + (-1,))
+    return f.reshape(f.shape[:-1] + stack.shape[-2:])
+
+
+def _bell_matrix(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Symmetrized sum over (x, a) of E_a^x x (sum over (y, b) of
+    W[x, y, a, b] F_b^y), for the coefficient tensor W and (..., settings,
+    d, d) stacks of outcome-0 projectors whose leading axes broadcast."""
+    partners = _combine(w.transpose(0, 2, 1, 3).reshape(2 * len(w), -1), _effects(bob))
+    return _kron_sum(_effects(alice), partners)
 
 
 def behavior_of(model: QuantumModel) -> Behavior:
@@ -165,12 +176,8 @@ def behavior_of(model: QuantumModel) -> Behavior:
     """
     d_a, d_b = model.dims
     psi = model.state.reshape(d_a, d_b)
-    stacks = []
-    for projs, d in ((model.alice, d_a), (model.bob, d_b)):
-        p = np.reshape(projs, (-1, d, d))
-        stacks.append(np.stack([p, np.eye(d) - p], axis=1))  # (settings, outcome, d, d)
-    left = (stacks[0] @ psi).reshape(-1, d_a * d_b)
-    right = (psi @ stacks[1]).reshape(-1, d_a * d_b)
+    left = (_effects(np.reshape(model.alice, (-1, d_a, d_a))) @ psi).reshape(-1, d_a * d_b)
+    right = (psi @ _effects(np.reshape(model.bob, (-1, d_b, d_b)))).reshape(-1, d_a * d_b)
     n_a, n_b = len(model.alice), len(model.bob)
     probs = (left @ right.T).reshape(n_a, 2, n_b, 2).transpose(0, 2, 1, 3)
     return Behavior({(x, y): probs[x, y] for x in range(n_a) for y in range(n_b)})
@@ -194,21 +201,6 @@ def _positive_eigenspace_projector(f: np.ndarray) -> np.ndarray:
     return keep @ np.swapaxes(keep, -1, -2)
 
 
-def _effective_operator(iq, effects, psi, party, setting):
-    """Partial trace of the setting's outcome-0 minus outcome-1 terms of the
-    Bell operator against the states, one operator per stack element."""
-    psi_t = np.swapaxes(psi, -1, -2)
-    d = psi.shape[-2] if party == "alice" else psi.shape[-1]
-    f = np.zeros((psi.shape[0], d, d))
-    for term, (op_a, op_b) in zip(iq.terms, effects):
-        part = getattr(term, party)
-        if part is None or part[0] != setting:
-            continue
-        m = psi @ op_b @ psi_t if party == "alice" else psi_t @ op_a @ psi
-        f += m if part[1] == 0 else -m
-    return f
-
-
 def _seesaw(iq, dims, rngs):
     """See-saw from one random start per generator, all run as one stack.
 
@@ -225,8 +217,13 @@ def _seesaw(iq, dims, rngs):
         starts_a.append(rng.standard_normal((iq.alice_settings, d_a)))
         starts_b.append(rng.standard_normal((iq.bob_settings, d_b)))
         rng.standard_normal(d_a * d_b)
-    alice = list(_rank_one_projectors(np.array(starts_a)).swapaxes(0, 1))
-    bob = list(_rank_one_projectors(np.array(starts_b)).swapaxes(0, 1))
+    alice = _rank_one_projectors(np.array(starts_a))  # (run, setting, d, d)
+    bob = _rank_one_projectors(np.array(starts_b))
+    w = coefficient_tensor(iq, iq.alice_settings, iq.bob_settings)
+    # a setting's effective operator weighs the other party's sandwiched
+    # effects by the outcome-0 minus outcome-1 coefficients
+    diff_a = (w[:, :, 0] - w[:, :, 1]).reshape(iq.alice_settings, -1)
+    diff_b = (w[..., 0] - w[..., 1]).transpose(1, 0, 2).reshape(iq.bob_settings, -1)
 
     value = np.full(len(rngs), -np.inf)
     stall = np.zeros(len(rngs), dtype=int)
@@ -235,37 +232,24 @@ def _seesaw(iq, dims, rngs):
     for _ in range(10_000):
         if active.size == 0:
             break
-        alice_act = [p[active] for p in alice]
-        bob_act = [p[active] for p in bob]
-        effects = _term_effects(iq, alice_act, bob_act, dims)
-        w, v = np.linalg.eigh(_bell_sum(effects))
-        new_value = w[:, -1]
+        w_val, v = np.linalg.eigh(_bell_matrix(w, alice[active], bob[active]))
+        new_value = w_val[:, -1]
         for r, t in zip(active, new_value):
             traces[r].append(float(t))
-        psi = v[:, :, -1].reshape(-1, d_a, d_b)
-
-        for x in range(iq.alice_settings):
-            alice_act[x] = _positive_eigenspace_projector(_effective_operator(iq, effects, psi, "alice", x))
-            alice[x][active] = alice_act[x]
-        effects = _term_effects(iq, alice_act, bob_act, dims)
-        for y in range(iq.bob_settings):
-            bob[y][active] = _positive_eigenspace_projector(_effective_operator(iq, effects, psi, "bob", y))
+        psi = v[:, :, -1].reshape(-1, 1, d_a, d_b)
+        psi_t = np.swapaxes(psi, -1, -2)
+        alice[active] = _positive_eigenspace_projector(_combine(diff_a, psi @ _effects(bob[active]) @ psi_t))
+        bob[active] = _positive_eigenspace_projector(_combine(diff_b, psi_t @ _effects(alice[active]) @ psi))
 
         stalled = new_value - value[active] < _TIE
         stall[active] = np.where(stalled, stall[active] + 1, 0)
         value[active] = np.maximum(value[active], new_value)
         active = active[stall[active] < 2]
 
-    w, v = np.linalg.eigh(_bell_matrix(iq, alice, bob, dims))
-    best = int(np.argmax(w[:, -1] >= w[:, -1].max() - _TIE))
-    model = QuantumModel(dims, v[best, :, -1], tuple(p[best] for p in alice), tuple(p[best] for p in bob))
-    return float(w[best, -1]), model, traces
-
-
-def _seesaw_once(iq, dims, rng):
-    """One see-saw run: its final value, model and per-iteration trace."""
-    value, model, (trace,) = _seesaw(iq, dims, [rng])
-    return value, model, trace
+    w_val, v = np.linalg.eigh(_bell_matrix(w, alice, bob))
+    best = int(np.argmax(w_val[:, -1] >= w_val[:, -1].max() - _TIE))
+    model = QuantumModel(dims, v[best, :, -1], tuple(alice[best]), tuple(bob[best]))
+    return float(w_val[best, -1]), model, traces
 
 
 def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
@@ -278,8 +262,7 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
     ties, which keep the lowest restart index.
     Restarts run as one stack, in blocks of up to 1024, so each iteration
     makes one batched eigenvalue call per stage for every restart still
-    running; about 0.6 ms per restart, against about 2.9 ms when each ran
-    on its own (see the module docstring).
+    running; about 0.4 ms per restart (see the module docstring).
     """
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a > MAX_LOCAL_DIM or d_b > MAX_LOCAL_DIM:
@@ -302,13 +285,16 @@ class ScanResult(NamedTuple):
 
 
 def _pentagon1_settings(angle_a, angle_b):
-    """Alice's and Bob's projectors for the scan: setting 0 on sigma_z and
-    setting 1 at the given real-plane angle; the angles may be arrays of one
-    shape, giving stacks of setting-1 projectors."""
-    sigma_z0 = np.diag([1.0, 0.0])
-    return tuple(
-        (sigma_z0, _rank_one_projectors(np.stack([np.cos(t), np.sin(t)], axis=-1))) for t in (angle_a, angle_b)
-    )
+    """Alice's and Bob's (..., 2, 2, 2) projector stacks for the scan: setting
+    0 onto (1, 0), the sigma_z projector, and setting 1 onto (cos t, sin t)
+    at the party's angle t; the angles may be arrays of one shape."""
+    stacks = []
+    for t in (angle_a, angle_b):
+        vectors = np.zeros(np.shape(t) + (2, 2))
+        vectors[..., 0, 0] = 1.0
+        vectors[..., 1, 0], vectors[..., 1, 1] = np.cos(t), np.sin(t)
+        stacks.append(_rank_one_projectors(vectors))
+    return tuple(stacks)
 
 
 def qmax_scan_ineq2() -> ScanResult:
@@ -324,10 +310,10 @@ def qmax_scan_ineq2() -> ScanResult:
     search of the bracket around the grid's maximum down to a 1e-10 width.
     The model's state is the Bell operator's top eigenvector.
     """
-    iq = named_inequality("pentagon-1")
+    w = coefficient_tensor(named_inequality("pentagon-1"), 2, 2)
 
     def top_eig(t):
-        return np.linalg.eigvalsh(_bell_matrix(iq, *_pentagon1_settings(np.pi - t, t), (2, 2)))[..., -1]
+        return np.linalg.eigvalsh(_bell_matrix(w, *_pentagon1_settings(np.pi - t, t)))[..., -1]
 
     grid = np.linspace(0.0, np.pi / 2, 91)
     i = int(np.argmax(top_eig(grid)))
@@ -347,7 +333,7 @@ def qmax_scan_ineq2() -> ScanResult:
 
     t = (lo + hi) / 2.0
     alice, bob = _pentagon1_settings(np.pi - t, t)
-    _, v = np.linalg.eigh(_bell_matrix(iq, alice, bob, (2, 2)))
+    _, v = np.linalg.eigh(_bell_matrix(w, alice, bob))
     model = QuantumModel((2, 2), v[:, -1], alice, bob)
     return ScanResult(float(top_eig(t)), (float(np.pi - t), float(t)), model)
 
@@ -376,7 +362,7 @@ def two_projector_operator(p1, p2, q0, q1, q2) -> np.ndarray:
     giving one operator per stack element.  A single set of symmetric
     matrices gives exactly the sum of the three np.kron products.
     """
-    return _bell_sum([(p1, q1), (p2, q2), (np.eye(np.shape(p1)[-1]), q0)])
+    return _kron_sum(_stack([p1, p2, np.eye(np.shape(p1)[-1])]), _stack([q1, q2, q0]))
 
 
 def _range_basis(projector: np.ndarray) -> np.ndarray:
@@ -421,7 +407,7 @@ def block_reduce(p1, p2, q0, q1, q2) -> BlockReduction:
     f = _range_basis(p2)
     r1, r2 = e.shape[1], f.shape[1]
     if r1 == 0 and r2 == 0:
-        full = _bell_sum([(np.eye(d_a), q0)])
+        full = _kron_sum(np.eye(d_a)[None], q0[None])
         return BlockReduction((), np.linalg.eigvalsh(full), np.zeros(0))
 
     gram = e.T @ f

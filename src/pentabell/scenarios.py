@@ -9,11 +9,13 @@ checks, and the enumeration of all pentagonal inequalities up to relabeling.
 An inequality's terms have one numeric form: `term_cells` resolves each
 event once into 0/1 cells c[t, x, y, a, b] over the covered setting pairs,
 placing a wildcard event at its lowest covered partner setting.  A Behavior
-is one dense (n_a, n_b, 2, 2) table, so probabilities, `evaluate`,
-`eprinciple_check`, the LHV bound (against the stacked tables of all
-deterministic strategies) and the correlator decomposition are contractions
-of those cells; `simkit` reads count tables the same way.  The same
-contractions run over a leading axis of tables, validated once by
+is one dense (n_a, n_b, 2, 2) table, so probabilities, `evaluate` and
+`eprinciple_check` are contractions of those cells; `simkit` reads count
+tables the same way.  Summed over the terms, the cells are the coefficient
+tensor W[x, y, a, b] (`coefficient_tensor`) that the LHV bound (against the
+stacked tables of all deterministic strategies), the correlator
+decomposition and every quantum Bell operator and see-saw update read.  The
+same contractions run over a leading axis of tables, validated once by
 `_checked_tables`.
 
 The enumeration works on integer event codes, on which the equivalence
@@ -31,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .graphs import Graph, cycle, graph, is_isomorphic
+from .graphs import Graph, cycle, graph
 
 MAX_SETTING = 3  # setting indices 0..3
 MAX_ENUM_SETTINGS = 4  # deterministic-strategy enumeration envelope
@@ -169,6 +171,15 @@ def term_cells(terms: tuple, pairs: frozenset) -> np.ndarray:
     return cells
 
 
+def coefficient_tensor(iq: Inequality, alice_settings: int, bob_settings: int) -> np.ndarray:
+    """Coefficient tensor W[x, y, a, b] of the inequality over the first
+    alice_settings x bob_settings settings: its term cells summed, so its
+    value on a dense table P is sum(W * P).  Raises InvalidInputError when a
+    term references a setting outside that range."""
+    pairs = frozenset(itertools.product(range(alice_settings), range(bob_settings)))
+    return term_cells(iq.terms, pairs).sum(axis=0)
+
+
 _ATOL = 1e-9  # normalization and no-signaling tolerance of a probability table
 
 
@@ -264,14 +275,6 @@ class Behavior:
     def correlator(self, x: int, y: int) -> float:
         p = self.table(x, y)
         return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
-
-    def alice_expectation(self, x: int) -> float:
-        p0, p1 = self.probs((Event((x, 0), None), Event((x, 1), None)))
-        return float(p0 - p1)
-
-    def bob_expectation(self, y: int) -> float:
-        p0, p1 = self.probs((Event(None, (y, 0)), Event(None, (y, 1))))
-        return float(p0 - p1)
 
 
 def strategy_behavior(strategy: DeterministicStrategy, alice_settings=None, bob_settings=None) -> Behavior:
@@ -399,15 +402,15 @@ def exclusivity_graph(iq: Inequality):
 def lhv_bound(iq: Inequality, alice_settings: Optional[int] = None, bob_settings: Optional[int] = None):
     """Exact deterministic-strategy maximum of the term count, with witness.
 
-    One contraction of the inequality's summed cells with the tables of all
-    2**(n_a+n_b) strategies; the witness is the first maximum in
+    One contraction of the inequality's coefficient tensor with the tables of
+    all 2**(n_a+n_b) strategies; the witness is the first maximum in
     itertools.product order.
     """
     n_a = iq.alice_settings if alice_settings is None else int(alice_settings)
     n_b = iq.bob_settings if bob_settings is None else int(bob_settings)
     if n_a > MAX_ENUM_SETTINGS or n_b > MAX_ENUM_SETTINGS:
         raise CapacityError(f"strategy enumeration limited to {MAX_ENUM_SETTINGS} settings per party")
-    coefficients = term_cells(iq.terms, frozenset(itertools.product(range(n_a), range(n_b)))).sum(axis=0)
+    coefficients = coefficient_tensor(iq, n_a, n_b)
     strategies, tables = _deterministic(n_a, n_b)
     scores = tables.reshape(len(strategies), -1) @ coefficients.reshape(-1)
     best = int(scores.argmax())
@@ -493,7 +496,7 @@ def chsh_decomposition(iq: Inequality) -> CorrelatorDecomposition:
     alice = np.einsum("sxyab,a->sxy", tables, signs)  # Alice's +-1 outcome at each pair
     bob = np.einsum("sxyab,b->sxy", tables, signs)
     m = np.column_stack([np.ones(16), (alice * bob).reshape(16, 4), alice[:, :, 0], bob[:, 0, :]])
-    t = tables.reshape(16, -1) @ term_cells(iq.terms, frozenset(pairs)).sum(axis=0).reshape(-1)
+    t = tables.reshape(16, -1) @ coefficient_tensor(iq, 2, 2).reshape(-1)
 
     sol, *_ = np.linalg.lstsq(m[:, :5], t, rcond=None)
     residual = float(np.max(np.abs(m[:, :5] @ sol - t)))
@@ -559,8 +562,7 @@ def eprinciple_check(
     value = float(sum(probs))
     pentagon_cap = None
     chsh_cap = None
-    iso, _ = is_isomorphic(g, cycle(5)) if g.n == 5 else (False, None)
-    if iso:
+    if g.n == 5 and g.degrees() == [2] * 5:  # the only 2-regular simple graph on 5 vertices is C5
         pentagon_cap = lovasz_theta(cycle(5)).value if pentagon_theta is None else pentagon_theta
         try:
             dec = chsh_decomposition(iq)
@@ -706,12 +708,6 @@ def canonical_form(terms):
     lexicographically least sorted image, as a tuple of event keys."""
     codes = np.unique([_code(e) for e in terms])
     return tuple(_key(c) for c in _lexmin(_orbit_rows(_compacted(codes[None])[0])).tolist())
-
-
-def canonicalize(iq: Inequality) -> Inequality:
-    """Representative inequality of iq's equivalence class."""
-    keys = canonical_form(iq.terms)
-    return Inequality(tuple(_event_from_key(k) for k in keys), name=iq.name)
 
 
 def _induced_five_cycles(adjacent: np.ndarray) -> np.ndarray:

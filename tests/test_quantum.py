@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from pentabell.quantum import (
     _bell_matrix,
     _positive_eigenspace_projector,
     _seesaw,
-    _seesaw_once,
+    _stack,
     behavior_of,
     bell_operator,
     block_reduce,
@@ -35,6 +36,7 @@ from pentabell.scenarios import (
     evaluate,
     exclusivity_graph,
     named_inequality,
+    term_cells,
 )
 from pentabell.theta import lovasz_theta
 
@@ -53,32 +55,50 @@ def random_projector(d, rng):
     return q @ q.T
 
 
+def coefficients(iq, n_a, n_b):
+    """W[x, y, a, b]: the terms' cells summed over every setting pair."""
+    return term_cells(iq.terms, frozenset(itertools.product(range(n_a), range(n_b)))).sum(axis=0)
+
+
+def effect(projs, setting, outcome, d):
+    return projs[setting] if outcome == 0 else np.eye(d) - projs[setting]
+
+
 def kron_bell_matrix(iq, alice, bob, dims):
-    """Reference: one np.kron per term, summed in term order."""
+    """Reference: one np.kron per (x, a) of E_a^x with the sum over (y, b)
+    of W[x, y, a, b] F_b^y, summed in (x, a) order."""
+    d_a, d_b = dims
+    w = coefficients(iq, len(alice), len(bob))
+    s = np.zeros((d_a * d_b, d_a * d_b))
+    for x, a in itertools.product(range(len(alice)), range(2)):
+        partner = sum(w[x, y, a, b] * effect(bob, y, b, d_b) for y in range(len(bob)) for b in range(2))
+        s += np.kron(effect(alice, x, a, d_a), partner)
+    return (s + s.T) / 2.0
+
+
+def kron_bell_matrix_by_events(iq, alice, bob, dims):
+    """Reference in the event representation: one np.kron per term, summed
+    in term order, with the identity for a wildcard party."""
     d_a, d_b = dims
     s = np.zeros((d_a * d_b, d_a * d_b))
     for term in iq.terms:
-        op_a, op_b = np.eye(d_a), np.eye(d_b)
-        if term.alice is not None:
-            x, a = term.alice
-            op_a = alice[x] if a == 0 else np.eye(d_a) - alice[x]
-        if term.bob is not None:
-            y, b = term.bob
-            op_b = bob[y] if b == 0 else np.eye(d_b) - bob[y]
+        op_a = np.eye(d_a) if term.alice is None else effect(alice, *term.alice, d_a)
+        op_b = np.eye(d_b) if term.bob is None else effect(bob, *term.bob, d_b)
         s += np.kron(op_a, op_b)
     return (s + s.T) / 2.0
 
 
 def sequential_seesaw(iq, dims, rng):
-    """Reference: one see-saw run on single matrices, the measurement update
-    of each setting term by term.  Returns (value, state, alice, bob, trace)."""
+    """Reference: one see-saw run on single matrices.  Each setting's
+    effective operator is summed cell by cell: the coefficient
+    W[x, y, 0, b] - W[x, y, 1, b] times psi F_b^y psi^T for Alice, and the
+    mirror for Bob.  Returns (value, state, alice, bob, trace)."""
     d_a, d_b = dims
-    alice = [projector_onto(rng.standard_normal(d_a)) for _ in range(iq.alice_settings)]
-    bob = [projector_onto(rng.standard_normal(d_b)) for _ in range(iq.bob_settings)]
+    n_a, n_b = iq.alice_settings, iq.bob_settings
+    w = coefficients(iq, n_a, n_b)
+    alice = [projector_onto(rng.standard_normal(d_a)) for _ in range(n_a)]
+    bob = [projector_onto(rng.standard_normal(d_b)) for _ in range(n_b)]
     rng.standard_normal(d_a * d_b)
-
-    def effect(projs, part, d):
-        return projs[part[0]] if part[1] == 0 else np.eye(d) - projs[part[0]]
 
     def positive_projector(f):
         w, v = np.linalg.eigh((f + f.T) / 2.0)
@@ -87,31 +107,25 @@ def sequential_seesaw(iq, dims, rng):
 
     value, stall, trace = -np.inf, 0, []
     for _ in range(10_000):
-        w, v = np.linalg.eigh(kron_bell_matrix(iq, alice, bob, dims))
-        trace.append(float(w[-1]))
+        w_val, v = np.linalg.eigh(kron_bell_matrix(iq, alice, bob, dims))
+        trace.append(float(w_val[-1]))
         psi = v[:, -1].reshape(d_a, d_b)
-        for x in range(iq.alice_settings):
+        for x in range(n_a):
             f = np.zeros((d_a, d_a))
-            for t in iq.terms:
-                if t.alice is not None and t.alice[0] == x:
-                    op_b = np.eye(d_b) if t.bob is None else effect(bob, t.bob, d_b)
-                    m = psi @ op_b @ psi.T
-                    f += m if t.alice[1] == 0 else -m
+            for y, b in itertools.product(range(n_b), range(2)):
+                f += (w[x, y, 0, b] - w[x, y, 1, b]) * (psi @ effect(bob, y, b, d_b) @ psi.T)
             alice[x] = positive_projector(f)
-        for y in range(iq.bob_settings):
+        for y in range(n_b):
             f = np.zeros((d_b, d_b))
-            for t in iq.terms:
-                if t.bob is not None and t.bob[0] == y:
-                    op_a = np.eye(d_a) if t.alice is None else effect(alice, t.alice, d_a)
-                    m = psi.T @ op_a @ psi
-                    f += m if t.bob[1] == 0 else -m
+            for x, a in itertools.product(range(n_a), range(2)):
+                f += (w[x, y, a, 0] - w[x, y, a, 1]) * (psi.T @ effect(alice, x, a, d_a) @ psi)
             bob[y] = positive_projector(f)
         stall = stall + 1 if trace[-1] - value < 1e-12 else 0
         value = max(value, trace[-1])
         if stall >= 2:
             break
-    w, v = np.linalg.eigh(kron_bell_matrix(iq, alice, bob, dims))
-    return float(w[-1]), v[:, -1], alice, bob, trace
+    w_val, v = np.linalg.eigh(kron_bell_matrix(iq, alice, bob, dims))
+    return float(w_val[-1]), v[:, -1], alice, bob, trace
 
 
 class FixedStart:
@@ -232,8 +246,15 @@ def test_bell_operator_chsh_prob_max_eig():
 
 def test_bell_operator_missing_measurement():
     iq = named_inequality("pentagon-3")  # needs three Alice settings
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"setting pairs do not cover event 11\|20"):
         bell_operator(iq, known_optimal_model("pentagon-2"))
+
+
+def test_bell_operator_reads_the_models_settings():
+    # a declared but unused third Alice setting needs no measurement
+    iq = Inequality(named_inequality("pentagon-2").terms, alice_settings=3)
+    s = bell_operator(iq, known_optimal_model("pentagon-2"))
+    assert np.linalg.eigvalsh(s)[-1] == pytest.approx(PENT_Q, abs=1e-9)
 
 
 def test_expectation_identity():
@@ -241,7 +262,7 @@ def test_expectation_identity():
     rng = np.random.default_rng(3)
     iq = named_inequality("pentagon-1")
     for _ in range(5):
-        _, model, _ = _seesaw_once(iq, (2, 2), rng)
+        _, model, _ = _seesaw(iq, (2, 2), [rng])
         s = bell_operator(iq, model)
         lhs = float(model.state @ s @ model.state)
         rhs = evaluate(iq, behavior_of(model))
@@ -274,7 +295,7 @@ def test_seesaw_reaches_known_maxima(name, target, tol):
 def test_seesaw_monotone_along_iterations():
     iq = named_inequality("pentagon-1")
     for seed in range(5):
-        _, _, trace = _seesaw_once(iq, (2, 2), np.random.default_rng(seed))
+        _, _, (trace,) = _seesaw(iq, (2, 2), [np.random.default_rng(seed)])
         assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
 
 
@@ -312,8 +333,8 @@ def test_seesaw_ties_keep_the_lowest_restart():
     iq = named_inequality("pentagon-1")
     # both starts are deterministic strategies that stay at the value 2
     low, high = FixedStart([1.0, 0.0]), FixedStart([0.0, 1.0])
-    v_low, m_low, _ = _seesaw_once(iq, (2, 2), low)
-    v_high, m_high, _ = _seesaw_once(iq, (2, 2), high)
+    v_low, m_low, _ = _seesaw(iq, (2, 2), [low])
+    v_high, m_high, _ = _seesaw(iq, (2, 2), [high])
     assert v_low == v_high == 2.0
     assert not same_measurements(m_low, m_high)
     assert same_measurements(_seesaw(iq, (2, 2), [low, high])[1], m_low)
@@ -325,7 +346,7 @@ def test_seesaw_near_ties_keep_the_lowest_restart():
     # so the winner is restart 0, not whichever one rounding favours
     iq = named_inequality("pentagon-1")
     value, model = qmax_seesaw(iq, dims=(2, 2), restarts=32, seed=0)
-    first_value, first_model, _ = _seesaw_once(iq, (2, 2), np.random.default_rng(0))
+    first_value, first_model, _ = _seesaw(iq, (2, 2), [np.random.default_rng(0)])
     assert abs(value - first_value) <= 1e-12
     assert np.array_equal(model.state, first_model.state)
     assert same_measurements(model, first_model)
@@ -356,7 +377,7 @@ def test_single_restart_is_one_seesaw_run():
     iq = named_inequality("pentagon-2")
     for seed in (0, 3):
         value, model = qmax_seesaw(iq, dims=(3, 3), restarts=1, seed=seed)
-        once_value, once_model, _ = _seesaw_once(iq, (3, 3), np.random.default_rng(seed))
+        once_value, once_model, _ = _seesaw(iq, (3, 3), [np.random.default_rng(seed)])
         assert value == once_value
         assert np.array_equal(model.state, once_model.state)
         assert same_measurements(model, once_model)
@@ -397,14 +418,17 @@ def test_bell_matrix_broadcasts_over_projector_stacks(name, dims):
     bob = [np.array([random_projector(dims[1], rng) for _ in range(k)]) for _ in range(iq.bob_settings)]
     # Bob's setting 0 is one shared matrix, broadcast against the stacks
     bob[0] = bob[0][0]
-    batched = _bell_matrix(iq, alice, bob, dims)
+    w = coefficients(iq, iq.alice_settings, iq.bob_settings)
+    batched = _bell_matrix(w, _stack(alice), _stack(bob))
     assert batched.shape == (k, dims[0] * dims[1], dims[0] * dims[1])
     for i in range(k):
-        ref = kron_bell_matrix(iq, [p[i] for p in alice], [bob[0]] + [p[i] for p in bob[1:]], dims)
-        assert np.max(np.abs(batched[i] - ref)) <= 1e-15
+        alice_i, bob_i = [p[i] for p in alice], [bob[0]] + [p[i] for p in bob[1:]]
+        assert np.max(np.abs(batched[i] - kron_bell_matrix(iq, alice_i, bob_i, dims))) <= 1e-15
+        # the event representation gives the same operator up to rounding
+        assert np.max(np.abs(batched[i] - kron_bell_matrix_by_events(iq, alice_i, bob_i, dims))) <= 1e-14
     # one pair of matrices reproduces the np.kron sum bit for bit
     alice0, bob0 = [p[0] for p in alice], [bob[0]] + [p[0] for p in bob[1:]]
-    assert np.array_equal(_bell_matrix(iq, alice0, bob0, dims), kron_bell_matrix(iq, alice0, bob0, dims))
+    assert np.array_equal(_bell_matrix(w, _stack(alice0), _stack(bob0)), kron_bell_matrix(iq, alice0, bob0, dims))
 
 
 def test_seesaw_capacity_and_validation():
@@ -441,7 +465,8 @@ def pentagon1_top_eig(angle_a, angle_b):
     sigma_z0 = np.diag([1.0, 0.0])
     alice = [sigma_z0, qubit_projector(angle_a)]
     bob = [sigma_z0, qubit_projector(angle_b)]
-    return np.linalg.eigvalsh(_bell_matrix(named_inequality("pentagon-1"), alice, bob, (2, 2)))[-1]
+    w = coefficients(named_inequality("pentagon-1"), 2, 2)
+    return np.linalg.eigvalsh(_bell_matrix(w, _stack(alice), _stack(bob)))[-1]
 
 
 def test_scan_eigenvalue_symmetries():
@@ -458,7 +483,8 @@ def test_no_two_angle_grid_point_beats_the_scan():
     # symmetry assumed
     sigma_z0 = np.diag([1.0, 0.0])
     grid = np.array([qubit_projector(t) for t in np.linspace(0.0, math.pi, 181)])
-    operators = _bell_matrix(named_inequality("pentagon-1"), [sigma_z0, grid[:, None]], [sigma_z0, grid], (2, 2))
+    w = coefficients(named_inequality("pentagon-1"), 2, 2)
+    operators = _bell_matrix(w, _stack([sigma_z0, grid[:, None]]), _stack([sigma_z0, grid]))
     assert operators.shape == (181, 181, 4, 4)
     assert np.linalg.eigvalsh(operators)[..., -1].max() <= qmax_scan_ineq2().value + 1e-12
 
