@@ -157,10 +157,11 @@ def cmd_lhv(args) -> int:
 
 def cmd_qmax(args) -> int:
     iq = _resolve_inequality(args.scenario)
-    dims = tuple(int(d) for d in args.dims.split(","))
-    if len(dims) != 2:
-        raise InvalidInputError("--dims must be dA,dB")
-    value, model = quantum.qmax_seesaw(iq, dims=dims, restarts=args.restarts, seed=args.seed)
+    try:
+        d_a, d_b = (int(d) for d in args.dims.split(","))
+    except ValueError:
+        raise InvalidInputError(f"--dims must be two integers dA,dB, got {args.dims!r}") from None
+    value, model = quantum.qmax_seesaw(iq, dims=(d_a, d_b), restarts=args.restarts, seed=args.seed)
     g, _ = scenarios.exclusivity_graph(iq)
     theta_value = theta.lovasz_theta(g).value
     if args.model_out:
@@ -178,7 +179,7 @@ def cmd_qmax(args) -> int:
         {
             "value": value,
             "theta": theta_value,
-            "dims": list(dims),
+            "dims": [d_a, d_b],
             "restarts": args.restarts,
             "seed": args.seed,
             "name": iq.name,

@@ -29,10 +29,11 @@ iteration is one batched Bell-operator build and eigenvalue call, then one
 batched measurement update per party.  A party's effective operators for
 all its settings are one contraction of W's outcome differences
 (W[x, y, 0, b] - W[x, y, 1, b] for Alice) with the other party's effects
-sandwiched by the states, followed by one eigenvalue call.  32 restarts
-for each of the 5 named inequalities at dims (2,2), (3,3) and (4,4), over
-seeds 0, 1 and 7, take 0.5-0.7 s (about 0.4 ms per restart) on the
-machine above.
+sandwiched by the states, followed by one eigenvalue call.  A run stops
+at its first step whose value fails to grow by 1e-12 and keeps the state
+and measurements of that step.  32 restarts for each of the 5 named
+inequalities at dims (2,2), (3,3) and (4,4), over seeds 0, 1 and 7, take
+about 0.22 s (about 0.15 ms per restart) on the machine above.
 """
 
 from __future__ import annotations
@@ -204,19 +205,18 @@ def _positive_eigenspace_projector(f: np.ndarray) -> np.ndarray:
 def _seesaw(iq, dims, rngs):
     """See-saw from one random start per generator, all run as one stack.
 
-    Returns the final value and model of the first run within _TIE of the
-    best, and every run's trace of per-iteration values.  Each run stops on
-    its own once its value has failed twice in a row to grow by _TIE; the
-    others carry on.
+    Each run stops on its own at its first step whose top eigenvalue fails
+    to grow by _TIE; the others carry on.  A stopped run keeps that value,
+    the Bell operator's top eigenvector at it and the measurements that
+    gave it.  Returns the value and model of the first run within _TIE of
+    the best, and every run's trace of per-step values.
     """
     d_a, d_b = dims
     starts_a, starts_b = [], []
     for rng in rngs:
-        # one random direction per setting, Alice's then Bob's, then an
-        # unused start state: the draw order of each stream is fixed
+        # one random direction per setting, Alice's then Bob's
         starts_a.append(rng.standard_normal((iq.alice_settings, d_a)))
         starts_b.append(rng.standard_normal((iq.bob_settings, d_b)))
-        rng.standard_normal(d_a * d_b)
     alice = _rank_one_projectors(np.array(starts_a))  # (run, setting, d, d)
     bob = _rank_one_projectors(np.array(starts_b))
     w = coefficient_tensor(iq, iq.alice_settings, iq.bob_settings)
@@ -226,30 +226,27 @@ def _seesaw(iq, dims, rngs):
     diff_b = (w[..., 0] - w[..., 1]).transpose(1, 0, 2).reshape(iq.bob_settings, -1)
 
     value = np.full(len(rngs), -np.inf)
-    stall = np.zeros(len(rngs), dtype=int)
+    state = np.zeros((len(rngs), d_a * d_b))
     traces = [[] for _ in rngs]
     active = np.arange(len(rngs))
     for _ in range(10_000):
-        if active.size == 0:
-            break
         w_val, v = np.linalg.eigh(_bell_matrix(w, alice[active], bob[active]))
         new_value = w_val[:, -1]
         for r, t in zip(active, new_value):
             traces[r].append(float(t))
-        psi = v[:, :, -1].reshape(-1, 1, d_a, d_b)
+        grew = new_value - value[active] >= _TIE
+        value[active], state[active] = new_value, v[:, :, -1]
+        active = active[grew]
+        if active.size == 0:
+            break
+        psi = v[grew, :, -1].reshape(-1, 1, d_a, d_b)
         psi_t = np.swapaxes(psi, -1, -2)
         alice[active] = _positive_eigenspace_projector(_combine(diff_a, psi @ _effects(bob[active]) @ psi_t))
         bob[active] = _positive_eigenspace_projector(_combine(diff_b, psi_t @ _effects(alice[active]) @ psi))
 
-        stalled = new_value - value[active] < _TIE
-        stall[active] = np.where(stalled, stall[active] + 1, 0)
-        value[active] = np.maximum(value[active], new_value)
-        active = active[stall[active] < 2]
-
-    w_val, v = np.linalg.eigh(_bell_matrix(w, alice, bob))
-    best = int(np.argmax(w_val[:, -1] >= w_val[:, -1].max() - _TIE))
-    model = QuantumModel(dims, v[best, :, -1], tuple(alice[best]), tuple(bob[best]))
-    return float(w_val[best, -1]), model, traces
+    best = int(np.argmax(value >= value.max() - _TIE))
+    model = QuantumModel(dims, state[best], tuple(alice[best]), tuple(bob[best]))
+    return float(value[best]), model, traces
 
 
 def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
@@ -257,14 +254,18 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
 
     Alternates the state (top eigenvector of the Bell operator) with the
     measurements (projector onto the strictly positive eigenspace of each
-    setting's effective operator); the value is monotone along a run.
+    setting's effective operator); the value is monotone along a run.  A
+    restart stops at its first step whose value fails to grow by 1e-12 and
+    keeps that value with the state and measurements that gave it.
     Restart r uses seed + r, and values within 1e-12 of the best count as
     ties, which keep the lowest restart index.
     Restarts run as one stack, in blocks of up to 1024, so each iteration
     makes one batched eigenvalue call per stage for every restart still
-    running; about 0.4 ms per restart (see the module docstring).
+    running; about 0.15 ms per restart (see the module docstring).
     """
     d_a, d_b = int(dims[0]), int(dims[1])
+    if d_a < 1 or d_b < 1:
+        raise InvalidInputError("local dimensions must be >= 1")
     if d_a > MAX_LOCAL_DIM or d_b > MAX_LOCAL_DIM:
         raise CapacityError(f"local dimensions limited to {MAX_LOCAL_DIM}")
     if restarts < 1:

@@ -263,6 +263,9 @@ def test_invalid_inputs_exit_one(tmp_path):
     assert code == 1
     code, _, err = run_cli(["qmax", "pentagon-1", "--dims", "9"])
     assert code == 1
+    for dims in ("0,2", "2,x"):
+        code, _, err = run_cli(["qmax", "pentagon-2", "--dims", dims])
+        assert code == 1 and err.startswith("error: ")
 
 
 def test_capacity_errors_exit_two(tmp_path):

@@ -89,26 +89,30 @@ def kron_bell_matrix_by_events(iq, alice, bob, dims):
 
 
 def sequential_seesaw(iq, dims, rng):
-    """Reference: one see-saw run on single matrices.  Each setting's
-    effective operator is summed cell by cell: the coefficient
+    """Reference: one see-saw run on single matrices.  Each step appends the
+    Bell operator's top eigenvalue to the trace and stops if it failed to
+    grow by 1e-12; otherwise it updates Alice's settings, then Bob's.  Each
+    setting's effective operator is summed cell by cell: the coefficient
     W[x, y, 0, b] - W[x, y, 1, b] times psi F_b^y psi^T for Alice, and the
-    mirror for Bob.  Returns (value, state, alice, bob, trace)."""
+    mirror for Bob.  Returns (value, state, alice, bob, trace) at the step
+    that stopped."""
     d_a, d_b = dims
     n_a, n_b = iq.alice_settings, iq.bob_settings
     w = coefficients(iq, n_a, n_b)
     alice = [projector_onto(rng.standard_normal(d_a)) for _ in range(n_a)]
     bob = [projector_onto(rng.standard_normal(d_b)) for _ in range(n_b)]
-    rng.standard_normal(d_a * d_b)
 
     def positive_projector(f):
         w, v = np.linalg.eigh((f + f.T) / 2.0)
         keep = v[:, w > 1e-11 * max(1.0, float(np.abs(w).max()))]
         return keep @ keep.T
 
-    value, stall, trace = -np.inf, 0, []
+    trace = []
     for _ in range(10_000):
         w_val, v = np.linalg.eigh(kron_bell_matrix(iq, alice, bob, dims))
         trace.append(float(w_val[-1]))
+        if len(trace) > 1 and trace[-1] - trace[-2] < 1e-12:
+            break
         psi = v[:, -1].reshape(d_a, d_b)
         for x in range(n_a):
             f = np.zeros((d_a, d_a))
@@ -120,12 +124,7 @@ def sequential_seesaw(iq, dims, rng):
             for x, a in itertools.product(range(n_a), range(2)):
                 f += (w[x, y, a, 0] - w[x, y, a, 1]) * (psi.T @ effect(alice, x, a, d_a) @ psi)
             bob[y] = positive_projector(f)
-        stall = stall + 1 if trace[-1] - value < 1e-12 else 0
-        value = max(value, trace[-1])
-        if stall >= 2:
-            break
-    w_val, v = np.linalg.eigh(kron_bell_matrix(iq, alice, bob, dims))
-    return float(w_val[-1]), v[:, -1], alice, bob, trace
+    return trace[-1], v[:, -1], alice, bob, trace
 
 
 class FixedStart:
@@ -361,6 +360,43 @@ def test_every_restart_trace_is_monotone(name):
         assert trace and all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
 
 
+@pytest.mark.parametrize("name", ["pentagon-1", "i3322"])
+def test_seesaw_stops_at_its_first_stalled_step(monkeypatch, name):
+    import pentabell.quantum as quantum
+
+    # stack rows per call: Bell operators built, and measurement updates,
+    # which alternate Alice's and Bob's
+    built, updates = [], []
+    bell_matrix, update = quantum._bell_matrix, quantum._positive_eigenspace_projector
+
+    def counted_bell_matrix(w, alice, bob):
+        out = bell_matrix(w, alice, bob)
+        built.append(len(out))
+        return out
+
+    def counted_update(f):
+        out = update(f)
+        updates.append(len(out))
+        return out
+
+    monkeypatch.setattr(quantum, "_bell_matrix", counted_bell_matrix)
+    monkeypatch.setattr(quantum, "_positive_eigenspace_projector", counted_update)
+    iq = named_inequality(name)
+    value, model, traces = _seesaw(iq, (3, 3), [np.random.default_rng(r) for r in range(16)])
+    steps = sum(len(trace) for trace in traces)
+    assert sum(built) == steps
+    assert sum(updates[0::2]) == sum(updates[1::2]) == steps - len(traces)
+    for trace in traces:
+        assert all(b - a >= 1e-12 for a, b in zip(trace[:-2], trace[1:-1]))
+        assert trace[-1] - trace[-2] < 1e-12
+    # the value is the winner's last step, and the model gives it
+    finals = np.array([trace[-1] for trace in traces])
+    assert value == finals[int(np.argmax(finals >= finals.max() - 1e-12))]
+    s = bell_operator(iq, model)
+    assert abs(np.linalg.eigvalsh(s)[-1] - value) <= 1e-12
+    assert abs(model.state @ s @ model.state - value) <= 1e-12
+
+
 def test_restart_blocks_do_not_change_the_result(monkeypatch):
     import pentabell.quantum as quantum
 
@@ -435,6 +471,9 @@ def test_seesaw_capacity_and_validation():
     iq = named_inequality("pentagon-1")
     with pytest.raises(CapacityError):
         qmax_seesaw(iq, dims=(5, 2))
+    for dims in ((0, 2), (-1, 2), (2, 0)):
+        with pytest.raises(InvalidInputError, match="local dimensions must be >= 1"):
+            qmax_seesaw(iq, dims=dims)
     with pytest.raises(InvalidInputError):
         qmax_seesaw(iq, restarts=0)
 
