@@ -232,12 +232,13 @@ IDEAL_COLUMN_2 = (0.427, 0.427, 0.427, 0.427, 0.5)
 
 def _block_spectra_worst_dev(rng, count: int) -> float:
     """Largest gap between the sorted spectrum of P1 x Q1 + P2 x Q2 + 1 x Q0
-    and that of its `block_reduce` blocks plus residual, over `count` random
-    instances (Alice dimension 2-6, random ranks, random symmetric Q's).
+    and that of its blocks plus residual, over `count` random instances
+    (Alice dimension 2-6, random ranks, random symmetric Q's).
 
-    The draws keep the order of one instance at a time; the QR factors, the
-    full operators and their spectra are then stacked per Alice dimension,
-    and the block spectra per block size.
+    The draws keep the order of one instance at a time.  The QR factors,
+    the full operators and their spectra, and the `block_reductions` are
+    then one stacked call per Alice dimension, and the block spectra one
+    per block size.
     """
     draws = []
     for _ in range(count):
@@ -256,7 +257,7 @@ def _block_spectra_worst_dev(rng, count: int) -> float:
         qs = (qs + np.swapaxes(qs, -1, -2)) / 2
         full = quantum.two_projector_operator(p[:, 0], p[:, 1], qs[:, 0], qs[:, 1], qs[:, 2])
         full_spectra.extend(np.linalg.eigvalsh(full))
-        reductions.extend(quantum.block_reduce(*pp, *q) for pp, q in zip(p, qs))
+        reductions.extend(quantum.block_reductions(p[:, 0], p[:, 1], qs[:, 0], qs[:, 1], qs[:, 2]))
 
     blocks = [b for red in reductions for b in red.blocks]
     sizes = {len(b) for b in blocks}

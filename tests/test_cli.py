@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pentabell import theta
+from pentabell import quantum, theta
 from pentabell.cli import main
 from pentabell.graphs import circulant, complete_graph, cycle, empty_graph, save_graph
 
@@ -57,6 +57,25 @@ def test_report_solves_theta_once_per_graph(monkeypatch):
     assert code == 0
     assert len(solved) == 3
     assert len(set(solved)) == 3
+
+
+def test_report_reduces_blocks_once_per_alice_dimension(monkeypatch):
+    alice_dims = []
+    reduce = quantum.block_reductions
+
+    def counting(p1, *args):
+        alice_dims.append(np.shape(p1)[-1])
+        return reduce(p1, *args)
+
+    def per_instance(*args):
+        raise AssertionError("report reduced one instance at a time")
+
+    monkeypatch.setattr(quantum, "block_reductions", counting)
+    monkeypatch.setattr(quantum, "block_reduce", per_instance)
+    code, _, _ = run_cli(["report", "--json"])
+    assert code == 0
+    # the report draws Alice dimensions 2-6
+    assert sorted(alice_dims) == [2, 3, 4, 5, 6]
 
 
 def test_alpha_on_graph_files(tmp_path):

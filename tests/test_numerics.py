@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pentabell.errors import CapacityError, InvalidInputError
-from pentabell.numerics import sdp_path, svd
+from pentabell.numerics import as_sym_matrix, sdp_path, svd
 
 
 def random_symmetric(n, rng):
@@ -131,10 +131,35 @@ def test_sdp_rejects_nonfinite_asymmetric_and_malformed_input():
         sdp_path(np.array([[1.0, np.nan], [np.nan, 1.0]]), *good)
     with pytest.raises(InvalidInputError):
         sdp_path(np.array([[1.0, 2.0], [0.0, 1.0]]), *good)
+    with pytest.raises(InvalidInputError, match="2-d"):
+        sdp_path(np.stack([eye, eye]), *good)
     with pytest.raises(InvalidInputError):
         sdp_path(eye, [1.0], [0, 0], [(0, 0), (1, 2)], [1.0, 1.0])
     with pytest.raises(InvalidInputError):
         sdp_path(eye, [1.0, 0.0], [1, 0], [(0, 0), (1, 1)], [1.0, 1.0])
+
+
+def test_as_sym_matrix_validates_each_matrix_of_a_stack():
+    rng = np.random.default_rng(5)
+    stack = np.stack([random_symmetric(3, rng) for _ in range(4)])
+    stack[0] += 1e-12 * rng.standard_normal((3, 3))  # round-off asymmetry is symmetrized
+    for k in range(4):
+        assert np.array_equal(as_sym_matrix(stack[k : k + 1])[0], as_sym_matrix(stack[k]))
+    sym = as_sym_matrix(stack)
+    assert np.array_equal(sym, np.swapaxes(sym, -1, -2))
+    bad = stack.copy()
+    bad[2, 0, 1] = np.inf
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        as_sym_matrix(bad)
+    # the symmetry scale is each matrix's own: 1e3 entries elsewhere in the
+    # stack do not excuse a 1e-6 asymmetry in a matrix of unit entries
+    bad = stack.copy()
+    bad[1] *= 1e3 / np.abs(bad[1]).max()
+    bad[3, 0, 1] += 1e-6
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        as_sym_matrix(bad)
+    with pytest.raises(InvalidInputError, match="square"):
+        as_sym_matrix(np.zeros((2, 3, 4)))
 
 
 def test_sdp_capacity_envelope():

@@ -15,6 +15,7 @@ from pentabell.quantum import (
     behavior_of,
     bell_operator,
     block_reduce,
+    block_reductions,
     kcbs_model,
     kcbs_vectors,
     known_optimal_model,
@@ -715,6 +716,48 @@ def test_two_projector_operator_is_the_kron_sum_and_broadcasts():
 def test_block_reduction_rejects_non_projector():
     with pytest.raises(InvalidInputError):
         block_reduce(np.diag([0.5, 0.5]), np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("p", [np.zeros((2, 2)), np.diag([1.0, 0.0])], ids=["rank-0", "rank-1"])
+def test_block_reduction_rejects_qs_of_different_sizes(p):
+    for qs in [(np.eye(2), np.eye(3), np.eye(2)), (np.eye(2), np.eye(2), np.eye(3)), (np.eye(3), np.eye(2), np.eye(2))]:
+        with pytest.raises(InvalidInputError, match="Q0, Q1 and Q2 act on different spaces"):
+            block_reduce(p, p, *qs)
+
+
+def reduction_stacks():
+    """The 320 `reduction_instance` cases as stacks, one per (d_A, d_B)."""
+    groups = {}
+    for seed in range(320):
+        args = reduction_instance(seed)
+        groups.setdefault((len(args[0]), len(args[2])), []).append(args)
+    return groups
+
+
+def test_block_reductions_equal_block_reduce_on_each_instance():
+    rank_pairs = []
+    for group in reduction_stacks().values():
+        reductions = block_reductions(*(np.stack(mats) for mats in zip(*group)))
+        assert len(reductions) == len(group)
+        for args, red in zip(group, reductions):
+            alone = block_reduce(*args)
+            assert len(red.blocks) == len(alone.blocks)
+            assert all(np.array_equal(b, ref) for b, ref in zip(red.blocks, alone.blocks))
+            assert np.array_equal(red.residual_spectrum, alone.residual_spectrum)
+            assert np.array_equal(red.gram_singular_values, alone.gram_singular_values)
+        rank_pairs.append({(round(np.trace(p1)), round(np.trace(p2))) for p1, p2, *_ in group})
+    # stacks mix rank pairs, and zero ranks ride in stacks with nonzero ones
+    assert all(len(pairs) >= 4 for pairs in rank_pairs)
+    assert any(0 in pair for pairs in rank_pairs for pair in pairs)
+
+
+def test_block_reductions_reject_a_stack_with_one_non_projector():
+    group = list(reduction_stacks()[(2, 2)])
+    group[3] = (np.diag([0.5, 0.5]),) + group[3][1:]
+    with pytest.raises(InvalidInputError, match="P1 is not a projector"):
+        block_reduce(*group[3])
+    with pytest.raises(InvalidInputError, match="P1 is not a projector"):
+        block_reductions(*(np.stack(mats) for mats in zip(*group)))
 
 
 # -------------------------------------------------------------------- KCBS ---
