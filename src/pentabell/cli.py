@@ -46,26 +46,19 @@ def _default_seed() -> int:
         raise InvalidInputError(f"PENTABELL_SEED={raw!r} is not an integer") from None
 
 
-def _resolve_graph(ref: str) -> graphs.Graph:
-    """A graph argument is a JSON file path or a built-in scenario name
-    (named inequalities resolve to their exclusivity graphs)."""
+def _resolve(ref: str, load, named):
+    """A graph or scenario argument: a JSON file path, read by `load`, or a
+    built-in scenario name, built by `named` (named inequalities resolve to
+    their exclusivity graphs; `kcbs-graph` names a graph only)."""
     if Path(ref).exists():
-        return graphs.load_graph(ref)
+        return load(ref)
     if ref in scenarios.SCENARIO_NAMES:
-        return scenarios.named_graph(ref)
-    raise InvalidInputError(f"no such file or named scenario: {ref!r}")
-
-
-def _resolve_inequality(ref: str) -> scenarios.Inequality:
-    if Path(ref).exists():
-        return scenarios.load_scenario(ref)
-    if ref in scenarios._NAMED_TERMS:
-        return scenarios.named_inequality(ref)
+        return named(ref)
     raise InvalidInputError(f"no such file or named scenario: {ref!r}")
 
 
 def cmd_alpha(args) -> int:
-    g = _resolve_graph(args.graph)
+    g = _resolve(args.graph, graphs.load_graph, scenarios.named_graph)
     alpha, witness = graphs.independence_number(g)
     _emit(
         args,
@@ -110,7 +103,7 @@ def _certificate_ok(g: graphs.Graph, result, tol: float) -> bool:
 
 
 def cmd_theta(args) -> int:
-    g = _resolve_graph(args.graph)
+    g = _resolve(args.graph, graphs.load_graph, scenarios.named_graph)
     result = theta.lovasz_theta(g, tol=args.tol)
     lower = float(result.primal.sum())
     upper = float(np.linalg.eigvalsh(result.dual)[-1])
@@ -135,7 +128,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_lhv(args) -> int:
-    iq = _resolve_inequality(args.scenario)
+    iq = _resolve(args.scenario, scenarios.load_scenario, scenarios.named_inequality)
     bound, strategy = scenarios.lhv_bound(iq)
     text = (
         f"lhv bound = {bound}\n"
@@ -156,7 +149,7 @@ def cmd_lhv(args) -> int:
 
 
 def cmd_qmax(args) -> int:
-    iq = _resolve_inequality(args.scenario)
+    iq = _resolve(args.scenario, scenarios.load_scenario, scenarios.named_inequality)
     try:
         d_a, d_b = (int(d) for d in args.dims.split(","))
     except ValueError:
@@ -211,7 +204,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    iq = _resolve_inequality(args.scenario)
+    iq = _resolve(args.scenario, scenarios.load_scenario, scenarios.named_inequality)
     if args.model:
         model = quantum.load_model(args.model)
     else:
@@ -438,12 +431,9 @@ def _report_items():
 def cmd_report(args) -> int:
     items = _report_items()
     all_pass = all(it["ok"] for it in items)
-    if getattr(args, "json", False):
-        print(json.dumps(_round6({"items": items, "all_pass": all_pass}), sort_keys=True, separators=(",", ":")))
-    else:
-        for it in items:
-            print(f"{'PASS' if it['ok'] else 'FAIL'}  {it['name']}: {it['detail']}")
-        print("ALL PASS" if all_pass else "FAILURES PRESENT")
+    lines = [f"{'PASS' if it['ok'] else 'FAIL'}  {it['name']}: {it['detail']}" for it in items]
+    lines.append("ALL PASS" if all_pass else "FAILURES PRESENT")
+    _emit(args, "\n".join(lines), {"items": items, "all_pass": all_pass})
     return 0 if all_pass else 1
 
 

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one boundary through
+which outside JSON documents (the graph, scenario and model files) are read
+and rejected.
+
+A document is read by `load_json` and built by a decoder marked with
+`json_decoder`, which reads every integer field through `strict_int` or
+`strict_pair`: an integer field must be a JSON integer, so `true`, `2.0`
+and `"2"` are rejected rather than coerced, and a pair has exactly two.
+A malformed document raises InvalidInputError, whichever field is wrong.
+"""
+
+import functools
+import json
+import numbers
 
 
 class PentabellError(Exception):
@@ -22,3 +35,53 @@ class ConvergenceError(PentabellError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
+
+
+def strict_int(value, what: str) -> int:
+    """value as an int; anything but an integer (a bool, 2.0 or "2") raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
+def strict_pair(value, what: str) -> tuple:
+    """value as a pair of ints; anything but a list (or tuple) of exactly two
+    integers raises."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InvalidInputError(f"{what} must be a pair of integers, not {value!r}")
+    return strict_int(value[0], what), strict_int(value[1], what)
+
+
+def json_decoder(kind: str):
+    """Mark a function that builds an object from a parsed JSON document: a
+    document of the wrong shape (a missing key, a string where a list
+    belongs, ragged numbers) raises InvalidInputError naming the kind."""
+
+    def wrap(decode):
+        @functools.wraps(decode)
+        def checked(data):
+            try:
+                return decode(data)
+            except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
+                raise InvalidInputError(f"malformed {kind} JSON: {exc}") from exc
+
+        return checked
+
+    return wrap
+
+
+def load_json(path):
+    """The JSON document in the file at path; a file that is not UTF-8 JSON
+    raises InvalidInputError (and a missing one OSError)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def save_json(document, path) -> None:
+    """Write a JSON document to path, indented, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2)
+        fh.write("\n")

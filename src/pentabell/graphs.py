@@ -8,11 +8,10 @@ works with (its capacity limit is enforced, not assumed).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, InvalidInputError, json_decoder, load_json, save_json, strict_int, strict_pair
 
 ALPHA_MAX_VERTICES = 32
 
@@ -173,27 +172,16 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
 
 
+@json_decoder("graph")
 def graph_from_json(data) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InvalidInputError('graph JSON must be {"n": int, "edges": [[i,j],...]}')
-    try:
-        n = int(data["n"])
-        edges = [(int(e[0]), int(e[1])) for e in data["edges"]]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InvalidInputError(f"malformed graph JSON: {exc}") from exc
-    return graph(n, edges)
+    return graph(strict_int(data["n"], "n"), [strict_pair(e, "edge") for e in data["edges"]])
 
 
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{path}: not valid JSON ({exc})") from exc
-    return graph_from_json(data)
+    return graph_from_json(load_json(path))
 
 
 def save_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(g), fh, indent=2)
-        fh.write("\n")
+    save_json(graph_to_json(g), path)

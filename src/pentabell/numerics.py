@@ -1,6 +1,6 @@
 """Dense real linear algebra used by every other module: validated
-matrices, the thin SVD, and one interior-point core for semidefinite
-programs in standard form (sdp_path).
+symmetric matrices and one interior-point core for semidefinite programs
+in standard form (sdp_path).
 
 All operations work on plain numpy arrays in 64-bit floating point and
 validate their inputs (finiteness, shape, symmetry) before delegating to
@@ -10,7 +10,7 @@ are part of the public contract and are exercised by the test suite.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -20,24 +20,6 @@ MAX_ORDER = 64
 
 # Relative asymmetry accepted before a matrix is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-8
-
-
-class SvdDecomposition(NamedTuple):
-    """Thin SVD: orthonormal columns u, v and descending singular values."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
-def as_matrix(a) -> np.ndarray:
-    """Validate a general real matrix: 2-d, finite, dimensions >= 1."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise InvalidInputError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("matrix has non-finite entries")
-    return m
 
 
 def as_sym_matrix(a) -> np.ndarray:
@@ -61,17 +43,6 @@ def as_sym_matrix(a) -> np.ndarray:
     if np.any(np.abs(m - t).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
         raise InvalidInputError("matrix is not symmetric")
     return (m + t) / 2.0
-
-
-def svd(a) -> SvdDecomposition:
-    """Thin singular value decomposition A = U diag(s) V^T.
-
-    Singular values are non-negative and descending; U and V have
-    orthonormal columns; the reconstruction holds within 1e-9 * ||A||.
-    """
-    m = as_matrix(a)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return SvdDecomposition(u, s, vh.T)
 
 
 def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

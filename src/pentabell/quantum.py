@@ -49,14 +49,13 @@ each call pays the stacked path's fixed costs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError
-from .numerics import as_sym_matrix, svd
+from .errors import CapacityError, InvalidInputError, json_decoder, load_json, save_json, strict_int, strict_pair
+from .numerics import as_sym_matrix
 from .scenarios import Behavior, Inequality, coefficient_tensor, named_inequality
 
 MAX_LOCAL_DIM = 4
@@ -199,9 +198,11 @@ def schmidt(state, dims) -> np.ndarray:
     """Descending Schmidt coefficients of a bipartite real unit vector."""
     d_a, d_b = int(dims[0]), int(dims[1])
     v = np.asarray(state, dtype=float).reshape(-1)
+    if v.shape != (d_a * d_b,) or not np.all(np.isfinite(v)):
+        raise InvalidInputError(f"state must be {d_a}*{d_b} finite amplitudes")
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise InvalidInputError("state is not normalized")
-    return svd(v.reshape(d_a, d_b)).singular_values
+    return np.linalg.svd(v.reshape(d_a, d_b), compute_uv=False)
 
 
 def _positive_eigenspace_projector(f: np.ndarray) -> np.ndarray:
@@ -567,44 +568,25 @@ def model_to_json(model: QuantumModel) -> dict:
     }
 
 
+@json_decoder("model")
 def model_from_json(data) -> QuantumModel:
     if not isinstance(data, dict) or "dims" not in data or "state" not in data:
         raise InvalidInputError("model JSON needs 'dims', 'state', 'alice', 'bob'")
-    try:
-        dims = (int(data["dims"][0]), int(data["dims"][1]))
 
-        def decode(entries, dim):
-            by_setting = {}
-            for entry in entries:
-                x = int(entry["setting"])
-                if "vector" in entry:
-                    by_setting[x] = projector_onto(entry["vector"])
-                else:
-                    by_setting[x] = np.asarray(entry["matrix"], dtype=float)
-            if sorted(by_setting) != list(range(len(by_setting))):
-                raise InvalidInputError("measurement settings must be 0..k-1")
-            return tuple(by_setting[x] for x in range(len(by_setting)))
+    def decode(entries):
+        by_setting = {strict_int(e["setting"], "setting"): e for e in entries}
+        if sorted(by_setting) != list(range(len(entries))):
+            raise InvalidInputError("measurement settings must be 0..k-1, each once")
+        ordered = (by_setting[x] for x in range(len(entries)))
+        return tuple(projector_onto(e["vector"]) if "vector" in e else np.asarray(e["matrix"], float) for e in ordered)
 
-        return QuantumModel(
-            dims,
-            np.asarray(data["state"], dtype=float),
-            decode(data["alice"], dims[0]),
-            decode(data["bob"], dims[1]),
-        )
-    except (TypeError, KeyError, ValueError, IndexError) as exc:
-        raise InvalidInputError(f"malformed model JSON: {exc}") from exc
+    state = np.asarray(data["state"], dtype=float)
+    return QuantumModel(strict_pair(data["dims"], "dims"), state, decode(data["alice"]), decode(data["bob"]))
 
 
 def load_model(path) -> QuantumModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{path}: not valid JSON ({exc})") from exc
-    return model_from_json(data)
+    return model_from_json(load_json(path))
 
 
 def save_model(model: QuantumModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, indent=2)
-        fh.write("\n")
+    save_json(model_to_json(model), path)

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, InvalidInputError, json_decoder, load_json, save_json, strict_int, strict_pair
 from .graphs import Graph, cycle, graph
 
 MAX_SETTING = 3  # setting indices 0..3
@@ -822,37 +821,22 @@ def scenario_to_json(iq: Inequality) -> dict:
     }
 
 
+@json_decoder("scenario")
 def scenario_from_json(data) -> Inequality:
-    if not isinstance(data, dict) or "terms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise InvalidInputError("scenario JSON must contain a 'terms' list")
-    try:
-        terms = tuple(
-            Event(
-                None if t.get("alice") is None else tuple(t["alice"]),
-                None if t.get("bob") is None else tuple(t["bob"]),
-            )
-            for t in data["terms"]
-        )
-    except (TypeError, KeyError, IndexError) as exc:
-        raise InvalidInputError(f"malformed scenario term: {exc}") from exc
-    return Inequality(
-        terms,
-        name=str(data.get("name", "")),
-        alice_settings=data.get("alice_settings"),
-        bob_settings=data.get("bob_settings"),
-    )
+
+    def party(term, label):
+        return None if term.get(label) is None else strict_pair(term[label], label)
+
+    settings = {k: strict_int(data[k], k) for k in ("alice_settings", "bob_settings") if data.get(k) is not None}
+    terms = tuple(Event(party(t, "alice"), party(t, "bob")) for t in data["terms"])
+    return Inequality(terms, name=str(data.get("name", "")), **settings)
 
 
 def load_scenario(path) -> Inequality:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_json(data)
+    return scenario_from_json(load_json(path))
 
 
 def save_scenario(iq: Inequality, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_json(iq), fh, indent=2)
-        fh.write("\n")
+    save_json(scenario_to_json(iq), path)

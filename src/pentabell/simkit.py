@@ -33,13 +33,12 @@ in quadrature overstated it by 24-25%).
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, strict_int
 from .quantum import QuantumModel, behavior_of
 from .scenarios import Behavior, Inequality, lhv_bound, term_cells
 
@@ -108,9 +107,7 @@ class SimConfig:
     visibility: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.shots, bool) or not isinstance(self.shots, numbers.Integral):
-            raise InvalidInputError(f"shots must be an integer, not {self.shots!r}")
-        object.__setattr__(self, "shots", int(self.shots))
+        object.__setattr__(self, "shots", strict_int(self.shots, "shots"))
         if self.shots < 1:
             raise InvalidInputError("shots must be >= 1")
         if not 0.0 <= self.visibility <= 1.0:
@@ -119,10 +116,26 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Outcome counts per setting pair; each 2x2 block sums to shots."""
+    """Outcome counts per setting pair: each block is a 2x2 table of
+    non-negative integers over (a, b) that sums to shots, or the table
+    raises InvalidInputError naming the setting pair."""
 
     shots: int
     counts: dict  # (x, y) -> 2x2 integer array over (a, b)
+
+    def __post_init__(self):
+        if strict_int(self.shots, "shots") < 1:
+            raise InvalidInputError("shots must be >= 1")
+        for pair, block in self.counts.items():
+            try:
+                b = np.asarray(block)
+                ok = b.shape == (2, 2) and b.dtype.kind in "iu" and b.min() >= 0 and b.sum() == self.shots
+            except ValueError:  # a ragged block
+                ok = False
+            if not ok:
+                raise InvalidInputError(
+                    f"setting pair {pair}: counts are not 2x2 non-negative integers summing to shots"
+                )
 
 
 def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray) -> np.ndarray:
@@ -298,18 +311,18 @@ def _estimates(tables, pairs, n, iq, ideal, lhv) -> list:
 
 def run_experiment(iq: Inequality, model: QuantumModel, cfg: SimConfig) -> ExperimentReport:
     """Sample counts and report the estimated violation against the ideal
-    column computed from the model at visibility 1."""
-    ideal = behavior_of(model)
-    counts = sample_counts(ideal, cfg)
-    return estimate(counts, iq, ideal=ideal, lhv=float(lhv_bound(iq)[0]))
+    column computed from the model at visibility 1: run_experiments at the
+    one seed cfg.seed."""
+    return run_experiments(iq, model, cfg, (cfg.seed,))[0]
 
 
 def run_experiments(iq: Inequality, model: QuantumModel, cfg: SimConfig, seeds) -> list:
-    """run_experiment at each master seed of `seeds` in place of cfg.seed.
+    """One experiment report at each master seed of `seeds` in place of
+    cfg.seed.
 
     The ideal behavior is computed once and the count tables of all seeds
-    are sampled over one seed axis; each report equals run_experiment's at
-    that seed.
+    are sampled over one seed axis; each table equals sample_counts' at
+    that seed, and each report equals estimate's on that table.
     """
     ideal = behavior_of(model)
     tables = _count_stack(ideal, cfg, list(seeds))

@@ -287,6 +287,65 @@ def test_invalid_inputs_exit_one(tmp_path):
         assert code == 1 and err.startswith("error: ")
 
 
+PARTY = [{"setting": 0, "vector": [1, 0]}, {"setting": 1, "vector": [1, 1]}]
+
+
+def scenario_doc(alice=(0, 0), **changes):
+    terms = [{"alice": list(alice), "bob": [0, 0]}, {"alice": [1, 1], "bob": [1, 0]}]
+    return json.dumps({"alice_settings": 2, "terms": terms, **changes})
+
+
+def graph_doc(**changes):
+    return json.dumps({"n": 3, "edges": [[0, 1]], **changes})
+
+
+def model_doc(**changes):
+    return json.dumps({"dims": [2, 2], "state": [1, 0, 0, 0], "alice": PARTY, "bob": PARTY, **changes})
+
+
+MALFORMED_FILES = {
+    "scenario-setting-string": ("lhv", scenario_doc(alice=("x", 0))),
+    "scenario-settings-string": ("lhv", scenario_doc(alice_settings="3")),
+    "scenario-settings-float": ("lhv", scenario_doc(alice_settings=3.7)),
+    "scenario-terms-string": ("lhv", scenario_doc(terms="abc")),
+    "scenario-term-number": ("lhv", scenario_doc(terms=[1])),
+    "scenario-party-bools": ("lhv", scenario_doc(alice=(True, False))),
+    "scenario-party-float": ("lhv", scenario_doc(alice=(0.9, 0))),
+    "scenario-party-triple": ("lhv", scenario_doc(alice=(0, 0, 5))),
+    "graph-n-float": ("alpha", graph_doc(n=2.5)),
+    "graph-n-bool": ("alpha", graph_doc(n=True, edges=[])),
+    "graph-edge-float": ("alpha", graph_doc(edges=[[0, 1.9]])),
+    "graph-edge-triple": ("alpha", graph_doc(edges=[[0, 1, 2]])),
+    "graph-edges-number": ("alpha", graph_doc(edges=5)),
+    "model-dims-float": ("simulate", model_doc(dims=[2.9, 2])),
+    "model-setting-float": ("simulate", model_doc(alice=[{"setting": 0.5, "vector": [1, 0]}, PARTY[1]])),
+    "model-setting-repeated": ("simulate", model_doc(alice=[{"setting": 0, "vector": [0, 1]}, *PARTY])),
+    "not-utf8": ("alpha", '{"n": 1, "edges": [], "name": "\xff"}'),  # byte 0xff in latin-1
+}
+VALID_FILES = {"scenario": ("lhv", scenario_doc()), "graph": ("alpha", graph_doc()), "model": ("simulate", model_doc())}
+
+
+def run_on_file(tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_bytes(text.encode("latin-1"))
+    argv = [command, str(path)] if command != "simulate" else [command, "pentagon-1", "--model", str(path)]
+    return run_cli(argv)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_files_exit_one_with_one_error_line(tmp_path, case):
+    code, out, err = run_on_file(tmp_path, *MALFORMED_FILES[case])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(VALID_FILES))
+def test_malformed_file_templates_are_valid(tmp_path, case):
+    code, _, err = run_on_file(tmp_path, *VALID_FILES[case])
+    assert code == 0 and err == ""
+
+
 def test_capacity_errors_exit_two(tmp_path):
     path = tmp_path / "big.json"
     save_graph(empty_graph(33), path)

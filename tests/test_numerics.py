@@ -4,51 +4,12 @@ import numpy as np
 import pytest
 
 from pentabell.errors import CapacityError, InvalidInputError
-from pentabell.numerics import as_sym_matrix, sdp_path, svd
+from pentabell.numerics import as_sym_matrix, sdp_path
 
 
 def random_symmetric(n, rng):
     m = rng.standard_normal((n, n))
     return (m + m.T) / 2.0
-
-
-def test_svd_identity():
-    dec = svd(np.eye(3))
-    assert np.allclose(dec.singular_values, np.ones(3))
-
-
-def test_svd_rank_one():
-    u = np.array([3.0, 4.0]) / 5.0
-    v = np.array([1.0, 2.0, 2.0]) / 3.0
-    dec = svd(np.outer(u, v))
-    assert dec.singular_values[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(dec.singular_values[1:] < 1e-12)
-
-
-def test_svd_reconstruction_oracle():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 3))
-    u, s, v = svd(a)
-    assert np.max(np.abs(u @ np.diag(s) @ v.T - a)) < 1e-10
-    assert np.max(np.abs(u.T @ u - np.eye(3))) < 1e-10
-    assert np.max(np.abs(v.T @ v - np.eye(3))) < 1e-10
-
-
-@pytest.mark.parametrize("shape", [(4, 3), (3, 4), (6, 6), (1, 5)])
-def test_svd_matches_gram_eigenvalues(shape):
-    rng = np.random.default_rng(shape[0] * 10 + shape[1])
-    a = rng.standard_normal(shape)
-    s = svd(a).singular_values
-    gram_eigs = np.linalg.eigvalsh(a.T @ a)
-    expected = np.sqrt(np.clip(gram_eigs, 0.0, None))[::-1][: len(s)]
-    assert np.max(np.abs(s - expected)) < 1e-8
-    assert np.all(np.diff(s) <= 1e-12)
-    assert np.all(s >= 0.0)
-
-
-def test_svd_rejects_nonfinite():
-    with pytest.raises(InvalidInputError):
-        svd(np.array([[np.inf, 0.0]]))
 
 
 def unit_trace_sdp(c, tol=1e-9, max_iterations=50):

@@ -558,6 +558,19 @@ def test_schmidt_examples():
     assert np.sum(coeffs**2) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "state,message",
+    [
+        ([1.0, 0.0, 0.0], "state must be 2\\*2 finite amplitudes"),
+        ([np.nan] * 4, "state must be 2\\*2 finite amplitudes"),
+        ([1.0, 0.0, 0.0, 1.0], "state is not normalized"),
+    ],
+)
+def test_schmidt_rejects_malformed_states(state, message):
+    with pytest.raises(InvalidInputError, match=message):
+        schmidt(state, (2, 2))
+
+
 # ----------------------------------------------------------- block reduction ---
 
 

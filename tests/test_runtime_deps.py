@@ -1,5 +1,8 @@
-"""The runtime stays numpy-only: every module of the package imports only
-the standard library, numpy and its own modules."""
+"""Guards on the package source.  The runtime stays numpy-only: every
+module of the package imports only the standard library, numpy and its own
+modules.  Files are read and written only by the input boundary in
+`errors`, so the graph, scenario and model formats share one policy for
+malformed input."""
 
 import ast
 import sys
@@ -25,3 +28,20 @@ def test_imports_are_stdlib_numpy_or_relative(path):
             if top != "numpy" and top not in sys.stdlib_module_names:
                 foreign.append(f"line {node.lineno}: {name}")
     assert not foreign, foreign
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "errors.py"), ids=lambda p: p.name
+)
+def test_only_the_input_boundary_opens_files(path):
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            calls.append(f"line {node.lineno}: open")
+        elif isinstance(func, ast.Attribute) and func.attr in ("load", "dump"):
+            if isinstance(func.value, ast.Name) and func.value.id == "json":
+                calls.append(f"line {node.lineno}: json.{func.attr}")
+    assert not calls, calls

@@ -288,6 +288,21 @@ def test_estimate_degenerate_counts():
     assert report.terms[0].sigma == 0.0
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        [[-10, 50], [30, 30]],  # a negative count
+        [[50, 50], [50, 50]],  # sums to 200, not shots
+        [[25.0, 25.0], [25.0, 25.0]],  # not integers
+        [[50, 50]],  # not 2x2
+        [[50, 25], [25]],  # ragged
+    ],
+)
+def test_count_table_rejects_malformed_blocks(block):
+    with pytest.raises(InvalidInputError, match=r"setting pair \(0, 1\)"):
+        CountTable(100, {(0, 0): np.full((2, 2), 25), (0, 1): block})
+
+
 def test_estimate_missing_setting():
     iq = named_inequality("pentagon-1")
     block = np.full((2, 2), 25, dtype=int)
