@@ -62,9 +62,19 @@ def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, 
     (SIAM J. Optim. 2, 1992), solved through the Schur matrix
     M_kl = tr(A_k X A_l Z^-1).  X and Z stay positive definite, and a step
     of length alpha scales the residuals b - A(X) and C - A^T(y) - Z by
-    1 - alpha.  The caller decides when to stop; the generator ends by
-    itself when a factorisation fails, which near the optimum means the
-    iterates have run out of precision.
+    1 - alpha, so a side that starts feasible stays feasible.
+
+    The start is scaled to the problem data, as in SDPT3 (Toh, Todd &
+    Tutuncu, Optim. Methods Softw. 11, 1999): X = xi I with
+    xi = <A(I), b> / |A(I)|^2 when that is positive, else xi = 1; y = 0;
+    and Z = C when C is positive definite, else Z = max(1, |C|_F) I.  It is
+    exactly primal-feasible when b is a positive multiple of A(I) (theta's
+    edge form starts at X = I/n) and exactly dual-feasible when C is
+    positive definite (theta's free-entry form, C = I/n).
+
+    The caller decides when to stop; the generator ends by itself when a
+    factorisation fails, which near the optimum means the iterates have run
+    out of precision.
     """
     c = as_sym_matrix(c)
     if c.ndim != 2:
@@ -139,7 +149,11 @@ def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, 
         return x + step_x * dx, y + step_z * dy, z + step_z * dz
 
     def iterates():
-        x, y, z = np.eye(n), np.zeros(len(b)), np.eye(n)
+        a_eye = op(np.eye(n))
+        scale = float(a_eye @ b)
+        x = (scale / float(a_eye @ a_eye) if scale > 0 else 1.0) * np.eye(n)
+        y = np.zeros(len(b))
+        z = c if np.linalg.eigvalsh(c)[0] > 0 else max(1.0, float(np.linalg.norm(c))) * np.eye(n)
         while True:
             try:
                 x, y, z = newton(x, y, z)

@@ -184,7 +184,7 @@ def test_theta_convergence_error_exits_two_with_best_gap(monkeypatch):
     # the bounds are checked after every iteration, so two iterations
     # already tighten alpha = 2 and n = 5
     assert err.startswith("error: theta solver did not reach gap 1e-07 in 2 iterations;")
-    assert "best certified gap 3.692e-01 (2.1804890563 <= theta <= 2.5496783127)" in err
+    assert "best certified gap 1.587e-02 (2.2235607976 <= theta <= 2.2394337671)" in err
 
 
 def test_lhv_named_scenarios():

@@ -85,6 +85,63 @@ def test_sdp_equality_constraints_over_several_terms():
     assert [x[0, 0] - x[1, 1], x[0, 1], x[2, 2]] == pytest.approx(b, abs=1e-9)
 
 
+def adjoint(n, y, rows, pairs, coef):
+    # A^T(y) = sum_t y[rows[t]] coef[t] U_ij, U_ij = (e_i e_j^T + e_j e_i^T) / 2
+    out = np.zeros((n, n))
+    for k, (i, j), a in zip(rows, pairs, coef):
+        out[i, j] += y[k] * a / 2.0
+        out[j, i] += y[k] * a / 2.0
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 16, 33])
+def test_sdp_start_is_primal_feasible_when_b_is_proportional_to_a_of_identity(n):
+    # for trace X = 1 the start is X = I / n, and every step keeps A(X) = b
+    c = random_symmetric(n, np.random.default_rng(n))
+    path = sdp_path(c, [1.0], [0] * n, [(i, i) for i in range(n)], [1.0] * n)
+    for k, (x, y, _) in enumerate(path, 1):
+        assert abs(np.trace(x) - 1.0) <= 1e-12, k
+        if abs(float(np.sum(c * x)) - y[0]) <= 1e-9:
+            break
+    assert y[0] == pytest.approx(np.linalg.eigvalsh(c)[0], abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 16])
+def test_sdp_start_is_dual_feasible_when_c_is_positive_definite(n):
+    # the several-term constraints of the test above on the leading 3 x 3
+    # block plus trace 2 on the trailing n x n block: with C positive
+    # definite the start is (y, Z) = (0, C), and every step keeps
+    # C - A^T(y) - Z = 0
+    m = np.random.default_rng(n).standard_normal((n + 3, n + 3))
+    c = m @ m.T + np.eye(n + 3)
+    rows, pairs, coef, b = [0, 0, 1, 2], [(0, 0), (1, 1), (0, 1), (2, 2)], [1.0, -1.0, 1.0, 1.0], [0.5, 0.25, 1.0]
+    rows, pairs, coef, b = rows + [3] * n, pairs + [(i, i) for i in range(3, n + 3)], coef + [1.0] * n, b + [2.0]
+    for k, (x, y, z) in enumerate(sdp_path(c, b, rows, pairs, coef), 1):
+        residual = c - adjoint(n + 3, y, rows, pairs, coef) - z
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(c), k
+        if abs(float(np.sum(c * x)) - float(np.dot(b, y))) <= 1e-9:
+            break
+        assert k < 50
+
+
+def test_sdp_start_feasible_on_neither_side_still_reaches_min_eigenvalue():
+    # minimize <C, X> over order n + 1 with C indefinite on the leading block
+    # and 0 at (n, n), s.t. the leading block has trace 1 and X_nn = 2: b is
+    # not proportional to A(I) = (n, 1), and the optimum is lambda_min(C)
+    n = 8
+    c = np.zeros((n + 1, n + 1))
+    c[:n, :n] = random_symmetric(n, np.random.default_rng(7))
+    rows, pairs, coef, b = [0] * n + [1], [(i, i) for i in range(n + 1)], [1.0] * (n + 1), [1.0, 2.0]
+    for k, (x, y, _) in enumerate(sdp_path(c, b, rows, pairs, coef), 1):
+        if abs(float(np.sum(c * x)) - float(np.dot(b, y))) <= 1e-9:
+            break
+        assert k < 50
+    expected = np.linalg.eigvalsh(c[:n, :n])[0]
+    assert float(np.sum(c * x)) == pytest.approx(expected, abs=1e-8)
+    assert [np.trace(x[:n, :n]), x[n, n]] == pytest.approx(b, abs=1e-9)
+    assert np.linalg.eigvalsh(c - adjoint(n + 1, y, rows, pairs, coef))[0] >= -1e-8
+
+
 def test_sdp_rejects_nonfinite_asymmetric_and_malformed_input():
     eye = np.eye(2)
     good = ([1.0], [0, 0], [(0, 0), (1, 1)], [1.0, 1.0])

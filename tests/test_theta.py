@@ -150,6 +150,8 @@ def fixed_family():
 def test_fixed_family_converges_in_few_iterations(fixed_family):
     iterations = {label: res.iterations for label, (_, res) in fixed_family.items()}
     assert max(iterations.values()) <= 30, iterations
+    # sdp_path's problem-scaled start takes 146 in all; a start at X = Z = I takes 177
+    assert sum(iterations.values()) <= 160, iterations
     for g, res in fixed_family.values():
         assert_certified(g, res)
 
@@ -176,6 +178,16 @@ def test_tightest_tolerance_certifies_or_raises_convergence_error(fixed_family):
             assert res.gap > 1e-10
         assert_certified(g, res, tol=max(res.gap, 1e-10))
         assert _certificate_ok(g, res, 1e-10)
+
+
+def test_tightest_tolerance_certifies_these_random_graphs():
+    # from a start at X = Z = I a factorisation fails short of gap 1e-10 on
+    # these G(n, 1/2) graphs; from sdp_path's problem-scaled start both
+    # certificates close
+    for seed, n in ((510, 20), (601, 12), (605, 24)):
+        g = seeded_random_graphs(seed)[n]
+        res = lovasz_theta(g, tol=1e-10)
+        assert_certified(g, res, tol=1e-10)
 
 
 def test_fixed_family_circulant_products_equal_n(fixed_family):
