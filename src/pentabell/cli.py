@@ -68,46 +68,10 @@ def cmd_alpha(args) -> int:
     return 0
 
 
-def _certificate_ok(g: graphs.Graph, result, tol: float) -> bool:
-    """Replay both certificates against the bounds ThetaResult states.
-
-    Primal X: symmetric, trace 1 within 1e-8, edge entries zero within 1e-7,
-    PSD within 1e-8, and entry sum equal to the value within max(gap, tol).
-    Dual B: symmetric, exactly 1 on the diagonal and on every non-edge (so
-    B = J - Y with Y on the edges), and value <= lambda_max(B) <=
-    value + max(gap, tol), each within 1e-9.
-    """
-    slack = max(result.gap, tol)
-    x = np.asarray(result.primal, dtype=float)
-    b = np.asarray(result.dual, dtype=float)
-    for m in (x, b):
-        if m.shape != (g.n, g.n) or not np.all(np.isfinite(m)):
-            return False
-        if np.max(np.abs(m - m.T)) > 1e-12:
-            return False
-    if abs(float(np.trace(x)) - 1.0) > 1e-8:
-        return False
-    if any(abs(x[i, j]) > 1e-7 for i, j in g.edges):
-        return False
-    if float(np.linalg.eigvalsh(x)[0]) < -1e-8:
-        return False
-    if abs(float(x.sum()) - result.value) > slack:
-        return False
-    free = np.ones((g.n, g.n), dtype=bool)
-    for i, j in g.edges:
-        free[i, j] = free[j, i] = False
-    if not np.all(b[free] == 1.0):
-        return False
-    upper = float(np.linalg.eigvalsh(b)[-1])
-    return result.value - 1e-9 <= upper <= result.value + slack + 1e-9
-
-
 def cmd_theta(args) -> int:
     g = _resolve(args.graph, graphs.load_graph, scenarios.named_graph)
     result = theta.lovasz_theta(g, tol=args.tol)
-    lower = float(result.primal.sum())
-    upper = float(np.linalg.eigvalsh(result.dual)[-1])
-    cert_ok = _certificate_ok(g, result, args.tol)
+    lower, upper, cert_ok = theta.replay(g, result, args.tol)
     text = (
         f"theta = {result.value:.6f}\n"
         f"gap <= {result.gap:.2e}\n"
@@ -121,7 +85,7 @@ def cmd_theta(args) -> int:
             "theta": result.value,
             "gap": result.gap,
             "iterations": result.iterations,
-            "certificate_ok": bool(cert_ok),
+            "certificate_ok": cert_ok,
         },
     )
     return 0
@@ -392,7 +356,7 @@ def _report_items():
     chsh_value = (
         box.correlator(0, 0) + box.correlator(0, 1) + box.correlator(1, 0) - box.correlator(1, 1)
     )
-    cap = scenarios.eprinciple_check(iq2, box, pentagon_theta=theta_of(c5)).chsh_cap
+    cap = scenarios.eprinciple_check(iq2, box).chsh_cap
     ok &= abs(scenarios.evaluate(iq2, box) - 2.5) <= 1e-12
     ok &= abs(chsh_value - 4.0) <= 1e-12
     ok &= cap is not None and abs(cap - (4.0 * sqrt5 - 6.0)) <= 1e-6

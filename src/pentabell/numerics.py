@@ -73,8 +73,10 @@ def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, 
     positive definite (theta's free-entry form, C = I/n).
 
     The caller decides when to stop; the generator ends by itself when a
-    factorisation fails, which near the optimum means the iterates have run
-    out of precision.
+    step fails, by a failed factorisation or a floating-point overflow,
+    invalid value or division by zero, which near the optimum means the
+    iterates have run out of precision.  Only the step runs under that
+    error state; the caller's is in force between iterates.
     """
     c = as_sym_matrix(c)
     if c.ndim != 2:
@@ -156,8 +158,9 @@ def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, 
         z = c if np.linalg.eigvalsh(c)[0] > 0 else max(1.0, float(np.linalg.norm(c))) * np.eye(n)
         while True:
             try:
-                x, y, z = newton(x, y, z)
-            except np.linalg.LinAlgError:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    x, y, z = newton(x, y, z)
+            except (np.linalg.LinAlgError, FloatingPointError):
                 return
             yield x, y, z
 

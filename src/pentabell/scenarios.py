@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError, json_decoder, load_json, save_json, strict_int, strict_pair
 from .graphs import Graph, cycle, graph
+from .theta import odd_cycle_theta
 
 MAX_SETTING = 3  # setting indices 0..3
 MAX_ENUM_SETTINGS = 4  # deterministic-strategy enumeration envelope
@@ -247,6 +248,11 @@ class Behavior:
         self._p, self._pairs = _checked_tables(keys, blocks.reshape(-1, 2, 2))
         self._alice_settings = tuple(sorted({x for x, _ in self._pairs}))
         self._bob_settings = tuple(sorted({y for _, y in self._pairs}))
+
+    @property
+    def pairs(self) -> frozenset:
+        """The covered setting pairs (x, y)."""
+        return self._pairs
 
     @property
     def alice_settings(self):
@@ -479,43 +485,37 @@ class CorrelatorDecomposition:
 
 
 def chsh_decomposition(iq: Inequality) -> CorrelatorDecomposition:
-    """Express a 2x2-setting inequality in correlators, solved over the 16
-    deterministic behaviors.
+    """Express a 2x2-setting inequality in correlators and, where needed,
+    single-party expectations, by exact sums over its coefficient tensor.
 
-    When the pure correlator fit leaves a residual, single-party expectation
-    terms are added; that extended system is always exactly solvable.
+    On a no-signaling table P(ab|xy) = (1 + s_a A_x + s_b B_y + s_a s_b
+    E_xy)/4 with s = (+1, -1), so with W the coefficient tensor the offset
+    is sum W/4, c_xy = sum_ab s_a s_b W[x, y, a, b]/4, a_x = sum s_a W[x]/4
+    and b_y = sum s_b W[:, y]/4.  These are exact multiples of 1/4, and the
+    inequality is correlator-only when every marginal sum is zero.  The
+    residual replays the form on the 16 deterministic behaviors.
     """
     for t in iq.terms:
         if (t.alice is not None and t.alice[0] > 1) or (t.bob is not None and t.bob[0] > 1):
             raise InvalidInputError("correlator decomposition needs a 2x2-setting inequality")
 
-    pairs = [(x, y) for x in range(2) for y in range(2)]
+    w = coefficient_tensor(iq, 2, 2)
+    s = np.array([1.0, -1.0])
+    offset = float(w.sum()) / 4.0
+    c = np.einsum("xyab,a,b->xy", w, s, s) / 4.0
+    alice, bob = np.einsum("xyab,a->x", w, s) / 4.0, np.einsum("xyab,b->y", w, s) / 4.0
+    correlator_only = not (alice.any() or bob.any())
+
     _, tables = _deterministic(2, 2)
-    signs = np.array([1.0, -1.0])
-    alice = np.einsum("sxyab,a->sxy", tables, signs)  # Alice's +-1 outcome at each pair
-    bob = np.einsum("sxyab,b->sxy", tables, signs)
-    m = np.column_stack([np.ones(16), (alice * bob).reshape(16, 4), alice[:, :, 0], bob[:, 0, :]])
-    t = tables.reshape(16, -1) @ coefficient_tensor(iq, 2, 2).reshape(-1)
-
-    sol, *_ = np.linalg.lstsq(m[:, :5], t, rcond=None)
-    residual = float(np.max(np.abs(m[:, :5] @ sol - t)))
-    if residual <= 1e-10:
-        return CorrelatorDecomposition(
-            offset=float(sol[0]),
-            coefficients={p: float(c) for p, c in zip(pairs, sol[1:])},
-            correlator_only=True,
-            residual=residual,
-        )
-
-    sol, *_ = np.linalg.lstsq(m, t, rcond=None)
-    residual = float(np.max(np.abs(m @ sol - t)))
+    sa, sb = np.einsum("sxyab,a->sxy", tables, s), np.einsum("sxyab,b->sxy", tables, s)
+    form = offset + (sa * sb).reshape(16, 4) @ c.reshape(4) + sa[:, :, 0] @ alice + sb[:, 0, :] @ bob
     return CorrelatorDecomposition(
-        offset=float(sol[0]),
-        coefficients={p: float(c) for p, c in zip(pairs, sol[1:5])},
-        correlator_only=False,
-        residual=residual,
-        alice_coefficients={0: float(sol[5]), 1: float(sol[6])},
-        bob_coefficients={0: float(sol[7]), 1: float(sol[8])},
+        offset=offset,
+        coefficients=dict(zip(_PAIRS_2X2, c.reshape(4).tolist())),
+        correlator_only=correlator_only,
+        residual=float(np.max(np.abs(form - tables.reshape(16, -1) @ w.reshape(-1)))),
+        alice_coefficients={} if correlator_only else dict(enumerate(alice.tolist())),
+        bob_coefficients={} if correlator_only else dict(enumerate(bob.tolist())),
     )
 
 
@@ -531,20 +531,16 @@ class EPrincipleReport:
     violated: bool
 
 
-def eprinciple_check(
-    iq: Inequality, behavior: Behavior, pentagon_theta: Optional[float] = None
-) -> EPrincipleReport:
+def eprinciple_check(iq: Inequality, behavior: Behavior) -> EPrincipleReport:
     """Check that pairwise-exclusive event probabilities sum to at most 1.
 
     All cliques of the exclusivity graph are enumerated exhaustively.  For
     pentagonal inequalities the principle additionally caps the full sum at
-    the pentagon's Lovasz number (`pentagon_theta` when the caller has
-    already solved it, else solved here), and when the inequality is a pure
-    correlator combination that cap is translated into a bound on the
-    unit-coefficient correlator form.
+    the pentagon's Lovasz number, sqrt(5) from Lovasz's odd-cycle closed
+    form (`theta.odd_cycle_theta`; no SDP is solved), and when the
+    inequality is a pure correlator combination that cap is translated into
+    a bound on the unit-coefficient correlator form.
     """
-    from .theta import lovasz_theta
-
     g, _ = exclusivity_graph(iq)
     if g.n > 10:
         raise CapacityError("clique enumeration limited to 10 vertices")
@@ -562,7 +558,7 @@ def eprinciple_check(
     pentagon_cap = None
     chsh_cap = None
     if g.n == 5 and g.degrees() == [2] * 5:  # the only 2-regular simple graph on 5 vertices is C5
-        pentagon_cap = lovasz_theta(cycle(5)).value if pentagon_theta is None else pentagon_theta
+        pentagon_cap = odd_cycle_theta(5)
         try:
             dec = chsh_decomposition(iq)
         except InvalidInputError:

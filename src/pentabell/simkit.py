@@ -32,7 +32,6 @@ in quadrature overstated it by 24-25%).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -182,13 +181,14 @@ def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray) -> np.nd
 
 def _count_stack(behavior: Behavior, cfg: SimConfig, seeds) -> np.ndarray:
     """(len(seeds), n_a, n_b, 2, 2) int64 count tables of cfg's experiment at
-    each master seed, over the product of the behavior's settings.
+    each master seed, over the setting pairs the behavior covers
+    (`Behavior.pairs`); an uncovered pair holds zeros.
 
     The pair (x, y) at master seed s thresholds the uniforms of substream
     derive_seed(s, x, y) against the visibility-mixed distribution cumulated
     in row-major (a, b) order; all streams are counted in one pass.
     """
-    pairs = [(x, y) for x in behavior.alice_settings for y in behavior.bob_settings]
+    pairs = sorted(behavior.pairs)
     p = cfg.visibility * np.array([behavior.table(x, y) for x, y in pairs]) + (1.0 - cfg.visibility) / 4.0
     edges = np.cumsum(p.reshape(-1, 4), axis=1)[:, :3]
     below = _threshold_counts(_derive_seeds(seeds, pairs), cfg.shots, np.tile(edges, (len(seeds), 1)))
@@ -200,7 +200,8 @@ def _count_stack(behavior: Behavior, cfg: SimConfig, seeds) -> np.ndarray:
 
 
 def sample_counts(model: Union[QuantumModel, Behavior], cfg: SimConfig) -> CountTable:
-    """Multinomial outcome counts for every setting pair of the model.
+    """Multinomial outcome counts for every setting pair the model covers
+    (all pairs of a QuantumModel's settings; a Behavior's own pairs).
 
     The model may also be given as its ideal Behavior (as behavior_of
     returns it), which gives the same table.  Each pair (x, y) draws
@@ -212,7 +213,7 @@ def sample_counts(model: Union[QuantumModel, Behavior], cfg: SimConfig) -> Count
     behavior = model if isinstance(model, Behavior) else behavior_of(model)
     table = _count_stack(behavior, cfg, (cfg.seed,))[0]
     table.flags.writeable = False
-    return CountTable(cfg.shots, {(x, y): table[x, y] for x in behavior.alice_settings for y in behavior.bob_settings})
+    return CountTable(cfg.shots, {(x, y): table[x, y] for x, y in sorted(behavior.pairs)})
 
 
 @dataclass(frozen=True)
@@ -326,5 +327,4 @@ def run_experiments(iq: Inequality, model: QuantumModel, cfg: SimConfig, seeds) 
     """
     ideal = behavior_of(model)
     tables = _count_stack(ideal, cfg, list(seeds))
-    pairs = frozenset(itertools.product(ideal.alice_settings, ideal.bob_settings))
-    return _estimates(tables.astype(float), pairs, cfg.shots, iq, ideal, float(lhv_bound(iq)[0]))
+    return _estimates(tables.astype(float), ideal.pairs, cfg.shots, iq, ideal, float(lhv_bound(iq)[0]))

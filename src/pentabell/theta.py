@@ -25,7 +25,8 @@ Any iterate gives valid bounds, so the solver changes how fast the gap
 closes, never whether a bound holds.  It stops when the best upper bound is
 within the requested tolerance of the best lower bound, and returns both
 matrices, so the value can be replayed from either side without rerunning
-the solver.
+the solver: `replay` re-derives both bounds from X and B alone and checks
+them against what ThetaResult states.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ def _dual_bound(m: np.ndarray, on_edge: np.ndarray):
     return b, float(np.linalg.eigvalsh(b)[-1])
 
 
+def _edge_mask(g: Graph) -> np.ndarray:
+    """(n, n) boolean matrix, True at both entries of every edge."""
+    on_edge = np.zeros((g.n, g.n), dtype=bool)
+    for i, j in g.edges:
+        on_edge[i, j] = on_edge[j, i] = True
+    return on_edge
+
+
 def _sdp_form(n: int, edges, non_edges):
     """The smaller of two standard forms of theta, as (c, b, rows, pairs,
     coef, edge_form) for numerics.sdp_path.
@@ -121,9 +130,7 @@ def lovasz_theta(g: Graph, tol: float = 1e-7) -> ThetaResult:
         return ThetaResult(1.0, np.eye(n) / n, np.eye(n), 0, 0.0)
 
     edges = sorted(g.edges)
-    on_edge = np.zeros((n, n), dtype=bool)
-    on_edge[tuple(np.transpose(edges))] = True
-    on_edge |= on_edge.T
+    on_edge = _edge_mask(g)
     non_edges = [(i, j) for i in range(n) for j in range(i + 1, n) if not on_edge[i, j]]
     *problem, edge_form = _sdp_form(n, edges, non_edges)
 
@@ -161,3 +168,35 @@ def odd_cycle_theta(n: int) -> float:
         raise InvalidInputError("closed form applies to odd cycles only")
     c = np.cos(np.pi / n)
     return float(n * c / (1.0 + c))
+
+
+def replay(g: Graph, result: ThetaResult, tol: float):
+    """(lower, upper, ok): both bounds re-derived from the certificates
+    alone, lower = sum_ij X_ij and upper = lambda_max(B), and whether they
+    hold the bounds ThetaResult states.
+
+    Primal X: symmetric, trace 1 within 1e-8, edge entries zero within 1e-7,
+    PSD within 1e-8, and entry sum equal to the value within max(gap, tol).
+    Dual B: symmetric, exactly 1 on the diagonal and on every non-edge (so
+    B = J - Y with Y on the edges), and value <= lambda_max(B) <=
+    value + max(gap, tol), each within 1e-9.  Symmetry means within 1e-12.
+    A certificate of the wrong shape or with non-finite entries has no
+    bounds: (nan, nan, False).
+    """
+    x = np.asarray(result.primal, dtype=float)
+    b = np.asarray(result.dual, dtype=float)
+    if any(m.shape != (g.n, g.n) or not np.all(np.isfinite(m)) for m in (x, b)):
+        return np.nan, np.nan, False
+    lower, upper = float(x.sum()), float(np.linalg.eigvalsh(b)[-1])
+    slack = max(result.gap, tol)
+    on_edge = _edge_mask(g)
+    ok = (
+        all(np.max(np.abs(m - m.T)) <= 1e-12 for m in (x, b))
+        and abs(float(np.trace(x)) - 1.0) <= 1e-8
+        and np.all(np.abs(x[on_edge]) <= 1e-7)
+        and float(np.linalg.eigvalsh(x)[0]) >= -1e-8
+        and abs(lower - result.value) <= slack
+        and np.all(b[~on_edge] == 1.0)
+        and result.value - 1e-9 <= upper <= result.value + slack + 1e-9
+    )
+    return lower, upper, bool(ok)

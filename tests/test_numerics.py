@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,3 +184,13 @@ def test_as_sym_matrix_validates_each_matrix_of_a_stack():
 def test_sdp_capacity_envelope():
     with pytest.raises(CapacityError):
         sdp_path(np.eye(65), [1.0], [0], [(0, 0)], [1.0])
+
+
+def test_drained_path_ends_without_floating_point_warnings():
+    # solved exactly after about 20 steps; the iterates then run out of
+    # precision, and the generator must end by itself rather than overflow
+    c = np.diag(np.linspace(5.0, 50.0, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        *_, (x, y, z) = sdp_path(c, [1.0], [0] * 5, [(i, i) for i in range(5)], [1.0] * 5)
+    assert abs(y[0] - 5.0) <= 1e-9

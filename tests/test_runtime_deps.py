@@ -2,7 +2,9 @@
 module of the package imports only the standard library, numpy and its own
 modules.  Files are read and written only by the input boundary in
 `errors`, so the graph, scenario and model formats share one policy for
-malformed input."""
+malformed input.  Every import sits at module level and the package's
+modules import one another without a cycle, so a module's dependencies are
+all read from its header."""
 
 import ast
 import sys
@@ -45,3 +47,42 @@ def test_only_the_input_boundary_opens_files(path):
             if isinstance(func.value, ast.Name) and func.value.id == "json":
                 calls.append(f"line {node.lineno}: json.{func.attr}")
     assert not calls, calls
+
+
+def _package_imports(tree):
+    """Names of the package modules a module imports relatively."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else [alias.name for alias in node.names])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_sit_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = {id(node) for node in tree.body}
+    nested = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+    assert not nested, nested
+
+
+def test_package_imports_have_no_cycle():
+    graph = {p.stem: _package_imports(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py")}
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, " -> ".join(path[path.index(module) :] + [module])
+        if module in done:
+            return
+        path.append(module)
+        for imported in sorted(graph.get(module, ())):
+            visit(imported)
+        path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)

@@ -478,6 +478,17 @@ def test_eprinciple_chsh_cap():
     assert report.chsh_cap == pytest.approx(4 * math.sqrt(5) - 6, abs=1e-6)
 
 
+def test_eprinciple_cap_is_the_closed_form_without_a_solve(monkeypatch):
+    from pentabell import theta
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eprinciple_check solved an SDP")
+
+    monkeypatch.setattr(theta, "lovasz_theta", no_solve)
+    report = eprinciple_check(named_inequality("pentagon-2"), pr_box())
+    assert abs(report.chsh_cap - (4 * math.sqrt(5) - 6)) <= 1e-12
+
+
 def test_eprinciple_caps_only_pentagons():
     # five terms and five edges, but a 4-cycle with a pendant vertex, not C5
     iq = Inequality(tuple(Event.parse(t) for t in ("00|00", "11|00", "00|01", "11|01", "00|10")))

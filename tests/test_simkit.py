@@ -200,6 +200,17 @@ def test_million_shot_pair_spans_blocks_bit_identically():
     assert np.array_equal(table.counts[(0, 0)], searchsorted_counts(one_pair, cfg)[(0, 0)])
 
 
+def test_behavior_with_holes_samples_its_own_pairs():
+    full = behavior_of(known_optimal_model("pentagon-2"))
+    diagonal = Behavior({(0, 0): full.table(0, 0), (1, 1): full.table(1, 1)})
+    cfg = SimConfig(shots=5000, seed=4, visibility=0.9)
+    table = sample_counts(diagonal, cfg)
+    assert sorted(table.counts) == [(0, 0), (1, 1)]
+    reference = sample_counts(full, cfg)
+    for pair, block in table.counts.items():
+        assert np.array_equal(block, reference.counts[pair])
+
+
 def searchsorted_below(seeds, shots, edges):
     """Reference for _threshold_counts: per stream, the number of its
     uniforms below each edge, located in the sorted draws."""

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pentabell import theta
-from pentabell.cli import _certificate_ok
 from pentabell.errors import CapacityError, ConvergenceError, InvalidInputError
 from pentabell.graphs import (
     circulant,
@@ -37,7 +36,7 @@ def seeded_random_graphs(seed):
 def lovasz_theta(g, tol=1e-7):
     # every solve in this module replays both certificates as the CLI does
     res = theta.lovasz_theta(g, tol=tol)
-    assert _certificate_ok(g, res, tol)
+    assert theta.replay(g, res, tol)[2]
     return res
 
 
@@ -55,6 +54,22 @@ def assert_certified(g, res, tol=1e-7):
 
 def test_pentagon():
     assert lovasz_theta(cycle(5)).value == pytest.approx(math.sqrt(5), abs=1e-6)
+
+
+def test_replay_returns_the_certificates_own_bounds():
+    for g in (cycle(5), circulant(8, {1, 4})):
+        res = theta.lovasz_theta(g)
+        lower, upper, ok = theta.replay(g, res, 1e-7)
+        assert lower == res.primal.sum()
+        assert upper == np.linalg.eigvalsh(res.dual)[-1]
+        assert ok is True
+
+
+def test_replay_rejects_a_certificate_of_the_wrong_shape():
+    res = theta.lovasz_theta(cycle(5))
+    wrong = theta.ThetaResult(res.value, res.primal[:4, :4], res.dual, 1, res.gap)
+    lower, upper, ok = theta.replay(cycle(5), wrong, 1e-7)
+    assert math.isnan(lower) and math.isnan(upper) and ok is False
 
 
 def test_circulant_8_14():
@@ -177,7 +192,7 @@ def test_tightest_tolerance_certifies_or_raises_convergence_error(fixed_family):
             res = exc.result
             assert res.gap > 1e-10
         assert_certified(g, res, tol=max(res.gap, 1e-10))
-        assert _certificate_ok(g, res, 1e-10)
+        assert theta.replay(g, res, 1e-10)[2]
 
 
 def test_tightest_tolerance_certifies_these_random_graphs():
