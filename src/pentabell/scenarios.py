@@ -85,7 +85,12 @@ class Event:
 
 @dataclass(frozen=True)
 class Inequality:
-    """Unit-weight sum of event probabilities."""
+    """Unit-weight sum of event probabilities.
+
+    A declared alice_settings or bob_settings lies in [1, MAX_SETTING + 1]
+    and covers every setting a term names; an undeclared one is the number
+    the terms need (at least 1).
+    """
 
     terms: tuple
     name: str = ""
@@ -107,6 +112,8 @@ class Inequality:
         ):
             if declared is None:
                 object.__setattr__(self, label, max(needed, 1))
+            elif not 1 <= declared <= MAX_SETTING + 1:
+                raise InvalidInputError(f"{label}={declared} outside [1,{MAX_SETTING + 1}]")
             elif declared < needed:
                 raise InvalidInputError(f"{label}={declared} but a term references setting {needed - 1}")
 

@@ -184,7 +184,7 @@ def test_theta_convergence_error_exits_two_with_best_gap(monkeypatch):
     # the bounds are checked after every iteration, so two iterations
     # already tighten alpha = 2 and n = 5
     assert err.startswith("error: theta solver did not reach gap 1e-07 in 2 iterations;")
-    assert "best certified gap 1.587e-02 (2.2235607976 <= theta <= 2.2394337671)" in err
+    assert "best certified gap 1.059e-02 (2.2268406832 <= theta <= 2.2374285490)" in err
 
 
 def test_lhv_named_scenarios():
@@ -307,6 +307,8 @@ MALFORMED_FILES = {
     "scenario-setting-string": ("lhv", scenario_doc(alice=("x", 0))),
     "scenario-settings-string": ("lhv", scenario_doc(alice_settings="3")),
     "scenario-settings-float": ("lhv", scenario_doc(alice_settings=3.7)),
+    "scenario-settings-five-lhv": ("lhv", scenario_doc(alice_settings=5)),
+    "scenario-settings-five-qmax": ("qmax", scenario_doc(alice_settings=5)),
     "scenario-terms-string": ("lhv", scenario_doc(terms="abc")),
     "scenario-term-number": ("lhv", scenario_doc(terms=[1])),
     "scenario-party-bools": ("lhv", scenario_doc(alice=(True, False))),

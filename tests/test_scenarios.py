@@ -282,6 +282,16 @@ def test_lhv_capacity():
         lhv_bound(iq, alice_settings=5)
 
 
+@pytest.mark.parametrize("field", ["alice_settings", "bob_settings"])
+@pytest.mark.parametrize("declared", [0, -1, scenarios.MAX_SETTING + 2])
+def test_inequality_rejects_declared_settings_outside_the_setting_range(field, declared):
+    terms = named_inequality("pentagon-1").terms
+    with pytest.raises(InvalidInputError, match=f"{field}={declared} outside"):
+        Inequality(terms, **{field: declared})
+    # the largest declared count is accepted and kept
+    assert getattr(Inequality(terms, **{field: scenarios.MAX_SETTING + 1}), field) == scenarios.MAX_SETTING + 1
+
+
 def test_lhv_rejects_settings_its_terms_need():
     iq = named_inequality("pentagon-1")  # uses Alice setting 1
     with pytest.raises(InvalidInputError):

@@ -1,0 +1,120 @@
+"""Interior-point iterations of Lovasz theta over sets of graphs: the table
+the step rule of numerics.sdp_path is chosen on.
+
+Usage: python tools/theta_iterations.py
+
+For each set and each tolerance (1e-7, the CLI default, and 1e-10, the
+tightest the CLI accepts) it prints the number of graphs, the total
+iterations of theta.lovasz_theta over the set (a graph that raises
+ConvergenceError adds the iterations of its best result) and every graph
+that raises, with its best certified gap.
+
+Sets:
+  fixed     odd cycles C7..C31 and five circulants with their complements,
+            the fixed family of the theta-graphs benchmark workload
+  random84  G(n, 1/2) for n = 12, 16, 20, 24 at seeds 1, 501-510 and
+            601-610, drawn as the benchmark workload draws its random graphs
+  held-out  20 circulants outside the fixed family with their complements,
+            and G(n, p) for p = 0.3, 0.5, 0.7 at seeds 701-715, each at
+            one order in 10..19 and one in 20..30
+
+Uses the standard library and numpy; pentabell is imported from the
+repository's src directory.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from pentabell import graphs, theta  # noqa: E402
+from pentabell.errors import ConvergenceError  # noqa: E402
+
+FIXED_CIRCULANTS = ((13, (1, 5)), (17, (1, 2, 4, 8)), (21, (1, 3, 8)), (29, (1, 12)), (31, (1, 5, 11)))
+RANDOM_SEEDS = (1, *range(501, 511), *range(601, 611))
+RANDOM_ORDERS = (12, 16, 20, 24)
+HELD_OUT_SEEDS = range(701, 716)
+HELD_OUT_DENSITIES = (0.3, 0.5, 0.7)
+
+
+def random_graph(rng, n: int, p: float = 0.5):
+    """G(n, p) drawn as the theta-graphs benchmark workload draws G(n, 1/2):
+    one uniform number per vertex pair, in row-major upper-triangle order."""
+    rows, cols = np.triu_indices(n, 1)
+    keep = rng.random(rows.size) < p
+    return graphs.graph(n, zip(rows[keep].tolist(), cols[keep].tolist()))
+
+
+def fixed_family():
+    family = [(f"C{n}", graphs.cycle(n)) for n in range(7, 32, 2)]
+    for n, offsets in FIXED_CIRCULANTS:
+        g = graphs.circulant(n, offsets)
+        label = f"C{n}({','.join(map(str, offsets))})"
+        family += [(label, g), ("co-" + label, graphs.complement(g))]
+    return family
+
+
+def random84():
+    out = []
+    for seed in RANDOM_SEEDS:
+        rng = np.random.default_rng(seed)
+        out += [(f"{seed} G({n})", random_graph(rng, n)) for n in RANDOM_ORDERS]
+    return out
+
+
+def held_out_circulants():
+    """Twenty (n, offsets) with n in 9..30 and two or three offsets in
+    1..n/2, none in the fixed family, drawn from one seeded generator."""
+    rng = np.random.default_rng(700)
+    chosen = []
+    while len(chosen) < 20:
+        n = int(rng.integers(9, 31))
+        size = int(rng.integers(2, 4))
+        offsets = tuple(sorted(int(k) for k in rng.choice(np.arange(1, n // 2 + 1), size, replace=False)))
+        if (n, offsets) not in FIXED_CIRCULANTS and (n, offsets) not in chosen:
+            chosen.append((n, offsets))
+    return chosen
+
+
+def held_out():
+    out = []
+    for n, offsets in held_out_circulants():
+        g = graphs.circulant(n, offsets)
+        label = f"C{n}({','.join(map(str, offsets))})"
+        out += [(label, g), ("co-" + label, graphs.complement(g))]
+    for seed in HELD_OUT_SEEDS:
+        rng = np.random.default_rng(seed)
+        for p in HELD_OUT_DENSITIES:
+            for lo, hi in ((10, 20), (20, 31)):
+                n = int(rng.integers(lo, hi))
+                out.append((f"{seed} G({n},{p})", random_graph(rng, n, p)))
+    return out
+
+
+def table(name: str, family, tol: float) -> None:
+    """Print one row of the table."""
+    total, raised = 0, []
+    for label, g in family:
+        try:
+            total += theta.lovasz_theta(g, tol=tol).iterations
+        except ConvergenceError as exc:
+            total += exc.result.iterations
+            raised.append((label, exc.result.gap, exc.result.iterations))
+    print(f"{name:9s} tol {tol:.0e}: {len(family)} graphs, {total} iterations, {len(raised)} raise")
+    for label, gap, iterations in raised:
+        print(f"    {label}: best gap {gap:.2e} after {iterations} iterations")
+
+
+def main() -> None:
+    sets = {"fixed": fixed_family(), "random84": random84(), "held-out": held_out()}
+    for tol in (1e-7, 1e-10):
+        for name, family in sets.items():
+            table(name, family, tol)
+
+
+if __name__ == "__main__":
+    main()
