@@ -64,6 +64,14 @@ _RESTART_BLOCK = 1024  # see-saw restarts stacked at once; bounds the stack's me
 _TIE = 1e-12  # see-saw values closer than this count as equal
 
 
+def _checked_dims(dims) -> tuple:
+    """(d_a, d_b) of a pair of local dimensions, each at least 1."""
+    d_a, d_b = int(dims[0]), int(dims[1])
+    if d_a < 1 or d_b < 1:
+        raise InvalidInputError(f"local dimensions must be >= 1: dims ({d_a}, {d_b})")
+    return d_a, d_b
+
+
 @dataclass(frozen=True)
 class QuantumModel:
     """Bipartite pure state plus per-setting binary projective measurements."""
@@ -74,7 +82,7 @@ class QuantumModel:
     bob: tuple
 
     def __post_init__(self):
-        d_a, d_b = int(self.dims[0]), int(self.dims[1])
+        d_a, d_b = _checked_dims(self.dims)
         object.__setattr__(self, "dims", (d_a, d_b))
         state = np.asarray(self.state, dtype=float).reshape(-1)
         if state.shape[0] != d_a * d_b:
@@ -106,8 +114,10 @@ class QuantumModel:
 def projector_onto(vector) -> np.ndarray:
     """Rank-1 projector onto the direction of a real vector."""
     v = np.asarray(vector, dtype=float).reshape(-1)
-    if np.linalg.norm(v) == 0.0:
-        raise InvalidInputError("cannot project onto the zero vector")
+    with np.errstate(all="ignore"):
+        norm2 = float(_dots(v, v)[0])
+    if not 0.0 < norm2 < np.inf:
+        raise InvalidInputError(f"cannot project onto a vector of squared norm {norm2}")
     return _rank_one_projectors(v)
 
 
@@ -191,12 +201,12 @@ def behavior_of(model: QuantumModel) -> Behavior:
     right = (psi @ _effects(np.reshape(model.bob, (-1, d_b, d_b)))).reshape(-1, d_a * d_b)
     n_a, n_b = len(model.alice), len(model.bob)
     probs = (left @ right.T).reshape(n_a, 2, n_b, 2).transpose(0, 2, 1, 3)
-    return Behavior({(x, y): probs[x, y] for x in range(n_a) for y in range(n_b)})
+    return Behavior(probs)
 
 
 def schmidt(state, dims) -> np.ndarray:
     """Descending Schmidt coefficients of a bipartite real unit vector."""
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = _checked_dims(dims)
     v = np.asarray(state, dtype=float).reshape(-1)
     if v.shape != (d_a * d_b,) or not np.all(np.isfinite(v)):
         raise InvalidInputError(f"state must be {d_a}*{d_b} finite amplitudes")
@@ -275,13 +285,13 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
     makes one batched eigenvalue call per stage for every restart still
     running; about 0.15 ms per restart (see the module docstring).
     """
-    d_a, d_b = int(dims[0]), int(dims[1])
-    if d_a < 1 or d_b < 1:
-        raise InvalidInputError("local dimensions must be >= 1")
+    d_a, d_b = _checked_dims(dims)
     if d_a > MAX_LOCAL_DIM or d_b > MAX_LOCAL_DIM:
         raise CapacityError(f"local dimensions limited to {MAX_LOCAL_DIM}")
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
+    if seed < 0:
+        raise InvalidInputError("seed must be >= 0")
     best = None
     for start in range(seed, seed + restarts, _RESTART_BLOCK):
         stop = min(start + _RESTART_BLOCK, seed + restarts)

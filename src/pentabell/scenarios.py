@@ -36,7 +36,6 @@ from .graphs import Graph, cycle, graph
 from .theta import odd_cycle_theta
 
 MAX_SETTING = 3  # setting indices 0..3
-MAX_ENUM_SETTINGS = 4  # deterministic-strategy enumeration envelope
 
 
 @dataclass(frozen=True)
@@ -142,6 +141,12 @@ def _dense_shape(pairs) -> tuple:
     return 1 + max(flat[0::2], default=-1), 1 + max(flat[1::2], default=-1)
 
 
+@functools.lru_cache(maxsize=64)
+def _all_pairs(n_a: int, n_b: int) -> frozenset:
+    """Every setting pair of an n_a x n_b table."""
+    return frozenset(itertools.product(range(n_a), range(n_b)))
+
+
 def _lowest_partners(pairs):
     """The lowest covered Bob setting of each covered Alice setting and the
     lowest covered Alice setting of each covered Bob setting.
@@ -183,34 +188,40 @@ def coefficient_tensor(iq: Inequality, alice_settings: int, bob_settings: int) -
     alice_settings x bob_settings settings: its term cells summed, so its
     value on a dense table P is sum(W * P).  Raises InvalidInputError when a
     term references a setting outside that range."""
-    pairs = frozenset(itertools.product(range(alice_settings), range(bob_settings)))
-    return term_cells(iq.terms, pairs).sum(axis=0)
+    return term_cells(iq.terms, _all_pairs(alice_settings, bob_settings)).sum(axis=0)
 
 
 _ATOL = 1e-9  # normalization and no-signaling tolerance of a probability table
 
 
-def _checked_tables(keys, blocks):
-    """Dense (..., n_a, n_b, 2, 2) tables of a (..., k, 2, 2) stack of
-    probability blocks at the k setting pairs `keys`, with the frozenset of
-    covered pairs.
+def _checked_tables(tables, pairs=None):
+    """Validated copy of a dense (..., n_a, n_b, 2, 2) stack of probability
+    tables over (x, y, a, b) at the covered setting pairs `pairs` (default:
+    every pair of the shape), with the frozenset of covered pairs.
 
     Every leading axis is validated at once: setting pairs within
-    [0, MAX_SETTING], finite entries, non-negativity, normalization and
-    no-signaling (each party's marginal at every covered pair against its
-    marginal at the lowest covered partner setting), each within _ATOL.
-    Each condition is checked over the whole stack before the next, and the
-    first offending table in C order raises InvalidInputError naming the
-    setting pair or party setting, so a stack of one table fails exactly as
-    that table does.  Entries are clipped at 0; a repeated pair keeps its
-    last block.
+    [0, MAX_SETTING] spanning the table's shape, finite entries,
+    non-negativity, normalization and no-signaling (each party's marginal at
+    every covered pair against its marginal at the lowest covered partner
+    setting), each within _ATOL, at the covered pairs.  Each condition is
+    checked over the whole stack before the next, and the first offending
+    table in C order raises InvalidInputError naming the setting pair or
+    party setting, so a stack of one table fails exactly as that table does.
+    Entries are clipped at 0; uncovered pairs hold zeros.
     """
-    shape = _dense_shape(keys)
-    lead, k = blocks.shape[:-3], len(keys)
-    flat = blocks.reshape((int(np.prod(lead)), k, 2, 2))
-    nonfinite = ~np.isfinite(flat).all(axis=(2, 3))
-    negative = (flat < -1e-12).any(axis=(2, 3))
-    bad = nonfinite | negative | (np.abs(flat.sum(axis=(2, 3)) - 1.0) > _ATOL)
+    tables = np.asarray(tables, dtype=float)
+    lead, shape = tables.shape[:-4], tables.shape[-4:-2]
+    pairs = _all_pairs(*shape) if pairs is None else frozenset((int(x), int(y)) for x, y in pairs)
+    if pairs and _dense_shape(pairs) != shape:
+        raise InvalidInputError(f"setting pairs span {_dense_shape(pairs)}, not the table's {shape}")
+    keys = sorted(pairs)
+    k, full = len(keys), len(keys) == shape[0] * shape[1]
+    xs, ys = np.array(keys, dtype=int).reshape(-1, 2).T
+    flat = tables.reshape((int(np.prod(lead)),) + shape + (2, 2))
+    blocks = flat.reshape(len(flat), k, 2, 2) if full else flat[:, xs, ys]
+    nonfinite = ~np.isfinite(blocks).all(axis=(2, 3))
+    negative = (blocks < -1e-12).any(axis=(2, 3))
+    bad = nonfinite | negative | (np.abs(blocks.sum(axis=(2, 3)) - 1.0) > _ATOL)
     if bad.any():
         box, i = divmod(int(bad.argmax()), k)
         x, y = keys[i]
@@ -218,12 +229,12 @@ def _checked_tables(keys, blocks):
             raise InvalidInputError(f"non-finite probability at setting pair ({x},{y})")
         if negative[box, i]:
             raise InvalidInputError(f"negative probability at setting pair ({x},{y})")
-        raise InvalidInputError(f"probabilities at ({x},{y}) sum to {flat[box, i].sum()}, not 1")
-    index = {key: i for i, key in enumerate(keys)}
-    xs, ys = np.array(list(index), dtype=int).reshape(-1, 2).T
-    p = np.zeros((flat.shape[0],) + shape + (2, 2))
-    p[:, xs, ys] = np.maximum(flat[:, list(index.values())], 0.0)
-    pairs = frozenset(index)
+        raise InvalidInputError(f"probabilities at ({x},{y}) sum to {blocks[box, i].sum()}, not 1")
+    if full:
+        p = np.maximum(flat, 0.0)
+    else:
+        p = np.zeros(flat.shape)
+        p[:, xs, ys] = np.maximum(blocks, 0.0)
     first_y, first_x = _lowest_partners(pairs)
     alice, bob = p.sum(axis=4), p.sum(axis=3)
     for label, settings, here, there in (
@@ -234,7 +245,7 @@ def _checked_tables(keys, blocks):
         if violated.any():
             box = int(violated.any(axis=1).argmax())
             raise InvalidInputError(f"no-signaling violated for {label} setting {settings[violated[box]].min()}")
-    p = p.reshape(lead + shape + (2, 2))
+    p = p.reshape(tables.shape)
     p.flags.writeable = False
     return p, pairs
 
@@ -242,32 +253,23 @@ def _checked_tables(keys, blocks):
 class Behavior:
     """Probability table P(ab|xy) with derived marginals and correlators.
 
-    Stored as one dense (n_a, n_b, 2, 2) array over (x, y, a, b) plus the
-    set of covered setting pairs; uncovered pairs hold zeros.  Construction
-    validates the tables with `_checked_tables` (setting pairs, finiteness,
-    normalization, non-negativity and no-signaling, each within 1e-9);
-    offending tables are rejected.
+    Built from one dense (n_a, n_b, 2, 2) array over (x, y, a, b) and the
+    covered setting pairs (default: every pair of the shape); uncovered
+    pairs hold zeros.  Construction validates the table with
+    `_checked_tables` (setting pairs, finiteness, normalization,
+    non-negativity and no-signaling, each within 1e-9); an offending table
+    is rejected.
     """
 
-    def __init__(self, tables):
-        keys = [(int(key[0]), int(key[1])) for key in tables]
-        blocks = np.array([np.asarray(block, dtype=float).reshape(2, 2) for block in tables.values()])
-        self._p, self._pairs = _checked_tables(keys, blocks.reshape(-1, 2, 2))
-        self._alice_settings = tuple(sorted({x for x, _ in self._pairs}))
-        self._bob_settings = tuple(sorted({y for _, y in self._pairs}))
+    def __init__(self, tables, pairs=None):
+        if np.shape(tables)[2:] != (2, 2):
+            raise InvalidInputError(f"a behavior's table has shape (n_a, n_b, 2, 2), not {np.shape(tables)}")
+        self._p, self._pairs = _checked_tables(tables, pairs)
 
     @property
     def pairs(self) -> frozenset:
         """The covered setting pairs (x, y)."""
         return self._pairs
-
-    @property
-    def alice_settings(self):
-        return self._alice_settings
-
-    @property
-    def bob_settings(self):
-        return self._bob_settings
 
     def table(self, x: int, y: int) -> np.ndarray:
         if (x, y) not in self._pairs:
@@ -289,37 +291,26 @@ class Behavior:
         return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
 
 
-def strategy_behavior(strategy: DeterministicStrategy, alice_settings=None, bob_settings=None) -> Behavior:
-    """Deterministic 0/1 behavior produced by a local strategy on its first
-    alice_settings x bob_settings settings (default: all of them)."""
-    n_a = len(strategy.alice) if alice_settings is None else alice_settings
-    n_b = len(strategy.bob) if bob_settings is None else bob_settings
-    for party, outcomes, count in (("alice", strategy.alice, n_a), ("bob", strategy.bob, n_b)):
-        if not 1 <= count <= len(outcomes):
-            raise InvalidInputError(f"{party}_settings {count} outside [1, {len(outcomes)}] for this strategy")
-        if any(o not in (0, 1) for o in outcomes[:count]):
+def _strategy_tables(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """0/1 tables (..., n_a, n_b, 2, 2) of deterministic strategies given by
+    their (..., n_a) and (..., n_b) integer outcome arrays: one outer
+    product of one-hot outcomes."""
+    a, b = np.eye(2)[alice], np.eye(2)[bob]
+    return a[..., :, None, :, None] * b[..., None, :, None, :]
+
+
+def strategy_behavior(strategy: DeterministicStrategy) -> Behavior:
+    """Deterministic 0/1 behavior produced by a local strategy on all its
+    settings."""
+    for party, outcomes in (("alice", strategy.alice), ("bob", strategy.bob)):
+        if any(o not in (0, 1) for o in outcomes):
             raise InvalidInputError(f"{party} outcomes {outcomes} are not all 0 or 1")
-    tables = {}
-    for x in range(n_a):
-        for y in range(n_b):
-            p = np.zeros((2, 2))
-            p[strategy.alice[x], strategy.bob[y]] = 1.0
-            tables[(x, y)] = p
-    return Behavior(tables)
+    return Behavior(_strategy_tables(np.array(strategy.alice, dtype=int), np.array(strategy.bob, dtype=int)))
 
 
 def pr_box() -> Behavior:
     """The no-signaling box with E_00 = E_01 = E_10 = 1 and E_11 = -1."""
-    tables = {}
-    for x in range(2):
-        for y in range(2):
-            p = np.zeros((2, 2))
-            for a in range(2):
-                for b in range(2):
-                    if (a + b) % 2 == (x * y) % 2:
-                        p[a, b] = 0.5
-            tables[(x, y)] = p
-    return Behavior(tables)
+    return Behavior(_ns_vertices()[-1])
 
 
 @functools.cache
@@ -332,9 +323,9 @@ def _deterministic(n_a: int, n_b: int):
         for sa in itertools.product((0, 1), repeat=n_a)
         for sb in itertools.product((0, 1), repeat=n_b)
     )
-    alice = np.eye(2)[np.array([s.alice for s in strategies], dtype=int).reshape(-1, n_a)]
-    bob = np.eye(2)[np.array([s.bob for s in strategies], dtype=int).reshape(-1, n_b)]
-    tables = alice[:, :, None, :, None] * bob[:, None, :, None, :]
+    alice = np.array([s.alice for s in strategies], dtype=int).reshape(-1, n_a)
+    bob = np.array([s.bob for s in strategies], dtype=int).reshape(-1, n_b)
+    tables = _strategy_tables(alice, bob)
     tables.flags.writeable = False
     return strategies, tables
 
@@ -345,8 +336,10 @@ _PAIRS_2X2 = ((0, 0), (0, 1), (1, 0), (1, 1))
 @functools.cache
 def _ns_vertices() -> np.ndarray:
     """Read-only (17, 2, 2, 2, 2) stack over (box, x, y, a, b): the 16
-    deterministic 2x2 behaviors, then the PR box."""
-    stack = np.concatenate([_deterministic(2, 2)[1], pr_box()._p[None]])
+    deterministic 2x2 behaviors, then the PR box, 1/2 where a xor b = x and
+    y and 0 elsewhere."""
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    stack = np.concatenate([_deterministic(2, 2)[1], [0.5 * ((a ^ b) == (x & y))]])
     stack.flags.writeable = False
     return stack
 
@@ -363,13 +356,12 @@ def random_ns_tables(rng: np.random.Generator, count: int) -> np.ndarray:
     weights = rng.random((count, 17))
     weights /= weights.sum(axis=1, keepdims=True)
     tables = weights @ _ns_vertices().reshape(17, -1)
-    return _checked_tables(_PAIRS_2X2, tables.reshape(count, 4, 2, 2))[0]
+    return _checked_tables(tables.reshape(count, 2, 2, 2, 2))[0]
 
 
 def random_ns_behavior(rng: np.random.Generator) -> Behavior:
     """Random point of the 2x2 no-signaling polytope (see random_ns_tables)."""
-    tables = random_ns_tables(rng, 1)[0]
-    return Behavior({pair: tables[pair] for pair in _PAIRS_2X2})
+    return Behavior(random_ns_tables(rng, 1)[0])
 
 
 def exclusive(e: Event, f: Event) -> Optional[str]:
@@ -411,17 +403,15 @@ def exclusivity_graph(iq: Inequality):
     return graph(n, [(e.i, e.j) for e in edges]), edges
 
 
-def lhv_bound(iq: Inequality, alice_settings: Optional[int] = None, bob_settings: Optional[int] = None):
+def lhv_bound(iq: Inequality):
     """Exact deterministic-strategy maximum of the term count, with witness.
 
     One contraction of the inequality's coefficient tensor with the tables of
-    all 2**(n_a+n_b) strategies; the witness is the first maximum in
+    all 2**(n_a+n_b) strategies over its declared alice_settings x
+    bob_settings (at most 4 x 4); the witness is the first maximum in
     itertools.product order.
     """
-    n_a = iq.alice_settings if alice_settings is None else int(alice_settings)
-    n_b = iq.bob_settings if bob_settings is None else int(bob_settings)
-    if n_a > MAX_ENUM_SETTINGS or n_b > MAX_ENUM_SETTINGS:
-        raise CapacityError(f"strategy enumeration limited to {MAX_ENUM_SETTINGS} settings per party")
+    n_a, n_b = iq.alice_settings, iq.bob_settings
     coefficients = coefficient_tensor(iq, n_a, n_b)
     strategies, tables = _deterministic(n_a, n_b)
     scores = tables.reshape(len(strategies), -1) @ coefficients.reshape(-1)
@@ -440,7 +430,7 @@ def evaluate_tables(iq: Inequality, tables: np.ndarray, pairs: Optional[frozense
     over `pairs`, by default every setting pair of the shape)."""
     tables = np.asarray(tables, dtype=float)
     if pairs is None:
-        pairs = frozenset(itertools.product(*map(range, tables.shape[-4:-2])))
+        pairs = _all_pairs(*tables.shape[-4:-2])
     weights = term_cells(iq.terms, pairs).sum(axis=0)
     return tables.reshape(tables.shape[:-4] + (-1,)) @ weights.reshape(-1)
 

@@ -192,9 +192,8 @@ def _count_stack(behavior: Behavior, cfg: SimConfig, seeds) -> np.ndarray:
     p = cfg.visibility * np.array([behavior.table(x, y) for x, y in pairs]) + (1.0 - cfg.visibility) / 4.0
     edges = np.cumsum(p.reshape(-1, 4), axis=1)[:, :3]
     below = _threshold_counts(_derive_seeds(seeds, pairs), cfg.shots, np.tile(edges, (len(seeds), 1)))
-    shape = (1 + max(behavior.alice_settings, default=-1), 1 + max(behavior.bob_settings, default=-1))
-    table = np.zeros((len(seeds), *shape, 2, 2), dtype=np.int64)
     xs, ys = np.array(pairs, dtype=int).reshape(-1, 2).T
+    table = np.zeros((len(seeds), 1 + xs.max(initial=-1), 1 + ys.max(initial=-1), 2, 2), dtype=np.int64)
     table[:, xs, ys] = np.diff(below, axis=1, prepend=0, append=cfg.shots).reshape(len(seeds), len(pairs), 2, 2)
     return table
 

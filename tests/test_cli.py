@@ -269,7 +269,7 @@ def test_env_seed_is_default(monkeypatch):
     assert out_env == (GOLDEN_DIR / "simulate_pentagon2.json").read_text()
 
 
-def test_invalid_inputs_exit_one(tmp_path):
+def test_invalid_inputs_exit_one(tmp_path, monkeypatch):
     code, _, err = run_cli(["alpha", "no-such-thing"])
     assert code == 1 and "error" in err
     bad = tmp_path / "bad.json"
@@ -285,6 +285,11 @@ def test_invalid_inputs_exit_one(tmp_path):
     for dims in ("0,2", "2,x"):
         code, _, err = run_cli(["qmax", "pentagon-2", "--dims", dims])
         assert code == 1 and err.startswith("error: ")
+    code, _, err = run_cli(["qmax", "pentagon-2", "--seed", "-1"])
+    assert code == 1 and err == "error: seed must be >= 0\n"
+    monkeypatch.setenv("PENTABELL_SEED", "-3")
+    code, _, err = run_cli(["qmax", "pentagon-2"])
+    assert code == 1 and err == "error: seed must be >= 0\n"
 
 
 PARTY = [{"setting": 0, "vector": [1, 0]}, {"setting": 1, "vector": [1, 1]}]
@@ -309,6 +314,7 @@ MALFORMED_FILES = {
     "scenario-settings-float": ("lhv", scenario_doc(alice_settings=3.7)),
     "scenario-settings-five-lhv": ("lhv", scenario_doc(alice_settings=5)),
     "scenario-settings-five-qmax": ("qmax", scenario_doc(alice_settings=5)),
+    "scenario-settings-below-terms": ("lhv", scenario_doc(alice_settings=1)),
     "scenario-terms-string": ("lhv", scenario_doc(terms="abc")),
     "scenario-term-number": ("lhv", scenario_doc(terms=[1])),
     "scenario-party-bools": ("lhv", scenario_doc(alice=(True, False))),
@@ -322,6 +328,8 @@ MALFORMED_FILES = {
     "model-dims-float": ("simulate", model_doc(dims=[2.9, 2])),
     "model-setting-float": ("simulate", model_doc(alice=[{"setting": 0.5, "vector": [1, 0]}, PARTY[1]])),
     "model-setting-repeated": ("simulate", model_doc(alice=[{"setting": 0, "vector": [0, 1]}, *PARTY])),
+    "model-dims-negative": ("simulate", model_doc(dims=[-2, -2], state=[0.5] * 4, alice=[], bob=[])),
+    "model-vector-overflow": ("simulate", model_doc(alice=[{"setting": 0, "vector": [1e308, 1e308]}, PARTY[1]])),
     "not-utf8": ("alpha", '{"n": 1, "edges": [], "name": "\xff"}'),  # byte 0xff in latin-1
 }
 VALID_FILES = {"scenario": ("lhv", scenario_doc()), "graph": ("alpha", graph_doc()), "model": ("simulate", model_doc())}

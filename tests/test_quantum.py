@@ -571,6 +571,20 @@ def test_schmidt_rejects_malformed_states(state, message):
         schmidt(state, (2, 2))
 
 
+@pytest.mark.parametrize("dims", [(-2, -2), (0, 4), (4, 0)])
+def test_schmidt_and_models_reject_non_positive_dims(dims):
+    with pytest.raises(InvalidInputError, match=r"dims \("):
+        schmidt([0.5] * 4, dims)
+    with pytest.raises(InvalidInputError, match=r"dims \("):
+        QuantumModel(dims, [0.5] * 4, (), ())
+
+
+@pytest.mark.parametrize("vector", [[0.0, 0.0], [1e308, 1e308], [1e-200, 0.0], [np.nan, 1.0]])
+def test_projector_onto_rejects_zero_and_non_finite_squared_norms(vector):
+    with pytest.raises(InvalidInputError, match="cannot project onto a vector of squared norm"):
+        projector_onto(vector)
+
+
 # ----------------------------------------------------------- block reduction ---
 
 

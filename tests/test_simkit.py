@@ -141,13 +141,12 @@ def searchsorted_counts(behavior, cfg):
     """Reference sampler: each draw's outcome located among the cumulative
     edges with searchsorted, then tallied."""
     counts = {}
-    for x in behavior.alice_settings:
-        for y in behavior.bob_settings:
-            p = cfg.visibility * behavior.table(x, y) + (1.0 - cfg.visibility) / 4.0
-            edges = np.cumsum(p.reshape(-1))
-            edges[-1] = 1.0
-            u = uniforms(derive_seed(cfg.seed, x, y), cfg.shots)
-            counts[(x, y)] = np.bincount(np.searchsorted(edges, u, side="right"), minlength=4).reshape(2, 2)
+    for x, y in sorted(behavior.pairs):
+        p = cfg.visibility * behavior.table(x, y) + (1.0 - cfg.visibility) / 4.0
+        edges = np.cumsum(p.reshape(-1))
+        edges[-1] = 1.0
+        u = uniforms(derive_seed(cfg.seed, x, y), cfg.shots)
+        counts[(x, y)] = np.bincount(np.searchsorted(edges, u, side="right"), minlength=4).reshape(2, 2)
     return counts
 
 
@@ -193,7 +192,7 @@ def test_seed_blocked_counts_match_per_seed_reference():
 
 
 def test_million_shot_pair_spans_blocks_bit_identically():
-    one_pair = Behavior({(0, 0): behavior_of(known_optimal_model("pentagon-1")).table(0, 0)})
+    one_pair = Behavior(behavior_of(known_optimal_model("pentagon-1")).table(0, 0)[None, None])
     cfg = SimConfig(shots=1_000_000, seed=3, visibility=0.9)
     assert cfg.shots > simkit._BLOCK_DRAWS
     table = sample_counts(one_pair, cfg)
@@ -202,7 +201,8 @@ def test_million_shot_pair_spans_blocks_bit_identically():
 
 def test_behavior_with_holes_samples_its_own_pairs():
     full = behavior_of(known_optimal_model("pentagon-2"))
-    diagonal = Behavior({(0, 0): full.table(0, 0), (1, 1): full.table(1, 1)})
+    tables = np.array([[full.table(x, y) for y in range(2)] for x in range(2)])
+    diagonal = Behavior(tables, pairs={(0, 0), (1, 1)})
     cfg = SimConfig(shots=5000, seed=4, visibility=0.9)
     table = sample_counts(diagonal, cfg)
     assert sorted(table.counts) == [(0, 0), (1, 1)]
