@@ -13,8 +13,9 @@ inequality enters only as its tensor W[x, y, a, b]
 (`scenarios.coefficient_tensor`, over the settings the caller's projectors
 supply), and its Bell operator is the sum over (x, a) of
 E_a^x x (sum over (y, b) of W[x, y, a, b] F_b^y).  `_kron_sum` forms such
-sums of Kronecker products for whole stacks of projectors at once; the
-see-saw, `bell_operator` and the scan use it through `_bell_matrix`, and
+sums of Kronecker products for whole stacks of projectors at once;
+`bell_operator` and the scan use it through `_bell_matrix`, the see-saw
+through `_effect_bell_matrix` on the effect stacks it keeps, and
 `two_projector_operator` (P1 x Q1 + P2 x Q2 + 1 x Q0, for a whole stack of
 blocks or full operators at once) and so `block_reductions` use it with a
 three-pair stack.  The scan's top eigenvalue is symmetric under
@@ -29,11 +30,15 @@ iteration is one batched Bell-operator build and eigenvalue call, then one
 batched measurement update per party.  A party's effective operators for
 all its settings are one contraction of W's outcome differences
 (W[x, y, 0, b] - W[x, y, 1, b] for Alice) with the other party's effects
-sandwiched by the states, followed by one eigenvalue call.  A run stops
-at its first step whose value fails to grow by 1e-12 and keeps the state
-and measurements of that step.  32 restarts for each of the 5 named
-inequalities at dims (2,2), (3,3) and (4,4), over seeds 0, 1 and 7, take
-about 0.22 s (about 0.15 ms per restart) on the machine above.
+sandwiched by the states, followed by one eigenvalue call.  Each party's
+effects are built once per update and feed both the other party's update
+and the next Bell operator, and W's (x, a) x (y, b) matrix is formed once
+per run.  A run stops at its first step whose value fails to grow by
+1e-12 and keeps the state and measurements of that step.  32 restarts
+for each of the 5 named inequalities at dims (2,2), (3,3) and (4,4), over
+seeds 0, 1 and 7, take 0.25-0.35 s (0.17-0.24 ms per restart) on the
+machine above, whose speed drifts by a third from run to run; eigh takes
+about two thirds of that time.
 
 The block reduction works on whole stacks of instances that share Alice's
 and Bob's dimensions.  `block_reductions` validates a stack in one pass,
@@ -169,7 +174,7 @@ def _kron_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     outer = left[..., :, None, :, None] * right[..., None, :, None, :]
     n = left.shape[-1] * right.shape[-1]
     s = outer.sum(axis=-5).reshape(outer.shape[:-5] + (n, n))
-    return (s + np.swapaxes(s, -1, -2)) / 2.0
+    return (s + s.mT) / 2.0
 
 
 def _combine(coefficients: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -184,8 +189,19 @@ def _bell_matrix(w: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarra
     """Symmetrized sum over (x, a) of E_a^x x (sum over (y, b) of
     W[x, y, a, b] F_b^y), for the coefficient tensor W and (..., settings,
     d, d) stacks of outcome-0 projectors whose leading axes broadcast."""
-    partners = _combine(w.transpose(0, 2, 1, 3).reshape(2 * len(w), -1), _effects(bob))
-    return _kron_sum(_effects(alice), partners)
+    return _effect_bell_matrix(_partner_rows(w), _effects(alice), _effects(bob))
+
+
+def _partner_rows(w: np.ndarray) -> np.ndarray:
+    """W as a (2 n_a, 2 n_b) matrix, rows over Alice's (x, a) and columns
+    over Bob's (y, b)."""
+    return w.transpose(0, 2, 1, 3).reshape(2 * len(w), -1)
+
+
+def _effect_bell_matrix(rows: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """`_bell_matrix` from W's `_partner_rows` and the parties' (..., 2 s,
+    d, d) effect stacks (see `_effects`)."""
+    return _kron_sum(alice, _combine(rows, bob))
 
 
 def behavior_of(model: QuantumModel) -> Behavior:
@@ -218,10 +234,11 @@ def schmidt(state, dims) -> np.ndarray:
 def _positive_eigenspace_projector(f: np.ndarray) -> np.ndarray:
     """Projector onto the strictly positive eigenspace of each matrix of a
     stack; eigenvalues within 1e-11 * max(1, max|w|) of zero are excluded."""
-    w, v = np.linalg.eigh((f + np.swapaxes(f, -1, -2)) / 2.0)
-    cut = 1e-11 * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
+    w, v = np.linalg.eigh((f + f.mT) / 2.0)
+    # max|w| is at one end of the ascending spectrum
+    cut = 1e-11 * np.maximum(np.maximum(1.0, -w[..., :1]), w[..., -1:])
     keep = v * (w > cut)[..., None, :]
-    return keep @ np.swapaxes(keep, -1, -2)
+    return keep @ keep.mT
 
 
 def _seesaw(iq, dims, rngs):
@@ -242,6 +259,7 @@ def _seesaw(iq, dims, rngs):
     alice = _rank_one_projectors(np.array(starts_a))  # (run, setting, d, d)
     bob = _rank_one_projectors(np.array(starts_b))
     w = coefficient_tensor(iq, iq.alice_settings, iq.bob_settings)
+    rows = _partner_rows(w)
     # a setting's effective operator weighs the other party's sandwiched
     # effects by the outcome-0 minus outcome-1 coefficients
     diff_a = (w[:, :, 0] - w[:, :, 1]).reshape(iq.alice_settings, -1)
@@ -251,20 +269,24 @@ def _seesaw(iq, dims, rngs):
     state = np.zeros((len(rngs), d_a * d_b))
     traces = [[] for _ in rngs]
     active = np.arange(len(rngs))
+    # the running restarts' effects, each built once per update
+    ea, eb = _effects(alice), _effects(bob)
     for _ in range(10_000):
-        w_val, v = np.linalg.eigh(_bell_matrix(w, alice[active], bob[active]))
+        w_val, v = np.linalg.eigh(_effect_bell_matrix(rows, ea, eb))
         new_value = w_val[:, -1]
-        for r, t in zip(active, new_value):
-            traces[r].append(float(t))
+        for r, t in zip(active.tolist(), new_value.tolist()):
+            traces[r].append(t)
         grew = new_value - value[active] >= _TIE
         value[active], state[active] = new_value, v[:, :, -1]
         active = active[grew]
         if active.size == 0:
             break
         psi = v[grew, :, -1].reshape(-1, 1, d_a, d_b)
-        psi_t = np.swapaxes(psi, -1, -2)
-        alice[active] = _positive_eigenspace_projector(_combine(diff_a, psi @ _effects(bob[active]) @ psi_t))
-        bob[active] = _positive_eigenspace_projector(_combine(diff_b, psi_t @ _effects(alice[active]) @ psi))
+        psi_t = psi.mT
+        alice[active] = a = _positive_eigenspace_projector(_combine(diff_a, psi @ eb[grew] @ psi_t))
+        ea = _effects(a)
+        bob[active] = b = _positive_eigenspace_projector(_combine(diff_b, psi_t @ ea @ psi))
+        eb = _effects(b)
 
     best = int(np.argmax(value >= value.max() - _TIE))
     model = QuantumModel(dims, state[best], tuple(alice[best]), tuple(bob[best]))
@@ -283,7 +305,7 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
     ties, which keep the lowest restart index.
     Restarts run as one stack, in blocks of up to 1024, so each iteration
     makes one batched eigenvalue call per stage for every restart still
-    running; about 0.15 ms per restart (see the module docstring).
+    running; about 0.2 ms per restart (see the module docstring).
     """
     d_a, d_b = _checked_dims(dims)
     if d_a > MAX_LOCAL_DIM or d_b > MAX_LOCAL_DIM:
@@ -295,7 +317,8 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
     best = None
     for start in range(seed, seed + restarts, _RESTART_BLOCK):
         stop = min(start + _RESTART_BLOCK, seed + restarts)
-        value, model, _ = _seesaw(iq, (d_a, d_b), [np.random.default_rng(s) for s in range(start, stop)])
+        # Generator(PCG64(s)) is default_rng(s), built without its type checks
+        value, model, _ = _seesaw(iq, (d_a, d_b), [np.random.Generator(np.random.PCG64(s)) for s in range(start, stop)])
         if best is None or value > best[0] + _TIE:
             best = (value, model)
     return best

@@ -179,21 +179,23 @@ def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray) -> np.nd
     return below
 
 
-def _count_stack(behavior: Behavior, cfg: SimConfig, seeds) -> np.ndarray:
+def _count_stack(behavior: Behavior, cfg: SimConfig, seeds, pairs=None) -> np.ndarray:
     """(len(seeds), n_a, n_b, 2, 2) int64 count tables of cfg's experiment at
-    each master seed, over the setting pairs the behavior covers
-    (`Behavior.pairs`); an uncovered pair holds zeros.
+    each master seed, over the dense shape of the setting pairs the behavior
+    covers (`Behavior.pairs`).  The pairs of `pairs` (default: every
+    covered pair) are sampled; every other pair holds zeros.
 
     The pair (x, y) at master seed s thresholds the uniforms of substream
     derive_seed(s, x, y) against the visibility-mixed distribution cumulated
     in row-major (a, b) order; all streams are counted in one pass.
     """
-    pairs = sorted(behavior.pairs)
+    pairs = sorted(behavior.pairs if pairs is None else pairs)
     p = cfg.visibility * np.array([behavior.table(x, y) for x, y in pairs]) + (1.0 - cfg.visibility) / 4.0
     edges = np.cumsum(p.reshape(-1, 4), axis=1)[:, :3]
     below = _threshold_counts(_derive_seeds(seeds, pairs), cfg.shots, np.tile(edges, (len(seeds), 1)))
+    n_a, n_b = np.array(sorted(behavior.pairs), dtype=int).reshape(-1, 2).max(axis=0, initial=-1) + 1
     xs, ys = np.array(pairs, dtype=int).reshape(-1, 2).T
-    table = np.zeros((len(seeds), 1 + xs.max(initial=-1), 1 + ys.max(initial=-1), 2, 2), dtype=np.int64)
+    table = np.zeros((len(seeds), n_a, n_b, 2, 2), dtype=np.int64)
     table[:, xs, ys] = np.diff(below, axis=1, prepend=0, append=cfg.shots).reshape(len(seeds), len(pairs), 2, 2)
     return table
 
@@ -272,25 +274,25 @@ def estimate(
 ) -> ExperimentReport:
     """Estimate every term of the inequality from a count table (the
     one-table case of the estimates run_experiments makes)."""
-    pairs = frozenset(counts.counts)
-    table = np.zeros((1, *term_cells(iq.terms, pairs).shape[1:]))
+    cells = term_cells(iq.terms, frozenset(counts.counts))
+    table = np.zeros((1, *cells.shape[1:]))
     for (x, y), block in counts.counts.items():
         table[0, x, y] = block
-    return _estimates(table, pairs, counts.shots, iq, ideal, lhv)[0]
+    return _estimates(table, cells, counts.shots, iq, ideal, lhv)[0]
 
 
-def _estimates(tables, pairs, n, iq, ideal, lhv) -> list:
-    """One report per count table of an (S, n_a, n_b, 2, 2) stack over the
-    covered setting pairs, n shots per pair.
+def _estimates(tables, cells, n, iq, ideal, lhv) -> list:
+    """One report per count table of an (S, n_a, n_b, 2, 2) stack, n shots
+    per setting pair, given the terms' cells over the covered setting pairs
+    (see term_cells).
 
-    Each term's count is its cells (see term_cells) contracted with the count
-    table, so a marginal (wildcard) term sums the wildcard party's outcomes
-    at the lowest covered partner setting.  The total is the sum of the
-    term estimates in term order; its variance is summed over setting pairs,
+    Each term's count is its cells contracted with the count table, so a
+    marginal (wildcard) term sums the wildcard party's outcomes at the
+    lowest covered partner setting.  The total is the sum of the term
+    estimates in term order; its variance is summed over setting pairs,
     each (sum c^2 p - (sum c p)^2) / N with c the summed cells of all terms:
     terms of one pair are multinomially correlated.
     """
-    cells = term_cells(iq.terms, pairs)
     p_hat = tables.reshape(len(tables), -1) @ cells.reshape(len(cells), -1).T / n
     sigmas = np.sqrt(p_hat * (1.0 - p_hat) / n)
     omegas = np.cumsum(p_hat, axis=1)[:, -1]
@@ -320,10 +322,17 @@ def run_experiments(iq: Inequality, model: QuantumModel, cfg: SimConfig, seeds) 
     """One experiment report at each master seed of `seeds` in place of
     cfg.seed.
 
-    The ideal behavior is computed once and the count tables of all seeds
-    are sampled over one seed axis; each table equals sample_counts' at
-    that seed, and each report equals estimate's on that table.
+    The ideal behavior is computed once, and the terms' cells over its
+    setting pairs are resolved before any draw, so a model whose pairs do
+    not cover the inequality raises InvalidInputError without sampling.
+    Only the setting pairs that some term reads are sampled, over one seed
+    axis for all seeds; pentagon-3 reads 5 of its 6 pairs.  Each sampled
+    pair's counts equal sample_counts' at that seed, an unread pair's
+    counts are zero and weigh nothing, so each report equals estimate's on
+    sample_counts' table.
     """
     ideal = behavior_of(model)
-    tables = _count_stack(ideal, cfg, list(seeds))
-    return _estimates(tables.astype(float), ideal.pairs, cfg.shots, iq, ideal, float(lhv_bound(iq)[0]))
+    cells = term_cells(iq.terms, ideal.pairs)
+    read = [tuple(pair) for pair in np.argwhere(cells.any(axis=(0, 3, 4))).tolist()]
+    tables = _count_stack(ideal, cfg, list(seeds), read)
+    return _estimates(tables.astype(float), cells, cfg.shots, iq, ideal, float(lhv_bound(iq)[0]))

@@ -256,6 +256,27 @@ def test_simulate_rejects_bad_model_files(tmp_path, defect, message):
     assert message in err
 
 
+@pytest.mark.parametrize("alice_settings", [1, 0], ids=["alice-setting-0", "no-alice-settings"])
+def test_simulate_checks_coverage_before_sampling(tmp_path, monkeypatch, alice_settings):
+    from pentabell import simkit
+    from pentabell.quantum import known_optimal_model, model_to_json
+
+    data = model_to_json(known_optimal_model("pentagon-1"))
+    data["alice"] = data["alice"][:alice_settings]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    streams = []
+    monkeypatch.setattr(simkit, "_threshold_counts", lambda seeds, *args: streams.append(len(seeds)))
+    results = [
+        run_cli(["simulate", "pentagon-1", "--model", str(path), "--shots", shots]) for shots in ("10", "10000000")
+    ]
+    code, out, err = results[0]
+    assert code == 1 and out == ""
+    assert err.startswith("error: setting pairs do not cover event ") and err.count("\n") == 1
+    assert results[1] == results[0]
+    assert streams == []
+
+
 def test_simulate_reproducible_byte_identically():
     argv = ["simulate", "pentagon-3", "--seed", "42", "--shots", "1000"]
     _, out1, _ = run_cli(argv)

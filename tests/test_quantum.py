@@ -323,6 +323,18 @@ def test_positive_eigenspace_cut_is_per_matrix():
     assert np.array_equal(stacked[1], np.diag([1.0, 0.0]))
     for i in range(2):
         assert np.array_equal(stacked[i], _positive_eigenspace_projector(f[i]))
+    # the cut is 1e-11 * max(1, max|w|) whichever end of the spectrum holds
+    # max|w|: an eigenvalue exactly at it is cut and the next double kept,
+    # for mixed, all-positive and all-negative spectra, alone or stacked
+    # with a matrix of a larger cut
+    for spectrum in ([-1e3, 5.0], [-0.5, 0.25], [2e3, 7.0], [0.5, 0.25], [-1e3, -7.0], [-0.5, -0.25]):
+        cut = 1e-11 * max(1.0, max(abs(w) for w in spectrum))
+        f = np.diag([*spectrum, cut, np.nextafter(cut, np.inf)])
+        expected = np.diag([float(w > 0.0) for w in spectrum] + [0.0, 1.0])
+        assert np.array_equal(_positive_eigenspace_projector(f), expected)
+        stacked = _positive_eigenspace_projector(np.array([f, np.diag([-1e6, 0.0, 0.0, 1.0])]))
+        assert np.array_equal(stacked[0], expected)
+    assert not _positive_eigenspace_projector(np.diag([-1e3, -1e-12])).any()
 
 
 def same_measurements(m1, m2):
@@ -368,10 +380,10 @@ def test_seesaw_stops_at_its_first_stalled_step(monkeypatch, name):
     # stack rows per call: Bell operators built, and measurement updates,
     # which alternate Alice's and Bob's
     built, updates = [], []
-    bell_matrix, update = quantum._bell_matrix, quantum._positive_eigenspace_projector
+    bell_matrix, update = quantum._effect_bell_matrix, quantum._positive_eigenspace_projector
 
-    def counted_bell_matrix(w, alice, bob):
-        out = bell_matrix(w, alice, bob)
+    def counted_bell_matrix(rows, alice, bob):
+        out = bell_matrix(rows, alice, bob)
         built.append(len(out))
         return out
 
@@ -380,7 +392,7 @@ def test_seesaw_stops_at_its_first_stalled_step(monkeypatch, name):
         updates.append(len(out))
         return out
 
-    monkeypatch.setattr(quantum, "_bell_matrix", counted_bell_matrix)
+    monkeypatch.setattr(quantum, "_effect_bell_matrix", counted_bell_matrix)
     monkeypatch.setattr(quantum, "_positive_eigenspace_projector", counted_update)
     iq = named_inequality(name)
     value, model, traces = _seesaw(iq, (3, 3), [np.random.default_rng(r) for r in range(16)])

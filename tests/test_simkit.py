@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pentabell.errors import InvalidInputError
-from pentabell.quantum import behavior_of, known_optimal_model, qmax_scan_ineq2
+from pentabell.quantum import QuantumModel, behavior_of, known_optimal_model, qmax_scan_ineq2, qmax_seesaw
 from pentabell import simkit
 from pentabell.scenarios import (
     Behavior,
@@ -13,6 +13,7 @@ from pentabell.scenarios import (
     Event,
     Inequality,
     evaluate,
+    lhv_bound,
     named_inequality,
     pr_box,
     strategy_behavior,
@@ -189,6 +190,48 @@ def test_seed_blocked_counts_match_per_seed_reference():
     for seed in (0, 1, 117, 199):
         single = run_experiment(named_inequality("pentagon-2"), m, SimConfig(shots=5000, seed=seed))
         assert reports[seed] == single
+
+
+@pytest.mark.parametrize("alice_settings", [1, 0], ids=["alice-setting-0", "no-alice-settings"])
+def test_uncovered_model_fails_before_any_draw(monkeypatch, alice_settings):
+    full = known_optimal_model("pentagon-1")
+    model = QuantumModel(full.dims, full.state, full.alice[:alice_settings], full.bob)
+    streams = []
+    monkeypatch.setattr(simkit, "_threshold_counts", lambda seeds, *args: streams.append(len(seeds)))
+    with pytest.raises(InvalidInputError, match="setting pairs do not cover event"):
+        run_experiments(named_inequality("pentagon-1"), model, SimConfig(shots=10_000_000), range(3))
+    assert streams == []
+
+
+def _term_model(name):
+    if name == "chsh-prob":
+        return qmax_scan_ineq2().model
+    if name == "i3322":
+        return qmax_seesaw(named_inequality("i3322"), dims=(2, 2), restarts=4, seed=0)[1]
+    return known_optimal_model(name)
+
+
+@pytest.mark.parametrize("name", ["pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322"])
+def test_run_experiments_equal_estimates_on_every_pair(monkeypatch, name):
+    # run_experiments draws only the pairs the terms read; its reports equal
+    # estimate's on sample_counts' table of every covered pair
+    iq, model = named_inequality(name), _term_model(name)
+    cfg = SimConfig(shots=5000, visibility=0.9)
+    streams = []
+    threshold_counts = simkit._threshold_counts
+
+    def counted(seeds, shots, edges):
+        streams.append(len(seeds))
+        return threshold_counts(seeds, shots, edges)
+
+    monkeypatch.setattr(simkit, "_threshold_counts", counted)
+    reports = run_experiments(iq, model, cfg, (0, 1, 7))
+    if name == "pentagon-3":
+        assert streams == [5 * 3]
+    ideal, lhv = behavior_of(model), lhv_bound(iq)[0]
+    for seed, report in zip((0, 1, 7), reports):
+        counts = sample_counts(model, SimConfig(shots=5000, seed=seed, visibility=0.9))
+        assert report == estimate(counts, iq, ideal=ideal, lhv=lhv)
 
 
 def test_million_shot_pair_spans_blocks_bit_identically():
