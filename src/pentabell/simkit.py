@@ -11,15 +11,21 @@ table bit for bit.
 Sampling a setting pair is threshold counting: with the pair's four outcome
 probabilities cumulated in row-major (a, b) order, a uniform draw u selects
 the first outcome whose cumulative edge exceeds u.  So the count of outcomes
-up to k is the number of draws below edge k, and the table is the
-differences of three such counts (one vectorised comparison per inner edge)
-and the shot total.  Because the generator is counter-mode, the streams of
-many setting pairs and master seeds stack into one (stream, draw) grid,
-which is generated and counted in blocks of a fixed number of draws; a
-table does not depend on which other streams share its blocks.  The blocks
-reuse buffers allocated once per call and are mixed in place, and each
-draw's full 64-bit word is compared with its edge scaled by 2^64, which
-counts exactly the draws whose top-53-bit uniform lies below the edge.
+up to k is B_k, the number of draws below edge k, and cell k counts
+B_k - B_{k-1} with B_{-1} = 0 and B_3 the shot total: one vectorised
+comparison per inner edge.  Because the generator is counter-mode, the
+streams of many setting pairs and master seeds stack into one (stream, draw)
+grid, which is generated and counted in blocks of a fixed number of draws; a
+table does not depend on which other streams share its blocks, and a count
+below one edge does not depend on the other edges.  So only the cells that
+are read need counting: sample_counts counts every cell of every covered
+pair, while run_experiments draws only the pairs and compares only the
+edges that bound a cell some term reads (7 of pentagon-2's 12 inner edges),
+and its internal count tables hold zeros in the unread cells and never
+become a CountTable.  The blocks reuse buffers allocated once per call and
+are mixed in place, and each draw's full 64-bit word is compared with its
+edge scaled by 2^64, which counts exactly the draws whose top-53-bit uniform
+lies below the edge.
 
 Estimates contract each term's cells (`scenarios.term_cells`) with the
 count table.  The total's sigma is exact for the sum: terms measured at one
@@ -84,10 +90,19 @@ def derive_seed(seed: int, x: int, y: int) -> int:
     return mix64(mix64(seed) + 4 * x + y + 1)
 
 
+def _checked_seed(seed) -> int:
+    """A master seed as an int; one outside [0, 2^64) raises rather than
+    alias the seed it equals modulo 2^64."""
+    seed = strict_int(seed, "seed")
+    if not 0 <= seed <= _MASK64:
+        raise InvalidInputError(f"seed must lie in [0, 2^64), not {seed}")
+    return seed
+
+
 def _derive_seeds(seeds, pairs) -> np.ndarray:
     """derive_seed(s, x, y) for every master seed s and (x, y) of pairs, as
     a seed-major flat uint64 array."""
-    master = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    master = np.array([_checked_seed(s) for s in seeds], dtype=np.uint64)
     offsets = np.array([4 * x + y + 1 for x, y in pairs], dtype=np.uint64)
     z = _mix64_into(master, np.empty_like(master))[:, None] + offsets
     return _mix64_into(z, np.empty_like(z)).reshape(-1)
@@ -109,6 +124,7 @@ class SimConfig:
         object.__setattr__(self, "shots", strict_int(self.shots, "shots"))
         if self.shots < 1:
             raise InvalidInputError("shots must be >= 1")
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         if not 0.0 <= self.visibility <= 1.0:
             raise InvalidInputError("visibility must lie in [0, 1]")
 
@@ -137,9 +153,10 @@ class CountTable:
                 )
 
 
-def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray) -> np.ndarray:
+def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray, compared: np.ndarray) -> np.ndarray:
     """(k, 3) number of the `shots` uniforms of stream seeds[i] below each of
-    its three edges[i].
+    its three edges[i] where the boolean compared[i] holds, and 0 elsewhere:
+    an edge that is not compared costs no pass over the draws.
 
     The (stream, draw) grid is generated _BLOCK_DRAWS words at a time: whole
     rows of several streams, or column chunks of one stream when a stream is
@@ -156,6 +173,7 @@ def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray) -> np.nd
     every = limits >= np.uint64(1 << 53)
     thresholds = np.where(every, np.uint64(0), limits) << np.uint64(11)
     below = np.zeros(edges.shape, dtype=np.int64)
+    passes = [np.flatnonzero(row).tolist() for row in compared]
     cols = min(shots, _BLOCK_DRAWS)
     rows = max(1, _BLOCK_DRAWS // shots)
     ramp = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
@@ -173,30 +191,42 @@ def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray) -> np.nd
             np.add(ramp[:width], base[:n, None], out=block)
             _mix64_into(block, scratch)
             for i, row in enumerate(block, start=r):  # count_nonzero of a whole row is far cheaper than with axis=
-                for k in range(3):
+                for k in passes[i]:
                     below[i, k] += np.count_nonzero(np.less(row, thresholds[i, k], out=hits))
-    below[every] = shots
+    below[every & compared] = shots
     return below
 
 
-def _count_stack(behavior: Behavior, cfg: SimConfig, seeds, pairs=None) -> np.ndarray:
+def _count_stack(behavior: Behavior, cfg: SimConfig, seeds, cells=None) -> np.ndarray:
     """(len(seeds), n_a, n_b, 2, 2) int64 count tables of cfg's experiment at
     each master seed, over the dense shape of the setting pairs the behavior
-    covers (`Behavior.pairs`).  The pairs of `pairs` (default: every
-    covered pair) are sampled; every other pair holds zeros.
+    covers (`Behavior.pairs`).  The cells of the boolean (n_a, n_b, 2, 2)
+    mask `cells` (default: every cell of every covered pair) are counted;
+    every other cell holds zeros.
 
-    The pair (x, y) at master seed s thresholds the uniforms of substream
-    derive_seed(s, x, y) against the visibility-mixed distribution cumulated
-    in row-major (a, b) order; all streams are counted in one pass.
+    A setting pair is drawn when any of its cells is counted: (x, y) at
+    master seed s thresholds the uniforms of substream derive_seed(s, x, y)
+    against the visibility-mixed distribution cumulated in row-major (a, b)
+    order, and edge k is compared only when cell k or k + 1 is counted.
+    All streams are counted in one pass.
     """
-    pairs = sorted(behavior.pairs if pairs is None else pairs)
+    if cells is None:
+        covered = np.array(sorted(behavior.pairs), dtype=int).reshape(-1, 2)
+        cells = np.zeros((*(covered.max(axis=0, initial=-1) + 1), 2, 2), dtype=bool)
+        cells[tuple(covered.T)] = True
+    xs, ys = np.nonzero(cells.any(axis=(2, 3)))
+    pairs = list(zip(xs.tolist(), ys.tolist()))
     p = cfg.visibility * np.array([behavior.table(x, y) for x, y in pairs]) + (1.0 - cfg.visibility) / 4.0
     edges = np.cumsum(p.reshape(-1, 4), axis=1)[:, :3]
-    below = _threshold_counts(_derive_seeds(seeds, pairs), cfg.shots, np.tile(edges, (len(seeds), 1)))
-    n_a, n_b = np.array(sorted(behavior.pairs), dtype=int).reshape(-1, 2).max(axis=0, initial=-1) + 1
-    xs, ys = np.array(pairs, dtype=int).reshape(-1, 2).T
-    table = np.zeros((len(seeds), n_a, n_b, 2, 2), dtype=np.int64)
-    table[:, xs, ys] = np.diff(below, axis=1, prepend=0, append=cfg.shots).reshape(len(seeds), len(pairs), 2, 2)
+    read = cells[xs, ys].reshape(-1, 4)
+    compared = read[:, :3] | read[:, 1:]
+    n = len(seeds)
+    below = _threshold_counts(
+        _derive_seeds(seeds, pairs), cfg.shots, np.tile(edges, (n, 1)), np.tile(compared, (n, 1))
+    )
+    counts = np.diff(below, axis=1, prepend=0, append=cfg.shots).reshape(n, len(pairs), 2, 2)
+    table = np.zeros((n, *cells.shape), dtype=np.int64)
+    table[:, xs, ys] = counts * cells[xs, ys]
     return table
 
 
@@ -325,14 +355,15 @@ def run_experiments(iq: Inequality, model: QuantumModel, cfg: SimConfig, seeds) 
     The ideal behavior is computed once, and the terms' cells over its
     setting pairs are resolved before any draw, so a model whose pairs do
     not cover the inequality raises InvalidInputError without sampling.
-    Only the setting pairs that some term reads are sampled, over one seed
-    axis for all seeds; pentagon-3 reads 5 of its 6 pairs.  Each sampled
-    pair's counts equal sample_counts' at that seed, an unread pair's
-    counts are zero and weigh nothing, so each report equals estimate's on
-    sample_counts' table.
+    Only the cells that some term reads are counted, over one seed axis for
+    all seeds: a pair none of whose cells is read is not drawn (pentagon-3
+    reads 5 of its 6 pairs), and only the cumulative edges that bound a read
+    cell are compared (pentagon-2 needs 7 of its 12).  Each read cell's
+    count equals sample_counts' at that seed, an unread cell's count is zero
+    and weighs nothing, so each report equals estimate's on sample_counts'
+    table.
     """
     ideal = behavior_of(model)
     cells = term_cells(iq.terms, ideal.pairs)
-    read = [tuple(pair) for pair in np.argwhere(cells.any(axis=(0, 3, 4))).tolist()]
-    tables = _count_stack(ideal, cfg, list(seeds), read)
+    tables = _count_stack(ideal, cfg, list(seeds), cells.any(axis=0))
     return _estimates(tables.astype(float), cells, cfg.shots, iq, ideal, float(lhv_bound(iq)[0]))

@@ -313,6 +313,16 @@ def test_invalid_inputs_exit_one(tmp_path, monkeypatch):
     assert code == 1 and err == "error: seed must be >= 0\n"
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_simulate_seed_outside_64_bits_exits_one(monkeypatch, seed):
+    message = f"error: seed must lie in [0, 2^64), not {seed}\n"
+    code, out, err = run_cli(["simulate", "pentagon-2", "--shots", "100", "--seed", str(seed)])
+    assert (code, out, err) == (1, "", message)
+    monkeypatch.setenv("PENTABELL_SEED", str(seed))
+    code, out, err = run_cli(["simulate", "pentagon-2", "--shots", "100"])
+    assert (code, out, err) == (1, "", message)
+
+
 PARTY = [{"setting": 0, "vector": [1, 0]}, {"setting": 1, "vector": [1, 1]}]
 
 

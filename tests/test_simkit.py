@@ -220,9 +220,9 @@ def test_run_experiments_equal_estimates_on_every_pair(monkeypatch, name):
     streams = []
     threshold_counts = simkit._threshold_counts
 
-    def counted(seeds, shots, edges):
+    def counted(seeds, shots, edges, compared):
         streams.append(len(seeds))
-        return threshold_counts(seeds, shots, edges)
+        return threshold_counts(seeds, shots, edges, compared)
 
     monkeypatch.setattr(simkit, "_threshold_counts", counted)
     reports = run_experiments(iq, model, cfg, (0, 1, 7))
@@ -232,6 +232,42 @@ def test_run_experiments_equal_estimates_on_every_pair(monkeypatch, name):
     for seed, report in zip((0, 1, 7), reports):
         counts = sample_counts(model, SimConfig(shots=5000, seed=seed, visibility=0.9))
         assert report == estimate(counts, iq, ideal=ideal, lhv=lhv)
+
+
+@pytest.mark.parametrize(
+    "name, compared_per_seed, edges_per_seed",
+    [("pentagon-1", 6, 12), ("pentagon-2", 7, 12), ("pentagon-3", 6, 15), ("chsh-prob", 9, 12), ("i3322", 14, 24)],
+)
+def test_run_experiments_compares_only_edges_of_read_cells(monkeypatch, name, compared_per_seed, edges_per_seed):
+    # edge k of a drawn pair is compared only when cell k or k + 1 is read;
+    # i3322's pair (2, 0) needs all three, for cell 0 (00|20) and cells 2
+    # and 3 (the marginal 1_|2_)
+    masks = []
+    threshold_counts = simkit._threshold_counts
+
+    def recorded(seeds, shots, edges, compared):
+        masks.append(compared)
+        return threshold_counts(seeds, shots, edges, compared)
+
+    monkeypatch.setattr(simkit, "_threshold_counts", recorded)
+    run_experiments(named_inequality(name), _term_model(name), SimConfig(shots=100), (0, 1, 7))
+    [mask] = masks
+    assert mask.dtype == bool
+    assert (int(mask.sum()), mask.size) == (3 * compared_per_seed, 3 * edges_per_seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    # a seed is not reduced modulo 2^64, so -1 does not alias 2^64 - 1
+    with pytest.raises(InvalidInputError, match=r"seed must lie in \[0, 2\^64\)"):
+        SimConfig(shots=10, seed=seed)
+    model = known_optimal_model("pentagon-2")
+    with pytest.raises(InvalidInputError, match=r"seed must lie in \[0, 2\^64\)"):
+        run_experiments(named_inequality("pentagon-2"), model, SimConfig(shots=10), (0, seed))
+    top = SimConfig(shots=10, seed=(1 << 64) - 1)
+    assert run_experiment(named_inequality("pentagon-2"), model, top) != run_experiment(
+        named_inequality("pentagon-2"), model, SimConfig(shots=10, seed=0)
+    )
 
 
 def test_million_shot_pair_spans_blocks_bit_identically():
@@ -281,9 +317,13 @@ def test_threshold_counts_edge_cases_match_searchsorted(streams, shots, edges):
     if edges is None:
         edges = np.cumsum(rng.dirichlet(np.ones(4), size=streams), axis=1)[:, :3]
     edges = np.array(edges, dtype=float)
-    below = simkit._threshold_counts(seeds, shots, edges)
-    assert below.dtype == np.int64
-    assert np.array_equal(below, searchsorted_below(seeds, shots, edges))
+    reference = searchsorted_below(seeds, shots, edges)
+    # an edge left out of the comparison counts 0, and the others are unchanged
+    checkerboard = np.add.outer(np.arange(streams), np.arange(3)) % 2 == 0
+    for compared in (np.ones((streams, 3), dtype=bool), checkerboard, ~checkerboard):
+        below = simkit._threshold_counts(seeds, shots, edges, compared)
+        assert below.dtype == np.int64
+        assert np.array_equal(below, np.where(compared, reference, 0))
 
 
 def test_sampler_memory_is_fixed_buffers():

@@ -9,7 +9,14 @@ Prints a sha256 of each output's bytes, per case:
             the value, the state and the projector set (Alice's, then Bob's)
   simulate  simkit.run_experiment on known_optimal_model for pentagon-1,
             pentagon-2 and pentagon-3 at 10^6 shots, visibility 0.9, seeds
-            1 and 7: the report's repr, which holds every float exactly
+            1 and 7, and on each chsh-prob and i3322 see-saw model above at
+            10^5 shots, visibility 0.9, the see-saw's seed: the report's
+            repr, which holds every float exactly
+  report    simkit.run_experiments as `pentabell report` calls it:
+            pentagon-2's known_optimal_model, 5000 shots, seeds 0-199; the
+            reprs of all 200 reports
+
+Together the simulations read the cells of all five named inequalities.
 
 Run it on two checkouts and compare the outputs with diff.  Uses the
 standard library and numpy; pentabell is imported from the repository's
@@ -34,6 +41,7 @@ DIMS = ((2, 2), (3, 3), (4, 4))
 SEEDS = (0, 1, 7)
 PENTAGONS = ("pentagon-1", "pentagon-2", "pentagon-3")
 SIM_SEEDS = (1, 7)
+SEESAW_SIMULATED = ("chsh-prob", "i3322")
 
 
 def sha(data: bytes) -> str:
@@ -41,6 +49,7 @@ def sha(data: bytes) -> str:
 
 
 def main() -> None:
+    seesaw_models = []
     for name in INEQUALITIES:
         iq = named_inequality(name)
         for dims in DIMS:
@@ -51,11 +60,19 @@ def main() -> None:
                 print(f"seesaw {name} {dims[0]}x{dims[1]} seed {seed}: value {digests[0]}")
                 print(f"    state {digests[1]}")
                 print(f"    projectors {digests[2]}")
+                if name in SEESAW_SIMULATED:
+                    seesaw_models.append((name, dims, seed, model))
     for name in PENTAGONS:
         iq, model = named_inequality(name), quantum.known_optimal_model(name)
         for seed in SIM_SEEDS:
             report = simkit.run_experiment(iq, model, simkit.SimConfig(10**6, seed, 0.9))
             print(f"simulate {name} seed {seed}: {sha(repr(report).encode())}")
+    for name, dims, seed, model in seesaw_models:
+        report = simkit.run_experiment(named_inequality(name), model, simkit.SimConfig(10**5, seed, 0.9))
+        print(f"simulate {name} see-saw {dims[0]}x{dims[1]} seed {seed}: {sha(repr(report).encode())}")
+    iq, model = named_inequality("pentagon-2"), quantum.known_optimal_model("pentagon-2")
+    reports = simkit.run_experiments(iq, model, simkit.SimConfig(5000), range(200))
+    print(f"report pentagon-2 seeds 0-199: {sha(repr(reports).encode())}")
 
 
 if __name__ == "__main__":
