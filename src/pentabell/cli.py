@@ -32,7 +32,7 @@ def _round6(obj):
 
 
 def _emit(args, text: str, payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(_round6(payload), sort_keys=True, separators=(",", ":")))
     else:
         print(text)
@@ -407,47 +407,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph-theoretic analysis of the pentagonal bipartite Bell inequalities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("alpha", help="independence number of a graph")
+    p = sub.add_parser("alpha", help="independence number of a graph", parents=[common])
     p.add_argument("graph", help="graph JSON file or built-in scenario name")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_alpha)
 
-    p = sub.add_parser("theta", help="Lovasz number of a graph")
+    p = sub.add_parser("theta", help="Lovasz number of a graph", parents=[common])
     p.add_argument("graph", help="graph JSON file or built-in scenario name")
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_theta)
 
-    p = sub.add_parser("lhv", help="classical bound by strategy enumeration")
+    p = sub.add_parser("lhv", help="classical bound by strategy enumeration", parents=[common])
     p.add_argument("scenario", help="scenario JSON file or built-in name")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lhv)
 
-    p = sub.add_parser("qmax", help="quantum maximum by see-saw optimization")
+    p = sub.add_parser("qmax", help="quantum maximum by see-saw optimization", parents=[common])
     p.add_argument("scenario", help="scenario JSON file or built-in name")
     p.add_argument("--dims", default="2,2", help="local dimensions dA,dB (default 2,2)")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--model-out", help="write the best model as JSON")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_qmax)
 
-    p = sub.add_parser("enumerate", help="edge patterns and all pentagonal inequalities")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("enumerate", help="edge patterns and all pentagonal inequalities", parents=[common])
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("simulate", help="finite-statistics experiment report")
+    p = sub.add_parser("simulate", help="finite-statistics experiment report", parents=[common])
     p.add_argument("scenario", help="scenario JSON file or built-in name")
     p.add_argument("--model", help="model JSON file (default: built-in optimal model)")
     p.add_argument("--shots", type=int, default=5000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--visibility", type=float, default=1.0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("report", help="recompute every reference value; PASS/FAIL per item")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("report", help="recompute every reference value; PASS/FAIL per item", parents=[common])
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -1,5 +1,5 @@
 """Small-graph combinatorics: constructors, the exact independence number
-and the graph file format.
+and the reader of the graph file format.
 
 Vertices are 0..n-1 and edges are unordered pairs.  The independence
 number is an exact branch and bound sized for the tiny graphs this package
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CapacityError, InvalidInputError, json_decoder, load_json, save_json, strict_int, strict_pair
+from .errors import CapacityError, InvalidInputError, json_decoder, load_json, strict_int, strict_pair
 
 ALPHA_MAX_VERTICES = 32
 
@@ -22,9 +22,6 @@ class Graph:
 
     n: int
     edges: frozenset
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def degrees(self) -> list:
         d = [0] * self.n
@@ -83,14 +80,6 @@ def circulant(n: int, offsets: Iterable) -> Graph:
             j = (i + k) % n
             edges.add((min(i, j), max(i, j)))
     return graph(n, edges)
-
-
-def empty_graph(n: int) -> Graph:
-    return graph(n, [])
-
-
-def complete_graph(n: int) -> Graph:
-    return graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complement(g: Graph) -> Graph:
@@ -163,15 +152,6 @@ def independence_number(g: Graph):
     return best_size, witness
 
 
-def is_independent_set(g: Graph, vertices: Iterable) -> bool:
-    vs = list(vertices)
-    return all(not g.has_edge(vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
-
-
-def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
-
-
 @json_decoder("graph")
 def graph_from_json(data) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
@@ -181,7 +161,3 @@ def graph_from_json(data) -> Graph:
 
 def load_graph(path) -> Graph:
     return graph_from_json(load_json(path))
-
-
-def save_graph(g: Graph, path) -> None:
-    save_json(graph_to_json(g), path)

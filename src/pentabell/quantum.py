@@ -138,11 +138,6 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0]
 
 
-def qubit_projector(angle: float) -> np.ndarray:
-    """Projector onto the unit vector (cos angle, sin angle)."""
-    return projector_onto((np.cos(angle), np.sin(angle)))
-
-
 def bell_operator(iq: Inequality, model: QuantumModel) -> np.ndarray:
     """The inequality's Bell operator for the model's measurements, over the
     settings the model has (see `_bell_matrix`)."""

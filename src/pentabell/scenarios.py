@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, json_decoder, load_json, save_json, strict_int, strict_pair
+from .errors import CapacityError, InvalidInputError, json_decoder, load_json, strict_int, strict_pair
 from .graphs import Graph, cycle, graph
 from .theta import odd_cycle_theta
 
@@ -468,12 +468,6 @@ class CorrelatorDecomposition:
         w.flags.writeable = False
         return w
 
-    def predict(self, behavior: Behavior) -> float:
-        """The affine form on a behavior that covers the four setting pairs."""
-        for x, y in self.coefficients:
-            behavior.table(x, y)  # raises for an uncovered pair
-        return float(self.predict_tables(behavior._p))
-
     def predict_tables(self, tables: np.ndarray) -> np.ndarray:
         """The affine form on each table of a dense (..., n_a, n_b, 2, 2)
         stack whose settings 0 and 1 cover the four pairs."""
@@ -799,21 +793,6 @@ def named_graph(name: str) -> Graph:
     return exclusivity_graph(named_inequality(name))[0]
 
 
-def scenario_to_json(iq: Inequality) -> dict:
-    return {
-        "name": iq.name,
-        "alice_settings": iq.alice_settings,
-        "bob_settings": iq.bob_settings,
-        "terms": [
-            {
-                "alice": None if t.alice is None else list(t.alice),
-                "bob": None if t.bob is None else list(t.bob),
-            }
-            for t in iq.terms
-        ],
-    }
-
-
 @json_decoder("scenario")
 def scenario_from_json(data) -> Inequality:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
@@ -829,7 +808,3 @@ def scenario_from_json(data) -> Inequality:
 
 def load_scenario(path) -> Inequality:
     return scenario_from_json(load_json(path))
-
-
-def save_scenario(iq: Inequality, path) -> None:
-    save_json(scenario_to_json(iq), path)

@@ -156,11 +156,9 @@ def test_criterion_08_correlator_identity_and_pr_box():
         and abs(dec.offset - 1.5) <= 1e-10
         and all(abs(dec.coefficients[k] - v) <= 1e-10 for k, v in expected.items())
     )
-    rng = np.random.default_rng(808)
-    worst = 0.0
-    for _ in range(1000):
-        b = scenarios.random_ns_behavior(rng)
-        worst = max(worst, abs(dec.predict(b) - scenarios.evaluate(iq, b)))
+    boxes = scenarios.random_ns_tables(np.random.default_rng(808), 1000)
+    predicted = dec.predict_tables(boxes)
+    worst = max(abs(p - scenarios.evaluate(iq, scenarios.Behavior(box))) for p, box in zip(predicted, boxes))
     ok &= worst <= 1e-10
     box = scenarios.pr_box()
     chsh = box.correlator(0, 0) + box.correlator(0, 1) + box.correlator(1, 0) - box.correlator(1, 1)

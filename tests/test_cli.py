@@ -8,7 +8,8 @@ import pytest
 
 from pentabell import quantum, theta
 from pentabell.cli import main
-from pentabell.graphs import circulant, complete_graph, cycle, empty_graph, save_graph
+from pentabell.errors import save_json
+from pentabell.graphs import cycle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -78,16 +79,20 @@ def test_report_reduces_blocks_once_per_alice_dimension(monkeypatch):
     assert sorted(alice_dims) == [2, 3, 4, 5, 6]
 
 
+# circulant(8; 1, 4): the 8-cycle plus its four antipodal chords
+CI8_EDGES = [[0, 1], [0, 4], [0, 7], [1, 2], [1, 5], [2, 3], [2, 6], [3, 4], [3, 7], [4, 5], [5, 6], [6, 7]]
+
+
 def test_alpha_on_graph_files(tmp_path):
     cases = [
-        (cycle(5), 2),
-        (complete_graph(5), 1),
-        (circulant(8, {1, 4}), 3),
-        (empty_graph(6), 6),
+        ({"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}, 2),
+        ({"n": 5, "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]}, 1),
+        ({"n": 8, "edges": CI8_EDGES}, 3),
+        ({"n": 6, "edges": []}, 6),
     ]
-    for k, (g, expected) in enumerate(cases):
+    for k, (document, expected) in enumerate(cases):
         path = tmp_path / f"graph{k}.json"
-        save_graph(g, path)
+        save_json(document, path)
         code, out, _ = run_cli(["alpha", str(path), "--json"])
         assert code == 0
         assert json.loads(out)["alpha"] == expected
@@ -95,12 +100,12 @@ def test_alpha_on_graph_files(tmp_path):
 
 def test_theta_on_graph_files(tmp_path):
     path = tmp_path / "ci8.json"
-    save_graph(circulant(8, {1, 4}), path)
+    save_json({"n": 8, "edges": CI8_EDGES}, path)
     code, out, _ = run_cli(["theta", str(path), "--json"])
     assert code == 0
     assert json.loads(out)["theta"] == pytest.approx(3.414214, abs=1e-6)
     path6 = tmp_path / "empty6.json"
-    save_graph(empty_graph(6), path6)
+    save_json({"n": 6, "edges": []}, path6)
     code, out, _ = run_cli(["theta", str(path6), "--json"])
     assert json.loads(out)["theta"] == pytest.approx(6.0)
 
@@ -389,7 +394,7 @@ def test_malformed_file_templates_are_valid(tmp_path, case):
 
 def test_capacity_errors_exit_two(tmp_path):
     path = tmp_path / "big.json"
-    save_graph(empty_graph(33), path)
+    save_json({"n": 33, "edges": []}, path)
     code, _, err = run_cli(["alpha", str(path)])
     assert code == 2 and "error" in err
 

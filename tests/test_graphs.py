@@ -1,18 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from pentabell.errors import CapacityError, InvalidInputError
-from pentabell.graphs import (
-    circulant,
-    complete_graph,
-    cycle,
-    empty_graph,
-    graph,
-    graph_from_json,
-    graph_to_json,
-    independence_number,
-    is_independent_set,
-)
+from pentabell.errors import CapacityError, InvalidInputError, save_json
+from pentabell.graphs import circulant, complement, cycle, graph, graph_from_json, independence_number, load_graph
 
 
 def random_graph(n, p, rng):
@@ -22,7 +14,7 @@ def random_graph(n, p, rng):
 def test_cycle_definition():
     g = cycle(5)
     assert len(g.edges) == 5
-    assert all(g.degree(v) == 2 for v in range(5))
+    assert g.degrees() == [2] * 5
 
 
 def test_cycle_triangle_and_minimum():
@@ -39,11 +31,11 @@ def test_circulant_8_14_degrees():
     # offset 1 contributes two edges per vertex, offset 4 one (antipodal)
     g = circulant(8, {1, 4})
     assert len(g.edges) == 12
-    assert all(g.degree(v) == 3 for v in range(8))
+    assert g.degrees() == [3] * 8
 
 
 def test_circulant_all_offsets_is_complete():
-    assert circulant(5, {1, 2}) == complete_graph(5)
+    assert circulant(5, {1, 2}) == complement(graph(5, []))
 
 
 def test_circulant_rejects_bad_offsets():
@@ -56,8 +48,8 @@ def test_circulant_rejects_bad_offsets():
 def test_independence_numbers():
     assert independence_number(cycle(5))[0] == 2
     assert independence_number(circulant(8, {1, 4}))[0] == 3
-    assert independence_number(complete_graph(5))[0] == 1
-    assert independence_number(empty_graph(7))[0] == 7
+    assert independence_number(complement(graph(5, [])))[0] == 1
+    assert independence_number(graph(7, []))[0] == 7
 
 
 def test_independence_witness_is_verified():
@@ -66,18 +58,20 @@ def test_independence_witness_is_verified():
         g = random_graph(int(rng.integers(2, 14)), rng.uniform(0.1, 0.9), rng)
         alpha, witness = independence_number(g)
         assert len(witness) == alpha
-        assert is_independent_set(g, witness)
+        assert not any(g.has_edge(i, j) for i, j in itertools.combinations(witness, 2))
         assert alpha <= g.n
 
 
 def test_independence_capacity():
     with pytest.raises(CapacityError):
-        independence_number(empty_graph(33))
+        independence_number(graph(33, []))
 
 
-def test_graph_json_roundtrip():
-    g = circulant(8, {1, 4})
-    assert graph_from_json(graph_to_json(g)) == g
+def test_graph_json_roundtrip(tmp_path):
+    path = tmp_path / "ci8.json"
+    edges = [[0, 1], [0, 4], [0, 7], [1, 2], [1, 5], [2, 3], [2, 6], [3, 4], [3, 7], [4, 5], [5, 6], [6, 7]]
+    save_json({"n": 8, "edges": edges}, path)
+    assert load_graph(path) == circulant(8, {1, 4})
 
 
 def test_graph_json_rejects_duplicates_and_loops():

@@ -25,7 +25,6 @@ from pentabell.quantum import (
     projector_onto,
     qmax_scan_ineq2,
     qmax_seesaw,
-    qubit_projector,
     save_model,
     schmidt,
     two_projector_operator,
@@ -237,8 +236,8 @@ def test_bell_operator_pentagon2_max_eig():
 
 def test_bell_operator_chsh_prob_max_eig():
     # CHSH-optimal observables as outcome-0 projectors at half the Bloch angle
-    alice = (qubit_projector(0.0), qubit_projector(math.pi / 4))
-    bob = (qubit_projector(math.pi / 8), qubit_projector(-math.pi / 8))
+    alice = tuple(projector_onto((np.cos(t), np.sin(t))) for t in (0.0, math.pi / 4))
+    bob = tuple(projector_onto((np.cos(t), np.sin(t))) for t in (math.pi / 8, -math.pi / 8))
     m = QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), alice, bob)
     s = bell_operator(named_inequality("chsh-prob"), m)
     assert np.linalg.eigvalsh(s)[-1] == pytest.approx(2 + math.sqrt(2), abs=1e-9)
@@ -515,8 +514,8 @@ def test_scan_returns_the_pinned_optimum():
 
 def pentagon1_top_eig(angle_a, angle_b):
     sigma_z0 = np.diag([1.0, 0.0])
-    alice = [sigma_z0, qubit_projector(angle_a)]
-    bob = [sigma_z0, qubit_projector(angle_b)]
+    alice = [sigma_z0, projector_onto((np.cos(angle_a), np.sin(angle_a)))]
+    bob = [sigma_z0, projector_onto((np.cos(angle_b), np.sin(angle_b)))]
     w = coefficients(named_inequality("pentagon-1"), 2, 2)
     return np.linalg.eigvalsh(_bell_matrix(w, _stack(alice), _stack(bob)))[-1]
 
@@ -534,7 +533,7 @@ def test_no_two_angle_grid_point_beats_the_scan():
     # reference: every point of a 181 x 181 grid over [0, pi]^2, with no
     # symmetry assumed
     sigma_z0 = np.diag([1.0, 0.0])
-    grid = np.array([qubit_projector(t) for t in np.linspace(0.0, math.pi, 181)])
+    grid = np.array([projector_onto((np.cos(t), np.sin(t))) for t in np.linspace(0.0, math.pi, 181)])
     w = coefficients(named_inequality("pentagon-1"), 2, 2)
     operators = _bell_matrix(w, _stack([sigma_z0, grid[:, None]]), _stack([sigma_z0, grid]))
     assert operators.shape == (181, 181, 4, 4)

@@ -4,15 +4,18 @@ modules.  Files are read and written only by the input boundary in
 `errors`, so the graph, scenario and model formats share one policy for
 malformed input.  Every import sits at module level and the package's
 modules import one another without a cycle, so a module's dependencies are
-all read from its header."""
+all read from its header.  Every public function is reached by the package,
+its tools, its benchmark or the README, save a named few."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pentabell"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pentabell"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -86,3 +89,48 @@ def test_package_imports_have_no_cycle():
 
     for module in sorted(graph):
         visit(module)
+
+
+# public functions that nothing outside the tests calls, each kept on purpose
+UNREACHED_KEEP = {
+    "quantum.bell_operator": "a model's value replays as its Bell operator's top eigenvalue",
+    "scenarios.random_ns_behavior": "the benchmark traces it by name",
+    "simkit.uniforms": "the reproducibility reference the sampler tests compare against",
+    "simkit.derive_seed": "the reproducibility reference the sampler tests compare against",
+}
+
+
+def _public_functions():
+    """(qualified name, name) of every public top-level function and every
+    public method of a public class in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def _reached_names():
+    """Identifiers used in the package, its tools and its benchmark, and
+    those in backticks in the README."""
+    names = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "tools").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+    for span in re.findall(r"```.*?```|`[^`]*`", (ROOT / "README.md").read_text(), re.S):
+        names.update(re.findall(r"[A-Za-z_]\w*", span))
+    return names
+
+
+def test_every_public_function_is_reached_outside_the_tests():
+    reached = _reached_names()
+    unreached = {qualified for qualified, name in _public_functions() if name not in reached}
+    assert unreached == set(UNREACHED_KEEP)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pentabell.errors import InvalidInputError
+from pentabell.errors import InvalidInputError, save_json
 from pentabell.graphs import cycle, independence_number
 from pentabell import scenarios
 from pentabell.scenarios import (
@@ -28,9 +28,7 @@ from pentabell.scenarios import (
     pr_box,
     random_ns_behavior,
     random_ns_tables,
-    save_scenario,
     scenario_from_json,
-    scenario_to_json,
     strategy_behavior,
 )
 
@@ -362,6 +360,9 @@ def test_single_term_needs_marginals():
     assert dec.alice_coefficients[0] == pytest.approx(0.25, abs=1e-10)
     assert dec.bob_coefficients[0] == pytest.approx(0.25, abs=1e-10)
     assert dec.residual <= 1e-10
+    # the marginal terms read at partner setting 0
+    box = random_ns_behavior(np.random.default_rng(4))
+    assert dec.predict_tables(box._p) == pytest.approx(box.table(0, 0)[0, 0], abs=1e-12)
 
 
 def test_decomposition_replays_on_random_ns_behaviors():
@@ -370,7 +371,7 @@ def test_decomposition_replays_on_random_ns_behaviors():
     for _ in range(1000):
         b = random_ns_behavior(rng)
         for name, dec in decs.items():
-            assert abs(dec.predict(b) - evaluate(named_inequality(name), b)) <= 1e-10
+            assert abs(dec.predict_tables(b._p) - evaluate(named_inequality(name), b)) <= 1e-10
 
 
 def test_stacked_predict_and_evaluate_match_per_behavior_loop():
@@ -389,19 +390,8 @@ def test_stacked_predict_and_evaluate_match_per_behavior_loop():
             loop = dec.offset + sum(c * b.correlator(x, y) for (x, y), c in dec.coefficients.items())
             assert abs(predicted[k] - loop) <= 1e-12
             assert abs(evaluated[k] - sum(b.prob(t) for t in iq.terms)) <= 1e-12
-            assert dec.predict(b) == pytest.approx(predicted[k], abs=1e-15)
+            assert dec.predict_tables(b._p) == pytest.approx(predicted[k], abs=1e-15)
             assert evaluate(iq, b) == pytest.approx(evaluated[k], abs=1e-15)
-
-
-def test_predict_needs_the_four_setting_pairs():
-    dec = chsh_decomposition(named_inequality("pentagon-2"))
-    partial = Behavior(np.full((2, 1, 2, 2), 0.25))
-    with pytest.raises(InvalidInputError, match=r"does not cover setting pair \(0,1\)"):
-        dec.predict(partial)
-    # marginal terms read at partner setting 0
-    marginal = chsh_decomposition(Inequality((Event.parse("00|00"),), alice_settings=2, bob_settings=2))
-    box = random_ns_behavior(np.random.default_rng(4))
-    assert marginal.predict(box) == pytest.approx(box.table(0, 0)[0, 0], abs=1e-12)
 
 
 def test_random_ns_behavior_matches_component_loop():
@@ -526,12 +516,22 @@ def test_feasible_patterns():
 # -------------------------------------------------------------- enumeration ---
 
 
-def test_enumerate_exactly_three_classes():
-    classes = enumerate_pentagonal()
-    assert len(classes) == 3
+@pytest.mark.parametrize(
+    "settings, names",
+    [
+        ((2, 2), PENTAGONS[:2]),
+        ((3, 2), PENTAGONS),
+        ((2, 3), PENTAGONS),
+        ((3, 3), PENTAGONS),
+        ((4, 4), PENTAGONS),  # more settings than the default range finds no new class
+    ],
+    ids=["2x2", "3x2", "2x3", "3x3", "4x4"],
+)
+def test_enumerate_exactly_three_classes(settings, names):
+    classes = enumerate_pentagonal(*settings)
+    assert len(classes) == len(names)
     found = {canonical_form(iq.terms) for iq in classes}
-    named = {canonical_form(named_inequality(n).terms) for n in PENTAGONS}
-    assert found == named
+    assert found == {canonical_form(named_inequality(n).terms) for n in names}
 
 
 def test_enumerated_classes_have_alpha_two():
@@ -650,12 +650,17 @@ def test_canonical_form_matches_event_reference_on_named_inequalities():
 
 
 def test_scenario_json_roundtrip(tmp_path):
-    iq = named_inequality("i3322")
+    # i3322 with its two wildcard terms and declared settings
+    pairs = [
+        ([0, 1], [0, 1]), ([0, 1], [1, 1]), ([1, 0], [0, 0]), ([1, 1], [1, 0]), ([0, 0], [2, 0]),
+        ([2, 0], [0, 0]), ([2, 0], [1, 0]), ([2, 1], [2, 0]), (None, [2, 1]), ([2, 1], None),
+    ]
+    terms = [{"alice": a, "bob": b} for a, b in pairs]
     path = tmp_path / "scenario.json"
-    save_scenario(iq, path)
-    loaded = load_scenario(path)
-    assert loaded.terms == iq.terms
-    assert loaded.alice_settings == iq.alice_settings
+    save_json({"name": "i3322", "alice_settings": 3, "bob_settings": 3, "terms": terms}, path)
+    loaded, iq = load_scenario(path), named_inequality("i3322")
+    assert (loaded.name, loaded.terms) == ("i3322", iq.terms)
+    assert (loaded.alice_settings, loaded.bob_settings) == (iq.alice_settings, iq.bob_settings) == (3, 3)
 
 
 def test_scenario_json_validation():
@@ -665,5 +670,3 @@ def test_scenario_json_validation():
         scenario_from_json(
             {"terms": [{"alice": [0, 0], "bob": [0, 0]}, {"alice": [0, 0], "bob": [0, 0]}]}
         )
-    data = scenario_to_json(named_inequality("pentagon-2"))
-    assert data["terms"][4] == {"alice": None, "bob": [0, 1]}
