@@ -360,9 +360,6 @@ def test_single_term_needs_marginals():
     assert dec.alice_coefficients[0] == pytest.approx(0.25, abs=1e-10)
     assert dec.bob_coefficients[0] == pytest.approx(0.25, abs=1e-10)
     assert dec.residual <= 1e-10
-    # the marginal terms read at partner setting 0
-    box = random_ns_behavior(np.random.default_rng(4))
-    assert dec.predict_tables(box._p) == pytest.approx(box.table(0, 0)[0, 0], abs=1e-12)
 
 
 def test_decomposition_replays_on_random_ns_behaviors():
@@ -392,6 +389,28 @@ def test_stacked_predict_and_evaluate_match_per_behavior_loop():
             assert abs(evaluated[k] - sum(b.prob(t) for t in iq.terms)) <= 1e-12
             assert dec.predict_tables(b._p) == pytest.approx(predicted[k], abs=1e-15)
             assert evaluate(iq, b) == pytest.approx(evaluated[k], abs=1e-15)
+
+
+def test_predict_needs_the_four_setting_pairs():
+    dec = chsh_decomposition(named_inequality("pentagon-2"))
+    assert dec.weights.shape == (2, 2, 2, 2)
+    for x in range(2):
+        for y in range(2):
+            assert np.any(dec.weights[x, y] != 0)
+    # a behavior without pair (0,1) cannot supply the table the form reads
+    partial = Behavior(np.full((2, 1, 2, 2), 0.25))
+    with pytest.raises(InvalidInputError, match=r"does not cover setting pair \(0,1\)"):
+        for x, y in dec.coefficients:
+            partial.table(x, y)
+    # settings beyond 0 and 1 are not read
+    wide = np.full((3, 3, 2, 2), 0.25)
+    shifted = wide.copy()
+    shifted[2, :] = shifted[:, 2] = np.array([[1.0, 0.0], [0.0, 0.0]])
+    assert dec.predict_tables(shifted) == pytest.approx(dec.predict_tables(wide[:2, :2]), abs=1e-15)
+    # marginal terms read at partner setting 0
+    marginal = chsh_decomposition(Inequality((Event.parse("00|00"),), alice_settings=2, bob_settings=2))
+    box = random_ns_behavior(np.random.default_rng(4))
+    assert marginal.predict_tables(box._p) == pytest.approx(box.table(0, 0)[0, 0], abs=1e-12)
 
 
 def test_random_ns_behavior_matches_component_loop():
