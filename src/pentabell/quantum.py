@@ -13,7 +13,8 @@ inequality enters only as its tensor W[x, y, a, b]
 (`scenarios.coefficient_tensor`, over the settings the caller's projectors
 supply), and its Bell operator is the sum over (x, a) of
 E_a^x x (sum over (y, b) of W[x, y, a, b] F_b^y).  `_kron_sum` forms such
-sums of Kronecker products for whole stacks of projectors at once;
+sums of Kronecker products for whole stacks of projectors at once, as one
+contraction that never holds the products as an array;
 `bell_operator` and the scan use it through `_bell_matrix`, the see-saw
 through `_effect_bell_matrix` on the effect stacks it keeps, and
 `two_projector_operator` (P1 x Q1 + P2 x Q2 + 1 x Q0, for a whole stack of
@@ -27,18 +28,25 @@ batched eigenvalue call, then a golden-section search.  It takes about
 
 The see-saw runs all its restarts as one stack of projectors: each
 iteration is one batched Bell-operator build and eigenvalue call, then one
-batched measurement update per party.  A party's effective operators for
-all its settings are one contraction of W's outcome differences
-(W[x, y, 0, b] - W[x, y, 1, b] for Alice) with the other party's effects
-sandwiched by the states, followed by one eigenvalue call.  Each party's
-effects are built once per update and feed both the other party's update
-and the next Bell operator, and W's (x, a) x (y, b) matrix is formed once
-per run.  A run stops at its first step whose value fails to grow by
-1e-12 and keeps the state and measurements of that step.  32 restarts
+batched measurement update per party.  Restart r at seed s starts from one
+random direction per setting: the first standard normals of
+default_rng(s + r), Alice's settings' directions and then Bob's.  Each
+seed's first 32 normals (enough for four settings per party at dimension
+4) are drawn once per process and kept read-only for the last 1024 seeds
+used, so calls that reuse seeds, as a sweep over inequalities and
+dimensions at one seed does, build no generator for them.  A party's
+effective operators for all its settings are one contraction of W's
+outcome differences (W[x, y, 0, b] - W[x, y, 1, b] for Alice) with the
+other party's effects sandwiched by the states, followed by one
+eigenvalue call.  Each party's effects are built once per update and feed
+both the other party's update and the next Bell operator, and W's (x, a)
+x (y, b) matrix is formed once per run.  A run stops at its first step
+whose value fails to grow by 1e-12 and keeps the state and measurements
+of that step.  32 restarts
 for each of the 5 named inequalities at dims (2,2), (3,3) and (4,4), over
-seeds 0, 1 and 7, take 0.25-0.35 s (0.17-0.24 ms per restart) on the
+seeds 0, 1 and 7, take 0.30-0.40 s (0.21-0.28 ms per restart) on the
 machine above, whose speed drifts by a third from run to run; eigh takes
-about two thirds of that time.
+over half of that time.
 
 The block reduction works on whole stacks of instances that share Alice's
 and Bob's dimensions.  `block_reductions` validates a stack in one pass,
@@ -54,6 +62,7 @@ each call pays the stacked path's fixed costs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,11 +70,12 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError, json_decoder, load_json, save_json, strict_int, strict_pair
 from .numerics import as_sym_matrix
-from .scenarios import Behavior, Inequality, coefficient_tensor, named_inequality
+from .scenarios import MAX_SETTING, Behavior, Inequality, coefficient_tensor, named_inequality
 
 MAX_LOCAL_DIM = 4
 _PROJECTOR_TOL = 1e-10
 _RESTART_BLOCK = 1024  # see-saw restarts stacked at once; bounds the stack's memory
+_START_DRAWS = 2 * (MAX_SETTING + 1) * MAX_LOCAL_DIM  # a restart's start directions
 _TIE = 1e-12  # see-saw values closer than this count as equal
 
 
@@ -163,12 +173,14 @@ def _kron_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Symmetrized sum over k of left_k x right_k for (..., k, d, d) stacks
     whose leading axes broadcast, one operator per stack element.
 
-    Each Kronecker product is an outer product and the sum runs in k order,
-    so single matrices give exactly the sum of the np.kron products.
+    One contraction sums the products of a left and a right entry in k
+    order without forming them as an array, so single matrices give exactly
+    the sum of the np.kron products.  (When both are 1 x 1, numpy takes the
+    sum as a dot product, which may round differently.)
     """
-    outer = left[..., :, None, :, None] * right[..., None, :, None, :]
+    s = np.einsum("...kac,...kbd->...abcd", left, right)
     n = left.shape[-1] * right.shape[-1]
-    s = outer.sum(axis=-5).reshape(outer.shape[:-5] + (n, n))
+    s = s.reshape(s.shape[:-4] + (n, n))
     return (s + s.mT) / 2.0
 
 
@@ -236,8 +248,32 @@ def _positive_eigenspace_projector(f: np.ndarray) -> np.ndarray:
     return keep @ keep.mT
 
 
-def _seesaw(iq, dims, rngs):
-    """See-saw from one random start per generator, all run as one stack.
+@functools.lru_cache(maxsize=_RESTART_BLOCK)
+def _start_draws(seed: int) -> np.ndarray:
+    """Read-only first _START_DRAWS standard normals of default_rng(seed),
+    enough for one start direction per setting of both parties at any
+    allowed dimension.  A generator draws its normals one after another, so
+    these are exactly the first draws of any standard_normal calls on it."""
+    # Generator(PCG64(s)) is default_rng(s), built without its type checks
+    draws = np.random.Generator(np.random.PCG64(seed)).standard_normal(_START_DRAWS)
+    draws.flags.writeable = False
+    return draws
+
+
+def _start_projectors(iq, dims, seeds):
+    """Alice's and Bob's (run, setting, d, d) start projectors, one run per
+    seed: one random direction per setting, from the seed's first standard
+    normals, Alice's alice_settings * d_a of them and then Bob's."""
+    d_a, d_b = dims
+    n_a, n_b = iq.alice_settings * d_a, iq.bob_settings * d_b
+    draws = np.array([_start_draws(s)[: n_a + n_b] for s in seeds])
+    alice = _rank_one_projectors(draws[:, :n_a].reshape(-1, iq.alice_settings, d_a))
+    return alice, _rank_one_projectors(draws[:, n_a:].reshape(-1, iq.bob_settings, d_b))
+
+
+def _seesaw(iq, dims, alice, bob):
+    """See-saw from the (run, setting, d, d) start projector stacks of Alice
+    and Bob, all runs as one stack.
 
     Each run stops on its own at its first step whose top eigenvalue fails
     to grow by _TIE; the others carry on.  A stopped run keeps that value,
@@ -246,13 +282,8 @@ def _seesaw(iq, dims, rngs):
     the best, and every run's trace of per-step values.
     """
     d_a, d_b = dims
-    starts_a, starts_b = [], []
-    for rng in rngs:
-        # one random direction per setting, Alice's then Bob's
-        starts_a.append(rng.standard_normal((iq.alice_settings, d_a)))
-        starts_b.append(rng.standard_normal((iq.bob_settings, d_b)))
-    alice = _rank_one_projectors(np.array(starts_a))  # (run, setting, d, d)
-    bob = _rank_one_projectors(np.array(starts_b))
+    alice, bob = np.array(alice, dtype=float), np.array(bob, dtype=float)  # copies, updated in place
+    runs = len(alice)
     w = coefficient_tensor(iq, iq.alice_settings, iq.bob_settings)
     rows = _partner_rows(w)
     # a setting's effective operator weighs the other party's sandwiched
@@ -260,10 +291,10 @@ def _seesaw(iq, dims, rngs):
     diff_a = (w[:, :, 0] - w[:, :, 1]).reshape(iq.alice_settings, -1)
     diff_b = (w[..., 0] - w[..., 1]).transpose(1, 0, 2).reshape(iq.bob_settings, -1)
 
-    value = np.full(len(rngs), -np.inf)
-    state = np.zeros((len(rngs), d_a * d_b))
-    traces = [[] for _ in rngs]
-    active = np.arange(len(rngs))
+    value = np.full(runs, -np.inf)
+    state = np.zeros((runs, d_a * d_b))
+    traces = [[] for _ in range(runs)]
+    active = np.arange(runs)
     # the running restarts' effects, each built once per update
     ea, eb = _effects(alice), _effects(bob)
     for _ in range(10_000):
@@ -296,11 +327,15 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
     setting's effective operator); the value is monotone along a run.  A
     restart stops at its first step whose value fails to grow by 1e-12 and
     keeps that value with the state and measurements that gave it.
-    Restart r uses seed + r, and values within 1e-12 of the best count as
+    Restart r starts from the first standard normals of
+    default_rng(seed + r): one direction per setting, Alice's settings and
+    then Bob's.  Each seed's draws are kept for reuse within the process,
+    so a later call at an overlapping seed draws nothing again and returns
+    what it would return alone.  Values within 1e-12 of the best count as
     ties, which keep the lowest restart index.
     Restarts run as one stack, in blocks of up to 1024, so each iteration
     makes one batched eigenvalue call per stage for every restart still
-    running; about 0.2 ms per restart (see the module docstring).
+    running; about 0.25 ms per restart (see the module docstring).
     """
     d_a, d_b = _checked_dims(dims)
     if d_a > MAX_LOCAL_DIM or d_b > MAX_LOCAL_DIM:
@@ -312,8 +347,7 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
     best = None
     for start in range(seed, seed + restarts, _RESTART_BLOCK):
         stop = min(start + _RESTART_BLOCK, seed + restarts)
-        # Generator(PCG64(s)) is default_rng(s), built without its type checks
-        value, model, _ = _seesaw(iq, (d_a, d_b), [np.random.Generator(np.random.PCG64(s)) for s in range(start, stop)])
+        value, model, _ = _seesaw(iq, (d_a, d_b), *_start_projectors(iq, (d_a, d_b), range(start, stop)))
         if best is None or value > best[0] + _TIE:
             best = (value, model)
     return best

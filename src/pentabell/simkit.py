@@ -173,7 +173,9 @@ def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray, compared
     every = limits >= np.uint64(1 << 53)
     thresholds = np.where(every, np.uint64(0), limits) << np.uint64(11)
     below = np.zeros(edges.shape, dtype=np.int64)
-    passes = [np.flatnonzero(row).tolist() for row in compared]
+    # each stream's compared edges, listed once per pattern of the 3 bits
+    patterns = [[k for k in range(3) if m >> k & 1] for m in range(8)]
+    passes = [patterns[m] for m in (compared @ np.array([1, 2, 4])).tolist()]
     cols = min(shots, _BLOCK_DRAWS)
     rows = max(1, _BLOCK_DRAWS // shots)
     ramp = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)

@@ -10,8 +10,11 @@ from pentabell.quantum import (
     QuantumModel,
     _bell_matrix,
     _positive_eigenspace_projector,
+    _rank_one_projectors,
     _seesaw,
     _stack,
+    _start_draws,
+    _start_projectors,
     behavior_of,
     bell_operator,
     block_reduce,
@@ -127,14 +130,23 @@ def sequential_seesaw(iq, dims, rng):
     return trace[-1], v[:, -1], alice, bob, trace
 
 
-class FixedStart:
-    """Stand-in generator whose every draw repeats one vector."""
+def generator_starts(iq, dims, rngs):
+    """Reference start stacks for `_seesaw`, from one generator per run:
+    two standard_normal calls, one direction per setting, Alice's settings
+    and then Bob's."""
+    d_a, d_b = dims
+    alice, bob = [], []
+    for rng in rngs:
+        alice.append(rng.standard_normal((iq.alice_settings, d_a)))
+        bob.append(rng.standard_normal((iq.bob_settings, d_b)))
+    return _rank_one_projectors(np.array(alice)), _rank_one_projectors(np.array(bob))
 
-    def __init__(self, vector):
-        self.vector = np.asarray(vector, dtype=float)
 
-    def standard_normal(self, n):
-        return np.resize(self.vector, n)
+def fixed_start(iq, vector):
+    """One run's start stacks with every setting of both parties projecting
+    onto one vector."""
+    p = projector_onto(vector)
+    return np.array([[p] * iq.alice_settings]), np.array([[p] * iq.bob_settings])
 
 
 # ---------------------------------------------------------------- validation ---
@@ -261,7 +273,7 @@ def test_expectation_identity():
     rng = np.random.default_rng(3)
     iq = named_inequality("pentagon-1")
     for _ in range(5):
-        _, model, _ = _seesaw(iq, (2, 2), [rng])
+        _, model, _ = _seesaw(iq, (2, 2), *generator_starts(iq, (2, 2), [rng]))
         s = bell_operator(iq, model)
         lhs = float(model.state @ s @ model.state)
         rhs = evaluate(iq, behavior_of(model))
@@ -294,7 +306,7 @@ def test_seesaw_reaches_known_maxima(name, target, tol):
 def test_seesaw_monotone_along_iterations():
     iq = named_inequality("pentagon-1")
     for seed in range(5):
-        _, _, (trace,) = _seesaw(iq, (2, 2), [np.random.default_rng(seed)])
+        _, _, (trace,) = _seesaw(iq, (2, 2), *generator_starts(iq, (2, 2), [np.random.default_rng(seed)]))
         assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
 
 
@@ -343,13 +355,14 @@ def same_measurements(m1, m2):
 def test_seesaw_ties_keep_the_lowest_restart():
     iq = named_inequality("pentagon-1")
     # both starts are deterministic strategies that stay at the value 2
-    low, high = FixedStart([1.0, 0.0]), FixedStart([0.0, 1.0])
-    v_low, m_low, _ = _seesaw(iq, (2, 2), [low])
-    v_high, m_high, _ = _seesaw(iq, (2, 2), [high])
+    low, high = fixed_start(iq, [1.0, 0.0]), fixed_start(iq, [0.0, 1.0])
+    v_low, m_low, _ = _seesaw(iq, (2, 2), *low)
+    v_high, m_high, _ = _seesaw(iq, (2, 2), *high)
     assert v_low == v_high == 2.0
     assert not same_measurements(m_low, m_high)
-    assert same_measurements(_seesaw(iq, (2, 2), [low, high])[1], m_low)
-    assert same_measurements(_seesaw(iq, (2, 2), [high, low])[1], m_high)
+    for first, second, winner in ((low, high, m_low), (high, low, m_high)):
+        alice, bob = (np.concatenate(pair) for pair in zip(first, second))
+        assert same_measurements(_seesaw(iq, (2, 2), alice, bob)[1], winner)
 
 
 def test_seesaw_near_ties_keep_the_lowest_restart():
@@ -357,7 +370,7 @@ def test_seesaw_near_ties_keep_the_lowest_restart():
     # so the winner is restart 0, not whichever one rounding favours
     iq = named_inequality("pentagon-1")
     value, model = qmax_seesaw(iq, dims=(2, 2), restarts=32, seed=0)
-    first_value, first_model, _ = _seesaw(iq, (2, 2), [np.random.default_rng(0)])
+    first_value, first_model, _ = _seesaw(iq, (2, 2), *generator_starts(iq, (2, 2), [np.random.default_rng(0)]))
     assert abs(value - first_value) <= 1e-12
     assert np.array_equal(model.state, first_model.state)
     assert same_measurements(model, first_model)
@@ -366,7 +379,7 @@ def test_seesaw_near_ties_keep_the_lowest_restart():
 @pytest.mark.parametrize("name", ["pentagon-1", "pentagon-3", "i3322"])
 def test_every_restart_trace_is_monotone(name):
     iq = named_inequality(name)
-    _, _, traces = _seesaw(iq, (3, 3), [np.random.default_rng(r) for r in range(16)])
+    _, _, traces = _seesaw(iq, (3, 3), *generator_starts(iq, (3, 3), [np.random.default_rng(r) for r in range(16)]))
     assert len(traces) == 16
     for trace in traces:
         assert trace and all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
@@ -394,7 +407,8 @@ def test_seesaw_stops_at_its_first_stalled_step(monkeypatch, name):
     monkeypatch.setattr(quantum, "_effect_bell_matrix", counted_bell_matrix)
     monkeypatch.setattr(quantum, "_positive_eigenspace_projector", counted_update)
     iq = named_inequality(name)
-    value, model, traces = _seesaw(iq, (3, 3), [np.random.default_rng(r) for r in range(16)])
+    starts = generator_starts(iq, (3, 3), [np.random.default_rng(r) for r in range(16)])
+    value, model, traces = _seesaw(iq, (3, 3), *starts)
     steps = sum(len(trace) for trace in traces)
     assert sum(built) == steps
     assert sum(updates[0::2]) == sum(updates[1::2]) == steps - len(traces)
@@ -425,10 +439,52 @@ def test_single_restart_is_one_seesaw_run():
     iq = named_inequality("pentagon-2")
     for seed in (0, 3):
         value, model = qmax_seesaw(iq, dims=(3, 3), restarts=1, seed=seed)
-        once_value, once_model, _ = _seesaw(iq, (3, 3), [np.random.default_rng(seed)])
+        once_value, once_model, _ = _seesaw(iq, (3, 3), *generator_starts(iq, (3, 3), [np.random.default_rng(seed)]))
         assert value == once_value
         assert np.array_equal(model.state, once_model.state)
         assert same_measurements(model, once_model)
+
+
+def test_restart_starts_are_the_seeds_first_draws():
+    # restart r starts from default_rng(seed + r)'s first standard normals:
+    # one direction per setting, Alice's settings and then Bob's; four
+    # settings each at dims (4, 4) take all 32 memoized draws
+    four = Inequality(named_inequality("pentagon-1").terms, alice_settings=4, bob_settings=4)
+    for iq, dims in ((named_inequality("pentagon-3"), (2, 3)), (named_inequality("i3322"), (3, 1)), (four, (4, 4))):
+        for seed in (0, 5):
+            seeds = range(seed, seed + 8)
+            got = _start_projectors(iq, dims, seeds)
+            want = generator_starts(iq, dims, [np.random.default_rng(s) for s in seeds])
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+    for s in (0, 2**40):
+        assert np.array_equal(_start_draws(s), np.random.default_rng(s).standard_normal(32))
+
+
+def seesaw_bytes(value, model):
+    return np.float64(value).tobytes() + model.state.tobytes() + b"".join(p.tobytes() for p in model.alice + model.bob)
+
+
+def test_seesaw_is_the_same_with_an_empty_or_a_filled_memo():
+    iq = named_inequality("pentagon-3")
+    _start_draws.cache_clear()
+    cold = seesaw_bytes(*qmax_seesaw(iq, dims=(3, 2), restarts=16, seed=5))
+    # other inequalities, dims and seeds overlapping 5..20 fill the memo
+    qmax_seesaw(named_inequality("i3322"), dims=(4, 4), restarts=8, seed=15)
+    qmax_seesaw(named_inequality("pentagon-1"), dims=(2, 2), restarts=10, seed=0)
+    hits = _start_draws.cache_info().hits
+    assert seesaw_bytes(*qmax_seesaw(iq, dims=(3, 2), restarts=16, seed=5)) == cold
+    assert _start_draws.cache_info().hits == hits + 16
+
+
+def test_start_draws_are_read_only():
+    draws = _start_draws(3)
+    assert not draws.flags.writeable
+    with pytest.raises(ValueError):
+        draws[0] = 0.0
+    qmax_seesaw(named_inequality("chsh-prob"), dims=(4, 4), restarts=4, seed=0)
+    assert _start_draws(3) is draws
+    assert np.array_equal(draws, np.random.default_rng(3).standard_normal(32))
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])

@@ -1,5 +1,6 @@
-"""Digests of the see-saw's and the simulator's outputs, to show that a
-change to either leaves every output bit-identical.
+"""Digests of the see-saw's, the simulator's and the block reduction's
+outputs, to show that a change to any of them leaves every output
+bit-identical.
 
 Usage: python tools/output_digest.py
 
@@ -15,6 +16,10 @@ Prints a sha256 of each output's bytes, per case:
   report    simkit.run_experiments as `pentabell report` calls it:
             pentagon-2's known_optimal_model, 5000 shots, seeds 0-199; the
             reprs of all 200 reports
+  blocks    quantum.block_reductions on the 100 instances that `pentabell
+            report` checks (cli._block_spectra_worst_dev with
+            default_rng(2024)): every block, residual spectrum and
+            singular value, and the worst spectral deviation's repr
 
 Together the simulations read the cells of all five named inequalities.
 
@@ -33,7 +38,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pentabell import quantum, simkit  # noqa: E402
+from pentabell import cli, quantum, simkit  # noqa: E402
 from pentabell.scenarios import named_inequality  # noqa: E402
 
 INEQUALITIES = ("pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322")
@@ -73,6 +78,22 @@ def main() -> None:
     iq, model = named_inequality("pentagon-2"), quantum.known_optimal_model("pentagon-2")
     reports = simkit.run_experiments(iq, model, simkit.SimConfig(5000), range(200))
     print(f"report pentagon-2 seeds 0-199: {sha(repr(reports).encode())}")
+    reductions, block_reductions = [], quantum.block_reductions
+
+    def recorded(*args):
+        out = block_reductions(*args)
+        reductions.extend(out)
+        return out
+
+    quantum.block_reductions = recorded
+    try:
+        worst = cli._block_spectra_worst_dev(np.random.default_rng(2024), 100)
+    finally:
+        quantum.block_reductions = block_reductions
+    arrays = [a for r in reductions for a in (*r.blocks, r.residual_spectrum, r.gram_singular_values)]
+    data = b"".join(repr(a.shape).encode() + a.tobytes() for a in arrays)
+    print(f"blocks report instances ({len(reductions)}): {sha(data)}")
+    print(f"blocks worst dev: {worst!r}")
 
 
 if __name__ == "__main__":
