@@ -294,7 +294,7 @@ def _report_items():
         details.append(f"{name}:{value:.7f}")
     item("see-saw quantum maxima", ok, " ".join(details))
 
-    coeffs = quantum.schmidt(scan.model.state, (2, 2))
+    coeffs = quantum.schmidt(scan.model)
     beh = quantum.behavior_of(scan.model)
     iq1 = scenarios.named_inequality("pentagon-1")
     probs = [beh.prob(t) for t in iq1.terms]

@@ -227,15 +227,9 @@ def behavior_of(model: QuantumModel) -> Behavior:
     return Behavior(probs)
 
 
-def schmidt(state, dims) -> np.ndarray:
-    """Descending Schmidt coefficients of a bipartite real unit vector."""
-    d_a, d_b = _checked_dims(dims)
-    v = np.asarray(state, dtype=float).reshape(-1)
-    if v.shape != (d_a * d_b,) or not np.all(np.isfinite(v)):
-        raise InvalidInputError(f"state must be {d_a}*{d_b} finite amplitudes")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise InvalidInputError("state is not normalized")
-    return np.linalg.svd(v.reshape(d_a, d_b), compute_uv=False)
+def schmidt(model: QuantumModel) -> np.ndarray:
+    """Descending Schmidt coefficients of the model's state."""
+    return np.linalg.svd(model.state.reshape(model.dims), compute_uv=False)
 
 
 def _positive_eigenspace_projector(f: np.ndarray) -> np.ndarray:

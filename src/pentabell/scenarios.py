@@ -9,14 +9,16 @@ checks, and the enumeration of all pentagonal inequalities up to relabeling.
 An inequality's terms have one numeric form: `term_cells` resolves each
 event once into 0/1 cells c[t, x, y, a, b] over the covered setting pairs,
 placing a wildcard event at its lowest covered partner setting.  A Behavior
-is one dense (n_a, n_b, 2, 2) table, so probabilities, `evaluate` and
-`eprinciple_check` are contractions of those cells; `simkit` reads count
-tables the same way.  Summed over the terms, the cells are the coefficient
-tensor W[x, y, a, b] (`coefficient_tensor`) that the LHV bound (against the
-stacked tables of all deterministic strategies), the correlator
-decomposition and every quantum Bell operator and see-saw update read.  The
-same contractions run over a leading axis of tables, validated once by
-`_checked_tables`.
+is one dense (n_a, n_b, 2, 2) table that covers every setting pair of its
+shape, so a wildcard is read at partner setting 0, and probabilities,
+`evaluate` and `eprinciple_check` are contractions of those cells.  Only
+measured counts may cover a subset of the pairs: `simkit` reads a count
+table through the same cells.  Summed over the terms, the cells are the
+coefficient tensor W[x, y, a, b] (`coefficient_tensor`) that the LHV bound
+(against the stacked tables of all deterministic strategies), the
+correlator decomposition and every quantum Bell operator and see-saw
+update read.  The same contractions run over a leading axis of tables,
+validated once by `_checked_tables`.
 
 The enumeration works on integer event codes, on which the equivalence
 group acts through precomputed index maps.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -147,20 +149,6 @@ def _all_pairs(n_a: int, n_b: int) -> frozenset:
     return frozenset(itertools.product(range(n_a), range(n_b)))
 
 
-def _lowest_partners(pairs):
-    """The lowest covered Bob setting of each covered Alice setting and the
-    lowest covered Alice setting of each covered Bob setting.
-
-    A wildcard event is read at its party's lowest covered partner setting,
-    and no-signaling is checked against the marginal found there.
-    """
-    first_y, first_x = {}, {}
-    for x, y in sorted(pairs):
-        first_y.setdefault(x, y)
-        first_x.setdefault(y, x)
-    return first_y, first_x
-
-
 @functools.lru_cache(maxsize=1024)
 def term_cells(terms: tuple, pairs: frozenset) -> np.ndarray:
     """Read-only 0/1 cells c[t, x, y, a, b] of each event over the covered
@@ -169,9 +157,14 @@ def term_cells(terms: tuple, pairs: frozenset) -> np.ndarray:
     A two-party event is one cell; a wildcard event is the other party's two
     cells at its lowest covered partner setting.  Every probability, count
     and classical score of an event is the contraction of its cells with a
-    table, so this is the one place a wildcard is placed.
+    table, so this is the one place a wildcard is placed.  A Behavior covers
+    every pair of its table, so there the partner setting is 0; only a count
+    table may cover fewer pairs.
     """
-    first_y, first_x = _lowest_partners(pairs)
+    first_y, first_x = {}, {}
+    for x, y in sorted(pairs):
+        first_y.setdefault(x, y)
+        first_x.setdefault(y, x)
     cells = np.zeros((len(terms), *_dense_shape(pairs), 2, 2))
     for t, event in enumerate(terms):
         x, a = event.alice or (first_x.get(event.bob[0]), slice(None))
@@ -194,92 +187,76 @@ def coefficient_tensor(iq: Inequality, alice_settings: int, bob_settings: int) -
 _ATOL = 1e-9  # normalization and no-signaling tolerance of a probability table
 
 
-def _checked_tables(tables, pairs=None):
-    """Validated copy of a dense (..., n_a, n_b, 2, 2) stack of probability
-    tables over (x, y, a, b) at the covered setting pairs `pairs` (default:
-    every pair of the shape), with the frozenset of covered pairs.
+def _checked_tables(tables) -> np.ndarray:
+    """Validated read-only copy of a dense (..., n_a, n_b, 2, 2) stack of
+    probability tables over (x, y, a, b), each covering every setting pair
+    of its shape.
 
-    Every leading axis is validated at once: setting pairs within
-    [0, MAX_SETTING] spanning the table's shape, finite entries,
-    non-negativity, normalization and no-signaling (each party's marginal at
-    every covered pair against its marginal at the lowest covered partner
-    setting), each within _ATOL, at the covered pairs.  Each condition is
-    checked over the whole stack before the next, and the first offending
-    table in C order raises InvalidInputError naming the setting pair or
-    party setting, so a stack of one table fails exactly as that table does.
-    Entries are clipped at 0; uncovered pairs hold zeros.
+    Every leading axis is validated at once: settings within
+    [0, MAX_SETTING], finite entries, non-negativity, normalization and
+    no-signaling (each party's marginal at every pair against its marginal
+    at partner setting 0), each within _ATOL.  Each condition is checked
+    over the whole stack before the next, and the first offending table in
+    C order raises InvalidInputError naming the setting pair or party
+    setting, so a stack of one table fails exactly as that table does.
+    Entries are clipped at 0.
     """
     tables = np.asarray(tables, dtype=float)
-    lead, shape = tables.shape[:-4], tables.shape[-4:-2]
-    pairs = _all_pairs(*shape) if pairs is None else frozenset((int(x), int(y)) for x, y in pairs)
-    if pairs and _dense_shape(pairs) != shape:
-        raise InvalidInputError(f"setting pairs span {_dense_shape(pairs)}, not the table's {shape}")
-    keys = sorted(pairs)
-    k, full = len(keys), len(keys) == shape[0] * shape[1]
-    xs, ys = np.array(keys, dtype=int).reshape(-1, 2).T
-    flat = tables.reshape((int(np.prod(lead)),) + shape + (2, 2))
-    blocks = flat.reshape(len(flat), k, 2, 2) if full else flat[:, xs, ys]
+    lead, (n_a, n_b) = tables.shape[:-4], tables.shape[-4:-2]
+    _dense_shape(_all_pairs(n_a, n_b))  # rejects a setting beyond MAX_SETTING
+    blocks = tables.reshape(int(np.prod(lead)), n_a * n_b, 2, 2)
     nonfinite = ~np.isfinite(blocks).all(axis=(2, 3))
     negative = (blocks < -1e-12).any(axis=(2, 3))
     bad = nonfinite | negative | (np.abs(blocks.sum(axis=(2, 3)) - 1.0) > _ATOL)
     if bad.any():
-        box, i = divmod(int(bad.argmax()), k)
-        x, y = keys[i]
+        box, i = divmod(int(bad.argmax()), n_a * n_b)
+        x, y = divmod(i, n_b)
         if nonfinite[box, i]:
             raise InvalidInputError(f"non-finite probability at setting pair ({x},{y})")
         if negative[box, i]:
             raise InvalidInputError(f"negative probability at setting pair ({x},{y})")
         raise InvalidInputError(f"probabilities at ({x},{y}) sum to {blocks[box, i].sum()}, not 1")
-    if full:
-        p = np.maximum(flat, 0.0)
-    else:
-        p = np.zeros(flat.shape)
-        p[:, xs, ys] = np.maximum(blocks, 0.0)
-    first_y, first_x = _lowest_partners(pairs)
+    p = np.maximum(blocks, 0.0).reshape(len(blocks), n_a, n_b, 2, 2)
     alice, bob = p.sum(axis=4), p.sum(axis=3)
-    for label, settings, here, there in (
-        ("Alice", xs, alice[:, xs, ys], alice[:, xs, [first_y[x] for x in xs.tolist()]]),
-        ("Bob", ys, bob[:, xs, ys], bob[:, [first_x[y] for y in ys.tolist()], ys]),
-    ):
-        violated = np.abs(here - there).max(axis=2) > _ATOL
+    for label, axis, drift in (("Alice", 0, alice - alice[:, :, :1]), ("Bob", 1, bob - bob[:, :1])):
+        violated = (np.abs(drift) > _ATOL).any(axis=3)
         if violated.any():
-            box = int(violated.any(axis=1).argmax())
-            raise InvalidInputError(f"no-signaling violated for {label} setting {settings[violated[box]].min()}")
+            setting = np.nonzero(violated[int(violated.any(axis=(1, 2)).argmax())])[axis].min()
+            raise InvalidInputError(f"no-signaling violated for {label} setting {setting}")
     p = p.reshape(tables.shape)
     p.flags.writeable = False
-    return p, pairs
+    return p
 
 
 class Behavior:
     """Probability table P(ab|xy) with derived marginals and correlators.
 
-    Built from one dense (n_a, n_b, 2, 2) array over (x, y, a, b) and the
-    covered setting pairs (default: every pair of the shape); uncovered
-    pairs hold zeros.  Construction validates the table with
-    `_checked_tables` (setting pairs, finiteness, normalization,
+    Built from one dense (n_a, n_b, 2, 2) array over (x, y, a, b) that
+    covers every setting pair of its shape.  Construction validates the
+    table with `_checked_tables` (settings, finiteness, normalization,
     non-negativity and no-signaling, each within 1e-9); an offending table
     is rejected.
     """
 
-    def __init__(self, tables, pairs=None):
+    def __init__(self, tables):
         if np.shape(tables)[2:] != (2, 2):
             raise InvalidInputError(f"a behavior's table has shape (n_a, n_b, 2, 2), not {np.shape(tables)}")
-        self._p, self._pairs = _checked_tables(tables, pairs)
+        self._p = _checked_tables(tables)
 
     @property
     def pairs(self) -> frozenset:
-        """The covered setting pairs (x, y)."""
-        return self._pairs
+        """Every setting pair (x, y) of the table."""
+        return _all_pairs(*self._p.shape[:2])
 
     def table(self, x: int, y: int) -> np.ndarray:
-        if (x, y) not in self._pairs:
+        if (x, y) not in self.pairs:
             raise InvalidInputError(f"behavior does not cover setting pair ({x},{y})")
         return self._p[x, y]
 
     def probs(self, events) -> np.ndarray:
         """Probability of each event: its cells (see term_cells) contracted
         with the table, so wildcard parties are marginalized out."""
-        cells = term_cells(tuple(events), self._pairs)
+        cells = term_cells(tuple(events), self.pairs)
         return cells.reshape(len(cells), -1) @ self._p.reshape(-1)
 
     def prob(self, event: Event) -> float:
@@ -356,7 +333,7 @@ def random_ns_tables(rng: np.random.Generator, count: int) -> np.ndarray:
     weights = rng.random((count, 17))
     weights /= weights.sum(axis=1, keepdims=True)
     tables = weights @ _ns_vertices().reshape(17, -1)
-    return _checked_tables(tables.reshape(count, 2, 2, 2, 2))[0]
+    return _checked_tables(tables.reshape(count, 2, 2, 2, 2))
 
 
 def random_ns_behavior(rng: np.random.Generator) -> Behavior:
@@ -421,17 +398,14 @@ def lhv_bound(iq: Inequality):
 
 def evaluate(iq: Inequality, behavior: Behavior) -> float:
     """Sum of the term probabilities under the behavior (see evaluate_tables)."""
-    return float(evaluate_tables(iq, behavior._p, behavior._pairs))
+    return float(evaluate_tables(iq, behavior._p))
 
 
-def evaluate_tables(iq: Inequality, tables: np.ndarray, pairs: Optional[frozenset] = None) -> np.ndarray:
+def evaluate_tables(iq: Inequality, tables: np.ndarray) -> np.ndarray:
     """Inequality value of each table of a dense (..., n_a, n_b, 2, 2)
-    stack: one contraction with the summed cells of its terms (term_cells
-    over `pairs`, by default every setting pair of the shape)."""
+    stack: one contraction with its coefficient tensor over the shape."""
     tables = np.asarray(tables, dtype=float)
-    if pairs is None:
-        pairs = _all_pairs(*tables.shape[-4:-2])
-    weights = term_cells(iq.terms, pairs).sum(axis=0)
+    weights = coefficient_tensor(iq, *tables.shape[-4:-2])
     return tables.reshape(tables.shape[:-4] + (-1,)) @ weights.reshape(-1)
 
 
@@ -484,30 +458,26 @@ def chsh_decomposition(iq: Inequality) -> CorrelatorDecomposition:
     is sum W/4, c_xy = sum_ab s_a s_b W[x, y, a, b]/4, a_x = sum s_a W[x]/4
     and b_y = sum s_b W[:, y]/4.  These are exact multiples of 1/4, and the
     inequality is correlator-only when every marginal sum is zero.  The
-    residual replays the form on the 16 deterministic behaviors.
+    residual replays the form (`predict_tables`) against `evaluate_tables`
+    on the 16 deterministic behaviors.  A term outside the 2x2 settings
+    raises InvalidInputError (from coefficient_tensor).
     """
-    for t in iq.terms:
-        if (t.alice is not None and t.alice[0] > 1) or (t.bob is not None and t.bob[0] > 1):
-            raise InvalidInputError("correlator decomposition needs a 2x2-setting inequality")
-
     w = coefficient_tensor(iq, 2, 2)
     s = np.array([1.0, -1.0])
-    offset = float(w.sum()) / 4.0
     c = np.einsum("xyab,a,b->xy", w, s, s) / 4.0
     alice, bob = np.einsum("xyab,a->x", w, s) / 4.0, np.einsum("xyab,b->y", w, s) / 4.0
     correlator_only = not (alice.any() or bob.any())
-
-    _, tables = _deterministic(2, 2)
-    sa, sb = np.einsum("sxyab,a->sxy", tables, s), np.einsum("sxyab,b->sxy", tables, s)
-    form = offset + (sa * sb).reshape(16, 4) @ c.reshape(4) + sa[:, :, 0] @ alice + sb[:, 0, :] @ bob
-    return CorrelatorDecomposition(
-        offset=offset,
+    dec = CorrelatorDecomposition(
+        offset=float(w.sum()) / 4.0,
         coefficients=dict(zip(_PAIRS_2X2, c.reshape(4).tolist())),
         correlator_only=correlator_only,
-        residual=float(np.max(np.abs(form - tables.reshape(16, -1) @ w.reshape(-1)))),
+        residual=0.0,
         alice_coefficients={} if correlator_only else dict(enumerate(alice.tolist())),
         bob_coefficients={} if correlator_only else dict(enumerate(bob.tolist())),
     )
+    tables = _deterministic(2, 2)[1]
+    residual = np.max(np.abs(dec.predict_tables(tables) - evaluate_tables(iq, tables)))
+    return replace(dec, residual=float(residual))
 
 
 @dataclass(frozen=True)
@@ -615,7 +585,7 @@ def feasible_patterns():
 
 # Integer event codes: a party's part is 2 * setting + outcome, or 8 for a
 # wildcard, and an event is 9 * alice part + bob part.  Codes order events
-# as their canonical keys (wildcards last, then setting, then outcome).
+# by Alice's part, then Bob's: wildcards last, then setting, then outcome.
 _WILDCARD = 8
 
 
@@ -624,17 +594,9 @@ def _code(event: Event) -> int:
     return 9 * part(event.alice) + part(event.bob)
 
 
-def _key(code: int) -> tuple:
-    """Canonical key of an event code: (1, -1, -1) for a wildcard part, else
-    (0, setting, outcome), for Alice then Bob."""
-    part = lambda p: (1, -1, -1) if p == _WILDCARD else (0, p // 2, p % 2)
-    return part(code // 9) + part(code % 9)
-
-
-def _event_from_key(key):
-    alice = None if key[0] == 1 else (key[1], key[2])
-    bob = None if key[3] == 1 else (key[4], key[5])
-    return Event(alice, bob)
+def _event(code: int) -> Event:
+    part = lambda p: None if p == _WILDCARD else (p // 2, p % 2)
+    return Event(part(code // 9), part(code % 9))
 
 
 def _compacted(codes: np.ndarray) -> np.ndarray:
@@ -691,9 +653,9 @@ def _lexmin(rows: np.ndarray) -> np.ndarray:
 
 def canonical_form(terms):
     """Canonical encoding of an event set modulo the equivalence group: the
-    lexicographically least sorted image, as a tuple of event keys."""
+    lexicographically least sorted image, as a tuple of event codes."""
     codes = np.unique([_code(e) for e in terms])
-    return tuple(_key(c) for c in _lexmin(_orbit_rows(_compacted(codes[None])[0])).tolist())
+    return tuple(_lexmin(_orbit_rows(_compacted(codes[None])[0])).tolist())
 
 
 def _induced_five_cycles(adjacent: np.ndarray) -> np.ndarray:
@@ -722,6 +684,24 @@ def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3)
     C5, then deduplicates modulo the equivalence group.  Returns one
     representative Inequality per class; representatives matching a built-in
     named inequality reuse its terms and name.
+
+    The default (3, 3) range is complete: every pentagon needs at most 3
+    settings for one party and 2 for the other.  Call an edge an A-edge
+    when Alice makes its events exclusive (kind 'A' or 'AB'), and a B-edge
+    likewise.  Three A-edges in a row would make the first and fourth
+    vertices exclusive, so neither party has three in a row.  Every edge
+    not of one party is the other's, so on C5 each party's edges are two
+    disjoint edges or a two-edge path plus a disjoint edge: fewer, or a
+    lone path, would leave the other party three in a row.  The vertices
+    of a path share that party's setting, and two disjoint edges at one
+    setting would make two non-adjacent vertices exclusive, so each party
+    uses two settings on its edges.  Two disjoint edges cover four
+    vertices, and the free vertex may use a third setting; a path plus an
+    edge covers all five.  Five edges need at least one party with the
+    path plus an edge, so that party uses exactly 2 settings and the other
+    at most 3.  With A/B labels alone this is the one feasible pattern,
+    BBABA: its A-edges are disjoint, and its three B-edges force 2
+    settings.  The (4, 4) range gives the same classes.
     """
     for label, count in (("bob", max_bob_settings), ("alice", max_alice_settings)):
         if count > MAX_SETTING + 1:
@@ -743,7 +723,7 @@ def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3)
     canons = []
     while len(remaining):
         orbit = _orbit_rows(remaining[0] // digits % 81)
-        canons.append(tuple(_key(c) for c in _lexmin(orbit).tolist()))
+        canons.append(tuple(_lexmin(orbit).tolist()))
         remaining = remaining[~np.isin(remaining, orbit @ digits)]
 
     representatives = []
@@ -753,9 +733,7 @@ def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3)
         if canon in named_by_canon:
             representatives.append(named_by_canon[canon])
         else:
-            representatives.append(
-                Inequality(tuple(_event_from_key(k) for k in canon), name="unnamed-pentagon")
-            )
+            representatives.append(Inequality(tuple(_event(c) for c in canon), name="unnamed-pentagon"))
     representatives.sort(key=lambda iq: iq.name)
     return representatives
 

@@ -18,7 +18,7 @@ streams of many setting pairs and master seeds stack into one (stream, draw)
 grid, which is generated and counted in blocks of a fixed number of draws; a
 table does not depend on which other streams share its blocks, and a count
 below one edge does not depend on the other edges.  So only the cells that
-are read need counting: sample_counts counts every cell of every covered
+are read need counting: sample_counts counts every cell of every setting
 pair, while run_experiments draws only the pairs and compares only the
 edges that bound a cell some term reads (7 of pentagon-2's 12 inner edges),
 and its internal count tables hold zeros in the unread cells and never
@@ -28,12 +28,15 @@ edge scaled by 2^64, which counts exactly the draws whose top-53-bit uniform
 lies below the edge.
 
 Estimates contract each term's cells (`scenarios.term_cells`) with the
-count table.  The total's sigma is exact for the sum: terms measured at one
-setting pair share its shots and are multinomially (negatively) correlated,
-so the variance is taken per pair and added over the independent pairs.
-Over 2,000 seeds at 5,000 shots it matches the empirical spread of the
-total within 0.5% for pentagon-1 and pentagon-2 (adding the per-term sigmas
-in quadrature overstated it by 24-25%).
+count table.  A model's Behavior covers every setting pair of its
+settings; a measured `CountTable` may cover a subset, and a wildcard term
+is then read at its lowest covered partner setting.  The total's sigma is
+exact for the sum: terms measured at one setting pair share its shots and
+are multinomially (negatively) correlated, so the variance is taken per
+pair and added over the independent pairs.  Over 2,000 seeds at 5,000
+shots it matches the empirical spread of the total within 0.5% for
+pentagon-1 and pentagon-2 (adding the per-term sigmas in quadrature
+overstated it by 24-25%).
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, strict_int
+from .errors import InvalidInputError, strict_int, strict_pair
 from .quantum import QuantumModel, behavior_of
-from .scenarios import Behavior, Inequality, lhv_bound, term_cells
+from .scenarios import MAX_SETTING, Behavior, Inequality, lhv_bound, term_cells
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -131,9 +134,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Outcome counts per setting pair: each block is a 2x2 table of
-    non-negative integers over (a, b) that sums to shots, or the table
-    raises InvalidInputError naming the setting pair."""
+    """Outcome counts per setting pair: each key is a pair of integer
+    settings in [0, MAX_SETTING] and each block a 2x2 table of non-negative
+    integers over (a, b) that sums to shots, or the table raises
+    InvalidInputError naming the setting pair.  Unlike a Behavior, a count
+    table may cover any subset of the setting pairs."""
 
     shots: int
     counts: dict  # (x, y) -> 2x2 integer array over (a, b)
@@ -142,6 +147,8 @@ class CountTable:
         if strict_int(self.shots, "shots") < 1:
             raise InvalidInputError("shots must be >= 1")
         for pair, block in self.counts.items():
+            if not all(0 <= s <= MAX_SETTING for s in strict_pair(pair, f"setting pair {pair!r}")):
+                raise InvalidInputError(f"setting pair {pair!r} outside [0,{MAX_SETTING}]")
             try:
                 b = np.asarray(block)
                 ok = b.shape == (2, 2) and b.dtype.kind in "iu" and b.min() >= 0 and b.sum() == self.shots
@@ -201,10 +208,9 @@ def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray, compared
 
 def _count_stack(behavior: Behavior, cfg: SimConfig, seeds, cells=None) -> np.ndarray:
     """(len(seeds), n_a, n_b, 2, 2) int64 count tables of cfg's experiment at
-    each master seed, over the dense shape of the setting pairs the behavior
-    covers (`Behavior.pairs`).  The cells of the boolean (n_a, n_b, 2, 2)
-    mask `cells` (default: every cell of every covered pair) are counted;
-    every other cell holds zeros.
+    each master seed, over the behavior's (n_a, n_b) settings.  The cells of
+    the boolean (n_a, n_b, 2, 2) mask `cells` (default: every cell) are
+    counted; every other cell holds zeros.
 
     A setting pair is drawn when any of its cells is counted: (x, y) at
     master seed s thresholds the uniforms of substream derive_seed(s, x, y)
@@ -213,9 +219,7 @@ def _count_stack(behavior: Behavior, cfg: SimConfig, seeds, cells=None) -> np.nd
     All streams are counted in one pass.
     """
     if cells is None:
-        covered = np.array(sorted(behavior.pairs), dtype=int).reshape(-1, 2)
-        cells = np.zeros((*(covered.max(axis=0, initial=-1) + 1), 2, 2), dtype=bool)
-        cells[tuple(covered.T)] = True
+        cells = np.ones(behavior._p.shape, dtype=bool)
     xs, ys = np.nonzero(cells.any(axis=(2, 3)))
     pairs = list(zip(xs.tolist(), ys.tolist()))
     p = cfg.visibility * np.array([behavior.table(x, y) for x, y in pairs]) + (1.0 - cfg.visibility) / 4.0
@@ -233,8 +237,8 @@ def _count_stack(behavior: Behavior, cfg: SimConfig, seeds, cells=None) -> np.nd
 
 
 def sample_counts(model: Union[QuantumModel, Behavior], cfg: SimConfig) -> CountTable:
-    """Multinomial outcome counts for every setting pair the model covers
-    (all pairs of a QuantumModel's settings; a Behavior's own pairs).
+    """Multinomial outcome counts for every setting pair of the model's
+    settings.
 
     The model may also be given as its ideal Behavior (as behavior_of
     returns it), which gives the same table.  Each pair (x, y) draws

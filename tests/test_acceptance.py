@@ -77,7 +77,7 @@ def test_criterion_04_seesaw_quantum_maxima():
 
 def test_criterion_05_two_angle_scan():
     result = quantum.qmax_scan_ineq2()
-    coeffs = quantum.schmidt(result.model.state, (2, 2))
+    coeffs = quantum.schmidt(result.model)
     behavior = quantum.behavior_of(result.model)
     ideal = (0.464, 0.464, 0.323, 0.464, 0.464)
     probs = [behavior.prob(t) for t in scenarios.named_inequality("pentagon-1").terms]

@@ -499,7 +499,7 @@ def test_seesaw_dimension_stability(dims):
 
 def test_seesaw_pentagon2_state_maximally_entangled():
     _, model = qmax_seesaw(named_inequality("pentagon-2"), restarts=8, seed=0)
-    coeffs = schmidt(model.state, (2, 2))
+    coeffs = schmidt(model)
     assert coeffs == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-4)
 
 
@@ -552,7 +552,7 @@ def test_seesaw_capacity_and_validation():
 def test_scan_matches_published_optimum():
     result = qmax_scan_ineq2()
     assert result.value == pytest.approx(2.178, abs=5e-4)
-    coeffs = schmidt(result.model.state, (2, 2))
+    coeffs = schmidt(result.model)
     assert coeffs[0] == pytest.approx(0.7735, abs=5e-4)
     assert coeffs[1] == pytest.approx(0.6338, abs=5e-4)
     beh = behavior_of(result.model)
@@ -614,36 +614,44 @@ def test_scan_agrees_with_seesaw():
 # ----------------------------------------------------------------- schmidt ---
 
 
+def state_model(state, dims=(2, 2)) -> QuantumModel:
+    """A model of the state alone: schmidt reads no measurement."""
+    return QuantumModel(dims, state, (), ())
+
+
 def test_schmidt_examples():
     phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
-    assert schmidt(phi_plus, (2, 2)) == pytest.approx([1 / math.sqrt(2)] * 2)
-    assert schmidt(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2)) == pytest.approx([1.0, 0.0])
+    assert schmidt(state_model(phi_plus)) == pytest.approx([1 / math.sqrt(2)] * 2)
+    assert schmidt(state_model([1.0, 0.0, 0.0, 0.0])) == pytest.approx([1.0, 0.0])
     state = np.array([0.6338, 0.0, 0.0, 0.7735])
     state /= np.linalg.norm(state)
-    assert schmidt(state, (2, 2)) == pytest.approx([0.7735, 0.6338], abs=1e-4)
-    coeffs = schmidt(phi_plus, (2, 2))
+    assert schmidt(state_model(state)) == pytest.approx([0.7735, 0.6338], abs=1e-4)
+    coeffs = schmidt(state_model(phi_plus))
     assert np.sum(coeffs**2) == pytest.approx(1.0, abs=1e-10)
+    # a 2 x 3 state has two coefficients: the model's dims shape it
+    rectangular = state_model(np.eye(2, 3).reshape(-1) / math.sqrt(2), (2, 3))
+    assert schmidt(rectangular) == pytest.approx([1 / math.sqrt(2)] * 2)
 
 
 @pytest.mark.parametrize(
     "state,message",
     [
-        ([1.0, 0.0, 0.0], "state must be 2\\*2 finite amplitudes"),
-        ([np.nan] * 4, "state must be 2\\*2 finite amplitudes"),
+        ([1.0, 0.0, 0.0], "state length 3 != 2\\*2"),
+        ([np.nan] * 4, "state has non-finite entries"),
         ([1.0, 0.0, 0.0, 1.0], "state is not normalized"),
+        ([1.0 + 1e-11, 0.0, 0.0, 0.0], "state is not normalized \\(within 1e-12\\)"),
     ],
 )
 def test_schmidt_rejects_malformed_states(state, message):
+    # schmidt takes a model, so a state the model rejects never reaches it
     with pytest.raises(InvalidInputError, match=message):
-        schmidt(state, (2, 2))
+        schmidt(state_model(state))
 
 
 @pytest.mark.parametrize("dims", [(-2, -2), (0, 4), (4, 0)])
 def test_schmidt_and_models_reject_non_positive_dims(dims):
     with pytest.raises(InvalidInputError, match=r"dims \("):
-        schmidt([0.5] * 4, dims)
-    with pytest.raises(InvalidInputError, match=r"dims \("):
-        QuantumModel(dims, [0.5] * 4, (), ())
+        schmidt(state_model([0.5] * 4, dims))
 
 
 @pytest.mark.parametrize("vector", [[0.0, 0.0], [1e308, 1e308], [1e-200, 0.0], [np.nan, 1.0]])

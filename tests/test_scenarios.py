@@ -31,6 +31,7 @@ from pentabell.scenarios import (
     scenario_from_json,
     strategy_behavior,
 )
+from pentabell.simkit import CountTable, estimate
 
 PENTAGONS = ("pentagon-1", "pentagon-2", "pentagon-3")
 
@@ -200,10 +201,16 @@ def test_stacked_validation_accepts_and_densifies_like_behavior():
         assert np.array_equal(b._p, tables)
 
 
-@pytest.mark.parametrize("pair", [(-1, 0), (0, -2), (4, 0), (1, 7)])
+@pytest.mark.parametrize("pair", [(4, 0), (0, 4), (5, 1), (2, 7)])
 def test_behavior_rejects_setting_pairs_outside_range(pair):
-    with pytest.raises(InvalidInputError, match="outside"):
-        Behavior(np.full((2, 2, 2, 2), 0.25), pairs={(0, 0), pair})
+    # a uniform table whose last setting pair is `pair` has settings beyond
+    # 0..3; the error names the lowest pair outside that range
+    shape = (pair[0] + 1, pair[1] + 1)
+    x, y = (0, 4) if pair[1] > 3 else (4, 0)
+    with pytest.raises(InvalidInputError, match=rf"setting pair \({x}, {y}\) outside \[0,3\]"):
+        Behavior(np.full((*shape, 2, 2), 0.25))
+    with pytest.raises(InvalidInputError, match=r"outside \[0,3\]"):
+        scenarios._checked_tables(np.full((3, *shape, 2, 2), 0.25))
 
 
 def test_behavior_rejects_tables_of_the_wrong_shape():
@@ -211,33 +218,69 @@ def test_behavior_rejects_tables_of_the_wrong_shape():
         Behavior(np.full((2, 2, 2), 0.25))
     with pytest.raises(InvalidInputError, match=r"shape \(n_a, n_b, 2, 2\), not \(1, 2, 2, 2, 2\)"):
         Behavior(random_ns_tables(np.random.default_rng(0), 1))
-    with pytest.raises(InvalidInputError, match=r"setting pairs span \(1, 2\), not the table's \(2, 2\)"):
-        Behavior(np.full((2, 2, 2, 2), 0.25), pairs={(0, 0), (0, 1)})
+
+
+def test_behavior_covers_every_pair_of_its_table():
+    b = Behavior(np.full((3, 2, 2, 2), 0.25))
+    assert b.pairs == frozenset(itertools.product(range(3), range(2)))
+    assert b.prob(Event.parse("_1|_1")) == 0.5  # read at partner setting 0
+    with pytest.raises(InvalidInputError, match=r"does not cover setting pair \(0,2\)"):
+        b.table(0, 2)
+
+
+@pytest.mark.parametrize(
+    "party, block",
+    [
+        ("Alice", [[0.5, 0.5], [0.0, 0.0]]),  # Alice's marginal moves, Bob's does not
+        ("Bob", [[0.5, 0.0], [0.5, 0.0]]),  # Bob's marginal moves, Alice's does not
+    ],
+)
+def test_signaling_names_the_party_setting_and_the_first_offending_table(party, block):
+    def signaling_at(*settings):
+        """A 3x3 uniform table but for the party's marginal at each of
+        `settings`, which differs at partner setting 1 from partner setting 0."""
+        tables = np.full((3, 3, 2, 2), 0.25)
+        for setting in settings:
+            tables[(setting, 1) if party == "Alice" else (1, setting)] = block
+        return tables
+
+    with pytest.raises(InvalidInputError, match=f"no-signaling violated for {party} setting 2$"):
+        Behavior(signaling_at(2))
+    # one table that signals at two settings names the lower
+    with pytest.raises(InvalidInputError, match=f"no-signaling violated for {party} setting 1$"):
+        Behavior(signaling_at(2, 1))
+    # a stack names its first offending table's setting
+    stack = np.stack([np.full((3, 3, 2, 2), 0.25), signaling_at(2), signaling_at(1)])
+    with pytest.raises(InvalidInputError, match=f"no-signaling violated for {party} setting 2$"):
+        scenarios._checked_tables(stack)
+    with pytest.raises(InvalidInputError, match=f"no-signaling violated for {party} setting 1$"):
+        scenarios._checked_tables(stack[::-1])
 
 
 def test_wildcards_read_at_lowest_covered_partner_setting():
-    # tables at (1,0), (1,1) and (2,1) only: Bob's setting 0 is covered
+    # counts at (1,0), (1,1) and (2,1) only: Bob's setting 0 is covered
     # only by Alice's setting 1, and Alice's setting 2 only by Bob's setting 1
-    tables = np.zeros((3, 2, 2, 2))
-    tables[1, 0] = [[0.3, 0.2], [0.1, 0.4]]
-    tables[1, 1] = [[0.2, 0.3], [0.2, 0.3]]
-    tables[2, 1] = [[0.1, 0.2], [0.3, 0.4]]
-    partial = Behavior(tables, pairs={(1, 0), (1, 1), (2, 1)})
-    assert {x for x, _ in partial.pairs} == {1, 2} and {y for _, y in partial.pairs} == {0, 1}
-    assert partial.prob(Event.parse("_1|_0")) == 0.6000000000000001  # 0.2 + 0.4 at (1,0)
-    assert partial.prob(Event.parse("0_|2_")) == 0.30000000000000004  # 0.1 + 0.2 at (2,1)
-    assert partial.prob(Event.parse("_0|_1")) == 0.4  # at (1,1), not (2,1)
-    assert partial.prob(Event.parse("11|21")) == 0.4
+    blocks = {
+        (1, 0): [[3, 2], [1, 4]],
+        (1, 1): [[2, 3], [2, 3]],
+        (2, 1): [[1, 2], [3, 4]],
+    }
+    partial = CountTable(10, {pair: np.array(block) for pair, block in blocks.items()})
+    texts = ("_1|_0", "0_|2_", "_0|_1", "11|21", "1_|2_", "_0|_0")
+    iq = Inequality(tuple(Event.parse(t) for t in texts))
+    cells = scenarios.term_cells(iq.terms, frozenset(partial.counts))
+    assert [tuple(np.argwhere(c)[0, :2]) for c in cells] == [(1, 0), (2, 1), (1, 1), (2, 1), (2, 1), (1, 0)]
+    p_hat = dict(zip(texts, (t.p_hat for t in estimate(partial, iq).terms)))
+    assert p_hat["_1|_0"] == 0.6  # 2 + 4 at (1,0)
+    assert p_hat["0_|2_"] == 0.3  # 1 + 2 at (2,1)
+    assert p_hat["_0|_1"] == 0.4  # at (1,1), not (2,1)
+    assert p_hat["11|21"] == 0.4
     # single-party expectations follow the same rule
-    alice_0, alice_1 = partial.probs((Event.parse("0_|2_"), Event.parse("1_|2_")))
-    assert alice_0 - alice_1 == 0.30000000000000004 - 0.7
-    bob_0, bob_1 = partial.probs((Event.parse("_0|_0"), Event.parse("_1|_0")))
-    assert bob_0 - bob_1 == 0.4 - 0.6000000000000001
+    assert p_hat["0_|2_"] - p_hat["1_|2_"] == 0.3 - 0.7
+    assert p_hat["_0|_0"] - p_hat["_1|_0"] == 0.4 - 0.6
     for text in ("00|00", "_0|_2", "0_|0_", "00|20"):
-        with pytest.raises(InvalidInputError):
-            partial.prob(Event.parse(text))
-    with pytest.raises(InvalidInputError):
-        partial.table(-1, 0)
+        with pytest.raises(InvalidInputError, match="setting pairs do not cover event"):
+            estimate(partial, Inequality((Event.parse(text),)))
 
 
 def test_strategy_behaviors_are_deterministic_and_no_signaling():
@@ -623,6 +666,15 @@ def _reference_key(event):
     return part(event.alice) + part(event.bob)
 
 
+def _reference_codes(keys):
+    """Event codes of a tuple of reference keys: a party's part is 2 *
+    setting + outcome, or 8 for a wildcard, and an event is 9 * Alice's part
+    + Bob's part.  The keys' order is kept, so a canonical form sorted by
+    key matches one sorted by code only if codes order events as keys do."""
+    part = lambda wildcard, setting, outcome: 8 if wildcard else 2 * setting + outcome
+    return tuple(9 * part(*key[:3]) + part(*key[3:]) for key in keys)
+
+
 @pytest.mark.parametrize("settings", [3, 4])
 def test_integer_canonical_form_matches_event_reference_on_every_five_cycle(settings):
     events = [
@@ -651,7 +703,7 @@ def test_integer_canonical_form_matches_event_reference_on_every_five_cycle(sett
         if member not in canon:
             orbit = _reference_orbit(member)
             least = min(tuple(sorted(_reference_key(e) for e in image)) for image in orbit)
-            canon.update((image, least) for image in orbit)
+            canon.update((image, _reference_codes(least)) for image in orbit)
     for member in found:
         assert canonical_form(tuple(member)) == canon[member]
     classes = enumerate_pentagonal(settings, settings)
@@ -662,7 +714,7 @@ def test_canonical_form_matches_event_reference_on_named_inequalities():
     for name in ("pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322"):
         orbit = _reference_orbit(_reference_compact(named_inequality(name).terms))
         least = min(tuple(sorted(_reference_key(e) for e in image)) for image in orbit)
-        assert canonical_form(named_inequality(name).terms) == least
+        assert canonical_form(named_inequality(name).terms) == _reference_codes(least)
 
 
 # ------------------------------------------------------------ file formats ---

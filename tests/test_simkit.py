@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -278,18 +279,6 @@ def test_million_shot_pair_spans_blocks_bit_identically():
     assert np.array_equal(table.counts[(0, 0)], searchsorted_counts(one_pair, cfg)[(0, 0)])
 
 
-def test_behavior_with_holes_samples_its_own_pairs():
-    full = behavior_of(known_optimal_model("pentagon-2"))
-    tables = np.array([[full.table(x, y) for y in range(2)] for x in range(2)])
-    diagonal = Behavior(tables, pairs={(0, 0), (1, 1)})
-    cfg = SimConfig(shots=5000, seed=4, visibility=0.9)
-    table = sample_counts(diagonal, cfg)
-    assert sorted(table.counts) == [(0, 0), (1, 1)]
-    reference = sample_counts(full, cfg)
-    for pair, block in table.counts.items():
-        assert np.array_equal(block, reference.counts[pair])
-
-
 def searchsorted_below(seeds, shots, edges):
     """Reference for _threshold_counts: per stream, the number of its
     uniforms below each edge, located in the sorted draws."""
@@ -395,6 +384,23 @@ def test_estimate_degenerate_counts():
 def test_count_table_rejects_malformed_blocks(block):
     with pytest.raises(InvalidInputError, match=r"setting pair \(0, 1\)"):
         CountTable(100, {(0, 0): np.full((2, 2), 25), (0, 1): block})
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        (0, "must be a pair of integers, not 0"),  # not a pair
+        ((0, 0, 7), "must be a pair of integers"),  # three settings
+        ((0.0, 0), "must be an integer, not 0.0"),  # a float setting
+        ((True, False), "must be an integer, not True"),  # a bool is not read as setting 1
+        ((4, 0), "outside \\[0,3\\]"),
+        ((0, -1), "outside \\[0,3\\]"),
+    ],
+)
+def test_count_table_rejects_malformed_setting_pairs(key, message):
+    block = np.full((2, 2), 25)
+    with pytest.raises(InvalidInputError, match=f"setting pair {re.escape(repr(key))} {message}"):
+        CountTable(100, {key: block})
 
 
 def test_estimate_missing_setting():

@@ -1,6 +1,6 @@
-"""Digests of the see-saw's, the simulator's and the block reduction's
-outputs, to show that a change to any of them leaves every output
-bit-identical.
+"""Digests of the see-saw's, the simulator's, the block reduction's and the
+scenario layer's outputs, to show that a change to any of them leaves
+every output bit-identical.
 
 Usage: python tools/output_digest.py
 
@@ -20,6 +20,13 @@ Prints a sha256 of each output's bytes, per case:
             report` checks (cli._block_spectra_worst_dev with
             default_rng(2024)): every block, residual spectrum and
             singular value, and the worst spectral deviation's repr
+  scenarios scenarios.random_ns_tables: the 1000 boxes at default_rng(99),
+            with evaluate_tables and chsh_decomposition's predict_tables
+            on them for every named inequality that decomposes;
+            chsh_decomposition of the five named inequalities (its repr,
+            or the exception class); the terms and names of
+            enumerate_pentagonal at (2, 2), (3, 3) and (4, 4); and the
+            five named exclusivity graphs with their typed edges
 
 Together the simulations read the cells of all five named inequalities.
 
@@ -38,7 +45,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pentabell import cli, quantum, simkit  # noqa: E402
+from pentabell import cli, quantum, scenarios, simkit  # noqa: E402
+from pentabell.errors import PentabellError  # noqa: E402
 from pentabell.scenarios import named_inequality  # noqa: E402
 
 INEQUALITIES = ("pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322")
@@ -47,6 +55,7 @@ SEEDS = (0, 1, 7)
 PENTAGONS = ("pentagon-1", "pentagon-2", "pentagon-3")
 SIM_SEEDS = (1, 7)
 SEESAW_SIMULATED = ("chsh-prob", "i3322")
+ENUMERATION_RANGES = ((2, 2), (3, 3), (4, 4))
 
 
 def sha(data: bytes) -> str:
@@ -94,6 +103,23 @@ def main() -> None:
     data = b"".join(repr(a.shape).encode() + a.tobytes() for a in arrays)
     print(f"blocks report instances ({len(reductions)}): {sha(data)}")
     print(f"blocks worst dev: {worst!r}")
+    boxes = scenarios.random_ns_tables(np.random.default_rng(99), 1000)
+    print(f"scenarios random_ns_tables rng 99: {sha(boxes.tobytes())}")
+    for name in INEQUALITIES:
+        iq = named_inequality(name)
+        try:
+            dec = scenarios.chsh_decomposition(iq)
+        except PentabellError as exc:
+            print(f"scenarios decomposition {name}: {type(exc).__name__}")
+            continue
+        values = scenarios.evaluate_tables(iq, boxes).tobytes() + dec.predict_tables(boxes).tobytes()
+        print(f"scenarios decomposition {name}: {sha(repr(dec).encode())}")
+        print(f"    evaluated and predicted boxes {sha(values)}")
+    for alice, bob in ENUMERATION_RANGES:
+        classes = [(iq.name, [str(t) for t in iq.terms]) for iq in scenarios.enumerate_pentagonal(alice, bob)]
+        print(f"scenarios enumerate {alice}x{bob}: {sha(repr(classes).encode())}")
+    graphs = [scenarios.exclusivity_graph(named_inequality(name)) for name in INEQUALITIES]
+    print(f"scenarios exclusivity graphs: {sha(repr([(g.n, edges) for g, edges in graphs]).encode())}")
 
 
 if __name__ == "__main__":
