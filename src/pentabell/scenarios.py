@@ -57,9 +57,10 @@ class Event:
         for label, part in (("alice", self.alice), ("bob", self.bob)):
             if part is None:
                 continue
-            part = (int(part[0]), int(part[1]))
-            object.__setattr__(self, label, part)
-            setting, outcome = part
+            setting, outcome = part[0], part[1]
+            if type(setting) is not int or type(outcome) is not int:  # plain ints skip the type check
+                setting, outcome = strict_int(setting, f"{label} setting"), strict_int(outcome, f"{label} outcome")
+            object.__setattr__(self, label, (setting, outcome))
             if outcome not in (0, 1):
                 raise InvalidInputError(f"{label} outcome {outcome} not in {{0,1}}")
             if not 0 <= setting <= MAX_SETTING:
@@ -560,12 +561,14 @@ def _pattern_orbit(pattern: str) -> frozenset:
 
 def edge_patterns_c5():
     """All A/B edge labelings of the pentagon reduced to symmetry classes."""
-    classes = {}
+    classes, seen = [], set()
     for bits in itertools.product("AB", repeat=5):
         s = "".join(bits)
-        orbit = _pattern_orbit(s)
-        classes[max(orbit)] = PatternClass(max(orbit), orbit)
-    return sorted(classes.values(), key=lambda c: c.canonical)
+        if s not in seen:
+            orbit = _pattern_orbit(s)
+            seen |= orbit
+            classes.append(PatternClass(max(orbit), orbit))
+    return sorted(classes, key=lambda c: c.canonical)
 
 
 def _has_triple_run(pattern: str) -> bool:
@@ -601,12 +604,13 @@ def _event(code: int) -> Event:
 
 def _compacted(codes: np.ndarray) -> np.ndarray:
     """Each row of an (N, n) code array with every party's used settings
-    relabeled to 0..k-1 in order."""
+    relabeled to 0..k-1 in order: a setting's new label is the number of
+    used settings below it, counted in a bitmask of the row's settings."""
     parts = []
     for part in np.divmod(codes, 9):
-        setting = np.minimum(part // 2, MAX_SETTING)  # a wildcard's value is discarded below
-        used = (part[..., None] // 2 == np.arange(MAX_SETTING + 1)).any(axis=-2)
-        rank = np.take_along_axis(np.cumsum(used, axis=-1) - 1, setting, axis=-1)
+        bit = (part != _WILDCARD) << (part // 2)
+        used = np.bitwise_or.reduce(bit, axis=-1, keepdims=True)
+        rank = np.bitwise_count(used & (bit - 1))  # a wildcard's value is discarded below
         parts.append(np.where(part == _WILDCARD, _WILDCARD, 2 * rank + part % 2))
     return 9 * parts[0] + parts[1]
 
@@ -658,32 +662,48 @@ def canonical_form(terms):
     return tuple(_lexmin(_orbit_rows(_compacted(codes[None])[0])).tolist())
 
 
-def _induced_five_cycles(adjacent: np.ndarray) -> np.ndarray:
-    """(N, 5) vertex indices of every induced 5-cycle of a graph, each
-    undirected cycle once: v0 is its smallest vertex and v1 < v4."""
+def _nonzero(mask: np.ndarray) -> tuple:
+    """np.nonzero(mask) through the flat indices, which for a 2- or 3-d mask
+    is many times faster than np.nonzero itself."""
+    return np.unravel_index(np.flatnonzero(mask), mask.shape)
+
+
+def _induced_five_cycles(adjacent: np.ndarray, starts) -> np.ndarray:
+    """(N, 5) vertex indices of every induced 5-cycle of a graph (a boolean
+    adjacency matrix) that holds a start vertex, each undirected cycle once:
+    v0 is its smallest start and v1 < v4.  With every vertex a start, v0 is
+    the cycle's smallest vertex."""
     n = len(adjacent)
     idx = np.arange(n)
-    v0, v1, v2 = np.nonzero(
-        adjacent[:, :, None]
-        & adjacent[None, :, :]
-        & ~adjacent[:, None, :]
-        & (idx[:, None, None] < idx[None, :, None])
-        & (idx[:, None, None] < idx[None, None, :])
-    )
-    path, v3 = np.nonzero(adjacent[v2] & ~adjacent[v0] & ~adjacent[v1] & (idx > v0[:, None]))
-    v0, v1, v2 = v0[path], v1[path], v2[path]
-    path, v4 = np.nonzero(adjacent[v3] & adjacent[v0] & ~adjacent[v1] & ~adjacent[v2] & (idx > v1[:, None]))
-    return np.stack([v0[path], v1[path], v2[path], v3[path], v4])
+    starts = np.unique(np.asarray(starts, dtype=int))
+    # a cycle's other vertices are never a start at or below its v0
+    free = ~(np.isin(idx, starts)[None, :] & (idx[None, :] <= starts[:, None]))
+    near = adjacent[starts]
+    s, v1, v2 = _nonzero(near[:, :, None] & adjacent[None] & ~near[:, None, :] & free[:, :, None] & free[:, None, :])
+    # each path v0-v1-v2 goes on to v3 and is closed by v4
+    ahead = adjacent[v2] & ~near[s] & ~adjacent[v1] & free[s]
+    closing = near[s] & ~adjacent[v1] & ~adjacent[v2] & free[s] & (idx > v1[:, None])
+    path, v3 = _nonzero(ahead)
+    last, v4 = _nonzero(closing[path] & adjacent[v3])
+    path = path[last]
+    return np.stack([starts[s[path]], v1[path], v2[path], v3[last], v4], axis=1)
 
 
 def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3):
     """All pentagonal Bell inequalities up to relabeling.
 
-    Enumerates every assignment of events (wildcards included) to the five
-    vertices of a cycle such that the induced exclusivity graph is exactly
-    C5, then deduplicates modulo the equivalence group.  Returns one
-    representative Inequality per class; representatives matching a built-in
-    named inequality reuse its terms and name.
+    Searches the exclusivity graph of every event in the range (wildcards
+    included) for induced 5-cycles through three start events, 00|00, 0_|0_
+    and _0|_0, where present, then deduplicates modulo the equivalence
+    group.  Returns one representative Inequality per class; representatives
+    matching a built-in named inequality reuse its terms and name.
+
+    The three starts reach every class.  Permuting one party's settings
+    within the range, or flipping its outcomes at one setting, maps an
+    induced 5-cycle of the range's graph to another in the same class.  So
+    any member's two-party event can be moved to 00|00, an Alice-only event
+    to 0_|0_ and a Bob-only event to _0|_0; the orbit of each class found is
+    then dropped whole.
 
     The default (3, 3) range is complete: every pentagon needs at most 3
     settings for one party and 2 for the other.  Call an edge an A-edge
@@ -713,29 +733,29 @@ def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3)
         (p[:, None] != _WILDCARD) & (p[:, None] // 2 == p[None, :] // 2) & (p[:, None] != p[None, :])
         for p in np.divmod(codes, 9)
     ]
-    cycles = codes[_induced_five_cycles(exclusive_parts[0] | exclusive_parts[1]).T]
-    # a sorted row of five codes is one base-81 number
-    digits = 81 ** np.arange(5)
+    starts = np.flatnonzero(np.isin(codes, (0, _WILDCARD, 9 * _WILDCARD)))  # 00|00, 0_|0_, _0|_0
+    cycles = codes[_induced_five_cycles(exclusive_parts[0] | exclusive_parts[1], starts)]
+    # a sorted row of five codes is one base-81 number, so keys order rows
+    # lexicographically
+    digits = 81 ** np.arange(4, -1, -1)
     remaining = np.unique(np.sort(_compacted(cycles), axis=1) @ digits)
+    named = [named_inequality(k) for k in ("pentagon-1", "pentagon-2", "pentagon-3")]
+    named_keys = np.sort(_compacted(np.array([[_code(e) for e in iq.terms] for iq in named])), axis=1) @ digits
 
-    # each class is one orbit of compacted cycles: take the canonical form of
-    # the first cycle left and drop its whole orbit
-    canons = []
+    # each class is one orbit of compacted cycles: take the first cycle left,
+    # find its canonical form and any named member, and drop its whole orbit
+    classes = []
     while len(remaining):
         orbit = _orbit_rows(remaining[0] // digits % 81)
-        canons.append(tuple(_lexmin(orbit).tolist()))
-        remaining = remaining[~np.isin(remaining, orbit @ digits)]
-
-    representatives = []
-    named = [named_inequality(k) for k in ("pentagon-1", "pentagon-2", "pentagon-3")]
-    named_by_canon = {canonical_form(iq.terms): iq for iq in named}
-    for canon in sorted(canons):
-        if canon in named_by_canon:
-            representatives.append(named_by_canon[canon])
+        keys = orbit @ digits
+        canon = tuple(orbit[keys.argmin()].tolist())
+        is_named = np.isin(named_keys, keys)
+        if is_named.any():
+            classes.append((canon, named[int(is_named.argmax())]))
         else:
-            representatives.append(Inequality(tuple(_event(c) for c in canon), name="unnamed-pentagon"))
-    representatives.sort(key=lambda iq: iq.name)
-    return representatives
+            classes.append((canon, Inequality(tuple(_event(c) for c in canon), name="unnamed-pentagon")))
+        remaining = remaining[~np.isin(remaining, keys)]
+    return [iq for _, iq in sorted(classes, key=lambda c: (c[1].name, c[0]))]
 
 
 # ---------------------------------------------------------------------------

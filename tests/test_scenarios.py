@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pentabell.errors import InvalidInputError, save_json
-from pentabell.graphs import cycle, independence_number
+from pentabell.graphs import cycle, graph, independence_number
 from pentabell import scenarios
 from pentabell.scenarios import (
     Behavior,
@@ -65,6 +65,20 @@ def test_event_validation():
         Event((0, 2), None)
     with pytest.raises(InvalidInputError):
         Event((4, 0), None)
+
+
+@pytest.mark.parametrize("part", [(1.7, 0), (True, 0), ("2", "1"), (0, 1.0), (0, False)])
+def test_event_rejects_non_integer_parts(part):
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        Event(part, None)
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        Event((0, 0), part)
+
+
+def test_event_accepts_numpy_integers():
+    event = Event((np.int64(1), np.int64(0)), (np.int32(2), np.int64(1)))
+    assert event == Event((1, 0), (2, 1)) and str(event) == "01|12"
+    assert all(type(v) is int for v in event.alice + event.bob)
 
 
 def test_exclusive_kinds():
@@ -596,6 +610,53 @@ def test_enumerate_exactly_three_classes(settings, names):
     assert found == {canonical_form(named_inequality(n).terms) for n in names}
 
 
+@pytest.mark.parametrize("settings", [(0, 3), (1, 1), (3, 1), (1, 4)])
+def test_enumerate_finds_nothing_where_a_party_lacks_two_settings(settings):
+    # at (0, 3) only the Bob-only start _0|_0 exists
+    assert enumerate_pentagonal(*settings) == []
+
+
+def _adjacency(g):
+    adjacent = np.zeros((g.n, g.n), dtype=bool)
+    for i, j in g.edges:
+        adjacent[i, j] = adjacent[j, i] = True
+    return adjacent
+
+
+def _petersen():
+    """The Kneser graph K(5, 2): pairs of {0..4}, adjacent when disjoint."""
+    pairs = list(itertools.combinations(range(5), 2))
+    return graph(10, [(i, j) for (i, p), (j, q) in itertools.combinations(enumerate(pairs), 2) if not set(p) & set(q)])
+
+
+@pytest.mark.parametrize(
+    "g, count",
+    [
+        (cycle(5), 1),
+        (_petersen(), 12),
+        (exclusivity_graph(named_inequality("chsh-prob"))[0], 8),
+        (exclusivity_graph(named_inequality("i3322"))[0], 3),
+    ],
+    ids=["C5", "petersen", "chsh-prob", "i3322"],
+)
+def test_induced_five_cycles_match_brute_force(g, count):
+    adjacent = _adjacency(g)
+    # reference: the 5-subsets that induce a 2-regular graph, which on five
+    # vertices is C5
+    reference = {
+        frozenset(c) for c in itertools.combinations(range(g.n), 5) if all(adjacent[v, list(c)].sum() == 2 for v in c)
+    }
+    assert len(reference) == count
+    for starts in (range(g.n), [0], [1, 3], range(0, g.n, 2), []):
+        cycles = scenarios._induced_five_cycles(adjacent, starts).tolist()
+        through = {c for c in reference if c & set(starts)}
+        assert len(cycles) == len(through)  # each cycle once, however many starts it holds
+        assert {frozenset(c) for c in cycles} == through
+        for c in cycles:
+            assert all(adjacent[c[k], c[(k + 1) % 5]] for k in range(5))
+            assert c[0] == min(set(c) & set(starts)) and c[1] < c[4]
+
+
 def test_enumerated_classes_have_alpha_two():
     for iq in enumerate_pentagonal():
         g, _ = exclusivity_graph(iq)
@@ -675,12 +736,19 @@ def _reference_codes(keys):
     return tuple(9 * part(*key[:3]) + part(*key[3:]) for key in keys)
 
 
-@pytest.mark.parametrize("settings", [3, 4])
-def test_integer_canonical_form_matches_event_reference_on_every_five_cycle(settings):
+@pytest.mark.parametrize(
+    "settings, count",
+    [((2, 2), 128), ((3, 2), 320), ((2, 3), 320), ((3, 3), 512), ((4, 4), 512)],
+    ids=["2x2", "3x2", "2x3", "3", "4"],
+)
+def test_integer_canonical_form_matches_event_reference_on_every_five_cycle(settings, count):
+    """Every induced 5-cycle of the range, found by a loop over all vertices,
+    lies in a class that the enumeration's search through its start events
+    reaches, also where one party has fewer settings than the other."""
     events = [
         Event(pa, pb)
-        for pa in [None] + [(x, a) for x in range(settings) for a in (0, 1)]
-        for pb in [None] + [(y, b) for y in range(settings) for b in (0, 1)]
+        for pa in [None] + [(x, a) for x in range(settings[0]) for a in (0, 1)]
+        for pb in [None] + [(y, b) for y in range(settings[1]) for b in (0, 1)]
         if pa is not None or pb is not None
     ]
     n = len(events)
@@ -697,7 +765,7 @@ def test_integer_canonical_form_matches_event_reference_on_every_five_cycle(sett
                 for v3 in partners[v2]:
                     if v3 > v0 and adjacent[v3][v4] and not (adjacent[v0][v3] or adjacent[v1][v3]):
                         found.add(_reference_compact([events[v] for v in (v0, v1, v2, v3, v4)]))
-    assert len(found) == 512
+    assert len(found) == count
     canon = {}
     for member in found:
         if member not in canon:
@@ -706,7 +774,7 @@ def test_integer_canonical_form_matches_event_reference_on_every_five_cycle(sett
             canon.update((image, _reference_codes(least)) for image in orbit)
     for member in found:
         assert canonical_form(tuple(member)) == canon[member]
-    classes = enumerate_pentagonal(settings, settings)
+    classes = enumerate_pentagonal(*settings)
     assert {canonical_form(iq.terms) for iq in classes} == set(canon.values())
 
 

@@ -25,8 +25,9 @@ Prints a sha256 of each output's bytes, per case:
             on them for every named inequality that decomposes;
             chsh_decomposition of the five named inequalities (its repr,
             or the exception class); the terms and names of
-            enumerate_pentagonal at (2, 2), (3, 3) and (4, 4); and the
-            five named exclusivity graphs with their typed edges
+            enumerate_pentagonal at (2, 2), (3, 2), (2, 3), (3, 3) and
+            (4, 4); and the five named exclusivity graphs with their typed
+            edges
 
 Together the simulations read the cells of all five named inequalities.
 
@@ -55,7 +56,7 @@ SEEDS = (0, 1, 7)
 PENTAGONS = ("pentagon-1", "pentagon-2", "pentagon-3")
 SIM_SEEDS = (1, 7)
 SEESAW_SIMULATED = ("chsh-prob", "i3322")
-ENUMERATION_RANGES = ((2, 2), (3, 3), (4, 4))
+ENUMERATION_RANGES = ((2, 2), (3, 2), (2, 3), (3, 3), (4, 4))
 
 
 def sha(data: bytes) -> str:
