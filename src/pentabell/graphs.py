@@ -33,14 +33,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
-    def adjacency_masks(self) -> list:
-        """Neighbour bitmask per vertex."""
-        masks = [0] * self.n
-        for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return masks
-
 
 def graph(n: int, edges: Iterable) -> Graph:
     """Build a validated Graph from any iterable of vertex pairs."""

@@ -80,8 +80,9 @@ _TIE = 1e-12  # see-saw values closer than this count as equal
 
 
 def _checked_dims(dims) -> tuple:
-    """(d_a, d_b) of a pair of local dimensions, each at least 1."""
-    d_a, d_b = int(dims[0]), int(dims[1])
+    """(d_a, d_b) of a pair of local dimensions, each an integer of at
+    least 1."""
+    d_a, d_b = strict_pair(dims, "dims")
     if d_a < 1 or d_b < 1:
         raise InvalidInputError(f"local dimensions must be >= 1: dims ({d_a}, {d_b})")
     return d_a, d_b
@@ -334,6 +335,7 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
     d_a, d_b = _checked_dims(dims)
     if d_a > MAX_LOCAL_DIM or d_b > MAX_LOCAL_DIM:
         raise CapacityError(f"local dimensions limited to {MAX_LOCAL_DIM}")
+    restarts, seed = strict_int(restarts, "restarts"), strict_int(seed, "seed")
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
     if seed < 0:

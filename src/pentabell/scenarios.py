@@ -20,8 +20,11 @@ correlator decomposition and every quantum Bell operator and see-saw
 update read.  The same contractions run over a leading axis of tables,
 validated once by `_checked_tables`.
 
-The enumeration works on integer event codes, on which the equivalence
-group acts through precomputed index maps.
+The exclusivity rule is written once, on integer event codes
+(`_exclusive_parts`): the exclusivity graph, the exclusivity-principle
+check and the enumeration all read it.  The enumeration works on those
+codes throughout, and the equivalence group acts on them through
+precomputed index maps.
 """
 
 from __future__ import annotations
@@ -328,8 +331,8 @@ def random_ns_tables(rng: np.random.Generator, count: int) -> np.ndarray:
 
     Each box is a convex mixture of the 16 deterministic behaviors and the
     PR box, so it is no-signaling by construction; the weights are one
-    (count, 17) draw, which takes the same numbers from rng as count calls
-    of random_ns_behavior.
+    (count, 17) draw, so count calls with count 1 take the same numbers
+    from rng.
     """
     weights = rng.random((count, 17))
     weights /= weights.sum(axis=1, keepdims=True)
@@ -337,48 +340,45 @@ def random_ns_tables(rng: np.random.Generator, count: int) -> np.ndarray:
     return _checked_tables(tables.reshape(count, 2, 2, 2, 2))
 
 
-def random_ns_behavior(rng: np.random.Generator) -> Behavior:
-    """Random point of the 2x2 no-signaling polytope (see random_ns_tables)."""
-    return Behavior(random_ns_tables(rng, 1)[0])
+# Integer event codes: a party's part is 2 * setting + outcome, or 8 for a
+# wildcard, and an event is 9 * alice part + bob part.  Codes order events
+# by Alice's part, then Bob's: wildcards last, then setting, then outcome.
+_WILDCARD = 8
 
 
-def exclusive(e: Event, f: Event) -> Optional[str]:
-    """Exclusivity kind of an event pair: 'A', 'B', 'AB', or None.
+def _code(event: Event) -> int:
+    part = lambda p: _WILDCARD if p is None else 2 * p[0] + p[1]
+    return 9 * part(event.alice) + part(event.bob)
 
-    Two events are exclusive when some party measures the same setting in
-    both but with different outcomes.  Wildcard parties never contribute.
-    """
-    a_excl = (
-        e.alice is not None
-        and f.alice is not None
-        and e.alice[0] == f.alice[0]
-        and e.alice[1] != f.alice[1]
-    )
-    b_excl = (
-        e.bob is not None
-        and f.bob is not None
-        and e.bob[0] == f.bob[0]
-        and e.bob[1] != f.bob[1]
-    )
-    if a_excl and b_excl:
-        return "AB"
-    if a_excl:
-        return "A"
-    if b_excl:
-        return "B"
-    return None
+
+def _event(code: int) -> Event:
+    part = lambda p: None if p == _WILDCARD else (p // 2, p % 2)
+    return Event(part(code // 9), part(code % 9))
+
+
+def _exclusive_parts(codes) -> list:
+    """Alice's and Bob's (n, n) boolean exclusivity matrices over n event
+    codes: a party makes two events exclusive when it measures the same
+    setting in both with different outcomes.  This is the one place the
+    exclusivity rule is written.
+
+    Two parts 2 * setting + outcome are exactly that when they differ in
+    the outcome bit alone; the wildcard part 8 differs from every part in
+    more bits, so it never makes two events exclusive."""
+    return [(p[:, None] ^ p[None, :]) == 1 for p in np.divmod(np.asarray(codes), 9)]
+
+
+_EDGE_KINDS = (None, "A", "B", "AB")  # indexed by alice + 2 * bob
 
 
 def exclusivity_graph(iq: Inequality):
-    """Graph over the inequality's terms plus the typed edge list."""
-    n = len(iq.terms)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            kind = exclusive(iq.terms[i], iq.terms[j])
-            if kind is not None:
-                edges.append(TypedEdge(i, j, kind))
-    return graph(n, [(e.i, e.j) for e in edges]), edges
+    """Graph over the inequality's terms plus the typed edge list, one
+    TypedEdge per exclusive pair i < j in row-major order, of kind 'A', 'B'
+    or 'AB' by the party or parties that make it exclusive."""
+    alice, bob = _exclusive_parts([_code(e) for e in iq.terms])
+    kinds = (alice + 2 * bob).tolist()
+    edges = [TypedEdge(i, j, _EDGE_KINDS[k]) for i, row in enumerate(kinds) for j, k in enumerate(row) if k and i < j]
+    return graph(len(kinds), [(e.i, e.j) for e in edges]), edges
 
 
 def lhv_bound(iq: Inequality):
@@ -496,30 +496,36 @@ class EPrincipleReport:
 def eprinciple_check(iq: Inequality, behavior: Behavior) -> EPrincipleReport:
     """Check that pairwise-exclusive event probabilities sum to at most 1.
 
-    All cliques of the exclusivity graph are enumerated exhaustively.  For
-    pentagonal inequalities the principle additionally caps the full sum at
-    the pentagon's Lovasz number, sqrt(5) from Lovasz's odd-cycle closed
-    form (`theta.odd_cycle_theta`; no SDP is solved), and when the
-    inequality is a pure correlator combination that cap is translated into
-    a bound on the unit-coefficient correlator form.
+    All cliques of the exclusivity graph are enumerated exhaustively: every
+    nonempty subset of the terms is one row of a boolean array, in
+    increasing bitmask order, and the worst clique is the first of largest
+    sum (summed in term order) in that order.  For pentagonal inequalities
+    the principle additionally caps the full sum at the pentagon's Lovasz
+    number, sqrt(5) from Lovasz's odd-cycle closed form
+    (`theta.odd_cycle_theta`; no SDP is solved), and when the inequality is
+    a pure correlator combination that cap is translated into a bound on
+    the unit-coefficient correlator form.
     """
-    g, _ = exclusivity_graph(iq)
-    if g.n > 10:
+    n = len(iq.terms)
+    if n > 10:
         raise CapacityError("clique enumeration limited to 10 vertices")
-    probs = behavior.probs(iq.terms).tolist()
-    masks = g.adjacency_masks()
+    alice, bob = _exclusive_parts([_code(e) for e in iq.terms])
+    adjacent = alice | bob
+    probs = behavior.probs(iq.terms)
+    subsets = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    # a subset is a clique when none of its members is apart from another
+    apart = ~adjacent & ~np.eye(n, dtype=bool)
+    cliques = subsets[~(subsets & (subsets @ apart)).any(axis=1)]
+    sums = np.cumsum(np.where(cliques, probs, 0.0), axis=1)[:, -1]
+    best = int(sums.argmax())
     best_sum, best_clique = 0.0, ()
-    for subset in range(1, 1 << g.n):
-        members = [v for v in range(g.n) if subset >> v & 1]
-        if all(masks[i] >> j & 1 for i, j in itertools.combinations(members, 2)):
-            s = sum(probs[v] for v in members)
-            if s > best_sum:
-                best_sum, best_clique = s, tuple(members)
+    if sums[best] > best_sum:
+        best_sum, best_clique = float(sums[best]), tuple(np.flatnonzero(cliques[best]).tolist())
 
-    value = float(sum(probs))
+    value = float(sum(probs.tolist()))
     pentagon_cap = None
     chsh_cap = None
-    if g.n == 5 and g.degrees() == [2] * 5:  # the only 2-regular simple graph on 5 vertices is C5
+    if n == 5 and (adjacent.sum(axis=1) == 2).all():  # the only 2-regular simple graph on 5 vertices is C5
         pentagon_cap = odd_cycle_theta(5)
         try:
             dec = chsh_decomposition(iq)
@@ -584,22 +590,6 @@ def feasible_patterns():
     be realized by bipartite events.
     """
     return [c for c in edge_patterns_c5() if not any(_has_triple_run(m) for m in c.members)]
-
-
-# Integer event codes: a party's part is 2 * setting + outcome, or 8 for a
-# wildcard, and an event is 9 * alice part + bob part.  Codes order events
-# by Alice's part, then Bob's: wildcards last, then setting, then outcome.
-_WILDCARD = 8
-
-
-def _code(event: Event) -> int:
-    part = lambda p: _WILDCARD if p is None else 2 * p[0] + p[1]
-    return 9 * part(event.alice) + part(event.bob)
-
-
-def _event(code: int) -> Event:
-    part = lambda p: None if p == _WILDCARD else (p // 2, p % 2)
-    return Event(part(code // 9), part(code % 9))
 
 
 def _compacted(codes: np.ndarray) -> np.ndarray:
@@ -693,17 +683,20 @@ def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3)
     """All pentagonal Bell inequalities up to relabeling.
 
     Searches the exclusivity graph of every event in the range (wildcards
-    included) for induced 5-cycles through three start events, 00|00, 0_|0_
-    and _0|_0, where present, then deduplicates modulo the equivalence
-    group.  Returns one representative Inequality per class; representatives
-    matching a built-in named inequality reuse its terms and name.
+    included) for the induced 5-cycles through 00|00, then deduplicates
+    modulo the equivalence group.  Returns one representative Inequality
+    per class; representatives matching a built-in named inequality reuse
+    its terms and name.  A setting count that is not an integer in [0, 4]
+    raises InvalidInputError.
 
-    The three starts reach every class.  Permuting one party's settings
-    within the range, or flipping its outcomes at one setting, maps an
-    induced 5-cycle of the range's graph to another in the same class.  So
-    any member's two-party event can be moved to 00|00, an Alice-only event
-    to 0_|0_ and a Bob-only event to _0|_0; the orbit of each class found is
-    then dropped whole.
+    The one start reaches every class.  A single-party event is exclusive
+    with at most one other single-party event, the same party's other
+    outcome at the same setting, while every vertex of C5 has two
+    neighbours, so every induced 5-cycle holds a two-party event.
+    Permuting one party's settings within the range, or flipping its
+    outcomes at one setting, maps an induced 5-cycle of the range's graph
+    to another in the same class, and moves that event to 00|00; the orbit
+    of each class found is then dropped whole.
 
     The default (3, 3) range is complete: every pentagon needs at most 3
     settings for one party and 2 for the other.  Call an edge an A-edge
@@ -723,18 +716,15 @@ def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3)
     BBABA: its A-edges are disjoint, and its three B-edges force 2
     settings.  The (4, 4) range gives the same classes.
     """
-    for label, count in (("bob", max_bob_settings), ("alice", max_alice_settings)):
-        if count > MAX_SETTING + 1:
-            raise InvalidInputError(f"{label} setting {MAX_SETTING + 1} outside [0,{MAX_SETTING}]")
-    parts_a = np.array([_WILDCARD, *range(2 * max(max_alice_settings, 0))])
-    parts_b = np.array([_WILDCARD, *range(2 * max(max_bob_settings, 0))])
-    codes = (9 * parts_a[:, None] + parts_b[None, :]).reshape(-1)[1:]  # drops the all-wildcard code
-    exclusive_parts = [
-        (p[:, None] != _WILDCARD) & (p[:, None] // 2 == p[None, :] // 2) & (p[:, None] != p[None, :])
-        for p in np.divmod(codes, 9)
-    ]
-    starts = np.flatnonzero(np.isin(codes, (0, _WILDCARD, 9 * _WILDCARD)))  # 00|00, 0_|0_, _0|_0
-    cycles = codes[_induced_five_cycles(exclusive_parts[0] | exclusive_parts[1], starts)]
+    parts = []
+    for label, count in (("alice", max_alice_settings), ("bob", max_bob_settings)):
+        count = strict_int(count, f"max_{label}_settings")
+        if not 0 <= count <= MAX_SETTING + 1:
+            raise InvalidInputError(f"max_{label}_settings={count} outside [0,{MAX_SETTING + 1}]")
+        parts.append(np.array([_WILDCARD, *range(2 * count)]))
+    codes = (9 * parts[0][:, None] + parts[1][None, :]).reshape(-1)[1:]  # drops the all-wildcard code
+    alice, bob = _exclusive_parts(codes)
+    cycles = codes[_induced_five_cycles(alice | bob, np.flatnonzero(codes == 0))]  # through 00|00
     # a sorted row of five codes is one base-81 number, so keys order rows
     # lexicographically
     digits = 81 ** np.arange(4, -1, -1)

@@ -167,6 +167,18 @@ def test_model_validation():
         QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (np.eye(2),), (np.eye(2), nan_projector))
 
 
+
+@pytest.mark.parametrize("dims", [(2.7, 2), ("2", "2"), (2, True), [2.0, 2], (2, 2, 2), 2])
+def test_model_rejects_non_integer_dims(dims):
+    with pytest.raises(InvalidInputError, match="dims must be"):
+        QuantumModel(dims, np.array([1.0, 0, 0, 0]), (), ())
+
+
+def test_model_accepts_numpy_integer_dims():
+    model = QuantumModel((np.int64(2), np.int32(2)), np.array([1.0, 0, 0, 0]), (), ())
+    assert model.dims == (2, 2) and all(type(d) is int for d in model.dims)
+
+
 # --------------------------------------------------------------- behavior_of ---
 
 
@@ -544,6 +556,29 @@ def test_seesaw_capacity_and_validation():
             qmax_seesaw(iq, dims=dims)
     with pytest.raises(InvalidInputError):
         qmax_seesaw(iq, restarts=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"dims": (2.7, 2)}, "dims must be an integer"),
+        ({"dims": ("2", "2")}, "dims must be an integer"),
+        ({"restarts": 2.5}, "restarts must be an integer"),
+        ({"restarts": True}, "restarts must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": 1.0}, "seed must be an integer"),
+    ],
+)
+def test_seesaw_rejects_non_integer_arguments(kwargs, message):
+    with pytest.raises(InvalidInputError, match=message):
+        qmax_seesaw(named_inequality("pentagon-1"), **kwargs)
+
+
+def test_seesaw_accepts_numpy_integer_arguments():
+    iq = named_inequality("pentagon-1")
+    dims = (np.int64(2), np.int64(2))
+    value, model = qmax_seesaw(iq, dims=dims, restarts=np.int64(2), seed=np.int64(3))
+    assert (value, model.dims) == (qmax_seesaw(iq, dims=(2, 2), restarts=2, seed=3)[0], (2, 2))
 
 
 # -------------------------------------------------------------------- scan ---

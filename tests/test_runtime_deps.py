@@ -94,7 +94,6 @@ def test_package_imports_have_no_cycle():
 # public functions that nothing outside the tests calls, each kept on purpose
 UNREACHED_KEEP = {
     "quantum.bell_operator": "a model's value replays as its Bell operator's top eigenvalue",
-    "scenarios.random_ns_behavior": "the benchmark traces it by name",
     "simkit.uniforms": "the reproducibility reference the sampler tests compare against",
     "simkit.derive_seed": "the reproducibility reference the sampler tests compare against",
 }

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pentabell.errors import InvalidInputError, save_json
+from pentabell.errors import CapacityError, InvalidInputError, save_json
 from pentabell.graphs import cycle, graph, independence_number
 from pentabell import scenarios
 from pentabell.scenarios import (
@@ -19,14 +19,12 @@ from pentabell.scenarios import (
     eprinciple_check,
     evaluate,
     evaluate_tables,
-    exclusive,
     exclusivity_graph,
     feasible_patterns,
     lhv_bound,
     load_scenario,
     named_inequality,
     pr_box,
-    random_ns_behavior,
     random_ns_tables,
     scenario_from_json,
     strategy_behavior,
@@ -81,24 +79,52 @@ def test_event_accepts_numpy_integers():
     assert all(type(v) is int for v in event.alice + event.bob)
 
 
+def edge_kind(e, f):
+    """Kind of the typed edge of the two-event inequality e, f, or None."""
+    _, edges = exclusivity_graph(Inequality((Event.parse(e), Event.parse(f))))
+    return edges[0].kind if edges else None
+
+
 def test_exclusive_kinds():
-    assert exclusive(Event.parse("00|00"), Event.parse("11|01")) == "A"
-    assert exclusive(Event.parse("00|00"), Event.parse("11|00")) == "AB"
-    assert exclusive(Event.parse("00|00"), Event.parse("11|10")) == "B"
-    assert exclusive(Event.parse("_1|_0"), Event.parse("10|11")) is None
+    assert edge_kind("00|00", "11|01") == "A"
+    assert edge_kind("00|00", "11|00") == "AB"
+    assert edge_kind("00|00", "11|10") == "B"
+    assert edge_kind("_1|_0", "10|11") is None
 
 
 def test_exclusive_symmetric_and_wildcard_rules():
-    events = [Event.parse(t) for t in ("00|00", "11|01", "_1|_0", "1_|1_", "01|21")]
+    events = ("00|00", "11|01", "_1|_0", "1_|1_", "01|21")
     for e, f in itertools.combinations(events, 2):
-        assert exclusive(e, f) == exclusive(f, e)
+        assert edge_kind(e, f) == edge_kind(f, e)
     # a wildcard party never creates exclusivity, and the specified party
     # only does so at the same setting
-    assert exclusive(Event.parse("_1|_0"), Event.parse("01|11")) is None
-    assert exclusive(Event.parse("_1|_0"), Event.parse("00|10")) == "B"
+    assert edge_kind("_1|_0", "01|11") is None
+    assert edge_kind("_1|_0", "00|10") == "B"
 
 
 # ------------------------------------------------------ exclusivity graphs ---
+
+
+def test_typed_edges_match_event_reference_on_every_pair():
+    """Every event pair of the 4 x 4 range, against the rule written on
+    Event parts: a party makes two events exclusive when it fixes the same
+    setting in both with different outcomes."""
+    parts = [None] + [(s, o) for s in range(4) for o in (0, 1)]
+    events = [Event(pa, pb) for pa in parts for pb in parts if pa is not None or pb is not None]
+
+    def excl(p, q):
+        return p is not None and q is not None and p[0] == q[0] and p[1] != q[1]
+
+    reference = []
+    for i, j in itertools.combinations(range(len(events)), 2):
+        e, f = events[i], events[j]
+        kind = "A" * excl(e.alice, f.alice) + "B" * excl(e.bob, f.bob)
+        if kind:
+            reference.append((i, j, kind))
+    assert len(reference) == 616  # 81 pairs per party and setting, 32 of them exclusive for both
+    g, edges = exclusivity_graph(Inequality(tuple(events)))
+    assert [tuple(e) for e in edges] == reference
+    assert g.edges == {(i, j) for i, j, _ in reference}
 
 
 @pytest.mark.parametrize("name", PENTAGONS)
@@ -422,8 +448,8 @@ def test_single_term_needs_marginals():
 def test_decomposition_replays_on_random_ns_behaviors():
     rng = np.random.default_rng(5)
     decs = {name: chsh_decomposition(named_inequality(name)) for name in ("pentagon-2", "chsh-prob")}
-    for _ in range(1000):
-        b = random_ns_behavior(rng)
+    for table in random_ns_tables(rng, 1000):
+        b = Behavior(table)
         for name, dec in decs.items():
             assert abs(dec.predict_tables(b._p) - evaluate(named_inequality(name), b)) <= 1e-10
 
@@ -431,7 +457,7 @@ def test_decomposition_replays_on_random_ns_behaviors():
 def test_stacked_predict_and_evaluate_match_per_behavior_loop():
     rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
     boxes = random_ns_tables(rng, 200)
-    behaviors = [random_ns_behavior(ref_rng) for _ in range(200)]
+    behaviors = [Behavior(random_ns_tables(ref_rng, 1)[0]) for _ in range(200)]
     # the stacked draws are the sequential single draws: the generators stay in step
     assert rng.random() == ref_rng.random()
     for name in ("pentagon-2", "chsh-prob"):
@@ -466,26 +492,26 @@ def test_predict_needs_the_four_setting_pairs():
     assert dec.predict_tables(shifted) == pytest.approx(dec.predict_tables(wide[:2, :2]), abs=1e-15)
     # marginal terms read at partner setting 0
     marginal = chsh_decomposition(Inequality((Event.parse("00|00"),), alice_settings=2, bob_settings=2))
-    box = random_ns_behavior(np.random.default_rng(4))
+    box = Behavior(random_ns_tables(np.random.default_rng(4), 1)[0])
     assert marginal.predict_tables(box._p) == pytest.approx(box.table(0, 0)[0, 0], abs=1e-12)
 
 
-def test_random_ns_behavior_matches_component_loop():
+def test_random_ns_tables_match_component_loop():
     components = [
         strategy_behavior(DeterministicStrategy(sa, sb))
         for sa in itertools.product((0, 1), repeat=2)
         for sb in itertools.product((0, 1), repeat=2)
     ] + [pr_box()]
     rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-    for _ in range(50):
-        b = random_ns_behavior(rng)
+    for table in random_ns_tables(rng, 50):
+        b = Behavior(table)
         weights = ref_rng.random(17)
         weights /= weights.sum()
         for x in range(2):
             for y in range(2):
                 ref = sum(w * c.table(x, y) for w, c in zip(weights, components))
                 assert np.max(np.abs(b.table(x, y) - ref)) <= 1e-15
-    # exactly 17 draws per call: the generators stay in step
+    # exactly 17 draws per box: the generators stay in step
     assert rng.random() == ref_rng.random()
 
 
@@ -563,6 +589,79 @@ def test_eprinciple_caps_only_pentagons():
     assert report.pentagon_cap is None and report.chsh_cap is None
 
 
+def _assert_eprinciple_matches_reference_loop(iq, tables):
+    """eprinciple_check on each table against the clique loop it ran before
+    it searched an array: neighbour bitmasks from the typed edges, every
+    subset in increasing bitmask order, a Python sum over each clique's
+    members in term order and the first strictly larger sum kept."""
+    g, edges = exclusivity_graph(iq)
+    masks = [0] * g.n
+    for e in edges:
+        masks[e.i] |= 1 << e.j
+        masks[e.j] |= 1 << e.i
+    cliques = []
+    for subset in range(1, 1 << g.n):
+        members = [v for v in range(g.n) if subset >> v & 1]
+        if all(masks[i] >> j & 1 for i, j in itertools.combinations(members, 2)):
+            cliques.append(members)
+    for table in tables:
+        behavior = Behavior(table)
+        probs = behavior.probs(iq.terms).tolist()
+        best_sum, best_clique = 0.0, ()
+        for members in cliques:
+            total = sum(probs[v] for v in members)
+            if total > best_sum:
+                best_sum, best_clique = total, tuple(members)
+        report = eprinciple_check(iq, behavior)
+        assert report.value.hex() == float(sum(probs)).hex()
+        assert report.max_clique_sum.hex() == best_sum.hex() and type(report.max_clique_sum) is float
+        assert report.worst_clique == best_clique and all(type(v) is int for v in report.worst_clique)
+        assert (report.pentagon_cap is not None) == (g.n == 5 and g.degrees() == [2] * 5)
+
+
+def _mixtures(rng, shape, count):
+    """count random convex mixtures of the deterministic tables of a shape."""
+    tables = scenarios._deterministic(*shape)[1]
+    weights = rng.random((count, len(tables)))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return np.tensordot(weights, tables, axes=1)
+
+
+def test_eprinciple_cliques_match_reference_loop_on_random_inequalities():
+    rng = np.random.default_rng(26)
+    for _ in range(400):
+        shape = ((2, 2), (3, 2), (2, 3), (3, 3))[rng.integers(4)]
+        events = [
+            Event(pa, pb)
+            for pa in [None] + [(x, a) for x in range(shape[0]) for a in (0, 1)]
+            for pb in [None] + [(y, b) for y in range(shape[1]) for b in (0, 1)]
+            if pa is not None or pb is not None
+        ]
+        picked = rng.choice(len(events), size=rng.integers(1, 11), replace=False)
+        iq = Inequality(tuple(events[k] for k in picked))
+        if shape == (2, 2):
+            tables = [*random_ns_tables(rng, 2), pr_box()._p]
+        else:  # deterministic tables as well, whose 0/1 probabilities tie
+            tables = [*_mixtures(rng, shape, 2), scenarios._deterministic(*shape)[1][rng.integers(2 ** sum(shape))]]
+        _assert_eprinciple_matches_reference_loop(iq, tables)
+
+
+@pytest.mark.parametrize("name", ["pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322"])
+def test_eprinciple_cliques_match_reference_loop_on_named_inequalities(name):
+    iq = named_inequality(name)
+    shape = (iq.alice_settings, iq.bob_settings)
+    tables = list(_mixtures(np.random.default_rng(3), shape, 3))
+    if shape == (2, 2):
+        tables += [*random_ns_tables(np.random.default_rng(3), 3), pr_box()._p]
+    _assert_eprinciple_matches_reference_loop(iq, tables)
+
+
+def test_eprinciple_rejects_more_than_ten_events():
+    terms = tuple(Event(pa, pb) for pa in [(0, 0), (0, 1), (1, 0), (1, 1)] for pb in [(0, 0), (0, 1), (1, 0)])[:11]
+    with pytest.raises(CapacityError, match="limited to 10 vertices"):
+        eprinciple_check(Inequality(terms), Behavior(np.full((2, 2, 2, 2), 0.25)))
+
+
 # ---------------------------------------------------------------- patterns ---
 
 
@@ -612,8 +711,18 @@ def test_enumerate_exactly_three_classes(settings, names):
 
 @pytest.mark.parametrize("settings", [(0, 3), (1, 1), (3, 1), (1, 4)])
 def test_enumerate_finds_nothing_where_a_party_lacks_two_settings(settings):
-    # at (0, 3) only the Bob-only start _0|_0 exists
+    # at (0, 3) the start 00|00 does not exist
     assert enumerate_pentagonal(*settings) == []
+
+
+@pytest.mark.parametrize("settings", [(-1, 3), (3, -1), (5, 3), (3, 5), (2.5, 3), (3, "3"), (True, 3)])
+def test_enumerate_rejects_a_setting_count_outside_zero_to_four(settings):
+    with pytest.raises(InvalidInputError, match="settings"):
+        enumerate_pentagonal(*settings)
+
+
+def test_enumerate_accepts_numpy_integer_setting_counts():
+    assert enumerate_pentagonal(np.int64(3), np.int64(2)) == enumerate_pentagonal(3, 2)
 
 
 def _adjacency(g):
@@ -752,7 +861,8 @@ def test_integer_canonical_form_matches_event_reference_on_every_five_cycle(sett
         if pa is not None or pb is not None
     ]
     n = len(events)
-    adjacent = [[exclusive(events[i], events[j]) is not None for j in range(n)] for i in range(n)]
+    g, _ = exclusivity_graph(Inequality(tuple(events)))
+    adjacent = [[g.has_edge(i, j) for j in range(n)] for i in range(n)]
     partners = [[j for j in range(n) if adjacent[i][j]] for i in range(n)]
     found = set()
     for v0 in range(n):

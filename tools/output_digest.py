@@ -1,5 +1,5 @@
-"""Digests of the see-saw's, the simulator's, the block reduction's and the
-scenario layer's outputs, to show that a change to any of them leaves
+"""Digests of the see-saw's, the simulator's, the block reduction's, the
+scenario layer's and the exclusivity-principle check's outputs, to show that a change to any of them leaves
 every output bit-identical.
 
 Usage: python tools/output_digest.py
@@ -28,6 +28,12 @@ Prints a sha256 of each output's bytes, per case:
             enumerate_pentagonal at (2, 2), (3, 2), (2, 3), (3, 3) and
             (4, 4); and the five named exclusivity graphs with their typed
             edges
+  eprinciple scenarios.eprinciple_check of each named inequality on its
+            model (known_optimal_model for the pentagons, the (2,2) seed-0
+            see-saw model above for chsh-prob and i3322), on the PR box
+            and on 50 boxes of random_ns_tables at default_rng(26): the
+            reports' reprs, or the exception class where the 2x2 boxes do
+            not cover the terms
 
 Together the simulations read the cells of all five named inequalities.
 
@@ -121,6 +127,22 @@ def main() -> None:
         print(f"scenarios enumerate {alice}x{bob}: {sha(repr(classes).encode())}")
     graphs = [scenarios.exclusivity_graph(named_inequality(name)) for name in INEQUALITIES]
     print(f"scenarios exclusivity graphs: {sha(repr([(g.n, edges) for g, edges in graphs]).encode())}")
+    models = {name: quantum.known_optimal_model(name) for name in PENTAGONS}
+    models.update((name, model) for name, dims, seed, model in seesaw_models if (dims, seed) == ((2, 2), 0))
+    random_boxes = [scenarios.Behavior(t) for t in scenarios.random_ns_tables(np.random.default_rng(26), 50)]
+    for name in INEQUALITIES:
+        iq = named_inequality(name)
+        for label, behaviors in (
+            ("model", [quantum.behavior_of(models[name])]),
+            ("PR box", [scenarios.pr_box()]),
+            ("random boxes", random_boxes),
+        ):
+            try:
+                reports = [scenarios.eprinciple_check(iq, b) for b in behaviors]
+            except PentabellError as exc:
+                print(f"eprinciple {name} {label}: {type(exc).__name__}")
+                continue
+            print(f"eprinciple {name} {label}: {sha(repr(reports).encode())}")
 
 
 if __name__ == "__main__":
