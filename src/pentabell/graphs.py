@@ -1,15 +1,20 @@
 """Small-graph combinatorics: constructors, the exact independence number
 and the reader of the graph file format.
 
-Vertices are 0..n-1 and edges are unordered pairs.  The independence
-number is an exact branch and bound sized for the tiny graphs this package
-works with (its capacity limit is enforced, not assumed).
+Vertices are 0..n-1 and edges are unordered pairs.  A Graph owns its
+adjacency matrix, built once, which the independence number, the
+complement and theta all read.  The independence number is an exact branch
+and bound sized for the tiny graphs this package works with (its capacity
+limit is enforced, not assumed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 from .errors import CapacityError, InvalidInputError, json_decoder, load_json, strict_int, strict_pair
 
@@ -23,24 +28,30 @@ class Graph:
     n: int
     edges: frozenset
 
-    def degrees(self) -> list:
-        d = [0] * self.n
-        for i, j in self.edges:
-            d[i] += 1
-            d[j] += 1
-        return d
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only (n, n) boolean matrix, True at both entries of every
+        edge; symmetric and False on the diagonal.  Built on first use."""
+        m = np.zeros((self.n, self.n), dtype=bool)
+        i, j = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
+        m[i, j] = m[j, i] = True
+        m.flags.writeable = False
+        return m
 
 
 def graph(n: int, edges: Iterable) -> Graph:
-    """Build a validated Graph from any iterable of vertex pairs."""
+    """Build a validated Graph from any iterable of vertex pairs.
+
+    n and every vertex are read as integers and each pair has exactly two:
+    a bool, 2.0 or "2" raises InvalidInputError rather than being coerced.
+    """
+    n = strict_int(n, "n")
     if n < 1:
         raise InvalidInputError("graph needs at least one vertex")
     seen = set()
     for pair in edges:
-        i, j = int(pair[0]), int(pair[1])
+        plain = type(pair) in (tuple, list) and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
+        i, j = pair if plain else strict_pair(pair, "edge")  # plain int pairs skip the type check
         if i == j:
             raise InvalidInputError(f"self-loop at vertex {i}")
         if not (0 <= i < n and 0 <= j < n):
@@ -54,6 +65,7 @@ def graph(n: int, edges: Iterable) -> Graph:
 
 def cycle(n: int) -> Graph:
     """Cycle graph C_n."""
+    n = strict_int(n, "n")
     if n < 3:
         raise InvalidInputError("a cycle needs at least 3 vertices")
     return graph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -61,11 +73,12 @@ def cycle(n: int) -> Graph:
 
 def circulant(n: int, offsets: Iterable) -> Graph:
     """Circulant graph: edges {i, i+k mod n} for every offset k."""
+    n = strict_int(n, "n")
     if n < 1:
         raise InvalidInputError("graph needs at least one vertex")
     edges = set()
     for k in offsets:
-        k = int(k)
+        k = strict_int(k, "offset")
         if k <= 0 or k >= n:
             raise InvalidInputError(f"offset {k} outside [1, {n})")
         for i in range(n):
@@ -75,13 +88,7 @@ def circulant(n: int, offsets: Iterable) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    edges = [
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if not g.has_edge(i, j)
-    ]
-    return graph(g.n, edges)
+    return graph(g.n, np.argwhere(np.triu(~g.adjacency, 1)).tolist())
 
 
 def _clique_cover_bound(cand: int, adj: list) -> int:
@@ -111,15 +118,10 @@ def independence_number(g: Graph):
     """
     if g.n > ALPHA_MAX_VERTICES:
         raise CapacityError(f"{g.n} vertices exceed the {ALPHA_MAX_VERTICES} envelope")
-    deg = g.degrees()
-    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
-    pos = {v: k for k, v in enumerate(order)}
-    # relabel so vertex k is the k-th in branching order
-    adj = [0] * g.n
-    for i, j in g.edges:
-        a, b = pos[i], pos[j]
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    # relabel so vertex k is the k-th in branching order (the stable sort keeps
+    # ties in index order); row k of the relabelled adjacency is the bitmask adj[k]
+    order = np.argsort(-g.adjacency.sum(axis=1), kind="stable")
+    adj = (g.adjacency[order][:, order] @ (1 << np.arange(g.n))).tolist()
 
     best_size = 0
     best_set = 0
@@ -140,7 +142,7 @@ def independence_number(g: Graph):
         expand(cand & ~bit, chosen, size)
 
     expand((1 << g.n) - 1, 0, 0)
-    witness = tuple(sorted(order[k] for k in range(g.n) if best_set >> k & 1))
+    witness = tuple(sorted(int(order[k]) for k in range(g.n) if best_set >> k & 1))
     return best_size, witness
 
 
@@ -148,7 +150,7 @@ def independence_number(g: Graph):
 def graph_from_json(data) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InvalidInputError('graph JSON must be {"n": int, "edges": [[i,j],...]}')
-    return graph(strict_int(data["n"], "n"), [strict_pair(e, "edge") for e in data["edges"]])
+    return graph(data["n"], data["edges"])
 
 
 def load_graph(path) -> Graph:

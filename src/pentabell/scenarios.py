@@ -92,9 +92,9 @@ class Event:
 class Inequality:
     """Unit-weight sum of event probabilities.
 
-    A declared alice_settings or bob_settings lies in [1, MAX_SETTING + 1]
-    and covers every setting a term names; an undeclared one is the number
-    the terms need (at least 1).
+    A declared alice_settings or bob_settings is an integer (a bool, 2.0 or
+    "2" raises) in [1, MAX_SETTING + 1] and covers every setting a term
+    names; an undeclared one is the number the terms need (at least 1).
     """
 
     terms: tuple
@@ -115,12 +115,12 @@ class Inequality:
             ("alice_settings", self.alice_settings, need_a),
             ("bob_settings", self.bob_settings, need_b),
         ):
-            if declared is None:
-                object.__setattr__(self, label, max(needed, 1))
-            elif not 1 <= declared <= MAX_SETTING + 1:
+            declared = max(needed, 1) if declared is None else strict_int(declared, label)
+            if not 1 <= declared <= MAX_SETTING + 1:
                 raise InvalidInputError(f"{label}={declared} outside [1,{MAX_SETTING + 1}]")
-            elif declared < needed:
+            if declared < needed:
                 raise InvalidInputError(f"{label}={declared} but a term references setting {needed - 1}")
+            object.__setattr__(self, label, declared)
 
 
 @dataclass(frozen=True)
@@ -789,7 +789,7 @@ def scenario_from_json(data) -> Inequality:
     def party(term, label):
         return None if term.get(label) is None else strict_pair(term[label], label)
 
-    settings = {k: strict_int(data[k], k) for k in ("alice_settings", "bob_settings") if data.get(k) is not None}
+    settings = {k: data[k] for k in ("alice_settings", "bob_settings") if data.get(k) is not None}
     terms = tuple(Event(party(t, "alice"), party(t, "bob")) for t in data["terms"])
     return Inequality(terms, name=str(data.get("name", "")), **settings)
 

@@ -79,14 +79,6 @@ def _dual_bound(m: np.ndarray, on_edge: np.ndarray):
     return b, float(np.linalg.eigvalsh(b)[-1])
 
 
-def _edge_mask(g: Graph) -> np.ndarray:
-    """(n, n) boolean matrix, True at both entries of every edge."""
-    on_edge = np.zeros((g.n, g.n), dtype=bool)
-    for i, j in g.edges:
-        on_edge[i, j] = on_edge[j, i] = True
-    return on_edge
-
-
 def _sdp_form(n: int, edges, non_edges):
     """The smaller of two standard forms of theta, as (c, b, rows, pairs,
     coef, edge_form) for numerics.sdp_path.
@@ -129,9 +121,10 @@ def lovasz_theta(g: Graph, tol: float = 1e-7) -> ThetaResult:
     if len(g.edges) == n * (n - 1) // 2:
         return ThetaResult(1.0, np.eye(n) / n, np.eye(n), 0, 0.0)
 
-    edges = sorted(g.edges)
-    on_edge = _edge_mask(g)
-    non_edges = [(i, j) for i in range(n) for j in range(i + 1, n) if not on_edge[i, j]]
+    # edges and non-edges in row-major order of the upper triangle (i < j)
+    on_edge, above = g.adjacency, ~np.tri(n, dtype=bool)
+    edges = np.argwhere(on_edge & above).tolist()
+    non_edges = np.argwhere(~on_edge & above).tolist()
     *problem, edge_form = _sdp_form(n, edges, non_edges)
 
     alpha, witness = independence_number(g)
@@ -189,14 +182,13 @@ def replay(g: Graph, result: ThetaResult, tol: float):
         return np.nan, np.nan, False
     lower, upper = float(x.sum()), float(np.linalg.eigvalsh(b)[-1])
     slack = max(result.gap, tol)
-    on_edge = _edge_mask(g)
     ok = (
         all(np.max(np.abs(m - m.T)) <= 1e-12 for m in (x, b))
         and abs(float(np.trace(x)) - 1.0) <= 1e-8
-        and np.all(np.abs(x[on_edge]) <= 1e-7)
+        and np.all(np.abs(x[g.adjacency]) <= 1e-7)
         and float(np.linalg.eigvalsh(x)[0]) >= -1e-8
         and abs(lower - result.value) <= slack
-        and np.all(b[~on_edge] == 1.0)
+        and np.all(b[~g.adjacency] == 1.0)
         and result.value - 1e-9 <= upper <= result.value + slack + 1e-9
     )
     return lower, upper, bool(ok)

@@ -38,8 +38,9 @@ def induced_copy(h, g):
     """Reference: the first injective map m of h's vertices into g's, by
     brute force over itertools.permutations, under which u, v are adjacent
     in h exactly when m[u], m[v] are adjacent in g; None if there is none."""
+    a, b = h.adjacency.tolist(), g.adjacency.tolist()
     for m in itertools.permutations(range(g.n), h.n):
-        if all(h.has_edge(u, v) == g.has_edge(m[u], m[v]) for u, v in itertools.combinations(range(h.n), 2)):
+        if all(a[u][v] == b[m[u]][m[v]] for u, v in itertools.combinations(range(h.n), 2)):
             return m
     return None
 
@@ -156,7 +157,7 @@ def test_pentagon_inside_i3322():
     assert mapping is not None
     for i in range(5):
         for j in range(i + 1, 5):
-            assert cycle(5).has_edge(i, j) == g.has_edge(mapping[i], mapping[j])
+            assert cycle(5).adjacency[i, j] == g.adjacency[mapping[i], mapping[j]]
     # one concrete witness: these five terms induce a pentagon
     witness = [Event.parse(t) for t in ("11|00", "00|10", "10|11", "11|01", "00|02")]
     sub = Inequality(tuple(witness))
@@ -368,6 +369,21 @@ def test_inequality_rejects_declared_settings_below_its_terms(field):
     terms = named_inequality("pentagon-1").terms  # uses setting 1 of each party
     with pytest.raises(InvalidInputError, match=f"{field}=1 but a term references setting 1"):
         Inequality(terms, **{field: 1})
+
+
+@pytest.mark.parametrize("field", ["alice_settings", "bob_settings"])
+@pytest.mark.parametrize("declared", [2.5, 3.0, "3", True], ids=["half", "float", "string", "bool"])
+def test_inequality_reads_declared_settings_strictly(field, declared):
+    terms = named_inequality("pentagon-1").terms
+    with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+        Inequality(terms, **{field: declared})
+
+
+def test_inequality_accepts_numpy_integer_declared_settings():
+    terms = named_inequality("pentagon-1").terms
+    iq = Inequality(terms, alice_settings=np.int64(3), bob_settings=np.int64(2))
+    assert (iq.alice_settings, iq.bob_settings) == (3, 2) and type(iq.alice_settings) is int
+    assert lhv_bound(iq) == lhv_bound(Inequality(terms, alice_settings=3, bob_settings=2))
 
 
 def brute_force_lhv(iq, n_a, n_b):
@@ -584,7 +600,7 @@ def test_eprinciple_caps_only_pentagons():
     # five terms and five edges, but a 4-cycle with a pendant vertex, not C5
     iq = Inequality(tuple(Event.parse(t) for t in ("00|00", "11|00", "00|01", "11|01", "00|10")))
     g, _ = exclusivity_graph(iq)
-    assert len(g.edges) == 5 and sorted(g.degrees()) == [1, 2, 2, 2, 3]
+    assert len(g.edges) == 5 and sorted(g.adjacency.sum(axis=1).tolist()) == [1, 2, 2, 2, 3]
     report = eprinciple_check(iq, pr_box())
     assert report.pentagon_cap is None and report.chsh_cap is None
 
@@ -616,7 +632,7 @@ def _assert_eprinciple_matches_reference_loop(iq, tables):
         assert report.value.hex() == float(sum(probs)).hex()
         assert report.max_clique_sum.hex() == best_sum.hex() and type(report.max_clique_sum) is float
         assert report.worst_clique == best_clique and all(type(v) is int for v in report.worst_clique)
-        assert (report.pentagon_cap is not None) == (g.n == 5 and g.degrees() == [2] * 5)
+        assert (report.pentagon_cap is not None) == (g.n == 5 and g.adjacency.sum(axis=1).tolist() == [2] * 5)
 
 
 def _mixtures(rng, shape, count):
@@ -725,13 +741,6 @@ def test_enumerate_accepts_numpy_integer_setting_counts():
     assert enumerate_pentagonal(np.int64(3), np.int64(2)) == enumerate_pentagonal(3, 2)
 
 
-def _adjacency(g):
-    adjacent = np.zeros((g.n, g.n), dtype=bool)
-    for i, j in g.edges:
-        adjacent[i, j] = adjacent[j, i] = True
-    return adjacent
-
-
 def _petersen():
     """The Kneser graph K(5, 2): pairs of {0..4}, adjacent when disjoint."""
     pairs = list(itertools.combinations(range(5), 2))
@@ -749,7 +758,7 @@ def _petersen():
     ids=["C5", "petersen", "chsh-prob", "i3322"],
 )
 def test_induced_five_cycles_match_brute_force(g, count):
-    adjacent = _adjacency(g)
+    adjacent = g.adjacency
     # reference: the 5-subsets that induce a 2-regular graph, which on five
     # vertices is C5
     reference = {
@@ -862,7 +871,7 @@ def test_integer_canonical_form_matches_event_reference_on_every_five_cycle(sett
     ]
     n = len(events)
     g, _ = exclusivity_graph(Inequality(tuple(events)))
-    adjacent = [[g.has_edge(i, j) for j in range(n)] for i in range(n)]
+    adjacent = g.adjacency.tolist()
     partners = [[j for j in range(n) if adjacent[i][j]] for i in range(n)]
     found = set()
     for v0 in range(n):

@@ -121,7 +121,7 @@ def test_adding_edge_never_increases_theta():
         n = int(rng.integers(3, 9))
         g = random_graph(n, rng.uniform(0.1, 0.7), rng)
         non_edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if not g.has_edge(i, j)
+            (i, j) for i in range(n) for j in range(i + 1, n) if not g.adjacency[i, j]
         ]
         if not non_edges:
             continue

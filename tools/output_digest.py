@@ -1,6 +1,7 @@
 """Digests of the see-saw's, the simulator's, the block reduction's, the
-scenario layer's and the exclusivity-principle check's outputs, to show that a change to any of them leaves
-every output bit-identical.
+scenario layer's, the exclusivity-principle check's and the graph layer's
+outputs, to show that a change to any of them leaves every output
+bit-identical.
 
 Usage: python tools/output_digest.py
 
@@ -34,6 +35,12 @@ Prints a sha256 of each output's bytes, per case:
             and on 50 boxes of random_ns_tables at default_rng(26): the
             reports' reprs, or the exception class where the 2x2 boxes do
             not cover the terms
+  graphs    for each graph of the fixed, random84 and held-out sets of
+            tools/theta_iterations.py (23, 84 and 130 graphs) and of the six
+            scenarios.named_graph graphs: graphs.independence_number (alpha
+            and witness), the complement's sorted edges, and
+            theta.lovasz_theta at tol 1e-7 (value, primal and dual bytes,
+            iterations, gap) with theta.replay's tuple; one line per set
 
 Together the simulations read the cells of all five named inequalities.
 
@@ -52,7 +59,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pentabell import cli, quantum, scenarios, simkit  # noqa: E402
+import theta_iterations  # noqa: E402  (tools/, this script's directory)
+from pentabell import cli, graphs, quantum, scenarios, simkit, theta  # noqa: E402
 from pentabell.errors import PentabellError  # noqa: E402
 from pentabell.scenarios import named_inequality  # noqa: E402
 
@@ -67,6 +75,24 @@ ENUMERATION_RANGES = ((2, 2), (3, 2), (2, 3), (3, 3), (4, 4))
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def graph_digest(family) -> str:
+    """One sha256 over every output of the graph layer on (label, graph)
+    pairs, in order."""
+    h = hashlib.sha256()
+    for _, g in family:
+        result = theta.lovasz_theta(g)
+        parts = (
+            graphs.independence_number(g),
+            sorted(graphs.complement(g).edges),
+            result.value,
+            result.iterations,
+            result.gap,
+            theta.replay(g, result, 1e-7),
+        )
+        h.update(repr(parts).encode() + result.primal.tobytes() + result.dual.tobytes())
+    return h.hexdigest()
 
 
 def main() -> None:
@@ -143,6 +169,14 @@ def main() -> None:
                 print(f"eprinciple {name} {label}: {type(exc).__name__}")
                 continue
             print(f"eprinciple {name} {label}: {sha(repr(reports).encode())}")
+    sets = {
+        "fixed": theta_iterations.fixed_family(),
+        "random84": theta_iterations.random84(),
+        "held-out": theta_iterations.held_out(),
+        "named": [(name, scenarios.named_graph(name)) for name in scenarios.SCENARIO_NAMES],
+    }
+    for name, family in sets.items():
+        print(f"graphs {name} ({len(family)}): {graph_digest(family)}")
 
 
 if __name__ == "__main__":
