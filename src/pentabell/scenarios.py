@@ -60,9 +60,8 @@ class Event:
         for label, part in (("alice", self.alice), ("bob", self.bob)):
             if part is None:
                 continue
-            setting, outcome = part[0], part[1]
-            if type(setting) is not int or type(outcome) is not int:  # plain ints skip the type check
-                setting, outcome = strict_int(setting, f"{label} setting"), strict_int(outcome, f"{label} outcome")
+            plain = type(part) is tuple and len(part) == 2 and type(part[0]) is int and type(part[1]) is int
+            setting, outcome = part if plain else strict_pair(part, label)  # plain int pairs skip the type check
             object.__setattr__(self, label, (setting, outcome))
             if outcome not in (0, 1):
                 raise InvalidInputError(f"{label} outcome {outcome} not in {{0,1}}")
@@ -766,8 +765,10 @@ _NAMED_TERMS = {
 SCENARIO_NAMES = tuple(_NAMED_TERMS) + ("kcbs-graph",)
 
 
+@functools.cache
 def named_inequality(name: str) -> Inequality:
-    """Built-in inequality by name; see SCENARIO_NAMES."""
+    """Built-in inequality by name; see SCENARIO_NAMES.  Built once per
+    name and shared: an Inequality and its Events are frozen."""
     if name not in _NAMED_TERMS:
         raise InvalidInputError(f"unknown scenario {name!r} (known: {', '.join(_NAMED_TERMS)})")
     return Inequality(tuple(Event.parse(t) for t in _NAMED_TERMS[name]), name=name)

@@ -16,7 +16,7 @@ Convergence is certified, not assumed: every iteration builds
   * a feasible primal matrix X, whose entry sum is a lower bound: the
     iterate's primal side with its edges zeroed, its trace scaled to 1 and
     shifted into the PSD cone, or X_S = 1_S 1_S^T/|S| for a maximum
-    independent set S when |S| is larger, and
+    independent set S when |S| is at least as large, and
   * a dual matrix B = J - Y with Y supported on the edges, so B is 1 on the
     diagonal and on every non-edge; for every feasible X,
     sum_ij X_ij = <B, X> <= lambda_max(B), an upper bound.
@@ -27,10 +27,23 @@ within the requested tolerance of the best lower bound, and returns both
 matrices, so the value can be replayed from either side without rerunning
 the solver: `replay` re-derives both bounds from X and B alone and checks
 them against what ThetaResult states.
+
+The two costly lower bounds are computed only when they can change the
+answer.  The PSD shift moves an iterate's entry sum toward 1, so its bound
+is at most max(1, sum of the scaled iterate); the shift (an eigvalsh) is
+taken once that cap reaches the best upper bound less the tolerance, or at
+the end if it reaches the best lower bound.  alpha <= theta is an integer,
+so the branch and bound for alpha runs once an integer lies within the
+tolerance below the upper bound, or at the end if one lies between the
+lower and the upper bound.  The stop iteration, the certificates and any
+ConvergenceError are bit-for-bit those of computing both at every
+iteration: the largest lower bound wins, and on a tie the independent set,
+then the earliest iterate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +54,8 @@ from .numerics import sdp_path
 
 MAX_VERTICES = 32
 MAX_ITERATIONS = 100
+# rounding slack on the cheap caps that decide which lower bounds are computed
+_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,14 +76,50 @@ class ThetaResult:
     gap: float
 
 
-def _feasible_primal(m: np.ndarray, on_edge: np.ndarray):
-    # Zero the edges, scale the trace to 1, then shift into the PSD cone and
-    # renormalise; edges stay exactly zero because only the diagonal moves.
+def _scaled_primal(m: np.ndarray, on_edge: np.ndarray):
+    # Zero the edges and scale the trace to 1; the PSD shift moves the entry
+    # sum toward 1, so the bound it certifies is at most the returned cap.
     x = np.where(on_edge, 0.0, m)
     x /= np.trace(x)
+    return x, max(1.0, float(x.sum())) + _SLACK
+
+
+def _psd_shift(x: np.ndarray):
+    # Shift a scaled iterate into the PSD cone and renormalise; edges stay
+    # exactly zero because only the diagonal moves.  The entry sum becomes
+    # (sum(x) + n eps) / (1 + n eps), between sum(x) and 1.
     eps = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
     feasible = (x + eps * np.eye(len(x))) / (1.0 + len(x) * eps)
-    return feasible, float(feasible.sum())
+    return float(feasible.sum()), feasible
+
+
+def _independent_set(g: Graph):
+    # X_S = 1_S 1_S^T / |S| for a maximum independent set S, of rank 0
+    alpha, witness = independence_number(g)
+    x = np.zeros((g.n, g.n))
+    x[np.ix_(witness, witness)] = 1.0 / alpha
+    return float(alpha), 0, x
+
+
+def _precedence(candidate):
+    # (bound, rank, X): the larger bound wins, and on a tie the lower rank
+    return candidate[0], -candidate[1]
+
+
+def _settle(pending, best, bound: float):
+    """Shift each pending (cap, rank, x) whose cap reaches both bound and the
+    best lower bound; drop those whose cap falls short of the best.  Returns
+    the iterates still pending and the best (bound, rank, X)."""
+    kept = []
+    for cap, rank, x in pending:
+        if cap < best[0]:
+            continue
+        if cap < bound:
+            kept.append((cap, rank, x))
+        else:
+            value, feasible = _psd_shift(x)
+            best = max(best, (value, rank, feasible), key=_precedence)
+    return kept, best
 
 
 def _dual_bound(m: np.ndarray, on_edge: np.ndarray):
@@ -127,24 +178,30 @@ def lovasz_theta(g: Graph, tol: float = 1e-7) -> ThetaResult:
     non_edges = np.argwhere(~on_edge & above).tolist()
     *problem, edge_form = _sdp_form(n, edges, non_edges)
 
-    alpha, witness = independence_number(g)
-    lower = float(alpha)
-    primal = np.zeros((n, n))
-    primal[np.ix_(witness, witness)] = 1.0 / alpha
+    # best is (lower bound, rank, X), rank 0 for the independent set and k
+    # for the k-th iterate; pending holds (cap, k, scaled primal side)
+    best, pending, alpha_found = (-math.inf, 0, None), [], False
     upper, dual = float(n), np.ones((n, n))
-    best = ThetaResult(lower, primal, dual, 0, upper - lower)
-
+    iterations = 0
     for iterations, (x, _, z) in enumerate(sdp_path(*problem), 1):
         primal_side, dual_side = (x, z) if edge_form else (z, x)
-        cand, cand_lower = _feasible_primal(primal_side, on_edge)
-        if cand_lower > lower:
-            primal, lower = cand, cand_lower
+        scaled, cap = _scaled_primal(primal_side, on_edge)
+        pending.append((cap, iterations, scaled))
         cand, cand_upper = _dual_bound(dual_side, on_edge)
         if cand_upper < upper:
             dual, upper = cand, cand_upper
-        best = ThetaResult(lower, primal, dual, iterations, max(upper - lower, 0.0))
-        if best.gap <= tol or iterations == MAX_ITERATIONS:
+        # alpha <= theta <= upper is an integer: it can close the gap only if
+        # an integer lies in [upper - tol, upper]
+        if not alpha_found and math.floor(upper + _SLACK) >= upper - tol:
+            best, alpha_found = max(best, _independent_set(g), key=_precedence), True
+        pending, best = _settle(pending, best, upper - tol)
+        if upper - best[0] <= tol or iterations == MAX_ITERATIONS:
             break
+    # and it can be the best lower bound only if one lies in [lower, upper]
+    if not alpha_found and math.floor(upper + _SLACK) >= best[0]:
+        best = max(best, _independent_set(g), key=_precedence)
+    lower, _, primal = _settle(pending, best, -math.inf)[1]
+    best = ThetaResult(lower, primal, dual, iterations, max(upper - lower, 0.0))
     if best.gap <= tol:
         return best
     stopped = "" if best.iterations == MAX_ITERATIONS else " (a factorisation failed)"

@@ -78,6 +78,27 @@ def test_event_accepts_numpy_integers():
     event = Event((np.int64(1), np.int64(0)), (np.int32(2), np.int64(1)))
     assert event == Event((1, 0), (2, 1)) and str(event) == "01|12"
     assert all(type(v) is int for v in event.alice + event.bob)
+    assert Event([1, 0], [2, 1]) == event
+
+
+def test_event_rejects_a_part_of_three_entries():
+    with pytest.raises(InvalidInputError, match="alice must be a pair of integers"):
+        Event((0, 1, 2), None)
+
+
+def test_event_rejects_a_part_of_one_entry():
+    with pytest.raises(InvalidInputError, match="alice must be a pair of integers"):
+        Event((0,), None)
+
+
+def test_named_inequality_is_built_once_per_name():
+    for name in ("pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322"):
+        iq = named_inequality(name)
+        assert named_inequality(name) is iq
+        assert iq == scenarios.Inequality(tuple(map(Event.parse, scenarios._NAMED_TERMS[name])), name=name)
+    for _ in range(2):
+        with pytest.raises(InvalidInputError, match="unknown scenario"):
+            named_inequality("pentagon-4")
 
 
 def edge_kind(e, f):

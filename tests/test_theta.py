@@ -6,7 +6,8 @@ import pytest
 from pentabell import theta
 from pentabell.errors import CapacityError, ConvergenceError, InvalidInputError
 from pentabell.graphs import circulant, complement, cycle, graph, independence_number
-from pentabell.theta import odd_cycle_theta
+from pentabell.numerics import sdp_path
+from pentabell.theta import ThetaResult, odd_cycle_theta
 
 
 def random_graph(n, p, rng):
@@ -227,16 +228,19 @@ def test_fixed_family_circulant_products_equal_n(fixed_family):
         assert abs(value * co_value - n) <= 1e-5
 
 
+# a G(12, 1/2) graph with theta = alpha = 4
+THETA_EQUALS_ALPHA_EDGES = [
+    (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 9), (0, 10), (0, 11), (1, 5), (1, 7), (1, 9),
+    (1, 10), (1, 11), (2, 3), (2, 4), (2, 6), (2, 9), (2, 10), (3, 5), (3, 6), (3, 10), (4, 6), (4, 10),
+    (4, 11), (5, 6), (5, 9), (5, 11), (6, 11), (7, 8), (8, 9), (8, 11), (9, 10), (10, 11),
+]
+
+
 def test_theta_equal_to_alpha_is_closed_by_the_independent_set():
-    # a G(12, 1/2) graph with theta = alpha = 4: rounding the interior-point
-    # iterate into the PSD cone approaches 4 only from below, while the
-    # independent set {3, 7, 9, 11} certifies the lower bound 4 exactly
-    edges = [
-        (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 9), (0, 10), (0, 11), (1, 5), (1, 7), (1, 9),
-        (1, 10), (1, 11), (2, 3), (2, 4), (2, 6), (2, 9), (2, 10), (3, 5), (3, 6), (3, 10), (4, 6), (4, 10),
-        (4, 11), (5, 6), (5, 9), (5, 11), (6, 11), (7, 8), (8, 9), (8, 11), (9, 10), (10, 11),
-    ]
-    g = graph(12, edges)
+    # rounding the interior-point iterate into the PSD cone approaches 4
+    # only from below, while the independent set {3, 7, 9, 11} certifies
+    # the lower bound 4 exactly
+    g = graph(12, THETA_EQUALS_ALPHA_EDGES)
     res = lovasz_theta(g)
     assert independence_number(g)[0] == 4
     assert res.value == 4.0
@@ -251,3 +255,129 @@ def test_convergence_error_carries_certified_bounds(monkeypatch):
     best = info.value.result
     assert best.iterations == 5 and best.gap > 1e-7
     assert_certified(g, best, tol=best.gap)
+
+
+def eager_theta(g, tol=1e-7):
+    """lovasz_theta with both costly lower bounds computed eagerly: alpha
+    before the first iterate, then every iterate shifted into the PSD cone."""
+    n = g.n
+    if not g.edges:
+        return ThetaResult(float(n), np.full((n, n), 1.0 / n), np.ones((n, n)), 0, 0.0)
+    if len(g.edges) == n * (n - 1) // 2:
+        return ThetaResult(1.0, np.eye(n) / n, np.eye(n), 0, 0.0)
+    on_edge, above = g.adjacency, ~np.tri(n, dtype=bool)
+    edges = np.argwhere(on_edge & above).tolist()
+    non_edges = np.argwhere(~on_edge & above).tolist()
+    *problem, edge_form = theta._sdp_form(n, edges, non_edges)
+
+    alpha, witness = independence_number(g)
+    lower = float(alpha)
+    primal = np.zeros((n, n))
+    primal[np.ix_(witness, witness)] = 1.0 / alpha
+    upper, dual = float(n), np.ones((n, n))
+    best = ThetaResult(lower, primal, dual, 0, upper - lower)
+    for iterations, (x, _, z) in enumerate(sdp_path(*problem), 1):
+        primal_side, dual_side = (x, z) if edge_form else (z, x)
+        cand = np.where(on_edge, 0.0, primal_side)
+        cand /= np.trace(cand)
+        eps = max(0.0, -float(np.linalg.eigvalsh(cand)[0]))
+        cand = (cand + eps * np.eye(n)) / (1.0 + n * eps)
+        if float(cand.sum()) > lower:
+            primal, lower = cand, float(cand.sum())
+        cand, cand_upper = theta._dual_bound(dual_side, on_edge)
+        if cand_upper < upper:
+            dual, upper = cand, cand_upper
+        best = ThetaResult(lower, primal, dual, iterations, max(upper - lower, 0.0))
+        if best.gap <= tol or iterations == theta.MAX_ITERATIONS:
+            break
+    if best.gap <= tol:
+        return best
+    stopped = "" if best.iterations == theta.MAX_ITERATIONS else " (a factorisation failed)"
+    raise ConvergenceError(
+        f"theta solver did not reach gap {tol} in {best.iterations} iterations{stopped}; "
+        f"best certified gap {best.gap:.3e} ({best.value:.10f} <= theta <= {upper:.10f})",
+        result=best,
+    )
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def fixed_family_graphs():
+    graphs = [cycle(n) for n in range(7, 32, 2)]
+    for n, offsets in FIXED_CIRCULANTS:
+        graphs += [circulant(n, offsets), complement(circulant(n, offsets))]
+    return graphs
+
+
+def lazy_bound_cases():
+    """The fixed family, 60 seeded G(n, p) with p in {0.3, 0.5, 0.7} and n
+    in 8..24, Petersen (theta = alpha = 4) and a bipartite graph."""
+    cases = fixed_family_graphs()
+    rng = np.random.default_rng(2028)
+    for _ in range(20):
+        for p in (0.3, 0.5, 0.7):
+            cases.append(random_graph(int(rng.integers(8, 25)), p, rng))
+    bipartite = [(i, j) for i in range(5) for j in range(5, 11) if rng.random() < 0.5]
+    return cases + [petersen(), graph(11, bipartite)]
+
+
+def solve_outcome(solve, g, tol):
+    try:
+        res, message = solve(g, tol), None
+    except ConvergenceError as exc:
+        res, message = exc.result, str(exc)
+    return res.value, res.primal.tobytes(), res.dual.tobytes(), res.iterations, res.gap, message
+
+
+@pytest.mark.parametrize("cap", [None, 2, 5])
+@pytest.mark.parametrize("tol", [1e-7, 1e-10])
+def test_deferred_lower_bounds_match_the_eager_solver_bit_for_bit(monkeypatch, tol, cap):
+    # capped runs raise ConvergenceError, whose result and message must match too
+    if cap is not None:
+        monkeypatch.setattr(theta, "MAX_ITERATIONS", cap)
+    for g in lazy_bound_cases():
+        assert solve_outcome(theta.lovasz_theta, g, tol) == solve_outcome(eager_theta, g, tol)
+
+
+def test_alpha_and_the_psd_shift_are_computed_only_when_needed(monkeypatch):
+    calls = {"alpha": 0, "shift": 0}
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(theta, "independence_number", counted("alpha", theta.independence_number))
+    monkeypatch.setattr(theta, "_psd_shift", counted("shift", theta._psd_shift))
+    for g in fixed_family_graphs():
+        theta.lovasz_theta(g)
+    # 127 iterations in all, of which 24 are shifted
+    assert calls["alpha"] == 0 and calls["shift"] <= 30, calls
+    res = theta.lovasz_theta(graph(12, THETA_EQUALS_ALPHA_EDGES))
+    assert calls["alpha"] == 1 and res.value == 4.0
+
+
+def test_psd_shift_never_exceeds_the_cap_of_its_scaled_iterate():
+    # the shift moves the entry sum toward 1, also up from a sum below 1
+    rng = np.random.default_rng(5)
+    for n in (2, 5, 12, 32):
+        for _ in range(50):
+            m = rng.standard_normal((n, n))
+            m = m + m.T + rng.uniform(0.0, 2.0 * n) * np.eye(n)
+            on_edge = np.triu(rng.random((n, n)) < 0.4, 1)
+            x, cap = theta._scaled_primal(m, on_edge | on_edge.T)
+            assert theta._psd_shift(x)[0] <= cap
+
+
+def test_ties_go_to_the_independent_set_then_the_earliest_iterate():
+    # I/4 is PSD with unit trace, so its shift certifies exactly 1.0
+    pending = [(1.0 + 1e-9, k, np.eye(4) / 4) for k in (1, 2)]
+    assert theta._settle(pending, (-math.inf, 0, None), -math.inf)[1][:2] == (1.0, 1)
+    independent_set = (1.0, 0, np.eye(4) / 4)
+    assert theta._settle(pending, independent_set, -math.inf)[1] is independent_set

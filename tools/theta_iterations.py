@@ -7,7 +7,10 @@ For each set and each tolerance (1e-7, the CLI default, and 1e-10, the
 tightest the CLI accepts) it prints the number of graphs, the total
 iterations of theta.lovasz_theta over the set (a graph that raises
 ConvergenceError adds the iterations of its best result) and every graph
-that raises, with its best certified gap.
+that raises, with its best certified gap, then how many graphs of the set
+needed the independence number (theta computes alpha only when it can
+decide the gap test or the returned certificate), counted by wrapping
+theta.independence_number.
 
 Sets:
   fixed     odd cycles C7..C31 and five circulants with their complements,
@@ -97,16 +100,26 @@ def held_out():
 
 def table(name: str, family, tol: float) -> None:
     """Print one row of the table."""
-    total, raised = 0, []
+    total, raised, needed_alpha = 0, [], 0
+    alpha = theta.independence_number
+
+    def counted(g):
+        nonlocal needed_alpha
+        needed_alpha += 1
+        return alpha(g)
+
+    theta.independence_number = counted
     for label, g in family:
         try:
             total += theta.lovasz_theta(g, tol=tol).iterations
         except ConvergenceError as exc:
             total += exc.result.iterations
             raised.append((label, exc.result.gap, exc.result.iterations))
+    theta.independence_number = alpha
     print(f"{name:9s} tol {tol:.0e}: {len(family)} graphs, {total} iterations, {len(raised)} raise")
     for label, gap, iterations in raised:
         print(f"    {label}: best gap {gap:.2e} after {iterations} iterations")
+    print(f"    alpha needed on {needed_alpha}/{len(family)} graphs")
 
 
 def main() -> None:
