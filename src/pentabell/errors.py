@@ -3,15 +3,23 @@ which outside JSON documents (the graph, scenario and model files) are read
 and rejected.
 
 A document is read by `load_json` and built by a decoder marked with
-`json_decoder`, which reads every integer field through `strict_int` or
-`strict_pair`: an integer field must be a JSON integer, so `true`, `2.0`
-and `"2"` are rejected rather than coerced, and a pair has exactly two.
-A malformed document raises InvalidInputError, whichever field is wrong.
+`json_decoder`, which hands its fields to the constructors of the types
+that hold them.  Each constructor checks its own values, and every number
+is read through one of the readers here: `strict_int` for an integer,
+`strict_pair` for a pair of integers, `strict_real` for a real number and
+`strict_reals` for an array of them, entry by entry.  An integer field
+must be a JSON integer, so `true`, `2.0` and `"2"` are rejected rather
+than coerced, and a pair has exactly two; a real field must be a JSON
+number, so `true`, `"1"`, `null` and an integer too large for a float are
+rejected.  `strict_pair` owns the fast path for a plain pair of ints.  A
+malformed document raises InvalidInputError, whichever field is wrong.
 """
 
 import functools
 import json
 import numbers
+
+import numpy as np
 
 
 class PentabellError(Exception):
@@ -45,11 +53,31 @@ def strict_int(value, what: str) -> int:
 
 
 def strict_pair(value, what: str) -> tuple:
-    """value as a pair of ints; anything but a list (or tuple) of exactly two
-    integers raises."""
+    """value as a tuple of two ints; anything but a list (or tuple) of
+    exactly two integers raises."""
+    if type(value) in (tuple, list) and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
+        return tuple(value)  # a plain int pair, the common case, skips the checks below
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise InvalidInputError(f"{what} must be a pair of integers, not {value!r}")
     return strict_int(value[0], what), strict_int(value[1], what)
+
+
+def strict_real(value, what: str) -> float:
+    """value as a float; anything but a real number (a bool, "1", None or
+    an integer too large for a float) raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{what} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{what} must be a real number, not an integer too large for a float") from None
+
+
+def strict_reals(values, what: str) -> np.ndarray:
+    """values (nested lists or an array) as a float array of the same
+    shape, each entry read through `strict_real`."""
+    entries = np.array(values, dtype=object)
+    return np.array([strict_real(v, what) for v in entries.flat], dtype=float).reshape(entries.shape)
 
 
 def json_decoder(kind: str):

@@ -1,11 +1,14 @@
 """Small-graph combinatorics: constructors, the exact independence number
 and the reader of the graph file format.
 
-Vertices are 0..n-1 and edges are unordered pairs.  A Graph owns its
-adjacency matrix, built once, which the independence number, the
-complement and theta all read.  The independence number is an exact branch
-and bound sized for the tiny graphs this package works with (its capacity
-limit is enforced, not assumed).
+Vertices are 0..n-1 and edges are unordered pairs.  A Graph checks its
+own vertex count and edges when it is built, reading them through
+`errors.strict_int` and `errors.strict_pair` (which owns the fast path for
+a plain pair of ints), and `graph` is the type itself, so there is one way
+to build one.  A Graph owns its adjacency matrix, built once, which the
+independence number, the complement and theta all read.  The independence
+number is an exact branch and bound sized for the tiny graphs this package
+works with (its capacity limit is enforced, not assumed).
 """
 
 from __future__ import annotations
@@ -23,10 +26,34 @@ ALPHA_MAX_VERTICES = 32
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph: vertex count plus a set of (i, j) pairs, i < j."""
+    """Undirected simple graph: vertex count plus a set of (i, j) pairs, i < j.
+
+    Built from n and any iterable of vertex pairs, which it checks itself:
+    n and every vertex are read as integers and each pair has exactly two,
+    so a bool, 2.0 or "2" raises InvalidInputError rather than being
+    coerced, as do a self-loop, a vertex outside [0, n) and an edge given
+    twice (in either order).  Each edge is stored as (min, max).
+    """
 
     n: int
     edges: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", strict_int(self.n, "n"))
+        if self.n < 1:
+            raise InvalidInputError("graph needs at least one vertex")
+        seen = set()
+        for pair in self.edges:
+            i, j = strict_pair(pair, "edge")
+            if i == j:
+                raise InvalidInputError(f"self-loop at vertex {i}")
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise InvalidInputError(f"edge ({i},{j}) outside [0,{self.n})")
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                raise InvalidInputError(f"duplicate edge {key}")
+            seen.add(key)
+        object.__setattr__(self, "edges", frozenset(seen))
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -39,28 +66,7 @@ class Graph:
         return m
 
 
-def graph(n: int, edges: Iterable) -> Graph:
-    """Build a validated Graph from any iterable of vertex pairs.
-
-    n and every vertex are read as integers and each pair has exactly two:
-    a bool, 2.0 or "2" raises InvalidInputError rather than being coerced.
-    """
-    n = strict_int(n, "n")
-    if n < 1:
-        raise InvalidInputError("graph needs at least one vertex")
-    seen = set()
-    for pair in edges:
-        plain = type(pair) in (tuple, list) and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
-        i, j = pair if plain else strict_pair(pair, "edge")  # plain int pairs skip the type check
-        if i == j:
-            raise InvalidInputError(f"self-loop at vertex {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidInputError(f"edge ({i},{j}) outside [0,{n})")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise InvalidInputError(f"duplicate edge {key}")
-        seen.add(key)
-    return Graph(n, frozenset(seen))
+graph = Graph  # the name callers build a graph by
 
 
 def cycle(n: int) -> Graph:
@@ -74,8 +80,6 @@ def cycle(n: int) -> Graph:
 def circulant(n: int, offsets: Iterable) -> Graph:
     """Circulant graph: edges {i, i+k mod n} for every offset k."""
     n = strict_int(n, "n")
-    if n < 1:
-        raise InvalidInputError("graph needs at least one vertex")
     edges = set()
     for k in offsets:
         k = strict_int(k, "offset")

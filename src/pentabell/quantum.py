@@ -68,7 +68,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, json_decoder, load_json, save_json, strict_int, strict_pair
+from .errors import CapacityError, InvalidInputError, json_decoder, load_json, save_json
+from .errors import strict_int, strict_pair, strict_reals
 from .numerics import as_sym_matrix
 from .scenarios import MAX_SETTING, Behavior, Inequality, coefficient_tensor, named_inequality
 
@@ -90,7 +91,12 @@ def _checked_dims(dims) -> tuple:
 
 @dataclass(frozen=True)
 class QuantumModel:
-    """Bipartite pure state plus per-setting binary projective measurements."""
+    """Bipartite pure state plus per-setting binary projective measurements.
+
+    dims is read as a pair of integers and every state and projector entry
+    as a real number, so a bool, 2.0 or "2" for a dimension and a bool, "1"
+    or None for an entry raise InvalidInputError.
+    """
 
     dims: tuple
     state: np.ndarray
@@ -100,7 +106,7 @@ class QuantumModel:
     def __post_init__(self):
         d_a, d_b = _checked_dims(self.dims)
         object.__setattr__(self, "dims", (d_a, d_b))
-        state = np.asarray(self.state, dtype=float).reshape(-1)
+        state = strict_reals(self.state, "state entry").reshape(-1)
         if state.shape[0] != d_a * d_b:
             raise InvalidInputError(f"state length {state.shape[0]} != {d_a}*{d_b}")
         if not np.all(np.isfinite(state)):
@@ -112,7 +118,7 @@ class QuantumModel:
         for label, projs, d in (("alice", self.alice, d_a), ("bob", self.bob, d_b)):
             validated = []
             for k, p in enumerate(projs):
-                p = np.asarray(p, dtype=float)
+                p = strict_reals(p, f"{label} projector {k} entry")
                 if p.shape != (d, d):
                     raise InvalidInputError(f"{label} projector {k} is not {d}x{d}")
                 if not np.all(np.isfinite(p)):
@@ -128,8 +134,9 @@ class QuantumModel:
 
 
 def projector_onto(vector) -> np.ndarray:
-    """Rank-1 projector onto the direction of a real vector."""
-    v = np.asarray(vector, dtype=float).reshape(-1)
+    """Rank-1 projector onto the direction of a real vector, whose entries
+    are read as real numbers (a bool, "1" or None raises)."""
+    v = strict_reals(vector, "vector entry").reshape(-1)
     with np.errstate(all="ignore"):
         norm2 = float(_dots(v, v)[0])
     if not 0.0 < norm2 < np.inf:
@@ -636,10 +643,9 @@ def model_from_json(data) -> QuantumModel:
         if sorted(by_setting) != list(range(len(entries))):
             raise InvalidInputError("measurement settings must be 0..k-1, each once")
         ordered = (by_setting[x] for x in range(len(entries)))
-        return tuple(projector_onto(e["vector"]) if "vector" in e else np.asarray(e["matrix"], float) for e in ordered)
+        return tuple(projector_onto(e["vector"]) if "vector" in e else e["matrix"] for e in ordered)
 
-    state = np.asarray(data["state"], dtype=float)
-    return QuantumModel(strict_pair(data["dims"], "dims"), state, decode(data["alice"]), decode(data["bob"]))
+    return QuantumModel(data["dims"], data["state"], decode(data["alice"]), decode(data["bob"]))
 
 
 def load_model(path) -> QuantumModel:

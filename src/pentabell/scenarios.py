@@ -20,6 +20,13 @@ correlator decomposition and every quantum Bell operator and see-saw
 update read.  The same contractions run over a leading axis of tables,
 validated once by `_checked_tables`.
 
+Each input type checks its own values when it is built: an Event reads
+each party's (setting, outcome) through `errors.strict_pair`, which owns
+the fast path for a plain pair of ints; an Inequality requires Event
+terms; a DeterministicStrategy reads each outcome through
+`errors.strict_int`.  The scenario file decoder hands each term's parties
+and the declared setting counts straight to these constructors.
+
 The exclusivity rule is written once, on integer event codes
 (`_exclusive_parts`): the exclusivity graph, the exclusivity-principle
 check and the enumeration all read it.  The enumeration works on those
@@ -60,9 +67,8 @@ class Event:
         for label, part in (("alice", self.alice), ("bob", self.bob)):
             if part is None:
                 continue
-            plain = type(part) is tuple and len(part) == 2 and type(part[0]) is int and type(part[1]) is int
-            setting, outcome = part if plain else strict_pair(part, label)  # plain int pairs skip the type check
-            object.__setattr__(self, label, (setting, outcome))
+            setting, outcome = part = strict_pair(part, label)
+            object.__setattr__(self, label, part)
             if outcome not in (0, 1):
                 raise InvalidInputError(f"{label} outcome {outcome} not in {{0,1}}")
             if not 0 <= setting <= MAX_SETTING:
@@ -72,7 +78,7 @@ class Event:
     def parse(cls, text: str) -> "Event":
         """Parse "ab|xy" with '_' for a wildcard party, e.g. "_1|_0"."""
         t = text.strip()
-        if len(t) != 5 or t[2] != "|":
+        if len(t) != 5 or t[2] != "|" or not all(c in "0123456789_" for c in t[:2] + t[3:]):
             raise InvalidInputError(f"cannot parse event {text!r}")
         a, b, x, y = t[0], t[1], t[3], t[4]
         if (a == "_") != (x == "_") or (b == "_") != (y == "_"):
@@ -104,6 +110,9 @@ class Inequality:
     def __post_init__(self):
         terms = tuple(self.terms)
         object.__setattr__(self, "terms", terms)
+        for k, term in enumerate(terms):
+            if not isinstance(term, Event):
+                raise InvalidInputError(f"term {k} is not an Event: {term!r}")
         if len(set(terms)) != len(terms):
             raise InvalidInputError("inequality has duplicate events")
         if not terms:
@@ -124,10 +133,18 @@ class Inequality:
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    """One outcome per setting for each party."""
+    """One outcome per setting for each party, each read as an integer (a
+    bool, 0.0 or "0" raises) that is 0 or 1."""
 
     alice: tuple
     bob: tuple
+
+    def __post_init__(self):
+        for label in ("alice", "bob"):
+            outcomes = tuple(strict_int(o, f"{label} outcome") for o in getattr(self, label))
+            if any(o not in (0, 1) for o in outcomes):
+                raise InvalidInputError(f"{label} outcomes {outcomes} are not all 0 or 1")
+            object.__setattr__(self, label, outcomes)
 
 
 class TypedEdge(NamedTuple):
@@ -282,9 +299,6 @@ def _strategy_tables(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
 def strategy_behavior(strategy: DeterministicStrategy) -> Behavior:
     """Deterministic 0/1 behavior produced by a local strategy on all its
     settings."""
-    for party, outcomes in (("alice", strategy.alice), ("bob", strategy.bob)):
-        if any(o not in (0, 1) for o in outcomes):
-            raise InvalidInputError(f"{party} outcomes {outcomes} are not all 0 or 1")
     return Behavior(_strategy_tables(np.array(strategy.alice, dtype=int), np.array(strategy.bob, dtype=int)))
 
 
@@ -786,13 +800,8 @@ def named_graph(name: str) -> Graph:
 def scenario_from_json(data) -> Inequality:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise InvalidInputError("scenario JSON must contain a 'terms' list")
-
-    def party(term, label):
-        return None if term.get(label) is None else strict_pair(term[label], label)
-
-    settings = {k: data[k] for k in ("alice_settings", "bob_settings") if data.get(k) is not None}
-    terms = tuple(Event(party(t, "alice"), party(t, "bob")) for t in data["terms"])
-    return Inequality(terms, name=str(data.get("name", "")), **settings)
+    terms = tuple(Event(t.get("alice"), t.get("bob")) for t in data["terms"])
+    return Inequality(terms, str(data.get("name", "")), data.get("alice_settings"), data.get("bob_settings"))
 
 
 def load_scenario(path) -> Inequality:

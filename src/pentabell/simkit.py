@@ -46,7 +46,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, strict_int, strict_pair
+from .errors import InvalidInputError, strict_int, strict_pair, strict_real
 from .quantum import QuantumModel, behavior_of
 from .scenarios import MAX_SETTING, Behavior, Inequality, lhv_bound, term_cells
 
@@ -128,6 +128,7 @@ class SimConfig:
         if self.shots < 1:
             raise InvalidInputError("shots must be >= 1")
         object.__setattr__(self, "seed", _checked_seed(self.seed))
+        object.__setattr__(self, "visibility", strict_real(self.visibility, "visibility"))
         if not 0.0 <= self.visibility <= 1.0:
             raise InvalidInputError("visibility must lie in [0, 1]")
 
@@ -146,6 +147,8 @@ class CountTable:
     def __post_init__(self):
         if strict_int(self.shots, "shots") < 1:
             raise InvalidInputError("shots must be >= 1")
+        if not isinstance(self.counts, dict):
+            raise InvalidInputError(f"counts must map setting pairs to 2x2 blocks, not {self.counts!r}")
         for pair, block in self.counts.items():
             if not all(0 <= s <= MAX_SETTING for s in strict_pair(pair, f"setting pair {pair!r}")):
                 raise InvalidInputError(f"setting pair {pair!r} outside [0,{MAX_SETTING}]")

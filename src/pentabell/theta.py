@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, InvalidInputError
+from .errors import CapacityError, ConvergenceError, InvalidInputError, strict_real
 from .graphs import Graph, independence_number
 from .numerics import sdp_path
 
@@ -157,12 +157,14 @@ def _sdp_form(n: int, edges, non_edges):
 def lovasz_theta(g: Graph, tol: float = 1e-7) -> ThetaResult:
     """Lovasz number of g with a primal and a dual certificate.
 
-    Raises ConvergenceError (carrying the best certified bounds) if the gap
-    does not close within the iteration cap, or if the interior-point
-    iteration breaks down first.
+    tol is read as a real number (a bool, "1e-7" or None raises
+    InvalidInputError).  Raises ConvergenceError (carrying the best
+    certified bounds) if the gap does not close within the iteration cap,
+    or if the interior-point iteration breaks down first.
     """
     if g.n > MAX_VERTICES:
         raise CapacityError(f"{g.n} vertices exceed the {MAX_VERTICES} envelope")
+    tol = strict_real(tol, "tol")
     if not (1e-10 <= tol <= 1e-3):
         raise InvalidInputError(f"tol {tol} outside [1e-10, 1e-3]")
     n = g.n

@@ -366,6 +366,14 @@ MALFORMED_FILES = {
     "model-setting-repeated": ("simulate", model_doc(alice=[{"setting": 0, "vector": [0, 1]}, *PARTY])),
     "model-dims-negative": ("simulate", model_doc(dims=[-2, -2], state=[0.5] * 4, alice=[], bob=[])),
     "model-vector-overflow": ("simulate", model_doc(alice=[{"setting": 0, "vector": [1e308, 1e308]}, PARTY[1]])),
+    "model-state-string": ("simulate", model_doc(state=["1", 0, 0, 0])),
+    "model-state-bool": ("simulate", model_doc(state=[True, 0, 0, 0])),
+    "model-state-huge-int": ("simulate", model_doc(state=[10**400, 0, 0, 0])),
+    "model-vector-strings": ("simulate", model_doc(alice=[{"setting": 0, "vector": ["1", "0"]}, PARTY[1]])),
+    "model-matrix-string-and-bool": (
+        "simulate",
+        model_doc(alice=[{"setting": 0, "matrix": [["1", 0], [0, False]]}, PARTY[1]]),
+    ),
     "not-utf8": ("alpha", '{"n": 1, "edges": [], "name": "\xff"}'),  # byte 0xff in latin-1
 }
 VALID_FILES = {"scenario": ("lhv", scenario_doc()), "graph": ("alpha", graph_doc()), "model": ("simulate", model_doc())}

@@ -194,6 +194,27 @@ def test_constructors_accept_numpy_integers():
     assert circulant(i64(5), [i64(1)]) == cycle(i64(5)) == cycle(5)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (frozenset({(0, 1), (1, 0), (0, 2)}), r"duplicate edge \(0, 1\)"),
+        (frozenset({(0, 7)}), r"edge \(0,7\) outside \[0,3\)"),
+        (frozenset({(2, 2)}), "self-loop at vertex 2"),
+    ],
+    ids=["both-orders", "vertex-out-of-range", "self-loop"],
+)
+def test_the_graph_type_checks_its_own_edges(edges, message):
+    assert graph is Graph
+    with pytest.raises(InvalidInputError, match=message):
+        Graph(3, edges)
+
+
+def test_the_graph_type_stores_each_edge_once_in_order():
+    g = Graph(3, [(1, 0), [2, 1]])
+    assert g.edges == frozenset({(0, 1), (1, 2)}) and g == graph(3, {(0, 1), (2, 1)})
+    assert all(type(e) is tuple for e in g.edges)
+
+
 def test_graph_json_names_the_field():
     with pytest.raises(InvalidInputError, match="n must be an integer"):
         graph_from_json({"n": 2.5, "edges": []})

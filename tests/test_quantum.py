@@ -179,6 +179,23 @@ def test_model_accepts_numpy_integer_dims():
     assert model.dims == (2, 2) and all(type(d) is int for d in model.dims)
 
 
+@pytest.mark.parametrize("entry", ["1", True, None, 10**400], ids=["str", "bool", "None", "huge-int"])
+def test_model_and_projector_read_entries_as_real_numbers(entry):
+    with pytest.raises(InvalidInputError, match="state entry must be a real number"):
+        QuantumModel((2, 2), [entry, 0, 0, 0], (), ())
+    with pytest.raises(InvalidInputError, match="bob projector 0 entry must be a real number"):
+        QuantumModel((2, 2), [1, 0, 0, 0], (), ([[entry, 0], [0, 0]],))
+    with pytest.raises(InvalidInputError, match="vector entry must be a real number"):
+        projector_onto([entry, 0])
+
+
+def test_model_accepts_entries_of_numpy_and_integer_types():
+    lists = QuantumModel((2, 2), [np.float64(1), 0, 0, np.int64(0)], ([[1, 0], [0, 0]],), ())
+    arrays = QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (np.diag([1.0, 0.0]),), ())
+    assert np.array_equal(lists.state, arrays.state) and np.array_equal(lists.alice[0], arrays.alice[0])
+    assert lists.state.dtype == float
+
+
 # --------------------------------------------------------------- behavior_of ---
 
 

@@ -2,17 +2,26 @@
 module of the package imports only the standard library, numpy and its own
 modules.  Files are read and written only by the input boundary in
 `errors`, so the graph, scenario and model formats share one policy for
-malformed input.  Every import sits at module level and the package's
-modules import one another without a cycle, so a module's dependencies are
-all read from its header.  Every public function is reached by the package,
-its tools, its benchmark or the README, save a named few."""
+malformed input, and numbers are read only by its readers: every public
+input type rejects a malformed value with InvalidInputError.  Every import
+sits at module level and the package's modules import one another without
+a cycle, so a module's dependencies are all read from its header.  Every
+public function is reached by the package, its tools, its benchmark or the
+README, save a named few."""
 
 import ast
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from pentabell.errors import InvalidInputError
+from pentabell.graphs import Graph
+from pentabell.quantum import QuantumModel
+from pentabell.scenarios import DeterministicStrategy, Event, Inequality
+from pentabell.simkit import CountTable, SimConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pentabell"
@@ -50,6 +59,66 @@ def test_only_the_input_boundary_opens_files(path):
             if isinstance(func.value, ast.Name) and func.value.id == "json":
                 calls.append(f"line {node.lineno}: json.{func.attr}")
     assert not calls, calls
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "errors.py"), ids=lambda p: p.name
+)
+def test_only_the_input_boundary_reads_numbers(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "type":
+            found.append(f"line {node.lineno}: type(...)")
+        elif isinstance(node, ast.Import) and any(alias.name == "numbers" for alias in node.names):
+            found.append(f"line {node.lineno}: import numbers")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers" and not node.level:
+            found.append(f"line {node.lineno}: from numbers import")
+    assert not found, found
+
+
+STATE = [1, 0, 0, 0]
+BLOCK = np.full((2, 2), 25)
+# each public input type, by a function that puts one value into one field of
+# an otherwise valid input, with the kind of value that field holds and a
+# value the field accepts
+FIELDS = {
+    "Graph-n": ("integer", 2, lambda v: Graph(v, [(0, 1)])),
+    "Graph-vertex": ("integer", 1, lambda v: Graph(3, [(0, v)])),
+    "Graph-edge": ("pair", (0, 1), lambda v: Graph(3, [v])),
+    "Event-setting": ("integer", 1, lambda v: Event((v, 0), None)),
+    "Event-part": ("pair", (1, 0), lambda v: Event((0, 0), v)),
+    "Inequality-settings": ("integer", 1, lambda v: Inequality((Event((0, 0), (0, 0)),), alice_settings=v)),
+    "Inequality-term": ("pair", Event((0, 0), None), lambda v: Inequality((v,))),
+    "DeterministicStrategy-outcome": ("integer", 1, lambda v: DeterministicStrategy((v, 0), (1, 0))),
+    "QuantumModel-dim": ("integer", 2, lambda v: QuantumModel((v, 2), STATE, (), ())),
+    "QuantumModel-dims": ("pair", (2, 2), lambda v: QuantumModel(v, STATE, (), ())),
+    "QuantumModel-state": ("real", 1.0, lambda v: QuantumModel((2, 2), [v, 0, 0, 0], (), ())),
+    "QuantumModel-projector": ("real", 0.0, lambda v: QuantumModel((2, 2), STATE, ([[1, 0], [0, v]],), ())),
+    "SimConfig-shots": ("integer", 10, lambda v: SimConfig(v)),
+    "SimConfig-seed": ("integer", 3, lambda v: SimConfig(10, v)),
+    "SimConfig-visibility": ("real", 0.5, lambda v: SimConfig(10, 0, v)),
+    "CountTable-shots": ("integer", 100, lambda v: CountTable(v, {})),
+    "CountTable-setting": ("integer", 1, lambda v: CountTable(100, {(0, v): BLOCK})),
+    "CountTable-pair": ("pair", (1, 1), lambda v: CountTable(100, {v: BLOCK})),
+}
+MALFORMED = {
+    "integer": {"bool": True, "float": 2.0, "str": "2"},
+    "real": {"str": "1", "bool": True, "None": None, "huge-int": 10**400},
+    "pair": {"triple": (0, 1, 2)},
+}
+MALFORMED_INPUTS = {
+    f"{field}-{name}": (build, valid, value)
+    for field, (kind, valid, build) in FIELDS.items()
+    for name, value in MALFORMED[kind].items()
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_public_input_types_reject_malformed_values(case):
+    build, valid, value = MALFORMED_INPUTS[case]
+    build(valid)
+    with pytest.raises(InvalidInputError):
+        build(value)
 
 
 def _package_imports(tree):

@@ -74,6 +74,12 @@ def test_event_rejects_non_integer_parts(part):
         Event((0, 0), part)
 
 
+@pytest.mark.parametrize("text", ["0a|00", "00|0x", "+0|00"])
+def test_event_parse_rejects_characters_outside_the_format(text):
+    with pytest.raises(InvalidInputError, match="cannot parse event"):
+        Event.parse(text)
+
+
 def test_event_accepts_numpy_integers():
     event = Event((np.int64(1), np.int64(0)), (np.int32(2), np.int64(1)))
     assert event == Event((1, 0), (2, 1)) and str(event) == "01|12"
@@ -89,6 +95,12 @@ def test_event_rejects_a_part_of_three_entries():
 def test_event_rejects_a_part_of_one_entry():
     with pytest.raises(InvalidInputError, match="alice must be a pair of integers"):
         Event((0,), None)
+
+
+@pytest.mark.parametrize("terms, index", [(("00|00",), 0), ((Event((0, 0), None), (0, 1)), 1)])
+def test_inequality_rejects_a_term_that_is_not_an_event(terms, index):
+    with pytest.raises(InvalidInputError, match=f"term {index} is not an Event"):
+        Inequality(terms)
 
 
 def test_named_inequality_is_built_once_per_name():
@@ -359,6 +371,18 @@ def test_strategy_behaviors_are_deterministic_and_no_signaling():
 def test_strategy_behavior_rejects_non_binary_outcomes():
     with pytest.raises(InvalidInputError, match="bob outcomes"):
         strategy_behavior(DeterministicStrategy((0, 1), (0, 2)))
+
+
+@pytest.mark.parametrize("alice", [(True, 0), (0.0, 1), ("0", 1)], ids=["bool", "float", "str"])
+def test_strategy_reads_its_outcomes_as_integers(alice):
+    with pytest.raises(InvalidInputError, match="alice outcome must be an integer"):
+        DeterministicStrategy(alice, (1, 0))
+
+
+def test_strategy_stores_its_outcomes_as_int_tuples():
+    strategy = DeterministicStrategy([np.int64(1), 0], (1, np.int32(0)))
+    assert strategy == DeterministicStrategy((1, 0), (1, 0))
+    assert all(type(o) is int for o in strategy.alice + strategy.bob)
 
 
 # ------------------------------------------------------------- lhv bounds ---

@@ -105,6 +105,17 @@ def test_config_validation():
     assert SimConfig(shots=np.int64(7)).shots == 7
 
 
+@pytest.mark.parametrize("visibility", ["0.5", True, None, 10**400], ids=["str", "bool", "None", "huge-int"])
+def test_config_reads_visibility_as_a_real_number(visibility):
+    with pytest.raises(InvalidInputError, match="visibility must be a real number"):
+        SimConfig(5, 0, visibility)
+
+
+def test_config_accepts_numpy_and_integer_visibilities():
+    assert SimConfig(5, 0, np.float64(0.5)).visibility == 0.5
+    assert type(SimConfig(5, 0, 1).visibility) is float
+
+
 def test_sampling_is_deterministic():
     m = known_optimal_model("pentagon-2")
     cfg = SimConfig(shots=2000, seed=99)
@@ -401,6 +412,12 @@ def test_count_table_rejects_malformed_setting_pairs(key, message):
     block = np.full((2, 2), 25)
     with pytest.raises(InvalidInputError, match=f"setting pair {re.escape(repr(key))} {message}"):
         CountTable(100, {key: block})
+
+
+@pytest.mark.parametrize("counts", [[1], None, 5])
+def test_count_table_rejects_counts_that_are_not_a_mapping(counts):
+    with pytest.raises(InvalidInputError, match="counts must map setting pairs"):
+        CountTable(5, counts)
 
 
 def test_estimate_missing_setting():

@@ -140,6 +140,16 @@ def test_input_validation():
         lovasz_theta(cycle(5), tol=1e-12)
 
 
+@pytest.mark.parametrize("tol", ["1e-7", True, None, 10**400], ids=["str", "bool", "None", "huge-int"])
+def test_tol_is_read_as_a_real_number(tol):
+    with pytest.raises(InvalidInputError, match="tol must be a real number"):
+        theta.lovasz_theta(cycle(5), tol)
+
+
+def test_tol_accepts_a_numpy_float():
+    assert theta.lovasz_theta(cycle(5), np.float64(1e-7)).value == theta.lovasz_theta(cycle(5), 1e-7).value
+
+
 # odd cycles C7..C31 and five circulants with their complements, the fixed
 # family of the theta-graphs benchmark workload
 FIXED_CIRCULANTS = ((13, (1, 5)), (17, (1, 2, 4, 8)), (21, (1, 3, 8)), (29, (1, 12)), (31, (1, 5, 11)))
