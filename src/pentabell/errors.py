@@ -6,18 +6,22 @@ A document is read by `load_json` and built by a decoder marked with
 `json_decoder`, which hands its fields to the constructors of the types
 that hold them.  Each constructor checks its own values, and every number
 is read through one of the readers here: `strict_int` for an integer,
-`strict_pair` for a pair of integers, `strict_real` for a real number and
-`strict_reals` for an array of them, entry by entry.  An integer field
-must be a JSON integer, so `true`, `2.0` and `"2"` are rejected rather
-than coerced, and a pair has exactly two; a real field must be a JSON
-number, so `true`, `"1"`, `null` and an integer too large for a float are
-rejected.  `strict_pair` owns the fast path for a plain pair of ints.  A
-malformed document raises InvalidInputError, whichever field is wrong.
+`strict_ints` for an array of them, `strict_pair` for a pair of integers,
+`strict_real` for a real number and `strict_reals` for an array of them,
+entry by entry.  An integer field must be a JSON integer, so `true`, `2.0`
+and `"2"` are rejected rather than coerced, and a pair has exactly two; a
+real field must be a JSON number, so `true`, `"1"`, `null` and an integer
+too large for a float are rejected.  `strict_pair` owns the fast path for
+a plain pair of ints.  A field that holds several values is read by
+`strict_iterable`, and a field of text by `strict_text`, so a number there
+raises too.  A malformed document raises InvalidInputError, whichever field
+is wrong.
 """
 
 import functools
 import json
 import numbers
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -52,6 +56,13 @@ def strict_int(value, what: str) -> int:
     return int(value)
 
 
+def strict_ints(values, what: str) -> np.ndarray:
+    """values (nested lists or an array) as an integer array of the same
+    shape, each entry read through `strict_int`."""
+    entries = np.array(values, dtype=object)
+    return np.array([strict_int(v, what) for v in entries.flat], dtype=np.int64).reshape(entries.shape)
+
+
 def strict_pair(value, what: str) -> tuple:
     """value as a tuple of two ints; anything but a list (or tuple) of
     exactly two integers raises."""
@@ -78,6 +89,22 @@ def strict_reals(values, what: str) -> np.ndarray:
     shape, each entry read through `strict_real`."""
     entries = np.array(values, dtype=object)
     return np.array([strict_real(v, what) for v in entries.flat], dtype=float).reshape(entries.shape)
+
+
+def strict_iterable(value, what: str):
+    """value itself if it holds values to iterate over (a list, tuple, set
+    or generator); anything else (a number or None) raises."""
+    if not isinstance(value, Iterable):
+        raise InvalidInputError(f"{what} must be a collection of values, not {value!r}")
+    return value
+
+
+def strict_text(value, what: str) -> str:
+    """value itself if it is a str; anything else (a number, None or
+    bytes) raises."""
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{what} must be a string, not {value!r}")
+    return value
 
 
 def json_decoder(kind: str):

@@ -19,7 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, json_decoder, load_json, strict_int, strict_pair
+from .errors import CapacityError, InvalidInputError, json_decoder, load_json
+from .errors import strict_int, strict_iterable, strict_pair
 
 ALPHA_MAX_VERTICES = 32
 
@@ -43,7 +44,7 @@ class Graph:
         if self.n < 1:
             raise InvalidInputError("graph needs at least one vertex")
         seen = set()
-        for pair in self.edges:
+        for pair in strict_iterable(self.edges, "edges"):
             i, j = strict_pair(pair, "edge")
             if i == j:
                 raise InvalidInputError(f"self-loop at vertex {i}")

@@ -46,8 +46,8 @@ def as_sym_matrix(a) -> np.ndarray:
 
 
 def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Iterates (X, y, Z) of a dense infeasible primal-dual interior-point
-    method for the semidefinite program in standard form
+    """Points (X, y, Z), one per step, of a dense infeasible primal-dual
+    interior-point method for the semidefinite program in standard form
 
         minimize <C, X>  s.t.  <A_k, X> = b_k (k < m),  X PSD,
         maximize b^T y   s.t.  Z = C - sum_k y_k A_k PSD.
@@ -82,6 +82,16 @@ def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, 
     fixed family (tools/theta_iterations.py), where they take about 8%
     fewer than the cubic rule with the 0.99 cap; the family itself takes
     13% fewer.
+
+    The path continues from that damped point, but what it yields is the
+    point where the corrector's step meets the boundary: X + min(1,
+    alpha_max) dX on the primal side and likewise (y, Z) on the dual, the
+    full Newton step when that stays inside the cone.  It is PSD on both
+    sides within rounding (singular on a side whose step was cut), a side
+    that starts feasible stays feasible there too, and its gap is smaller
+    than the damped point's, which the step leaves about 1/1000 of the way
+    from the boundary.  Callers that test certificates on it stop sooner:
+    Lovasz theta at 1e-7 takes 111 iterations on the fixed family, not 127.
 
     The caller decides when to stop; the generator ends by itself when a
     step fails, by a failed factorisation or a floating-point overflow,
@@ -150,16 +160,20 @@ def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, 
                 raise np.linalg.LinAlgError("Schur system has no finite solution")
             dz = rd - adjoint(dy)
             dx = target * w - x - _sym((x @ dz + second_order) @ w)
-            return dx, dy, dz, _step_length(lx, dx, fraction), _step_length(lz, dz, fraction)
+            return dx, dy, dz, _step_lengths(lx, dx, fraction), _step_lengths(lz, dz, fraction)
 
         # the predictor runs to the boundary; the corrector stays a share of
         # the way inside it, the larger the longer the predictor's steps
-        dx, dy, dz, step_x, step_z = direction(0.0, 0.0, 1.0)
+        dx, dy, dz, (step_x, _), (step_z, _) = direction(0.0, 0.0, 1.0)
         gap = np.sum(x * z)
         predicted = np.sum((x + step_x * dx) * (z + step_z * dz))
         fraction = 0.9 + 0.099 * min(step_x, step_z)
-        dx, dy, dz, step_x, step_z = direction((predicted / gap) ** 2 * gap / n, dx @ dz, fraction)
-        return x + step_x * dx, y + step_z * dy, z + step_z * dz
+        target = (predicted / gap) ** 2 * gap / n
+        dx, dy, dz, (step_x, edge_x), (step_z, edge_z) = direction(target, dx @ dz, fraction)
+        # the path goes on from the damped point; the caller gets the one
+        # where the step meets the boundary
+        damped = x + step_x * dx, y + step_z * dy, z + step_z * dz
+        return damped, (x + edge_x * dx, y + edge_z * dy, z + edge_z * dz)
 
     def iterates():
         a_eye = op(np.eye(n))
@@ -170,10 +184,10 @@ def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, 
         while True:
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    x, y, z = newton(x, y, z)
+                    (x, y, z), boundary = newton(x, y, z)
             except (np.linalg.LinAlgError, FloatingPointError):
                 return
-            yield x, y, z
+            yield boundary
 
     return iterates()
 
@@ -182,7 +196,8 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _step_length(l_inv: np.ndarray, d: np.ndarray, fraction: float) -> float:
-    """fraction of the longest step alpha keeping L L^T + alpha D PSD, at most 1."""
+def _step_lengths(l_inv: np.ndarray, d: np.ndarray, fraction: float) -> tuple[float, float]:
+    """(damped, boundary): fraction of the longest step alpha keeping
+    L L^T + alpha D PSD, and that longest step itself, each at most 1."""
     lam = float(np.linalg.eigvalsh(l_inv @ d @ l_inv.T)[0])
-    return 1.0 if lam >= -fraction else -fraction / lam
+    return 1.0 if lam >= -fraction else -fraction / lam, 1.0 if lam >= -1.0 else -1.0 / lam

@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, json_decoder, load_json, save_json
-from .errors import strict_int, strict_pair, strict_reals
+from .errors import strict_int, strict_iterable, strict_pair, strict_reals
 from .numerics import as_sym_matrix
 from .scenarios import MAX_SETTING, Behavior, Inequality, coefficient_tensor, named_inequality
 
@@ -117,7 +117,7 @@ class QuantumModel:
         object.__setattr__(self, "state", state)
         for label, projs, d in (("alice", self.alice, d_a), ("bob", self.bob, d_b)):
             validated = []
-            for k, p in enumerate(projs):
+            for k, p in enumerate(strict_iterable(projs, f"{label} projectors")):
                 p = strict_reals(p, f"{label} projector {k} entry")
                 if p.shape != (d, d):
                     raise InvalidInputError(f"{label} projector {k} is not {d}x{d}")

@@ -43,7 +43,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, json_decoder, load_json, strict_int, strict_pair
+from .errors import CapacityError, InvalidInputError, json_decoder, load_json
+from .errors import strict_int, strict_iterable, strict_pair, strict_text
 from .graphs import Graph, cycle, graph
 from .theta import odd_cycle_theta
 
@@ -77,7 +78,7 @@ class Event:
     @classmethod
     def parse(cls, text: str) -> "Event":
         """Parse "ab|xy" with '_' for a wildcard party, e.g. "_1|_0"."""
-        t = text.strip()
+        t = strict_text(text, "event").strip()
         if len(t) != 5 or t[2] != "|" or not all(c in "0123456789_" for c in t[:2] + t[3:]):
             raise InvalidInputError(f"cannot parse event {text!r}")
         a, b, x, y = t[0], t[1], t[3], t[4]
@@ -108,7 +109,7 @@ class Inequality:
     bob_settings: Optional[int] = None
 
     def __post_init__(self):
-        terms = tuple(self.terms)
+        terms = tuple(strict_iterable(self.terms, "terms"))
         object.__setattr__(self, "terms", terms)
         for k, term in enumerate(terms):
             if not isinstance(term, Event):
@@ -141,7 +142,8 @@ class DeterministicStrategy:
 
     def __post_init__(self):
         for label in ("alice", "bob"):
-            outcomes = tuple(strict_int(o, f"{label} outcome") for o in getattr(self, label))
+            values = strict_iterable(getattr(self, label), label)
+            outcomes = tuple(strict_int(o, f"{label} outcome") for o in values)
             if any(o not in (0, 1) for o in outcomes):
                 raise InvalidInputError(f"{label} outcomes {outcomes} are not all 0 or 1")
             object.__setattr__(self, label, outcomes)

@@ -46,7 +46,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, strict_int, strict_pair, strict_real
+from .errors import InvalidInputError, strict_int, strict_ints, strict_pair, strict_real
 from .quantum import QuantumModel, behavior_of
 from .scenarios import MAX_SETTING, Behavior, Inequality, lhv_bound, term_cells
 
@@ -149,18 +149,17 @@ class CountTable:
             raise InvalidInputError("shots must be >= 1")
         if not isinstance(self.counts, dict):
             raise InvalidInputError(f"counts must map setting pairs to 2x2 blocks, not {self.counts!r}")
+        read = {}
         for pair, block in self.counts.items():
-            if not all(0 <= s <= MAX_SETTING for s in strict_pair(pair, f"setting pair {pair!r}")):
+            key = strict_pair(pair, f"setting pair {pair!r}")
+            if not all(0 <= s <= MAX_SETTING for s in key):
                 raise InvalidInputError(f"setting pair {pair!r} outside [0,{MAX_SETTING}]")
-            try:
-                b = np.asarray(block)
-                ok = b.shape == (2, 2) and b.dtype.kind in "iu" and b.min() >= 0 and b.sum() == self.shots
-            except ValueError:  # a ragged block
-                ok = False
-            if not ok:
+            read[key] = b = strict_ints(block, f"setting pair {pair} count")
+            if b.shape != (2, 2) or b.min() < 0 or b.sum() != self.shots:
                 raise InvalidInputError(
                     f"setting pair {pair}: counts are not 2x2 non-negative integers summing to shots"
                 )
+        object.__setattr__(self, "counts", read)
 
 
 def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray, compared: np.ndarray) -> np.ndarray:

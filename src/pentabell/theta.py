@@ -14,15 +14,17 @@ edge form (one per edge, plus the trace) or the free-entry form
 Convergence is certified, not assumed: every iteration builds
 
   * a feasible primal matrix X, whose entry sum is a lower bound: the
-    iterate's primal side with its edges zeroed, its trace scaled to 1 and
+    primal side of the point sdp_path yields, where the step meets the
+    cone's boundary, with its edges zeroed, its trace scaled to 1 and
     shifted into the PSD cone, or X_S = 1_S 1_S^T/|S| for a maximum
     independent set S when |S| is at least as large, and
   * a dual matrix B = J - Y with Y supported on the edges, so B is 1 on the
     diagonal and on every non-edge; for every feasible X,
     sum_ij X_ij = <B, X> <= lambda_max(B), an upper bound.
 
-Any iterate gives valid bounds, so the solver changes how fast the gap
-closes, never whether a bound holds.  It stops when the best upper bound is
+Any matrix gives valid bounds this way, so the solver, and which of its
+points are tested, changes how fast the gap closes, never whether a bound
+holds.  It stops when the best upper bound is
 within the requested tolerance of the best lower bound, and returns both
 matrices, so the value can be replayed from either side without rerunning
 the solver: `replay` re-derives both bounds from X and B alone and checks

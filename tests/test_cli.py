@@ -189,7 +189,7 @@ def test_theta_convergence_error_exits_two_with_best_gap(monkeypatch):
     # the bounds are checked after every iteration, so two iterations
     # already tighten alpha = 2 and n = 5
     assert err.startswith("error: theta solver did not reach gap 1e-07 in 2 iterations;")
-    assert "best certified gap 1.059e-02 (2.2268406832 <= theta <= 2.2374285490)" in err
+    assert "best certified gap 7.471e-04 (2.2360679775 <= theta <= 2.2368150612)" in err
 
 
 def test_lhv_named_scenarios():

@@ -143,6 +143,53 @@ def test_sdp_start_feasible_on_neither_side_still_reaches_min_eigenvalue():
     assert np.linalg.eigvalsh(c - adjoint(n + 1, y, rows, pairs, coef))[0] >= -1e-8
 
 
+def pentagon_edge_form():
+    # Lovasz theta of C5 as minimize <-J, X> s.t. trace X = 1 and X_ij = 0 on
+    # its five edges: b is a multiple of A(I), so X starts feasible
+    rows = [0] * 5 + list(range(1, 6))
+    pairs = [(i, i) for i in range(5)] + [(i, (i + 1) % 5) for i in range(5)]
+    return -np.ones((5, 5)), [1.0] + [0.0] * 5, rows, pairs, [1.0] * 10
+
+
+def drained_problems():
+    """(label, problem) for the problems of the tests above, each of which
+    sdp_path drains within about 15 steps."""
+    for n in (5, 16, 33):
+        c = random_symmetric(n, np.random.default_rng(n))
+        yield f"unit-trace-{n}", (c, [1.0], [0] * n, [(i, i) for i in range(n)], [1.0] * n)
+    c = np.diag([1.0, 2.0, 3.0])
+    yield "several-terms", (c, [0.5, 0.25, 1.0], [0, 0, 1, 2], [(0, 0), (1, 1), (0, 1), (2, 2)], [1.0, -1.0, 1.0, 1.0])
+    c = np.zeros((9, 9))
+    c[:8, :8] = random_symmetric(8, np.random.default_rng(7))
+    yield "neither-feasible", (c, [1.0, 2.0], [0] * 8 + [1], [(i, i) for i in range(9)], [1.0] * 9)
+    yield "pentagon-edge-form", pentagon_edge_form()
+
+
+DRAINED_PROBLEMS = dict(drained_problems())
+
+
+@pytest.mark.parametrize("label", sorted(DRAINED_PROBLEMS))
+def test_every_yielded_point_is_psd_on_both_sides(label):
+    # each point is where the step meets the cone's boundary, so X or Z can
+    # be singular, but neither is further outside the cone than rounding
+    k = 0
+    for k, (x, _, z) in enumerate(sdp_path(*DRAINED_PROBLEMS[label]), 1):
+        for m in (x, z):
+            assert np.linalg.eigvalsh(m)[0] >= -1e-12 * max(1.0, np.abs(m).max()), (label, k)
+    assert k >= 5, label
+
+
+def test_primal_feasible_start_keeps_a_of_x_equal_to_b_at_every_point():
+    # the yielded points, not only the damped iterates, keep trace X = 1 and
+    # every edge entry zero, down to the end of the drained path
+    c, b, rows, pairs, coef = pentagon_edge_form()
+    points = list(sdp_path(c, b, rows, pairs, coef))
+    for k, (x, _, _) in enumerate(points, 1):
+        assert abs(np.trace(x) - 1.0) <= 1e-12, k
+        assert all(abs(x[i, j]) <= 1e-12 for i, j in pairs[5:]), k
+    assert -float(np.sum(c * points[-1][0])) == pytest.approx(math.sqrt(5), abs=1e-9)
+
+
 def test_sdp_rejects_nonfinite_asymmetric_and_malformed_input():
     eye = np.eye(2)
     good = ([1.0], [0, 0], [(0, 0), (1, 1)], [1.0, 1.0])

@@ -73,6 +73,9 @@ def test_only_the_input_boundary_reads_numbers(path):
             found.append(f"line {node.lineno}: import numbers")
         elif isinstance(node, ast.ImportFrom) and node.module == "numbers" and not node.level:
             found.append(f"line {node.lineno}: from numbers import")
+        elif isinstance(node, ast.Attribute) and node.attr == "kind":
+            if isinstance(node.value, ast.Attribute) and node.value.attr == "dtype":
+                found.append(f"line {node.lineno}: .dtype.kind")
     assert not found, found
 
 
@@ -85,26 +88,35 @@ FIELDS = {
     "Graph-n": ("integer", 2, lambda v: Graph(v, [(0, 1)])),
     "Graph-vertex": ("integer", 1, lambda v: Graph(3, [(0, v)])),
     "Graph-edge": ("pair", (0, 1), lambda v: Graph(3, [v])),
+    "Graph-edges": ("collection", [(0, 1)], lambda v: Graph(3, v)),
     "Event-setting": ("integer", 1, lambda v: Event((v, 0), None)),
     "Event-part": ("pair", (1, 0), lambda v: Event((0, 0), v)),
+    "Event-text": ("text", "00|00", lambda v: Event.parse(v)),
     "Inequality-settings": ("integer", 1, lambda v: Inequality((Event((0, 0), (0, 0)),), alice_settings=v)),
     "Inequality-term": ("pair", Event((0, 0), None), lambda v: Inequality((v,))),
+    "Inequality-terms": ("collection", (Event((0, 0), None),), lambda v: Inequality(v)),
     "DeterministicStrategy-outcome": ("integer", 1, lambda v: DeterministicStrategy((v, 0), (1, 0))),
+    "DeterministicStrategy-outcomes": ("collection", (1,), lambda v: DeterministicStrategy(v, (0,))),
     "QuantumModel-dim": ("integer", 2, lambda v: QuantumModel((v, 2), STATE, (), ())),
     "QuantumModel-dims": ("pair", (2, 2), lambda v: QuantumModel(v, STATE, (), ())),
     "QuantumModel-state": ("real", 1.0, lambda v: QuantumModel((2, 2), [v, 0, 0, 0], (), ())),
     "QuantumModel-projector": ("real", 0.0, lambda v: QuantumModel((2, 2), STATE, ([[1, 0], [0, v]],), ())),
+    "QuantumModel-projectors": ("collection", (), lambda v: QuantumModel((2, 2), STATE, v, ())),
     "SimConfig-shots": ("integer", 10, lambda v: SimConfig(v)),
     "SimConfig-seed": ("integer", 3, lambda v: SimConfig(10, v)),
     "SimConfig-visibility": ("real", 0.5, lambda v: SimConfig(10, 0, v)),
     "CountTable-shots": ("integer", 100, lambda v: CountTable(v, {})),
     "CountTable-setting": ("integer", 1, lambda v: CountTable(100, {(0, v): BLOCK})),
     "CountTable-pair": ("pair", (1, 1), lambda v: CountTable(100, {v: BLOCK})),
+    # valid at 1, so that a bool count of True would sum to shots
+    "CountTable-count": ("integer", 1, lambda v: CountTable(76, {(0, 0): [[v, 25], [25, 25]]})),
 }
 MALFORMED = {
     "integer": {"bool": True, "float": 2.0, "str": "2"},
     "real": {"str": "1", "bool": True, "None": None, "huge-int": 10**400},
     "pair": {"triple": (0, 1, 2)},
+    "collection": {"int": 5},
+    "text": {"int": 5},
 }
 MALFORMED_INPUTS = {
     f"{field}-{name}": (build, valid, value)

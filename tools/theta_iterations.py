@@ -10,7 +10,8 @@ ConvergenceError adds the iterations of its best result) and every graph
 that raises, with its best certified gap, then how many graphs of the set
 needed the independence number (theta computes alpha only when it can
 decide the gap test or the returned certificate), counted by wrapping
-theta.independence_number.
+theta.independence_number, and how many certificates, returned or carried
+by a ConvergenceError, fail theta.replay at that tolerance.
 
 Sets:
   fixed     odd cycles C7..C31 and five circulants with their complements,
@@ -100,7 +101,7 @@ def held_out():
 
 def table(name: str, family, tol: float) -> None:
     """Print one row of the table."""
-    total, raised, needed_alpha = 0, [], 0
+    total, raised, needed_alpha, unreplayed = 0, [], 0, 0
     alpha = theta.independence_number
 
     def counted(g):
@@ -111,15 +112,18 @@ def table(name: str, family, tol: float) -> None:
     theta.independence_number = counted
     for label, g in family:
         try:
-            total += theta.lovasz_theta(g, tol=tol).iterations
+            res = theta.lovasz_theta(g, tol=tol)
         except ConvergenceError as exc:
-            total += exc.result.iterations
-            raised.append((label, exc.result.gap, exc.result.iterations))
+            res = exc.result
+            raised.append((label, res.gap, res.iterations))
+        total += res.iterations
+        unreplayed += not theta.replay(g, res, tol)[2]
     theta.independence_number = alpha
     print(f"{name:9s} tol {tol:.0e}: {len(family)} graphs, {total} iterations, {len(raised)} raise")
     for label, gap, iterations in raised:
         print(f"    {label}: best gap {gap:.2e} after {iterations} iterations")
     print(f"    alpha needed on {needed_alpha}/{len(family)} graphs")
+    print(f"    replay fails on {unreplayed}/{len(family)} certificates")
 
 
 def main() -> None:
