@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import CapacityError, ConvergenceError, InvalidInputError
 
 
 def _round6(obj):
+    # estimates round to nearest; bounds arrive as Decimals, rounded outward
     if isinstance(obj, float):
         return round(obj, 6)
     if isinstance(obj, dict):
@@ -33,9 +35,29 @@ def _round6(obj):
 
 def _emit(args, text: str, payload: dict) -> None:
     if args.json:
-        print(json.dumps(_round6(payload), sort_keys=True, separators=(",", ":")))
+        print(json.dumps(_round6(payload), sort_keys=True, separators=(",", ":"), default=float))
     else:
         print(text)
+
+
+def _outward(x: float, up: bool, places: int = 6) -> Decimal:
+    """A printed bound: x rounded to `places` decimals toward +inf for an
+    upper bound or a gap (up), toward -inf for a lower bound, so it never
+    claims more than x.  Decimal(x) is x exactly, so the rounding is too."""
+    return Decimal(x).quantize(Decimal(1).scaleb(-places), rounding=ROUND_CEILING if up else ROUND_FLOOR)
+
+
+def _gap(x: float, digits: int = 3) -> Decimal:
+    # a gap rounded up to `digits` significant digits: a positive gap stays positive
+    return _outward(x, True, digits - 1 - Decimal(x).adjusted()) if x > 0 else Decimal(0)
+
+
+def _theta_bounds(g, result, tol: float):
+    """(lower, upper, ok) from theta.replay, the lower bound also at most
+    the solver's value, which an independent set's replayed entry sum can
+    miss by a rounding."""
+    lower, upper, ok = theta.replay(g, result, tol)
+    return min(result.value, lower), upper, ok
 
 
 def _default_seed() -> int:
@@ -70,23 +92,28 @@ def cmd_alpha(args) -> int:
 
 def cmd_theta(args) -> int:
     g = _resolve(args.graph, graphs.load_graph, scenarios.named_graph)
-    result = theta.lovasz_theta(g, tol=args.tol)
-    lower, upper, cert_ok = theta.replay(g, result, args.tol)
+    try:
+        result = theta.lovasz_theta(g, tol=args.tol)
+    except ConvergenceError as exc:
+        lower, upper, _ = _theta_bounds(g, exc.result, args.tol)
+        raise ConvergenceError(
+            f"theta {exc}; best certified gap {float(_gap(exc.result.gap, 4)):.3e} "
+            f"({_outward(lower, False, 10)} <= theta <= {_outward(upper, True, 10)})",
+            result=exc.result,
+            reason=exc.reason,
+        ) from exc
+    lower, upper, cert_ok = _theta_bounds(g, result, args.tol)
+    value, gap = _outward(lower, False), _gap(result.gap)
     text = (
-        f"theta = {result.value:.6f}\n"
-        f"gap <= {result.gap:.2e}\n"
+        f"theta = {value}\n"
+        f"gap <= {float(gap):.2e}\n"
         f"iterations = {result.iterations}\n"
-        f"certificate replay = {lower:.6f} <= theta <= {upper:.6f} ({'ok' if cert_ok else 'MISMATCH'})"
+        f"certificate replay = {value} <= theta <= {_outward(upper, True)} ({'ok' if cert_ok else 'MISMATCH'})"
     )
     _emit(
         args,
         text,
-        {
-            "theta": result.value,
-            "gap": result.gap,
-            "iterations": result.iterations,
-            "certificate_ok": cert_ok,
-        },
+        {"theta": value, "gap": gap, "iterations": result.iterations, "certificate_ok": cert_ok},
     )
     return 0
 
@@ -120,13 +147,14 @@ def cmd_qmax(args) -> int:
         raise InvalidInputError(f"--dims must be two integers dA,dB, got {args.dims!r}") from None
     value, model = quantum.qmax_seesaw(iq, dims=(d_a, d_b), restarts=args.restarts, seed=args.seed)
     g, _ = scenarios.exclusivity_graph(iq)
-    theta_value = theta.lovasz_theta(g).value
+    # the model's value bounds the quantum maximum from below, theta from above
+    theta_upper = theta.replay(g, theta.lovasz_theta(g), 1e-7)[1]
     if args.model_out:
         quantum.save_model(model, args.model_out)
     text = (
-        f"quantum value = {value:.6f}\n"
-        f"lovasz theta of exclusivity graph = {theta_value:.6f}\n"
-        f"value <= theta: {'yes' if value <= theta_value + 1e-6 else 'NO'}"
+        f"quantum value = {_outward(value, False)}\n"
+        f"lovasz theta of exclusivity graph = {_outward(theta_upper, True)}\n"
+        f"value <= theta: {'yes' if value <= theta_upper + 1e-6 else 'NO'}"
     )
     if args.model_out:
         text += f"\nmodel written to {args.model_out}"
@@ -134,8 +162,8 @@ def cmd_qmax(args) -> int:
         args,
         text,
         {
-            "value": value,
-            "theta": theta_value,
+            "value": _outward(value, False),
+            "theta": _outward(theta_upper, True),
             "dims": [d_a, d_b],
             "restarts": args.restarts,
             "seed": args.seed,

@@ -39,14 +39,17 @@ class CapacityError(PentabellError):
 
 
 class ConvergenceError(PentabellError):
-    """Raised when an iterative solver exhausts its iteration budget.
+    """Raised when an iterative solver stops short of its tolerance.
 
-    Carries the best iterate found so the caller can inspect it.
+    Carries the best certified result found, so the caller can inspect it,
+    and the reason the solver stopped (numerics.certified_solve's stalled,
+    cap or failed step).
     """
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result=None, reason=None):
         super().__init__(message)
         self.result = result
+        self.reason = reason
 
 
 def strict_int(value, what: str) -> int:

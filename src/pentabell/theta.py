@@ -24,20 +24,20 @@ Convergence is certified, not assumed: every iteration builds
 
 Any matrix gives valid bounds this way, so the solver, and which of its
 points are tested, changes how fast the gap closes, never whether a bound
-holds.  It stops when the best upper bound is
-within the requested tolerance of the best lower bound, and returns both
-matrices, so the value can be replayed from either side without rerunning
-the solver: `replay` re-derives both bounds from X and B alone and checks
-them against what ThetaResult states.
+holds.  The walk over the points is numerics.certified_solve, the one
+certified-solve loop: it keeps the best bound of each side and stops when
+the best upper bound is within the requested tolerance of the best lower
+bound (closed), or raises ConvergenceError when the gap stalls, the
+iteration cap MAX_ITERATIONS is reached or a step fails.  Both matrices
+are returned, so the value can be replayed from either side without
+rerunning the solver: `replay` re-derives both bounds from X and B alone
+and checks them against what ThetaResult states.
 
-The two costly lower bounds are computed only when they can change the
-answer.  The PSD shift moves an iterate's entry sum toward 1, so its bound
-is at most max(1, sum of the scaled iterate); the shift (an eigvalsh) is
-taken once that cap reaches the best upper bound less the tolerance, or at
-the end if it reaches the best lower bound.  alpha <= theta is an integer,
-so the branch and bound for alpha runs once an integer lies within the
-tolerance below the upper bound, or at the end if one lies between the
-lower and the upper bound.  The stop iteration, the certificates and any
+The two costly lower bounds are candidates with cheap caps, computed only
+when they can change the answer.  The PSD shift moves an iterate's entry
+sum toward 1, so its bound is at most max(1, sum of the scaled iterate);
+alpha <= theta <= u is an integer, so it is at most floor(u) for the best
+upper bound u.  The stop iteration, the certificates and any
 ConvergenceError are bit-for-bit those of computing both at every
 iteration: the largest lower bound wins, and on a tie the independent set,
 then the earliest iterate.
@@ -50,9 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, InvalidInputError, strict_real
+from .errors import CapacityError, InvalidInputError, strict_real
 from .graphs import Graph, independence_number
-from .numerics import sdp_path
+from .numerics import certified_solve, sdp_path
 
 MAX_VERTICES = 32
 MAX_ITERATIONS = 100
@@ -96,32 +96,11 @@ def _psd_shift(x: np.ndarray):
 
 
 def _independent_set(g: Graph):
-    # X_S = 1_S 1_S^T / |S| for a maximum independent set S, of rank 0
+    # X_S = 1_S 1_S^T / |S| for a maximum independent set S
     alpha, witness = independence_number(g)
     x = np.zeros((g.n, g.n))
     x[np.ix_(witness, witness)] = 1.0 / alpha
-    return float(alpha), 0, x
-
-
-def _precedence(candidate):
-    # (bound, rank, X): the larger bound wins, and on a tie the lower rank
-    return candidate[0], -candidate[1]
-
-
-def _settle(pending, best, bound: float):
-    """Shift each pending (cap, rank, x) whose cap reaches both bound and the
-    best lower bound; drop those whose cap falls short of the best.  Returns
-    the iterates still pending and the best (bound, rank, X)."""
-    kept = []
-    for cap, rank, x in pending:
-        if cap < best[0]:
-            continue
-        if cap < bound:
-            kept.append((cap, rank, x))
-        else:
-            value, feasible = _psd_shift(x)
-            best = max(best, (value, rank, feasible), key=_precedence)
-    return kept, best
+    return float(alpha), x
 
 
 def _dual_bound(m: np.ndarray, on_edge: np.ndarray):
@@ -129,7 +108,7 @@ def _dual_bound(m: np.ndarray, on_edge: np.ndarray):
     # <J, X> = <J - Y, X> <= lambda_max(J - Y); the edge entries of
     # B = J - Y are read from the iterate whose optimum is tI - B.
     b = np.where(on_edge, -m, 1.0)
-    return b, float(np.linalg.eigvalsh(b)[-1])
+    return float(np.linalg.eigvalsh(b)[-1]), b
 
 
 def _sdp_form(n: int, edges, non_edges):
@@ -160,9 +139,10 @@ def lovasz_theta(g: Graph, tol: float = 1e-7) -> ThetaResult:
     """Lovasz number of g with a primal and a dual certificate.
 
     tol is read as a real number (a bool, "1e-7" or None raises
-    InvalidInputError).  Raises ConvergenceError (carrying the best
-    certified bounds) if the gap does not close within the iteration cap,
-    or if the interior-point iteration breaks down first.
+    InvalidInputError).  Raises ConvergenceError, carrying the best
+    certified ThetaResult and the stop reason, if the gap stalls, does not
+    close within MAX_ITERATIONS, or the interior-point path breaks down
+    first.
     """
     if g.n > MAX_VERTICES:
         raise CapacityError(f"{g.n} vertices exceed the {MAX_VERTICES} envelope")
@@ -182,38 +162,21 @@ def lovasz_theta(g: Graph, tol: float = 1e-7) -> ThetaResult:
     non_edges = np.argwhere(~on_edge & above).tolist()
     *problem, edge_form = _sdp_form(n, edges, non_edges)
 
-    # best is (lower bound, rank, X), rank 0 for the independent set and k
-    # for the k-th iterate; pending holds (cap, k, scaled primal side)
-    best, pending, alpha_found = (-math.inf, 0, None), [], False
-    upper, dual = float(n), np.ones((n, n))
-    iterations = 0
-    for iterations, (x, _, z) in enumerate(sdp_path(*problem), 1):
+    def bounds(point):
+        x, _, z = point
         primal_side, dual_side = (x, z) if edge_form else (z, x)
         scaled, cap = _scaled_primal(primal_side, on_edge)
-        pending.append((cap, iterations, scaled))
-        cand, cand_upper = _dual_bound(dual_side, on_edge)
-        if cand_upper < upper:
-            dual, upper = cand, cand_upper
-        # alpha <= theta <= upper is an integer: it can close the gap only if
-        # an integer lies in [upper - tol, upper]
-        if not alpha_found and math.floor(upper + _SLACK) >= upper - tol:
-            best, alpha_found = max(best, _independent_set(g), key=_precedence), True
-        pending, best = _settle(pending, best, upper - tol)
-        if upper - best[0] <= tol or iterations == MAX_ITERATIONS:
-            break
-    # and it can be the best lower bound only if one lies in [lower, upper]
-    if not alpha_found and math.floor(upper + _SLACK) >= best[0]:
-        best = max(best, _independent_set(g), key=_precedence)
-    lower, _, primal = _settle(pending, best, -math.inf)[1]
-    best = ThetaResult(lower, primal, dual, iterations, max(upper - lower, 0.0))
-    if best.gap <= tol:
-        return best
-    stopped = "" if best.iterations == MAX_ITERATIONS else " (a factorisation failed)"
-    raise ConvergenceError(
-        f"theta solver did not reach gap {tol} in {best.iterations} iterations{stopped}; "
-        f"best certified gap {best.gap:.3e} ({best.value:.10f} <= theta <= {upper:.10f})",
-        result=best,
-    )
+        return _dual_bound(dual_side, on_edge), [(lambda _: cap, lambda: _psd_shift(scaled))]
+
+    # alpha <= theta <= u is an integer, so it is at most floor(u)
+    alpha = (lambda u: math.floor(u + _SLACK), lambda: _independent_set(g))
+    start = (float(n), np.ones((n, n)))
+    return certified_solve(sdp_path(*problem), bounds, tol, MAX_ITERATIONS, _result, [alpha], start)
+
+
+def _result(lower, upper, iterations: int) -> ThetaResult:
+    (value, primal), (top, dual) = lower, upper
+    return ThetaResult(value, primal, dual, iterations, max(top - value, 0.0))
 
 
 def odd_cycle_theta(n: int) -> float:

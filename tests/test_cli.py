@@ -1,14 +1,17 @@
 import contextlib
+import importlib.util
 import io
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pentabell import quantum, theta
+from pentabell import quantum, scenarios, theta
 from pentabell.cli import main
-from pentabell.errors import save_json
+from pentabell.errors import ConvergenceError, save_json
 from pentabell.graphs import cycle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -178,7 +181,8 @@ def test_theta_dual_bound_is_replayed(monkeypatch, shift):
 def test_theta_honest_certificates_pass():
     code, out, _ = run_cli(["theta", "kcbs-graph"])
     assert code == 0
-    assert out.splitlines()[-1] == "certificate replay = 2.236068 <= theta <= 2.236068 (ok)"
+    # theta(C5) = sqrt(5) = 2.2360679775: each bound is rounded outward
+    assert out.splitlines()[-1] == "certificate replay = 2.236067 <= theta <= 2.236068 (ok)"
 
 
 def test_theta_convergence_error_exits_two_with_best_gap(monkeypatch):
@@ -187,9 +191,9 @@ def test_theta_convergence_error_exits_two_with_best_gap(monkeypatch):
     assert code == 2
     assert out == ""
     # the bounds are checked after every iteration, so two iterations
-    # already tighten alpha = 2 and n = 5
-    assert err.startswith("error: theta solver did not reach gap 1e-07 in 2 iterations;")
-    assert "best certified gap 7.471e-04 (2.2360679775 <= theta <= 2.2368150612)" in err
+    # already tighten alpha = 2 and n = 5; both are rounded outward
+    assert err.startswith("error: theta solver stopped (cap) after 2 iterations, short of gap 1e-07;")
+    assert "best certified gap 7.471e-04 (2.2360679774 <= theta <= 2.2368150612)" in err
 
 
 def test_lhv_named_scenarios():
@@ -206,7 +210,8 @@ def test_qmax_values_and_model_out(tmp_path):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["value"] == pytest.approx(2.207107, abs=1e-6)
+    # the model's value (3 + sqrt 2)/2 = 2.2071067812, printed rounded down
+    assert payload["value"] == 2.207106
     assert payload["value"] <= payload["theta"] + 1e-6
     from pentabell.quantum import load_model
 
@@ -412,3 +417,89 @@ def test_enumerate_text_output():
     assert code == 0
     assert "BBABA" in out
     assert "pentagonal inequality classes: 3" in out
+
+
+def load_theta_iterations():
+    tool = Path(__file__).resolve().parents[1] / "tools" / "theta_iterations.py"
+    spec = importlib.util.spec_from_file_location("theta_iterations", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_printed_theta_bounds_are_rounded_outward(tmp_path, monkeypatch):
+    # every bound `theta` prints, in text and JSON, read exactly: lower bounds
+    # at most the replayed lower bound (and the solver's value), upper bounds
+    # at least the replayed upper bound, gaps at least the certified gap
+    tool = load_theta_iterations()
+    cases = [(name, name, scenarios.named_graph(name)) for name in scenarios.SCENARIO_NAMES]
+    for k, (label, g) in enumerate(tool.fixed_family() + tool.random84()[:20]):
+        path = tmp_path / f"{k}.json"
+        save_json({"n": g.n, "edges": sorted(g.edges)}, path)
+        cases.append((label, str(path), g))
+    solved = {}
+    solve = theta.lovasz_theta
+    monkeypatch.setattr(theta, "lovasz_theta", lambda g, tol: solved.setdefault(g, solve(g, tol)))
+    violations = []
+    for label, ref, g in cases:
+        code, text, _ = run_cli(["theta", ref])
+        code_json, out, _ = run_cli(["theta", ref, "--json"])
+        assert code == code_json == 0
+        result = solved[g]
+        lower, upper, ok = theta.replay(g, result, 1e-7)
+        assert ok, label
+        printed = re.fullmatch(
+            r"theta = (\S+)\ngap <= (\S+)\niterations = \d+\n"
+            r"certificate replay = (\S+) <= theta <= (\S+) \(ok\)\n",
+            text,
+        )
+        value, gap, replay_lower, replay_upper = map(Fraction, printed.groups())
+        payload = json.loads(out, parse_float=Fraction)
+        floor = min(Fraction(lower), Fraction(result.value))
+        checks = {
+            "theta": value <= floor,
+            "gap": Fraction(result.gap) <= gap and (gap > 0 or result.gap == 0),
+            "replay lower": replay_lower <= floor,
+            "replay upper": replay_upper >= Fraction(upper),
+            "json theta": payload["theta"] <= floor,
+            "json gap": Fraction(result.gap) <= payload["gap"] and (payload["gap"] > 0 or result.gap == 0),
+        }
+        violations += [(label, key) for key, holds in checks.items() if not holds]
+    assert len(cases) == 49
+    assert violations == []
+
+
+@pytest.mark.parametrize("name", ["pentagon-1", "pentagon-2"])
+def test_printed_qmax_bounds_are_rounded_outward(name):
+    # the model's value bounds the quantum maximum from below, theta from above
+    value, _ = quantum.qmax_seesaw(scenarios.named_inequality(name), dims=(2, 2), restarts=4, seed=0)
+    g, _ = scenarios.exclusivity_graph(scenarios.named_inequality(name))
+    upper = theta.replay(g, theta.lovasz_theta(g), 1e-7)[1]
+    code, out, _ = run_cli(["qmax", name, "--restarts", "4", "--seed", "0", "--json"])
+    assert code == 0
+    payload = json.loads(out, parse_float=Fraction)
+    assert value - 1e-6 < payload["value"] <= Fraction(value)
+    assert Fraction(upper) <= payload["theta"] < upper + 1e-6
+
+
+def test_stalled_theta_exits_two_naming_the_reason(tmp_path):
+    # at tol 1e-10 this held-out graph's best gap stops shrinking (near
+    # 1e-9, how near depends on BLAS threading) long before the cap
+    g = dict(load_theta_iterations().held_out())["704 G(27,0.7)"]
+    path = tmp_path / "g704.json"
+    save_json({"n": g.n, "edges": sorted(g.edges)}, path)
+    code, out, err = run_cli(["theta", str(path), "--tol", "1e-10"])
+    assert code == 2 and out == ""
+    printed = re.fullmatch(
+        r"error: theta solver stopped \(stalled\) after (\d+) iterations, short of gap 1e-10; "
+        r"best certified gap (\S+) \((\S+) <= theta <= (\S+)\)\n",
+        err,
+    )
+    iterations, gap, lower, upper = int(printed[1]), *map(Fraction, printed.groups()[1:])
+    with pytest.raises(ConvergenceError) as info:
+        theta.lovasz_theta(g, 1e-10)
+    best = info.value.result
+    replayed_lower, replayed_upper, _ = theta.replay(g, best, 1e-10)
+    assert iterations == best.iterations < theta.MAX_ITERATIONS
+    assert gap >= Fraction(best.gap) > Fraction(1e-10)
+    assert lower <= min(Fraction(best.value), Fraction(replayed_lower)) and upper >= Fraction(replayed_upper)

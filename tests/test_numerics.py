@@ -1,11 +1,12 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from pentabell.errors import CapacityError, InvalidInputError
-from pentabell.numerics import as_sym_matrix, sdp_path
+from pentabell.errors import CapacityError, ConvergenceError, InvalidInputError
+from pentabell.numerics import STALL_FACTOR, STALL_WINDOW, as_sym_matrix, certified_solve, sdp_path
 
 
 def random_symmetric(n, rng):
@@ -241,3 +242,84 @@ def test_drained_path_ends_without_floating_point_warnings():
         warnings.simplefilter("error")
         *_, (x, y, z) = sdp_path(c, [1.0], [0] * 5, [(i, i) for i in range(5)], [1.0] * 5)
     assert abs(y[0] - 5.0) <= 1e-9
+
+
+def gap_path(gaps):
+    """A synthetic path whose k-th point certifies 1 - gap/2 <= value <=
+    1 + gap/2 for the k-th gap: bounds for certified_solve, with each point's
+    lower bound a candidate capped by its own value."""
+
+    def bounds(point):
+        k, gap = point
+        return (1.0 + gap / 2, ("upper", k)), [(lambda _: 1.0 - gap / 2, lambda: (1.0 - gap / 2, ("lower", k)))]
+
+    return enumerate(gaps, 1), bounds
+
+
+def solve_path(gaps, tol=1e-10, max_iterations=1000):
+    points, bounds = gap_path(gaps)
+    try:
+        return "closed", certified_solve(points, bounds, tol, max_iterations, lambda *sides: sides)
+    except ConvergenceError as exc:
+        assert exc.reason in str(exc)
+        return exc.reason, exc.result
+
+
+def test_a_stalled_path_stops_within_the_window():
+    # the gap halves for 12 points and then never moves, on a path that
+    # runs on: the first stall check that covers a window without halving
+    # stops it, long before the cap of 1000 iterations
+    gaps = itertools.chain((2.0**-k for k in range(1, 13)), itertools.repeat(2.0**-12))
+    reason, (lower, upper, iterations) = solve_path(gaps)
+    assert reason == "stalled"
+    assert iterations % STALL_WINDOW == 0 and 12 < iterations <= 12 + 2 * STALL_WINDOW
+    # the best bounds are the first to reach the final gap
+    assert lower == (1.0 - 2.0**-13, ("lower", 12)) and upper == (1.0 + 2.0**-13, ("upper", 12))
+
+
+def test_a_gap_that_shrinks_by_the_factor_each_window_does_not_stall():
+    gaps = (STALL_FACTOR ** -(k // STALL_WINDOW) for k in itertools.count(1))
+    reason, (_, _, iterations) = solve_path(gaps, max_iterations=6 * STALL_WINDOW)
+    assert (reason, iterations) == ("cap", 6 * STALL_WINDOW)
+
+
+def test_stop_reasons_closed_cap_and_failed_step():
+    gaps = [2.0**-k for k in range(1, 25)]
+    cases = ((gaps, 100, ("closed", 20)), (gaps, 4, ("cap", 4)), (gaps[:7], 100, ("failed step", 7)))
+    for path, max_iterations, stop in cases:
+        reason, (_, _, iterations) = solve_path(path, 2.0**-20, max_iterations)
+        assert (reason, iterations) == stop
+    # a path that ends before its first point keeps the bounds it started with
+    with pytest.raises(ConvergenceError, match=r"\(failed step\) after 0 iterations") as info:
+        certified_solve(iter(()), None, 1e-7, 100, lambda *sides: sides, upper=(3.0, "start"))
+    assert info.value.result == ((-math.inf, None), (3.0, "start"), 0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_deferred_candidates_decide_as_if_computed_at_once(seed):
+    # random bounds that close, stall, or run to the cap: caps decide which
+    # candidates are computed, never the stop, the reason or the result
+    rng = np.random.default_rng(seed)
+    steps = ([0.0, 0.0, 0.3, 1.0], [0.05, 0.1], [0.0, 0.0, 0.0, 0.0, 0.0, 2.0])[seed % 3]
+    scale = 10.0 ** -np.cumsum(rng.choice(steps, size=80))
+    uppers = 1.0 + scale * rng.uniform(0.0, 1.0, 80)
+    lowers = 1.0 - scale * rng.uniform(0.0, 1.0, 80)
+    caps = lowers + scale * rng.uniform(0.0, 0.5, 80)
+    computed = []
+
+    def solve(lazy):
+        def candidate(k):
+            cap = caps[k] if lazy else math.inf
+            return lambda _: cap, lambda: computed.append(lazy) or (lowers[k], k)
+
+        def bounds(k):
+            return (uppers[k], k), [candidate(k)]
+
+        known = [(lambda u: min(u, 1.0) if lazy else math.inf, lambda: computed.append(lazy) or (0.5, "known"))]
+        try:
+            return certified_solve(iter(range(80)), bounds, 1e-9, 60, lambda *sides: sides, known)
+        except ConvergenceError as exc:
+            return exc.reason, exc.result
+
+    assert solve(True) == solve(False)
+    assert computed.count(True) < computed.count(False)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from pentabell import theta
 from pentabell.errors import CapacityError, ConvergenceError, InvalidInputError
 from pentabell.graphs import circulant, complement, cycle, graph, independence_number
-from pentabell.numerics import sdp_path
+from pentabell.numerics import certified_solve, sdp_path
 from pentabell.theta import ThetaResult, odd_cycle_theta
 
 
@@ -267,54 +268,68 @@ def test_theta_equal_to_alpha_is_closed_by_the_independent_set():
 def test_convergence_error_carries_certified_bounds(monkeypatch):
     monkeypatch.setattr(theta, "MAX_ITERATIONS", 5)
     g = circulant(31, {1, 5, 11})
-    with pytest.raises(ConvergenceError, match=r"in 5 iterations; best certified gap") as info:
+    with pytest.raises(ConvergenceError, match=r"stopped \(cap\) after 5 iterations, short of gap 1e-07") as info:
         theta.lovasz_theta(g)
+    assert info.value.reason == "cap"
     best = info.value.result
     assert best.iterations == 5 and best.gap > 1e-7
     assert_certified(g, best, tol=best.gap)
 
 
-def eager_theta(g, tol=1e-7):
-    """lovasz_theta with both costly lower bounds computed eagerly: alpha
-    before the first iterate, then every iterate shifted into the PSD cone."""
+def eager_theta(g, tol, path):
+    """lovasz_theta with both costly lower bounds computed at once, through
+    the same stop rule: alpha before the first point, then every point of
+    the path shifted into the PSD cone."""
     n = g.n
     if not g.edges:
         return ThetaResult(float(n), np.full((n, n), 1.0 / n), np.ones((n, n)), 0, 0.0)
     if len(g.edges) == n * (n - 1) // 2:
         return ThetaResult(1.0, np.eye(n) / n, np.eye(n), 0, 0.0)
-    on_edge, above = g.adjacency, ~np.tri(n, dtype=bool)
-    edges = np.argwhere(on_edge & above).tolist()
-    non_edges = np.argwhere(~on_edge & above).tolist()
-    *problem, edge_form = theta._sdp_form(n, edges, non_edges)
+    on_edge = g.adjacency
+    edge_form = problem_of(g)[-1]
 
     alpha, witness = independence_number(g)
-    lower = float(alpha)
-    primal = np.zeros((n, n))
-    primal[np.ix_(witness, witness)] = 1.0 / alpha
-    upper, dual = float(n), np.ones((n, n))
-    best = ThetaResult(lower, primal, dual, 0, upper - lower)
-    for iterations, (x, _, z) in enumerate(sdp_path(*problem), 1):
+    independent_set = np.zeros((n, n))
+    independent_set[np.ix_(witness, witness)] = 1.0 / alpha
+    known = [(lambda _: math.inf, lambda: (float(alpha), independent_set))]
+
+    def bounds(point):
+        x, _, z = point
         primal_side, dual_side = (x, z) if edge_form else (z, x)
         cand = np.where(on_edge, 0.0, primal_side)
         cand /= np.trace(cand)
         eps = max(0.0, -float(np.linalg.eigvalsh(cand)[0]))
         cand = (cand + eps * np.eye(n)) / (1.0 + n * eps)
-        if float(cand.sum()) > lower:
-            primal, lower = cand, float(cand.sum())
-        cand, cand_upper = theta._dual_bound(dual_side, on_edge)
-        if cand_upper < upper:
-            dual, upper = cand, cand_upper
-        best = ThetaResult(lower, primal, dual, iterations, max(upper - lower, 0.0))
-        if best.gap <= tol or iterations == theta.MAX_ITERATIONS:
-            break
-    if best.gap <= tol:
-        return best
-    stopped = "" if best.iterations == theta.MAX_ITERATIONS else " (a factorisation failed)"
-    raise ConvergenceError(
-        f"theta solver did not reach gap {tol} in {best.iterations} iterations{stopped}; "
-        f"best certified gap {best.gap:.3e} ({best.value:.10f} <= theta <= {upper:.10f})",
-        result=best,
-    )
+        shifted = (float(cand.sum()), cand)
+        return theta._dual_bound(dual_side, on_edge), [(lambda _: math.inf, lambda: shifted)]
+
+    start = (float(n), np.ones((n, n)))
+    return certified_solve(path, bounds, tol, theta.MAX_ITERATIONS, theta._result, known, start)
+
+
+def problem_of(g):
+    on_edge, above = g.adjacency, ~np.tri(g.n, dtype=bool)
+    edges = np.argwhere(on_edge & above).tolist()
+    non_edges = np.argwhere(~on_edge & above).tolist()
+    return theta._sdp_form(g.n, edges, non_edges)
+
+
+class RecordedPath:
+    """The points of one theta problem's sdp_path, computed once on first
+    demand and handed out as copies, so that every reader sees the same path."""
+
+    def __init__(self, g):
+        self.source = sdp_path(*problem_of(g)[:-1])
+        self.points = []
+
+    def __iter__(self):
+        for k in itertools.count():
+            if k == len(self.points):
+                point = next(self.source, None)
+                if point is None:
+                    return
+                self.points.append(point)
+            yield tuple(a.copy() for a in self.points[k])
 
 
 def petersen():
@@ -342,22 +357,44 @@ def lazy_bound_cases():
     return cases + [petersen(), graph(11, bipartite)]
 
 
-def solve_outcome(solve, g, tol):
+def solve_outcome(solve):
     try:
-        res, message = solve(g, tol), None
+        res, message = solve(), None
     except ConvergenceError as exc:
         res, message = exc.result, str(exc)
     return res.value, res.primal.tobytes(), res.dual.tobytes(), res.iterations, res.gap, message
 
 
+@pytest.fixture(scope="module")
+def recorded_paths():
+    # the path depends on the problem alone, not on the tolerance, the cap or
+    # the loop that reads it, so the six cases below share one per graph
+    return {g: RecordedPath(g) for g in lazy_bound_cases()}
+
+
 @pytest.mark.parametrize("cap", [None, 2, 5])
 @pytest.mark.parametrize("tol", [1e-7, 1e-10])
-def test_deferred_lower_bounds_match_the_eager_solver_bit_for_bit(monkeypatch, tol, cap):
-    # capped runs raise ConvergenceError, whose result and message must match too
+def test_deferred_lower_bounds_match_the_eager_solver_bit_for_bit(monkeypatch, recorded_paths, tol, cap):
+    # capped and stalled runs raise ConvergenceError, whose result and message must match too
     if cap is not None:
         monkeypatch.setattr(theta, "MAX_ITERATIONS", cap)
     for g in lazy_bound_cases():
-        assert solve_outcome(theta.lovasz_theta, g, tol) == solve_outcome(eager_theta, g, tol)
+        path = recorded_paths[g]
+        monkeypatch.setattr(theta, "sdp_path", lambda *problem: iter(path))
+        lazy = solve_outcome(lambda: theta.lovasz_theta(g, tol))
+        assert lazy == solve_outcome(lambda: eager_theta(g, tol, path))
+
+
+def test_recorded_paths_are_the_paths_sdp_path_yields(monkeypatch, recorded_paths):
+    # sdp_path is deterministic: solved afresh, each problem's path is the
+    # recorded one bit for bit, as far as the deepest case above reads it
+    for g, recorded in recorded_paths.items():
+        monkeypatch.setattr(theta, "sdp_path", lambda *problem: iter(recorded))
+        solve_outcome(lambda: theta.lovasz_theta(g, 1e-10))
+        fresh = sdp_path(*problem_of(g)[:-1])
+        assert recorded.points
+        for point in recorded.points:
+            assert all(np.array_equal(a, b) for a, b in zip(next(fresh), point))
 
 
 def test_alpha_and_the_psd_shift_are_computed_only_when_needed(monkeypatch):
@@ -393,8 +430,21 @@ def test_psd_shift_never_exceeds_the_cap_of_its_scaled_iterate():
 
 
 def test_ties_go_to_the_independent_set_then_the_earliest_iterate():
-    # I/4 is PSD with unit trace, so its shift certifies exactly 1.0
-    pending = [(1.0 + 1e-9, k, np.eye(4) / 4) for k in (1, 2)]
-    assert theta._settle(pending, (-math.inf, 0, None), -math.inf)[1][:2] == (1.0, 1)
-    independent_set = (1.0, 0, np.eye(4) / 4)
-    assert theta._settle(pending, independent_set, -math.inf)[1] is independent_set
+    # I/4 is PSD with unit trace, so every iterate's shift certifies exactly
+    # 1.0, as does an independent set of one vertex of K4
+    g = graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    points = [(np.eye(4) / 4, k, None) for k in (1, 2)]
+
+    def bounds(point):
+        scaled, cap = theta._scaled_primal(point[0], g.adjacency)
+        return (2.0, "B"), [(lambda _: cap, lambda: (theta._psd_shift(scaled)[0], f"iterate {point[1]}"))]
+
+    def solve(known):
+        with pytest.raises(ConvergenceError) as info:
+            certified_solve(iter(points), bounds, 1e-7, 100, lambda *sides: sides, known)
+        assert info.value.reason == "failed step"
+        return info.value.result[0]
+
+    assert solve([]) == (1.0, "iterate 1")
+    independent_set = (lambda _: 1.0, lambda: (1.0, "S"))
+    assert solve([independent_set]) == (1.0, "S")

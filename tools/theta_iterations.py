@@ -6,12 +6,15 @@ Usage: python tools/theta_iterations.py
 For each set and each tolerance (1e-7, the CLI default, and 1e-10, the
 tightest the CLI accepts) it prints the number of graphs, the total
 iterations of theta.lovasz_theta over the set (a graph that raises
-ConvergenceError adds the iterations of its best result) and every graph
-that raises, with its best certified gap, then how many graphs of the set
-needed the independence number (theta computes alpha only when it can
-decide the gap test or the returned certificate), counted by wrapping
-theta.independence_number, and how many certificates, returned or carried
-by a ConvergenceError, fail theta.replay at that tolerance.
+ConvergenceError adds the iterations of its best result), how many graphs
+ended by each stop reason of numerics.certified_solve (closed, stalled,
+cap, failed step) and every graph that raises, with its best certified gap,
+its stop reason and the iterations it ran after its best gap was reached
+(found by rerunning it with theta.MAX_ITERATIONS lowered), then how many
+graphs of the set needed the independence number (theta computes alpha
+only when it can decide a stop test or the returned certificate), counted
+by wrapping theta.independence_number, and how many certificates, returned
+or carried by a ConvergenceError, fail theta.replay at that tolerance.
 
 Sets:
   fixed     odd cycles C7..C31 and five circulants with their complements,
@@ -99,9 +102,29 @@ def held_out():
     return out
 
 
+def best_gap_reached(g, tol: float, best) -> int:
+    """The first iteration after which the best certified gap is best.gap:
+    a run capped at k iterations ends with the best gap of its first k,
+    which only shrinks with k."""
+    cap = theta.MAX_ITERATIONS
+    lo, hi = 0, best.iterations
+    try:
+        while hi - lo > 1:
+            theta.MAX_ITERATIONS = (lo + hi) // 2
+            try:
+                gap = theta.lovasz_theta(g, tol=tol).gap
+            except ConvergenceError as exc:
+                gap = exc.result.gap
+            lo, hi = (lo, theta.MAX_ITERATIONS) if gap == best.gap else (theta.MAX_ITERATIONS, hi)
+    finally:
+        theta.MAX_ITERATIONS = cap
+    return hi
+
+
 def table(name: str, family, tol: float) -> None:
     """Print one row of the table."""
     total, raised, needed_alpha, unreplayed = 0, [], 0, 0
+    stops = dict.fromkeys(("closed", "stalled", "cap", "failed step"), 0)
     alpha = theta.independence_number
 
     def counted(g):
@@ -112,16 +135,20 @@ def table(name: str, family, tol: float) -> None:
     theta.independence_number = counted
     for label, g in family:
         try:
-            res = theta.lovasz_theta(g, tol=tol)
+            res, stop = theta.lovasz_theta(g, tol=tol), "closed"
         except ConvergenceError as exc:
-            res = exc.result
-            raised.append((label, res.gap, res.iterations))
+            res, stop = exc.result, exc.reason
+            raised.append((label, g, res, stop))
+        stops[stop] += 1
         total += res.iterations
         unreplayed += not theta.replay(g, res, tol)[2]
     theta.independence_number = alpha
     print(f"{name:9s} tol {tol:.0e}: {len(family)} graphs, {total} iterations, {len(raised)} raise")
-    for label, gap, iterations in raised:
-        print(f"    {label}: best gap {gap:.2e} after {iterations} iterations")
+    print("    stops: " + ", ".join(f"{count} {stop}" for stop, count in stops.items()))
+    for label, g, res, stop in raised:
+        after = res.iterations - best_gap_reached(g, tol, res)
+        print(f"    {label}: best gap {res.gap:.2e} after {res.iterations} iterations ({stop}),", end=" ")
+        print(f"{after} after the best gap")
     print(f"    alpha needed on {needed_alpha}/{len(family)} graphs")
     print(f"    replay fails on {unreplayed}/{len(family)} certificates")
 
