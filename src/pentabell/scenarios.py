@@ -23,9 +23,10 @@ validated once by `_checked_tables`.
 Each input type checks its own values when it is built: an Event reads
 each party's (setting, outcome) through `errors.strict_pair`, which owns
 the fast path for a plain pair of ints; an Inequality requires Event
-terms; a DeterministicStrategy reads each outcome through
-`errors.strict_int`.  The scenario file decoder hands each term's parties
-and the declared setting counts straight to these constructors.
+terms and reads its name through `errors.strict_text`; a
+DeterministicStrategy reads each outcome through `errors.strict_int`.  The
+scenario file decoder hands each term's parties, the name and the declared
+setting counts straight to these constructors.
 
 The exclusivity rule is written once, on integer event codes
 (`_exclusive_parts`): the exclusivity graph, the exclusivity-principle
@@ -98,9 +99,10 @@ class Event:
 class Inequality:
     """Unit-weight sum of event probabilities.
 
-    A declared alice_settings or bob_settings is an integer (a bool, 2.0 or
-    "2" raises) in [1, MAX_SETTING + 1] and covers every setting a term
-    names; an undeclared one is the number the terms need (at least 1).
+    name is text (a number, None or a list raises).  A declared
+    alice_settings or bob_settings is an integer (a bool, 2.0 or "2"
+    raises) in [1, MAX_SETTING + 1] and covers every setting a term names;
+    an undeclared one is the number the terms need (at least 1).
     """
 
     terms: tuple
@@ -109,6 +111,7 @@ class Inequality:
     bob_settings: Optional[int] = None
 
     def __post_init__(self):
+        strict_text(self.name, "name")
         terms = tuple(strict_iterable(self.terms, "terms"))
         object.__setattr__(self, "terms", terms)
         for k, term in enumerate(terms):
@@ -312,18 +315,15 @@ def pr_box() -> Behavior:
 @functools.cache
 def _deterministic(n_a: int, n_b: int):
     """Every local deterministic strategy for n_a x n_b settings, in
-    itertools.product order (Alice's outcomes outer), with the read-only
-    (2**(n_a+n_b), n_a, n_b, 2, 2) stack of their 0/1 tables."""
-    strategies = tuple(
-        DeterministicStrategy(sa, sb)
-        for sa in itertools.product((0, 1), repeat=n_a)
-        for sb in itertools.product((0, 1), repeat=n_b)
-    )
-    alice = np.array([s.alice for s in strategies], dtype=int).reshape(-1, n_a)
-    bob = np.array([s.bob for s in strategies], dtype=int).reshape(-1, n_b)
-    tables = _strategy_tables(alice, bob)
+    itertools.product order (Alice's outcomes outer), as a read-only
+    (2**(n_a+n_b), n_a + n_b) array of outcome rows, Alice's then Bob's,
+    with the read-only (2**(n_a+n_b), n_a, n_b, 2, 2) stack of their 0/1
+    tables."""
+    outcomes = np.array(list(itertools.product((0, 1), repeat=n_a + n_b)), dtype=int)
+    tables = _strategy_tables(outcomes[:, :n_a], outcomes[:, n_a:])
+    outcomes.flags.writeable = False
     tables.flags.writeable = False
-    return strategies, tables
+    return outcomes, tables
 
 
 _PAIRS_2X2 = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -406,10 +406,11 @@ def lhv_bound(iq: Inequality):
     """
     n_a, n_b = iq.alice_settings, iq.bob_settings
     coefficients = coefficient_tensor(iq, n_a, n_b)
-    strategies, tables = _deterministic(n_a, n_b)
-    scores = tables.reshape(len(strategies), -1) @ coefficients.reshape(-1)
+    outcomes, tables = _deterministic(n_a, n_b)
+    scores = tables.reshape(len(outcomes), -1) @ coefficients.reshape(-1)
     best = int(scores.argmax())
-    return int(scores[best]), strategies[best]
+    row = outcomes[best].tolist()
+    return int(scores[best]), DeterministicStrategy(row[:n_a], row[n_a:])
 
 
 def evaluate(iq: Inequality, behavior: Behavior) -> float:
@@ -803,7 +804,7 @@ def scenario_from_json(data) -> Inequality:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise InvalidInputError("scenario JSON must contain a 'terms' list")
     terms = tuple(Event(t.get("alice"), t.get("bob")) for t in data["terms"])
-    return Inequality(terms, str(data.get("name", "")), data.get("alice_settings"), data.get("bob_settings"))
+    return Inequality(terms, data.get("name", ""), data.get("alice_settings"), data.get("bob_settings"))
 
 
 def load_scenario(path) -> Inequality:

@@ -17,7 +17,7 @@ Convergence is certified, not assumed: every iteration builds
     primal side of the point sdp_path yields, where the step meets the
     cone's boundary, with its edges zeroed, its trace scaled to 1 and
     shifted into the PSD cone, or X_S = 1_S 1_S^T/|S| for a maximum
-    independent set S when |S| is at least as large, and
+    independent set S when its entry sum is at least as large, and
   * a dual matrix B = J - Y with Y supported on the edges, so B is 1 on the
     diagonal and on every non-edge; for every feasible X,
     sum_ij X_ij = <B, X> <= lambda_max(B), an upper bound.
@@ -31,7 +31,12 @@ bound (closed), or raises ConvergenceError when the gap stalls, the
 iteration cap MAX_ITERATIONS is reached or a step fails.  Both matrices
 are returned, so the value can be replayed from either side without
 rerunning the solver: `replay` re-derives both bounds from X and B alone
-and checks them against what ThetaResult states.
+and checks them against what ThetaResult states.  Each side's bound is
+stated by one function, which the solver and `replay` share, so the value
+is exactly the replayed entry sum of X and the gap exactly the replayed
+lambda_max(B) less the value (0 if that is negative).  An edgeless or a
+complete graph needs no iteration: its independent set (alpha = n or 1)
+is the primal certificate and B = J or I the dual.
 
 The two costly lower bounds are candidates with cheap caps, computed only
 when they can change the answer.  The PSD shift moves an iterate's entry
@@ -66,9 +71,11 @@ class ThetaResult:
     iterations, gap.
 
     X satisfies trace(X) = 1 within 1e-8, X_ij = 0 on every edge within
-    1e-7, X is PSD within 1e-8, and sum_ij X_ij equals value within the
-    reported gap.  B is symmetric, equals 1 on the diagonal and on every
-    non-edge, and value <= lambda_max(B) <= value + gap.
+    1e-7, X is PSD within 1e-8, and value is sum_ij X_ij exactly, as
+    `replay` computes it.  B is symmetric, equals 1 on the diagonal and on
+    every non-edge, and gap is max(lambda_max(B) - value, 0) exactly, with
+    lambda_max(B) as `replay` computes it.  An edgeless or a complete graph
+    is certified by its independent set, with B = J or I.
     """
 
     value: float
@@ -86,29 +93,38 @@ def _scaled_primal(m: np.ndarray, on_edge: np.ndarray):
     return x, max(1.0, float(x.sum())) + _SLACK
 
 
+def _lower_bound(x: np.ndarray):
+    # (sum_ij X_ij, X): the one statement of a feasible X's lower bound
+    return float(x.sum()), x
+
+
+def _upper_bound(b: np.ndarray):
+    # (lambda_max(B), B): the one statement of a dual B's upper bound
+    return float(np.linalg.eigvalsh(b)[-1]), b
+
+
 def _psd_shift(x: np.ndarray):
     # Shift a scaled iterate into the PSD cone and renormalise; edges stay
     # exactly zero because only the diagonal moves.  The entry sum becomes
     # (sum(x) + n eps) / (1 + n eps), between sum(x) and 1.
     eps = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
-    feasible = (x + eps * np.eye(len(x))) / (1.0 + len(x) * eps)
-    return float(feasible.sum()), feasible
+    return _lower_bound((x + eps * np.eye(len(x))) / (1.0 + len(x) * eps))
 
 
 def _independent_set(g: Graph):
-    # X_S = 1_S 1_S^T / |S| for a maximum independent set S
+    # X_S = 1_S 1_S^T / |S| for a maximum independent set S; its entry sum
+    # can miss alpha by a rounding
     alpha, witness = independence_number(g)
     x = np.zeros((g.n, g.n))
     x[np.ix_(witness, witness)] = 1.0 / alpha
-    return float(alpha), x
+    return _lower_bound(x)
 
 
 def _dual_bound(m: np.ndarray, on_edge: np.ndarray):
     # For any symmetric Y supported on the edge set and any feasible X,
     # <J, X> = <J - Y, X> <= lambda_max(J - Y); the edge entries of
     # B = J - Y are read from the iterate whose optimum is tI - B.
-    b = np.where(on_edge, -m, 1.0)
-    return float(np.linalg.eigvalsh(b)[-1]), b
+    return _upper_bound(np.where(on_edge, -m, 1.0))
 
 
 def _sdp_form(n: int, edges, non_edges):
@@ -151,10 +167,11 @@ def lovasz_theta(g: Graph, tol: float = 1e-7) -> ThetaResult:
         raise InvalidInputError(f"tol {tol} outside [1e-10, 1e-3]")
     n = g.n
 
-    if not g.edges:
-        return ThetaResult(float(n), np.full((n, n), 1.0 / n), np.ones((n, n)), 0, 0.0)
-    if len(g.edges) == n * (n - 1) // 2:
-        return ThetaResult(1.0, np.eye(n) / n, np.eye(n), 0, 0.0)
+    # an edgeless or a complete graph: its independent set (alpha = n or 1)
+    # and B = J or I close the gap without iterating
+    if not g.edges or len(g.edges) == n * (n - 1) // 2:
+        dual = np.eye(n) if g.edges else np.ones((n, n))
+        return _result(_independent_set(g), _upper_bound(dual), 0)
 
     # edges and non-edges in row-major order of the upper triangle (i < j)
     on_edge, above = g.adjacency, ~np.tri(n, dtype=bool)
@@ -168,8 +185,11 @@ def lovasz_theta(g: Graph, tol: float = 1e-7) -> ThetaResult:
         scaled, cap = _scaled_primal(primal_side, on_edge)
         return _dual_bound(dual_side, on_edge), [(lambda _: cap, lambda: _psd_shift(scaled))]
 
-    # alpha <= theta <= u is an integer, so it is at most floor(u)
-    alpha = (lambda u: math.floor(u + _SLACK), lambda: _independent_set(g))
+    # alpha <= theta <= u is an integer, so it is at most floor(u); X_S's
+    # entry sum can exceed alpha by a rounding, which the slack covers
+    alpha = (lambda u: math.floor(u + _SLACK) + _SLACK, lambda: _independent_set(g))
+    # lambda_max(J) = n, stated without an eigvalsh; the first point's dual
+    # bound replaces it whenever it is lower
     start = (float(n), np.ones((n, n)))
     return certified_solve(sdp_path(*problem), bounds, tol, MAX_ITERATIONS, _result, [alpha], start)
 
@@ -204,7 +224,7 @@ def replay(g: Graph, result: ThetaResult, tol: float):
     b = np.asarray(result.dual, dtype=float)
     if any(m.shape != (g.n, g.n) or not np.all(np.isfinite(m)) for m in (x, b)):
         return np.nan, np.nan, False
-    lower, upper = float(x.sum()), float(np.linalg.eigvalsh(b)[-1])
+    lower, upper = _lower_bound(x)[0], _upper_bound(b)[0]
     slack = max(result.gap, tol)
     ok = (
         all(np.max(np.abs(m - m.T)) <= 1e-12 for m in (x, b))

@@ -361,6 +361,7 @@ MALFORMED_FILES = {
     "scenario-party-bools": ("lhv", scenario_doc(alice=(True, False))),
     "scenario-party-float": ("lhv", scenario_doc(alice=(0.9, 0))),
     "scenario-party-triple": ("lhv", scenario_doc(alice=(0, 0, 5))),
+    "scenario-name-null": ("lhv", scenario_doc(name=None)),
     "graph-n-float": ("alpha", graph_doc(n=2.5)),
     "graph-n-bool": ("alpha", graph_doc(n=True, edges=[])),
     "graph-edge-float": ("alpha", graph_doc(edges=[[0, 1.9]])),

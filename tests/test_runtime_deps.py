@@ -95,6 +95,7 @@ FIELDS = {
     "Inequality-settings": ("integer", 1, lambda v: Inequality((Event((0, 0), (0, 0)),), alice_settings=v)),
     "Inequality-term": ("pair", Event((0, 0), None), lambda v: Inequality((v,))),
     "Inequality-terms": ("collection", (Event((0, 0), None),), lambda v: Inequality(v)),
+    "Inequality-name": ("text", "pentagon-1", lambda v: Inequality((Event((0, 0), None),), name=v)),
     "DeterministicStrategy-outcome": ("integer", 1, lambda v: DeterministicStrategy((v, 0), (1, 0))),
     "DeterministicStrategy-outcomes": ("collection", (1,), lambda v: DeterministicStrategy(v, (0,))),
     "QuantumModel-dim": ("integer", 2, lambda v: QuantumModel((v, 2), STATE, (), ())),
@@ -116,7 +117,7 @@ MALFORMED = {
     "real": {"str": "1", "bool": True, "None": None, "huge-int": 10**400},
     "pair": {"triple": (0, 1, 2)},
     "collection": {"int": 5},
-    "text": {"int": 5},
+    "text": {"int": 5, "None": None},
 }
 MALFORMED_INPUTS = {
     f"{field}-{name}": (build, valid, value)

@@ -8,7 +8,9 @@ from pentabell import theta
 from pentabell.errors import CapacityError, ConvergenceError, InvalidInputError
 from pentabell.graphs import circulant, complement, cycle, graph, independence_number
 from pentabell.numerics import certified_solve, sdp_path
-from pentabell.theta import ThetaResult, odd_cycle_theta
+from pentabell.scenarios import SCENARIO_NAMES, named_graph
+from pentabell.theta import odd_cycle_theta
+from test_cli import load_theta_iterations
 
 
 def random_graph(n, p, rng):
@@ -50,12 +52,31 @@ def test_pentagon():
     assert lovasz_theta(cycle(5)).value == pytest.approx(math.sqrt(5), abs=1e-6)
 
 
+# graphs of tools/theta_iterations.py whose returned lower bound, at tol 1e-7
+# and 1e-10, is their independent set's, an entry sum one ulp from alpha
+INDEPENDENT_SET_CERTIFIED = (
+    "506 G(24)", "509 G(24)", "606 G(24)", "709 G(17,0.5)", "710 G(14,0.3)", "710 G(11,0.5)", "712 G(11,0.3)",
+)
+
+
 def test_replay_returns_the_certificates_own_bounds():
-    for g in (cycle(5), circulant(8, {1, 4})):
-        res = theta.lovasz_theta(g)
-        lower, upper, ok = theta.replay(g, res, 1e-7)
-        assert lower == res.primal.sum()
+    # theta states what replay recomputes, bit for bit: the value is the
+    # entry sum of X and the gap is lambda_max(B) less the value, or 0
+    tool = load_theta_iterations()
+    held = dict(tool.random84() + tool.held_out())
+    # every edgeless and complete graph: lambda_max(J) as eigvalsh computes
+    # it misses n by a few ulps at some orders, e.g. 14
+    orders = range(1, theta.MAX_VERTICES + 1)
+    trivial = [graph(n, []) for n in orders] + [complement(graph(n, [])) for n in orders[1:]]
+    named = [named_graph(name) for name in SCENARIO_NAMES]
+    cases = [(g, 1e-7) for g in fixed_family_graphs() + [circulant(8, {1, 4})] + named + trivial]
+    cases += [(held[label], tol) for label in INDEPENDENT_SET_CERTIFIED for tol in (1e-7, 1e-10)]
+    for g, tol in cases:
+        res = theta.lovasz_theta(g, tol)
+        lower, upper, ok = theta.replay(g, res, tol)
+        assert lower == res.primal.sum() == res.value
         assert upper == np.linalg.eigvalsh(res.dual)[-1]
+        assert res.gap == max(upper - res.value, 0.0)
         assert ok is True
 
 
@@ -279,19 +300,16 @@ def test_convergence_error_carries_certified_bounds(monkeypatch):
 def eager_theta(g, tol, path):
     """lovasz_theta with both costly lower bounds computed at once, through
     the same stop rule: alpha before the first point, then every point of
-    the path shifted into the PSD cone."""
+    the path shifted into the PSD cone.  Each bound is its certificate's
+    own: the entry sum of X, lambda_max of B."""
     n = g.n
-    if not g.edges:
-        return ThetaResult(float(n), np.full((n, n), 1.0 / n), np.ones((n, n)), 0, 0.0)
-    if len(g.edges) == n * (n - 1) // 2:
-        return ThetaResult(1.0, np.eye(n) / n, np.eye(n), 0, 0.0)
     on_edge = g.adjacency
     edge_form = problem_of(g)[-1]
 
     alpha, witness = independence_number(g)
     independent_set = np.zeros((n, n))
     independent_set[np.ix_(witness, witness)] = 1.0 / alpha
-    known = [(lambda _: math.inf, lambda: (float(alpha), independent_set))]
+    known = [(lambda _: math.inf, lambda: (float(independent_set.sum()), independent_set))]
 
     def bounds(point):
         x, _, z = point

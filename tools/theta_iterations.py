@@ -13,8 +13,11 @@ its stop reason and the iterations it ran after its best gap was reached
 (found by rerunning it with theta.MAX_ITERATIONS lowered), then how many
 graphs of the set needed the independence number (theta computes alpha
 only when it can decide a stop test or the returned certificate), counted
-by wrapping theta.independence_number, and how many certificates, returned
-or carried by a ConvergenceError, fail theta.replay at that tolerance.
+by wrapping theta.independence_number, how many certificates, returned
+or carried by a ConvergenceError, fail theta.replay at that tolerance, and
+how many of those results state a value other than the lower bound
+theta.replay recomputes or a gap other than max(upper - value, 0) for the
+upper bound it recomputes.
 
 Sets:
   fixed     odd cycles C7..C31 and five circulants with their complements,
@@ -123,7 +126,7 @@ def best_gap_reached(g, tol: float, best) -> int:
 
 def table(name: str, family, tol: float) -> None:
     """Print one row of the table."""
-    total, raised, needed_alpha, unreplayed = 0, [], 0, 0
+    total, raised, needed_alpha, unreplayed, misstated = 0, [], 0, 0, 0
     stops = dict.fromkeys(("closed", "stalled", "cap", "failed step"), 0)
     alpha = theta.independence_number
 
@@ -141,7 +144,9 @@ def table(name: str, family, tol: float) -> None:
             raised.append((label, g, res, stop))
         stops[stop] += 1
         total += res.iterations
-        unreplayed += not theta.replay(g, res, tol)[2]
+        lower, upper, ok = theta.replay(g, res, tol)
+        unreplayed += not ok
+        misstated += lower != res.value or res.gap != max(upper - res.value, 0.0)
     theta.independence_number = alpha
     print(f"{name:9s} tol {tol:.0e}: {len(family)} graphs, {total} iterations, {len(raised)} raise")
     print("    stops: " + ", ".join(f"{count} {stop}" for stop, count in stops.items()))
@@ -151,6 +156,7 @@ def table(name: str, family, tol: float) -> None:
         print(f"{after} after the best gap")
     print(f"    alpha needed on {needed_alpha}/{len(family)} graphs")
     print(f"    replay fails on {unreplayed}/{len(family)} certificates")
+    print(f"    value or gap differs from replay on {misstated}/{len(family)} results")
 
 
 def main() -> None:
