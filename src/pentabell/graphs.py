@@ -71,11 +71,10 @@ graph = Graph  # the name callers build a graph by
 
 
 def cycle(n: int) -> Graph:
-    """Cycle graph C_n."""
-    n = strict_int(n, "n")
-    if n < 3:
+    """Cycle graph C_n, the circulant with offset 1."""
+    if strict_int(n, "n") < 3:
         raise InvalidInputError("a cycle needs at least 3 vertices")
-    return graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return circulant(n, (1,))
 
 
 def circulant(n: int, offsets: Iterable) -> Graph:

@@ -98,8 +98,7 @@ def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, 
     sides within rounding (singular on a side whose step was cut), a side
     that starts feasible stays feasible there too, and its gap is smaller
     than the damped point's, which the step leaves about 1/1000 of the way
-    from the boundary.  Callers that test certificates on it stop sooner:
-    Lovasz theta at 1e-7 takes 111 iterations on the fixed family, not 127.
+    from the boundary, so callers that test certificates on it stop sooner.
 
     The caller decides when to stop; the generator ends by itself when a
     step fails, by a failed factorisation or a floating-point overflow,
@@ -238,8 +237,7 @@ def certified_solve(points, bounds, tol: float, max_iterations: int, result, low
     no solve that closes at tol 1e-7 or 1e-10, and leaves the best gap of
     every solve that does not close as it was to three digits; windows of 8
     or less end a solve that closes.  The factor 2 asks that the gap at
-    least halve.  At tol 1e-10 the held-out set then takes 139 fewer
-    iterations, and 704 G(27, 0.7) stops after 30 rather than 100.
+    least halve.
     """
     # a candidate is (order, cap, compute), order = -rank so that the larger
     # order is the earlier candidate

@@ -22,9 +22,7 @@ blocks or full operators at once) and so `block_reductions` use it with a
 three-pair stack.  The scan's top eigenvalue is symmetric under
 theta -> pi - theta for either party and under swapping the parties'
 angles, so it searches one line, t -> (pi - t, t): a 91-point grid in one
-batched eigenvalue call, then a golden-section search.  It takes about
-5 ms (one BLAS thread, 2-vCPU Intel Xeon, numpy 2.4.6 with OpenBLAS
-0.3.31).
+batched eigenvalue call, then a golden-section search.
 
 The see-saw runs all its restarts as one stack of projectors: each
 iteration is one batched Bell-operator build and eigenvalue call, then one
@@ -42,11 +40,7 @@ eigenvalue call.  Each party's effects are built once per update and feed
 both the other party's update and the next Bell operator, and W's (x, a)
 x (y, b) matrix is formed once per run.  A run stops at its first step
 whose value fails to grow by 1e-12 and keeps the state and measurements
-of that step.  32 restarts
-for each of the 5 named inequalities at dims (2,2), (3,3) and (4,4), over
-seeds 0, 1 and 7, take 0.30-0.40 s (0.21-0.28 ms per restart) on the
-machine above, whose speed drifts by a third from run to run; eigh takes
-over half of that time.
+of that step.
 
 The block reduction works on whole stacks of instances that share Alice's
 and Bob's dimensions.  `block_reductions` validates a stack in one pass,
@@ -54,10 +48,9 @@ takes every range basis from one eigh per party, runs one SVD per group
 of instances with the same pair of ranks, and builds all blocks of one
 size with one compression and one `two_projector_operator` call;
 `block_reduce` is its one-instance case.  Every block, residual spectrum
-and singular value is bit-for-bit what the instance gives alone.  The
-report's 100 random instances (Alice dimension 2-6) take about 11 ms in
-five calls on the machine above; one at a time they take about 75 ms, as
-each call pays the stacked path's fixed costs.
+and singular value is bit-for-bit what the instance gives alone.  Every
+call pays the stacked path's fixed costs, so instances are best reduced
+in as few calls as their dimensions allow.
 """
 
 from __future__ import annotations
@@ -337,7 +330,7 @@ def qmax_seesaw(iq: Inequality, dims=(2, 2), restarts: int = 32, seed: int = 0):
     ties, which keep the lowest restart index.
     Restarts run as one stack, in blocks of up to 1024, so each iteration
     makes one batched eigenvalue call per stage for every restart still
-    running; about 0.25 ms per restart (see the module docstring).
+    running.
     """
     d_a, d_b = _checked_dims(dims)
     if d_a > MAX_LOCAL_DIM or d_b > MAX_LOCAL_DIM:
@@ -386,7 +379,8 @@ def qmax_scan_ineq2() -> ScanResult:
     angles, so the search runs along t -> (pi - t, t) for t in [0, pi/2]:
     a 91-point grid in one batched eigenvalue call, then a golden-section
     search of the bracket around the grid's maximum down to a 1e-10 width.
-    The model's state is the Bell operator's top eigenvector.
+    The value and the model's state are the top eigenpair of one eigh of
+    the Bell operator at the final angle.
     """
     w = coefficient_tensor(named_inequality("pentagon-1"), 2, 2)
 
@@ -411,9 +405,9 @@ def qmax_scan_ineq2() -> ScanResult:
 
     t = (lo + hi) / 2.0
     alice, bob = _pentagon1_settings(np.pi - t, t)
-    _, v = np.linalg.eigh(_bell_matrix(w, alice, bob))
+    values, v = np.linalg.eigh(_bell_matrix(w, alice, bob))
     model = QuantumModel((2, 2), v[:, -1], alice, bob)
-    return ScanResult(float(top_eig(t)), (float(np.pi - t), float(t)), model)
+    return ScanResult(float(values[-1]), (float(np.pi - t), float(t)), model)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pentabell import quantum, scenarios, theta
+from pentabell import cli, quantum, scenarios, theta
 from pentabell.cli import main
 from pentabell.errors import ConvergenceError, save_json
 from pentabell.graphs import cycle
@@ -472,15 +472,48 @@ def test_printed_theta_bounds_are_rounded_outward(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["pentagon-1", "pentagon-2"])
 def test_printed_qmax_bounds_are_rounded_outward(name):
-    # the model's value bounds the quantum maximum from below, theta from above
-    value, _ = quantum.qmax_seesaw(scenarios.named_inequality(name), dims=(2, 2), restarts=4, seed=0)
-    g, _ = scenarios.exclusivity_graph(scenarios.named_inequality(name))
+    # the value the model replays to bounds the quantum maximum from below,
+    # theta from above
+    iq = scenarios.named_inequality(name)
+    _, model = quantum.qmax_seesaw(iq, dims=(2, 2), restarts=4, seed=0)
+    value = scenarios.evaluate(iq, quantum.behavior_of(model))
+    g, _ = scenarios.exclusivity_graph(iq)
     upper = theta.replay(g, theta.lovasz_theta(g), 1e-7)[1]
     code, out, _ = run_cli(["qmax", name, "--restarts", "4", "--seed", "0", "--json"])
     assert code == 0
     payload = json.loads(out, parse_float=Fraction)
     assert value - 1e-6 < payload["value"] <= Fraction(value)
     assert Fraction(upper) <= payload["theta"] < upper + 1e-6
+
+
+def test_printed_qmax_value_never_exceeds_its_model_replay(monkeypatch):
+    # the see-saw's top eigenvalue exceeds what its model replays to by a
+    # few ulps on some of these runs; the printed value is the replay
+    # rounded down, so it is rounded from exactly that float
+    rounded_down = []
+    outward = cli._outward
+
+    def recording(x, up, places=6):
+        if not up:
+            rounded_down.append(x)
+        return outward(x, up, places)
+
+    monkeypatch.setattr(cli, "_outward", recording)
+    violations = []
+    for name in ("pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322"):
+        iq = scenarios.named_inequality(name)
+        for dims in ((2, 2), (3, 3), (4, 4)):
+            for seed in (0, 1, 7):
+                _, model = quantum.qmax_seesaw(iq, dims=dims, restarts=32, seed=seed)
+                replay = scenarios.evaluate(iq, quantum.behavior_of(model))
+                rounded_down.clear()
+                argv = ["qmax", name, "--dims", "%d,%d" % dims, "--seed", str(seed), "--json"]
+                code, out, _ = run_cli(argv)
+                assert code == 0
+                printed = json.loads(out, parse_float=Fraction)["value"]
+                if set(rounded_down) != {replay} or not Fraction(replay) - Fraction(1, 10**6) < printed <= replay:
+                    violations.append((name, dims, seed, printed, replay))
+    assert violations == []
 
 
 def test_stalled_theta_exits_two_naming_the_reason(tmp_path):

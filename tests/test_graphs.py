@@ -35,7 +35,13 @@ def test_cycle_triangle_and_minimum():
 
 
 def test_cycle_equals_circulant_offset_one():
-    assert cycle(8) == circulant(8, {1})
+    for n in range(3, 33):
+        g, c = cycle(n), circulant(n, {1})
+        assert g == c == graph(n, [(i, (i + 1) % n) for i in range(n)])
+        assert np.array_equal(g.adjacency, c.adjacency)
+    for n in (1, 2):
+        with pytest.raises(InvalidInputError, match="a cycle needs at least 3 vertices"):
+            cycle(n)
 
 
 def test_circulant_8_14_degrees():

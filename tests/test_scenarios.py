@@ -57,6 +57,18 @@ def test_event_parse_roundtrip():
         assert str(Event.parse(text)) == text
 
 
+def test_event_codes_round_trip():
+    # every event of the (4, 4) range, and every code but the all-wildcard 80
+    parts = [None] + [(x, a) for x in range(4) for a in (0, 1)]
+    events = [Event(pa, pb) for pa in parts for pb in parts if pa is not None or pb is not None]
+    assert len(events) == 80
+    assert all(scenarios._event(scenarios._code(e)) == e for e in events)
+    assert sorted(scenarios._code(e) for e in events) == list(range(80))
+    assert all(scenarios._code(scenarios._event(c)) == c for c in range(80))
+    with pytest.raises(InvalidInputError, match="at least one party"):
+        scenarios._event(80)
+
+
 def test_event_validation():
     with pytest.raises(InvalidInputError):
         Event(None, None)

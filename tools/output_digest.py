@@ -1,7 +1,7 @@
-"""Digests of the see-saw's, the simulator's, the block reduction's, the
-scenario layer's, the exclusivity-principle check's and the graph layer's
-outputs, to show that a change to any of them leaves every output
-bit-identical.
+"""Digests of the see-saw's, the scan's, the simulator's, the block
+reduction's, the scenario layer's, the exclusivity-principle check's and
+the graph layer's outputs, to show that a change to any of them leaves
+every output bit-identical.
 
 Usage: python tools/output_digest.py
 
@@ -9,6 +9,9 @@ Prints a sha256 of each output's bytes, per case:
   seesaw    quantum.qmax_seesaw at 32 restarts for the five named
             inequalities at dims (2,2), (3,3) and (4,4), seeds 0, 1 and 7:
             the value, the state and the projector set (Alice's, then Bob's)
+  scan      quantum.qmax_scan_ineq2, pentagon-1's reference optimum: the
+            repr of its value and angles, and the model's state and
+            projector set as above
   simulate  simkit.run_experiment on known_optimal_model for pentagon-1,
             pentagon-2 and pentagon-3 at 10^6 shots, visibility 0.9, seeds
             1 and 7, and on each chsh-prob and i3322 see-saw model above at
@@ -109,6 +112,12 @@ def main() -> None:
                 print(f"    projectors {digests[2]}")
                 if name in SEESAW_SIMULATED:
                     seesaw_models.append((name, dims, seed, model))
+    scan = quantum.qmax_scan_ineq2()
+    projectors = b"".join(p.tobytes() for p in scan.model.alice + scan.model.bob)
+    print(
+        f"scan pentagon-1: value {scan.value!r} angles {scan.angles!r} "
+        f"state {sha(scan.model.state.tobytes())} projectors {sha(projectors)}"
+    )
     for name in PENTAGONS:
         iq, model = named_inequality(name), quantum.known_optimal_model(name)
         for seed in SIM_SEEDS:
