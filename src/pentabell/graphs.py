@@ -81,7 +81,7 @@ def circulant(n: int, offsets: Iterable) -> Graph:
     """Circulant graph: edges {i, i+k mod n} for every offset k."""
     n = strict_int(n, "n")
     edges = set()
-    for k in offsets:
+    for k in strict_iterable(offsets, "offsets"):
         k = strict_int(k, "offset")
         if k <= 0 or k >= n:
             raise InvalidInputError(f"offset {k} outside [1, {n})")

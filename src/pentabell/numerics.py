@@ -87,9 +87,8 @@ def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, 
     gamma = 0.9 + 0.099 min(alpha_P, alpha_D) of the way to the boundary:
     SDPT3's rule with its cap raised from 0.99 to 0.999.  Both were chosen
     by total iterations of Lovasz theta on graphs outside the benchmark's
-    fixed family (tools/theta_iterations.py), where they take about 8%
-    fewer than the cubic rule with the 0.99 cap; the family itself takes
-    13% fewer.
+    fixed family (tools/theta_iterations.py), where they take fewer than
+    the cubic rule with the 0.99 cap.
 
     The path continues from that damped point, but what it yields is the
     point where the corrector's step meets the boundary: X + min(1,

@@ -608,23 +608,14 @@ def known_optimal_model(name: str) -> QuantumModel:
 
 
 def model_to_json(model: QuantumModel) -> dict:
-    def encode(projs):
-        out = []
-        for x, p in enumerate(projs):
-            w, v = np.linalg.eigh(p)
-            rank = int(np.sum(w > 0.5))
-            if rank == 1:
-                out.append({"setting": x, "vector": [float(t) for t in v[:, -1]]})
-            else:
-                out.append({"setting": x, "matrix": [[float(t) for t in row] for row in p]})
-        return out
-
-    return {
-        "dims": list(model.dims),
-        "state": [float(t) for t in model.state],
-        "alice": encode(model.alice),
-        "bob": encode(model.bob),
-    }
+    """The model as a JSON document: its state and each projector as a
+    matrix, every entry the float itself, so `model_from_json` rebuilds
+    the model bit for bit.  (The reader also takes a rank-1 projector as
+    its "vector", as a hand-written file may give it.)"""
+    document = {"dims": list(model.dims), "state": model.state.tolist()}
+    for label in ("alice", "bob"):
+        document[label] = [{"setting": x, "matrix": p.tolist()} for x, p in enumerate(getattr(model, label))]
+    return document
 
 
 @json_decoder("model")

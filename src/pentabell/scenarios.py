@@ -29,10 +29,10 @@ scenario file decoder hands each term's parties, the name and the declared
 setting counts straight to these constructors.
 
 The exclusivity rule is written once, on integer event codes
-(`_exclusive_parts`): the exclusivity graph, the exclusivity-principle
-check and the enumeration all read it.  The enumeration works on those
-codes throughout, and the equivalence group acts on them through
-precomputed index maps.
+(`_exclusive_parts`): the exclusivity graph and the enumeration read it,
+and the exclusivity-principle check reads the exclusivity graph.  The
+enumeration works on those codes throughout, and the equivalence group
+acts on them through precomputed index maps.
 """
 
 from __future__ import annotations
@@ -366,11 +366,6 @@ def _code(event: Event) -> int:
     return 9 * part(event.alice) + part(event.bob)
 
 
-def _event(code: int) -> Event:
-    part = lambda p: None if p == _WILDCARD else (p // 2, p % 2)
-    return Event(part(code // 9), part(code % 9))
-
-
 def _exclusive_parts(codes) -> list:
     """Alice's and Bob's (n, n) boolean exclusivity matrices over n event
     codes: a party makes two events exclusive when it measures the same
@@ -399,15 +394,14 @@ def exclusivity_graph(iq: Inequality):
 def lhv_bound(iq: Inequality):
     """Exact deterministic-strategy maximum of the term count, with witness.
 
-    One contraction of the inequality's coefficient tensor with the tables of
-    all 2**(n_a+n_b) strategies over its declared alice_settings x
-    bob_settings (at most 4 x 4); the witness is the first maximum in
-    itertools.product order.
+    `evaluate_tables` on the stacked tables of all 2**(n_a+n_b) strategies
+    over its declared alice_settings x bob_settings (at most 4 x 4), one
+    contraction with its coefficient tensor; the witness is the first
+    maximum in itertools.product order.
     """
     n_a, n_b = iq.alice_settings, iq.bob_settings
-    coefficients = coefficient_tensor(iq, n_a, n_b)
     outcomes, tables = _deterministic(n_a, n_b)
-    scores = tables.reshape(len(outcomes), -1) @ coefficients.reshape(-1)
+    scores = evaluate_tables(iq, tables)
     best = int(scores.argmax())
     row = outcomes[best].tolist()
     return int(scores[best]), DeterministicStrategy(row[:n_a], row[n_a:])
@@ -512,9 +506,10 @@ class EPrincipleReport:
 def eprinciple_check(iq: Inequality, behavior: Behavior) -> EPrincipleReport:
     """Check that pairwise-exclusive event probabilities sum to at most 1.
 
-    All cliques of the exclusivity graph are enumerated exhaustively: every
-    nonempty subset of the terms is one row of a boolean array, in
-    increasing bitmask order, and the worst clique is the first of largest
+    All cliques of the exclusivity graph (the adjacency matrix of
+    `exclusivity_graph`) are enumerated exhaustively: every nonempty subset
+    of the terms is one row of a boolean array, in increasing bitmask
+    order, and the worst clique is the first of largest
     sum (summed in term order) in that order.  For pentagonal inequalities
     the principle additionally caps the full sum at the pentagon's Lovasz
     number, sqrt(5) from Lovasz's odd-cycle closed form
@@ -525,8 +520,7 @@ def eprinciple_check(iq: Inequality, behavior: Behavior) -> EPrincipleReport:
     n = len(iq.terms)
     if n > 10:
         raise CapacityError("clique enumeration limited to 10 vertices")
-    alice, bob = _exclusive_parts([_code(e) for e in iq.terms])
-    adjacent = alice | bob
+    adjacent = exclusivity_graph(iq)[0].adjacency
     probs = behavior.probs(iq.terms)
     subsets = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
     # a subset is a clique when none of its members is apart from another
@@ -696,14 +690,16 @@ def _induced_five_cycles(adjacent: np.ndarray, starts) -> np.ndarray:
 
 
 def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3):
-    """All pentagonal Bell inequalities up to relabeling.
+    """All pentagonal Bell inequalities up to relabeling: the named classes
+    pentagon-1, pentagon-2 and pentagon-3 that the range holds.
 
     Searches the exclusivity graph of every event in the range (wildcards
-    included) for the induced 5-cycles through 00|00, then deduplicates
-    modulo the equivalence group.  Returns one representative Inequality
-    per class; representatives matching a built-in named inequality reuse
-    its terms and name.  A setting count that is not an integer in [0, 4]
-    raises InvalidInputError.
+    included) for the induced 5-cycles through 00|00 and returns, in name
+    order, the built-in named inequalities whose class (orbit under the
+    equivalence group) holds one of them.  A cycle outside the three named
+    classes raises AssertionError: the argument below rules it out, and
+    every range lies inside (4, 4), whose search finds none.  A setting
+    count that is not an integer in [0, 4] raises InvalidInputError.
 
     The one start reaches every class.  A single-party event is exclusive
     with at most one other single-party event, the same party's other
@@ -711,8 +707,9 @@ def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3)
     neighbours, so every induced 5-cycle holds a two-party event.
     Permuting one party's settings within the range, or flipping its
     outcomes at one setting, maps an induced 5-cycle of the range's graph
-    to another in the same class, and moves that event to 00|00; the orbit
-    of each class found is then dropped whole.
+    to another in the same class, and moves that event to 00|00.  A
+    cycle's class does not depend on the range, since `_compacted`
+    relabels its settings.
 
     The default (3, 3) range is complete: every pentagon needs at most 3
     settings for one party and 2 for the other.  Call an edge an A-edge
@@ -741,27 +738,16 @@ def enumerate_pentagonal(max_alice_settings: int = 3, max_bob_settings: int = 3)
     codes = (9 * parts[0][:, None] + parts[1][None, :]).reshape(-1)[1:]  # drops the all-wildcard code
     alice, bob = _exclusive_parts(codes)
     cycles = codes[_induced_five_cycles(alice | bob, np.flatnonzero(codes == 0))]  # through 00|00
-    # a sorted row of five codes is one base-81 number, so keys order rows
-    # lexicographically
+    # a sorted row of five codes is one base-81 number, so a key identifies
+    # a row
     digits = 81 ** np.arange(4, -1, -1)
-    remaining = np.unique(np.sort(_compacted(cycles), axis=1) @ digits)
+    found = np.unique(np.sort(_compacted(cycles), axis=1) @ digits)
     named = [named_inequality(k) for k in ("pentagon-1", "pentagon-2", "pentagon-3")]
-    named_keys = np.sort(_compacted(np.array([[_code(e) for e in iq.terms] for iq in named])), axis=1) @ digits
-
-    # each class is one orbit of compacted cycles: take the first cycle left,
-    # find its canonical form and any named member, and drop its whole orbit
-    classes = []
-    while len(remaining):
-        orbit = _orbit_rows(remaining[0] // digits % 81)
-        keys = orbit @ digits
-        canon = tuple(orbit[keys.argmin()].tolist())
-        is_named = np.isin(named_keys, keys)
-        if is_named.any():
-            classes.append((canon, named[int(is_named.argmax())]))
-        else:
-            classes.append((canon, Inequality(tuple(_event(c) for c in canon), name="unnamed-pentagon")))
-        remaining = remaining[~np.isin(remaining, keys)]
-    return [iq for _, iq in sorted(classes, key=lambda c: (c[1].name, c[0]))]
+    rows = _compacted(np.array([[_code(e) for e in iq.terms] for iq in named]))
+    orbits = [_orbit_rows(row) @ digits for row in rows]
+    if not np.isin(found, np.concatenate(orbits)).all():
+        raise AssertionError("an induced 5-cycle lies outside the three named pentagon classes")
+    return [iq for iq, keys in zip(named, orbits) if np.isin(keys, found).any()]
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, strict_int, strict_ints, strict_pair, strict_real
+from .errors import InvalidInputError, strict_int, strict_ints, strict_iterable, strict_pair, strict_real
 from .quantum import QuantumModel, behavior_of
 from .scenarios import MAX_SETTING, Behavior, Inequality, lhv_bound, term_cells
 
@@ -357,12 +357,14 @@ def run_experiment(iq: Inequality, model: QuantumModel, cfg: SimConfig) -> Exper
 
 
 def run_experiments(iq: Inequality, model: QuantumModel, cfg: SimConfig, seeds) -> list:
-    """One experiment report at each master seed of `seeds` in place of
-    cfg.seed.
+    """One experiment report at each master seed of `seeds` (a collection
+    of seeds, read through `errors.strict_iterable`) in place of cfg.seed;
+    no seeds give no reports.
 
     The ideal behavior is computed once, and the terms' cells over its
     setting pairs are resolved before any draw, so a model whose pairs do
-    not cover the inequality raises InvalidInputError without sampling.
+    not cover the inequality raises InvalidInputError without sampling,
+    even with no seeds.
     Only the cells that some term reads are counted, over one seed axis for
     all seeds: a pair none of whose cells is read is not drawn (pentagon-3
     reads 5 of its 6 pairs), and only the cumulative edges that bound a read
@@ -373,5 +375,8 @@ def run_experiments(iq: Inequality, model: QuantumModel, cfg: SimConfig, seeds) 
     """
     ideal = behavior_of(model)
     cells = term_cells(iq.terms, ideal.pairs)
-    tables = _count_stack(ideal, cfg, list(seeds), cells.any(axis=0))
+    seeds = list(strict_iterable(seeds, "seeds"))
+    if not seeds:
+        return []
+    tables = _count_stack(ideal, cfg, seeds, cells.any(axis=0))
     return _estimates(tables.astype(float), cells, cfg.shots, iq, ideal, float(lhv_bound(iq)[0]))

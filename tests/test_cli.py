@@ -229,6 +229,28 @@ def test_simulate_visibility_zero():
     assert payload["violated"] is False
 
 
+@pytest.mark.parametrize("name", ["pentagon-1", "pentagon-2", "pentagon-3"])
+def test_simulate_a_saved_built_in_model_as_the_model_itself(tmp_path, monkeypatch, name):
+    # the saved file is the model bit for bit, so the simulation is too
+    from pentabell import simkit
+
+    path = tmp_path / "m.json"
+    quantum.save_model(quantum.known_optimal_model(name), path)
+    reports = []
+    run_experiment = simkit.run_experiment
+
+    def recording(*args):
+        reports.append(run_experiment(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(simkit, "run_experiment", recording)
+    for flags in ([], ["--json"]):
+        built_in = run_cli(["simulate", name, *flags])
+        assert built_in[0] == 0
+        assert run_cli(["simulate", name, "--model", str(path), *flags]) == built_in
+    assert len(reports) == 4 and len({repr(r) for r in reports}) == 1
+
+
 def test_simulate_with_model_file(tmp_path):
     from pentabell.quantum import known_optimal_model, save_model
 
@@ -321,6 +343,9 @@ def test_invalid_inputs_exit_one(tmp_path, monkeypatch):
     monkeypatch.setenv("PENTABELL_SEED", "-3")
     code, _, err = run_cli(["qmax", "pentagon-2"])
     assert code == 1 and err == "error: seed must be >= 0\n"
+    monkeypatch.setenv("PENTABELL_SEED", "seven")
+    for argv in (["qmax", "pentagon-2"], ["simulate", "pentagon-2"]):
+        assert run_cli(argv) == (1, "", "error: PENTABELL_SEED='seven' is not an integer\n")
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
@@ -486,10 +511,11 @@ def test_printed_qmax_bounds_are_rounded_outward(name):
     assert Fraction(upper) <= payload["theta"] < upper + 1e-6
 
 
-def test_printed_qmax_value_never_exceeds_its_model_replay(monkeypatch):
+def test_printed_qmax_value_never_exceeds_its_model_replay(tmp_path, monkeypatch):
     # the see-saw's top eigenvalue exceeds what its model replays to by a
     # few ulps on some of these runs; the printed value is the replay
-    # rounded down, so it is rounded from exactly that float
+    # rounded down, so it is rounded from exactly that float, and the
+    # model file written with it replays to that float too
     rounded_down = []
     outward = cli._outward
 
@@ -507,12 +533,16 @@ def test_printed_qmax_value_never_exceeds_its_model_replay(monkeypatch):
                 _, model = quantum.qmax_seesaw(iq, dims=dims, restarts=32, seed=seed)
                 replay = scenarios.evaluate(iq, quantum.behavior_of(model))
                 rounded_down.clear()
-                argv = ["qmax", name, "--dims", "%d,%d" % dims, "--seed", str(seed), "--json"]
+                path = tmp_path / "model.json"
+                argv = ["qmax", name, "--dims", "%d,%d" % dims, "--seed", str(seed), "--json", "--model-out", str(path)]
                 code, out, _ = run_cli(argv)
                 assert code == 0
                 printed = json.loads(out, parse_float=Fraction)["value"]
+                saved = scenarios.evaluate(iq, quantum.behavior_of(quantum.load_model(path)))
                 if set(rounded_down) != {replay} or not Fraction(replay) - Fraction(1, 10**6) < printed <= replay:
                     violations.append((name, dims, seed, printed, replay))
+                if saved != replay:
+                    violations.append((name, dims, seed, "model file", saved, replay))
     assert violations == []
 
 

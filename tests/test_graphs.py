@@ -60,6 +60,8 @@ def test_circulant_rejects_bad_offsets():
         circulant(8, {0})
     with pytest.raises(InvalidInputError):
         circulant(8, {8})
+    with pytest.raises(InvalidInputError, match="offsets must be a collection of values, not 1"):
+        circulant(8, 1)
 
 
 def test_independence_numbers():
@@ -184,8 +186,9 @@ def test_complement_matches_itertools_reference():
         (lambda: graph(3, [(0, 1, 2)]), "edge must be a pair"),
         (lambda: circulant(5, [1.5]), "offset must be an integer"),
         (lambda: cycle(5.0), "n must be an integer"),
+        (lambda: graph(0, []), "graph needs at least one vertex"),
     ],
-    ids=["n-float", "edge-floats", "edge-bool", "edge-triple", "circulant-offset-float", "cycle-n-float"],
+    ids=["n-float", "edge-floats", "edge-bool", "edge-triple", "circulant-offset-float", "cycle-n-float", "n-zero"],
 )
 def test_constructors_read_integers_strictly(build, message):
     with pytest.raises(InvalidInputError, match=message):
@@ -228,3 +231,6 @@ def test_graph_json_names_the_field():
         graph_from_json({"n": 3, "edges": [[0, True]]})
     with pytest.raises(InvalidInputError, match="edge must be a pair"):
         graph_from_json({"n": 3, "edges": [[0, 1, 2]]})
+    for document in ({"n": 3}, {"edges": []}, [3, []]):
+        with pytest.raises(InvalidInputError, match="graph JSON must be"):
+            graph_from_json(document)

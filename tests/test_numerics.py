@@ -204,6 +204,12 @@ def test_sdp_rejects_nonfinite_asymmetric_and_malformed_input():
         sdp_path(eye, [1.0], [0, 0], [(0, 0), (1, 2)], [1.0, 1.0])
     with pytest.raises(InvalidInputError):
         sdp_path(eye, [1.0, 0.0], [1, 0], [(0, 0), (1, 1)], [1.0, 1.0])
+    with pytest.raises(InvalidInputError, match="b and coef must be finite vectors"):
+        sdp_path(eye, [np.inf], [0, 0], [(0, 0), (1, 1)], [1.0, 1.0])
+    with pytest.raises(InvalidInputError, match="b and coef must be finite vectors"):
+        sdp_path(eye, [1.0], [0, 0], [(0, 0), (1, 1)], [1.0, np.nan])
+    with pytest.raises(InvalidInputError, match="rows, pairs and coef must describe the same terms"):
+        sdp_path(eye, [1.0], [0, 0], [(0, 0), (1, 1)], [1.0])
 
 
 def test_as_sym_matrix_validates_each_matrix_of_a_stack():
@@ -227,6 +233,9 @@ def test_as_sym_matrix_validates_each_matrix_of_a_stack():
         as_sym_matrix(bad)
     with pytest.raises(InvalidInputError, match="square"):
         as_sym_matrix(np.zeros((2, 3, 4)))
+    for shape in ((3,), (2, 0, 0)):
+        with pytest.raises(InvalidInputError, match="expected a 2-d matrix"):
+            as_sym_matrix(np.zeros(shape))
 
 
 def test_sdp_capacity_envelope():

@@ -173,6 +173,10 @@ def test_model_validation():
         QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (nan_projector,), (np.eye(2),))
     with pytest.raises(InvalidInputError, match="bob projector 1 has non-finite entries"):
         QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (np.eye(2),), (np.eye(2), nan_projector))
+    with pytest.raises(InvalidInputError, match="alice projector 0 is not 2x2"):
+        QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (np.eye(3),), ())
+    with pytest.raises(InvalidInputError, match="bob projector 0 is not symmetric"):
+        QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (), (np.array([[1.0, 1.0], [0.0, 0.0]]),))
 
 
 
@@ -665,6 +669,12 @@ def test_known_pentagon1_model_is_the_scan_model():
     assert abs(evaluate(named_inequality("pentagon-1"), known) - scan.value) <= 1e-12
 
 
+def test_known_optimal_models_are_the_pentagons_only():
+    for name in ("chsh-prob", "i3322", "kcbs-graph"):
+        with pytest.raises(InvalidInputError, match=f"no built-in optimal model for '{name}'"):
+            known_optimal_model(name)
+
+
 def test_scan_agrees_with_seesaw():
     scan_value = qmax_scan_ineq2().value
     seesaw_value, _ = qmax_seesaw(named_inequality("pentagon-1"), restarts=16, seed=0)
@@ -887,6 +897,16 @@ def test_block_reduction_rejects_qs_of_different_sizes(p):
             block_reduce(p, p, *qs)
 
 
+def test_block_reductions_reject_stacks_that_do_not_match():
+    p, q = np.diag([1.0, 0.0]), np.eye(2)
+    with pytest.raises(InvalidInputError, match=r"expected a 2-d matrix, got shape \(2,\)"):
+        block_reductions(p, p, q, q, q)  # one instance, not a stack of them
+    with pytest.raises(InvalidInputError, match="P1 and P2 act on different spaces"):
+        block_reduce(p, np.diag([1.0, 0.0, 0.0]), q, q, q)
+    with pytest.raises(InvalidInputError, match="P1, P2, Q0, Q1 and Q2 hold different numbers of instances"):
+        block_reductions(np.stack([p, p]), p[None], q[None], q[None], q[None])
+
+
 def reduction_stacks():
     """The 320 `reduction_instance` cases as stacks, one per (d_A, d_B)."""
     groups = {}
@@ -964,18 +984,28 @@ def test_model_json_roundtrip(tmp_path):
         assert np.allclose(a, b, atol=1e-12)
 
 
-def test_model_json_rank_one_vectors():
-    data = model_to_json(known_optimal_model("pentagon-2"))
-    assert all("vector" in entry for entry in data["alice"])
-    rebuilt = model_from_json(data)
-    assert np.allclose(rebuilt.alice[0], known_optimal_model("pentagon-2").alice[0])
+def test_model_json_rank_one_vectors(tmp_path):
+    # a saved model reloads bit for bit, so the file replays to exactly
+    # what the model does
+    seesaw_model = qmax_seesaw(named_inequality("i3322"), dims=(3, 3), restarts=4, seed=1)[1]
+    for model in (known_optimal_model("pentagon-1"), known_optimal_model("pentagon-2"), seesaw_model):
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.dims == model.dims and loaded.state.tobytes() == model.state.tobytes()
+        assert [p.tobytes() for p in loaded.alice + loaded.bob] == [p.tobytes() for p in model.alice + model.bob]
+    # a rank-1 projector given by a vector, as a hand-written file may give
+    # it, still loads
+    model = known_optimal_model("pentagon-2")
+    data = model_to_json(model)
+    data["alice"] = [{"setting": 1, "vector": [-1.0, 1.0]}, {"setting": 0, "vector": [0.0, 1.0]}]
+    assert all(np.array_equal(a, b) for a, b in zip(model_from_json(data).alice, model.alice, strict=True))
 
 
 def test_model_json_matrix_projectors():
     model = QuantumModel(
         (2, 2),
         np.array([1.0, 0.0, 0.0, 0.0]),
-        (np.eye(2),),  # rank-2 projector must serialize as a matrix
+        (np.eye(2),),  # a rank-2 projector, which no vector gives
         (projector_onto((1.0, 0.0)),),
     )
     data = model_to_json(model)

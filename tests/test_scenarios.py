@@ -57,16 +57,14 @@ def test_event_parse_roundtrip():
         assert str(Event.parse(text)) == text
 
 
-def test_event_codes_round_trip():
-    # every event of the (4, 4) range, and every code but the all-wildcard 80
+def test_event_codes_number_the_range_one_to_one():
+    # the 80 events of the (4, 4) range take the codes 0..79, one each: a
+    # sorted row of five codes is then one base-81 key, as the enumeration
+    # reads it
     parts = [None] + [(x, a) for x in range(4) for a in (0, 1)]
     events = [Event(pa, pb) for pa in parts for pb in parts if pa is not None or pb is not None]
-    assert len(events) == 80
-    assert all(scenarios._event(scenarios._code(e)) == e for e in events)
+    assert len(set(events)) == 80
     assert sorted(scenarios._code(e) for e in events) == list(range(80))
-    assert all(scenarios._code(scenarios._event(c)) == c for c in range(80))
-    with pytest.raises(InvalidInputError, match="at least one party"):
-        scenarios._event(80)
 
 
 def test_event_validation():
@@ -76,6 +74,9 @@ def test_event_validation():
         Event((0, 2), None)
     with pytest.raises(InvalidInputError):
         Event((4, 0), None)
+    for text in ("_1|00", "01|_0"):
+        with pytest.raises(InvalidInputError, match="wildcard must blank both outcome and setting"):
+            Event.parse(text)
 
 
 @pytest.mark.parametrize("part", [(1.7, 0), (True, 0), ("2", "1"), (0, 1.0), (0, False)])
@@ -113,6 +114,11 @@ def test_event_rejects_a_part_of_one_entry():
 def test_inequality_rejects_a_term_that_is_not_an_event(terms, index):
     with pytest.raises(InvalidInputError, match=f"term {index} is not an Event"):
         Inequality(terms)
+
+
+def test_inequality_needs_a_term():
+    with pytest.raises(InvalidInputError, match="inequality needs at least one term"):
+        Inequality(())
 
 
 def test_named_inequality_is_built_once_per_name():
@@ -780,6 +786,15 @@ def test_enumerate_exactly_three_classes(settings, names):
     assert len(classes) == len(names)
     found = {canonical_form(iq.terms) for iq in classes}
     assert found == {canonical_form(named_inequality(n).terms) for n in names}
+
+
+def test_enumerate_raises_on_a_cycle_outside_the_named_classes(monkeypatch):
+    # with "pentagon-3" resolving to pentagon-2, pentagon-3's class is no
+    # named class, and its cycles in the (3, 3) range are out of class
+    named = scenarios.named_inequality
+    monkeypatch.setattr(scenarios, "named_inequality", lambda k: named("pentagon-2" if k == "pentagon-3" else k))
+    with pytest.raises(AssertionError, match="outside the three named pentagon classes"):
+        enumerate_pentagonal(3, 3)
 
 
 @pytest.mark.parametrize("settings", [(0, 3), (1, 1), (3, 1), (1, 4)])

@@ -212,7 +212,17 @@ def test_uncovered_model_fails_before_any_draw(monkeypatch, alice_settings):
     monkeypatch.setattr(simkit, "_threshold_counts", lambda seeds, *args: streams.append(len(seeds)))
     with pytest.raises(InvalidInputError, match="setting pairs do not cover event"):
         run_experiments(named_inequality("pentagon-1"), model, SimConfig(shots=10_000_000), range(3))
+    with pytest.raises(InvalidInputError, match="setting pairs do not cover event"):
+        run_experiments(named_inequality("pentagon-1"), model, SimConfig(shots=10_000_000), [])
     assert streams == []
+
+
+def test_run_experiments_reads_seeds_as_a_collection():
+    iq, model, cfg = named_inequality("pentagon-2"), known_optimal_model("pentagon-2"), SimConfig(shots=100)
+    with pytest.raises(InvalidInputError, match="seeds must be a collection of values, not 5"):
+        run_experiments(iq, model, cfg, 5)
+    assert run_experiments(iq, model, cfg, []) == []
+    assert run_experiments(iq, model, cfg, iter([3])) == [run_experiment(iq, model, SimConfig(shots=100, seed=3))]
 
 
 def _term_model(name):
@@ -418,6 +428,12 @@ def test_count_table_rejects_malformed_setting_pairs(key, message):
 def test_count_table_rejects_counts_that_are_not_a_mapping(counts):
     with pytest.raises(InvalidInputError, match="counts must map setting pairs"):
         CountTable(5, counts)
+
+
+@pytest.mark.parametrize("shots", [0, -5])
+def test_count_table_rejects_non_positive_shots(shots):
+    with pytest.raises(InvalidInputError, match="shots must be >= 1"):
+        CountTable(shots, {})
 
 
 def test_estimate_missing_setting():

@@ -160,6 +160,9 @@ def test_input_validation():
         lovasz_theta(cycle(5), tol=1e-2)
     with pytest.raises(InvalidInputError):
         lovasz_theta(cycle(5), tol=1e-12)
+    for n in (1, 4):
+        with pytest.raises(InvalidInputError, match="closed form applies to odd cycles only"):
+            odd_cycle_theta(n)
 
 
 @pytest.mark.parametrize("tol", ["1e-7", True, None, 10**400], ids=["str", "bool", "None", "huge-int"])

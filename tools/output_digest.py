@@ -5,10 +5,16 @@ every output bit-identical.
 
 Usage: python tools/output_digest.py
 
-Prints a sha256 of each output's bytes, per case:
+Prints a sha256 of each output's bytes, per case (the model files line
+prints counts):
   seesaw    quantum.qmax_seesaw at 32 restarts for the five named
             inequalities at dims (2,2), (3,3) and (4,4), seeds 0, 1 and 7:
             the value, the state and the projector set (Alice's, then Bob's)
+  model files  each see-saw model above saved and reloaded through
+            quantum.model_to_json, JSON text and quantum.model_from_json:
+            how many replay (scenarios.evaluate of quantum.behavior_of) to
+            a value other than the model's own, and how many reload with
+            the model's state and projector bytes
   scan      quantum.qmax_scan_ineq2, pentagon-1's reference optimum: the
             repr of its value and angles, and the model's state and
             projector set as above
@@ -55,6 +61,7 @@ src directory.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -98,8 +105,13 @@ def graph_digest(family) -> str:
     return h.hexdigest()
 
 
+def model_bytes(model: quantum.QuantumModel) -> bytes:
+    return model.state.tobytes() + b"".join(p.tobytes() for p in model.alice + model.bob)
+
+
 def main() -> None:
     seesaw_models = []
+    replayed_differently = reloaded_equal = 0
     for name in INEQUALITIES:
         iq = named_inequality(name)
         for dims in DIMS:
@@ -112,6 +124,12 @@ def main() -> None:
                 print(f"    projectors {digests[2]}")
                 if name in SEESAW_SIMULATED:
                     seesaw_models.append((name, dims, seed, model))
+                loaded = quantum.model_from_json(json.loads(json.dumps(quantum.model_to_json(model))))
+                replay = scenarios.evaluate(iq, quantum.behavior_of(model))
+                replayed_differently += scenarios.evaluate(iq, quantum.behavior_of(loaded)) != replay
+                reloaded_equal += model_bytes(loaded) == model_bytes(model)
+    count = len(INEQUALITIES) * len(DIMS) * len(SEEDS)
+    print(f"model files ({count}): {replayed_differently} replay differently, {reloaded_equal} reload with equal bytes")
     scan = quantum.qmax_scan_ineq2()
     projectors = b"".join(p.tobytes() for p in scan.model.alice + scan.model.bob)
     print(
