@@ -449,7 +449,7 @@ def _instances(a) -> np.ndarray:
     """Validated, symmetrized (k, n, n) stack of k instances' matrices."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 3:
-        raise InvalidInputError(f"expected a 2-d matrix, got shape {m.shape[1:]}")
+        raise InvalidInputError(f"expected a (k, n, n) stack of matrices, got shape {m.shape}")
     return as_sym_matrix(m)
 
 

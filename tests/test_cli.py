@@ -82,6 +82,35 @@ def test_report_reduces_blocks_once_per_alice_dimension(monkeypatch):
     assert sorted(alice_dims) == [2, 3, 4, 5, 6]
 
 
+def test_report_reads_the_enumeration_once(monkeypatch):
+    calls = []
+
+    def count(name):
+        original = getattr(scenarios, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, name, counting)
+
+    count("enumerate_pentagonal")
+    count("canonical_form")
+    code, _, _ = run_cli(["report", "--json"])
+    assert code == 0
+    assert calls == ["enumerate_pentagonal"]
+
+
+def test_report_enumeration_item_fails_on_a_missing_class(monkeypatch):
+    classes = scenarios.enumerate_pentagonal()
+    monkeypatch.setattr(scenarios, "enumerate_pentagonal", lambda *args: classes[:2])
+    code, out, _ = run_cli(["report", "--json"])
+    assert code == 1
+    items = json.loads(out)["items"]
+    assert len(items) == 10
+    assert [it["name"] for it in items if not it["ok"]] == ["pentagonal enumeration"]
+
+
 # circulant(8; 1, 4): the 8-cycle plus its four antipodal chords
 CI8_EDGES = [[0, 1], [0, 4], [0, 7], [1, 2], [1, 5], [2, 3], [2, 6], [3, 4], [3, 7], [4, 5], [5, 6], [6, 7]]
 

@@ -899,7 +899,7 @@ def test_block_reduction_rejects_qs_of_different_sizes(p):
 
 def test_block_reductions_reject_stacks_that_do_not_match():
     p, q = np.diag([1.0, 0.0]), np.eye(2)
-    with pytest.raises(InvalidInputError, match=r"expected a 2-d matrix, got shape \(2,\)"):
+    with pytest.raises(InvalidInputError, match=r"expected a \(k, n, n\) stack of matrices, got shape \(2, 2\)"):
         block_reductions(p, p, q, q, q)  # one instance, not a stack of them
     with pytest.raises(InvalidInputError, match="P1 and P2 act on different spaces"):
         block_reduce(p, np.diag([1.0, 0.0, 0.0]), q, q, q)

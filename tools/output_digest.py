@@ -27,8 +27,8 @@ prints counts):
             pentagon-2's known_optimal_model, 5000 shots, seeds 0-199; the
             reprs of all 200 reports
   blocks    quantum.block_reductions on the 100 instances that `pentabell
-            report` checks (cli._block_spectra_worst_dev with
-            default_rng(2024)): every block, residual spectrum and
+            report` checks (cli._block_spectra_worst_dev, which draws them
+            from default_rng(2024)): every block, residual spectrum and
             singular value, and the worst spectral deviation's repr
   scenarios scenarios.random_ns_tables: the 1000 boxes at default_rng(99),
             with evaluate_tables and chsh_decomposition's predict_tables
@@ -156,7 +156,7 @@ def main() -> None:
 
     quantum.block_reductions = recorded
     try:
-        worst = cli._block_spectra_worst_dev(np.random.default_rng(2024), 100)
+        worst = cli._block_spectra_worst_dev()
     finally:
         quantum.block_reductions = block_reductions
     arrays = [a for r in reductions for a in (*r.blocks, r.residual_spectrum, r.gram_singular_values)]
