@@ -40,16 +40,15 @@ def _emit(args, text: str, payload: dict) -> None:
         print(text)
 
 
-def _outward(x: float, up: bool, places: int = 6) -> Decimal:
-    """A printed bound: x rounded to `places` decimals toward +inf for an
-    upper bound or a gap (up), toward -inf for a lower bound, so it never
-    claims more than x.  Decimal(x) is x exactly, so the rounding is too."""
+def _outward(x: float, up: bool, places: int = 6, digits: int | None = None) -> Decimal:
+    """A printed bound: x rounded toward +inf for an upper bound or a gap
+    (up), toward -inf for a lower bound, so it never claims more than x.
+    Rounded to `places` decimals, or to `digits` significant digits (a gap:
+    a positive gap stays positive).  Decimal(x) is x exactly, so the
+    rounding is too."""
+    if digits is not None:
+        places = digits - 1 - Decimal(x).adjusted()
     return Decimal(x).quantize(Decimal(1).scaleb(-places), rounding=ROUND_CEILING if up else ROUND_FLOOR)
-
-
-def _gap(x: float, digits: int = 3) -> Decimal:
-    # a gap rounded up to `digits` significant digits: a positive gap stays positive
-    return _outward(x, True, digits - 1 - Decimal(x).adjusted()) if x > 0 else Decimal(0)
 
 
 def _default_seed() -> int:
@@ -89,13 +88,13 @@ def cmd_theta(args) -> int:
     except ConvergenceError as exc:
         lower, upper, _ = theta.replay(g, exc.result, args.tol)
         raise ConvergenceError(
-            f"theta {exc}; best certified gap {float(_gap(exc.result.gap, 4)):.3e} "
+            f"theta {exc}; best certified gap {float(_outward(exc.result.gap, True, digits=4)):.3e} "
             f"({_outward(lower, False, 10)} <= theta <= {_outward(upper, True, 10)})",
             result=exc.result,
             reason=exc.reason,
         ) from exc
     lower, upper, cert_ok = theta.replay(g, result, args.tol)
-    value, gap = _outward(lower, False), _gap(result.gap)
+    value, gap = _outward(lower, False), _outward(result.gap, True, digits=3)
     text = (
         f"theta = {value}\n"
         f"gap <= {float(gap):.2e}\n"
@@ -139,16 +138,21 @@ def cmd_qmax(args) -> int:
         raise InvalidInputError(f"--dims must be two integers dA,dB, got {args.dims!r}") from None
     _, model = quantum.qmax_seesaw(iq, dims=(d_a, d_b), restarts=args.restarts, seed=args.seed)
     # the value the model replays to bounds the quantum maximum from below
-    # (the see-saw's top eigenvalue can exceed it by rounding), theta from above
-    value = scenarios.evaluate(iq, quantum.behavior_of(model))
+    # (the see-saw's top eigenvalue can exceed it by rounding), theta's
+    # replayed upper bound from above; the two compare as printed, since
+    # the floats can cross by a few ulps where they meet (theta = alpha)
+    value = _outward(scenarios.evaluate(iq, quantum.behavior_of(model)), False)
     g, _ = scenarios.exclusivity_graph(iq)
-    theta_upper = theta.replay(g, theta.lovasz_theta(g), 1e-7)[1]
+    _, upper, cert_ok = theta.replay(g, theta.lovasz_theta(g), 1e-7)
+    if not cert_ok:
+        raise ConvergenceError("theta's certificate for the exclusivity graph does not replay")
+    cap = _outward(upper, True)
     if args.model_out:
         quantum.save_model(model, args.model_out)
     text = (
-        f"quantum value = {_outward(value, False)}\n"
-        f"lovasz theta of exclusivity graph = {_outward(theta_upper, True)}\n"
-        f"value <= theta: {'yes' if value <= theta_upper + 1e-6 else 'NO'}"
+        f"quantum value = {value}\n"
+        f"lovasz theta of exclusivity graph = {cap}\n"
+        f"value <= theta: {'yes' if value <= cap else 'NO'}"
     )
     if args.model_out:
         text += f"\nmodel written to {args.model_out}"
@@ -156,8 +160,8 @@ def cmd_qmax(args) -> int:
         args,
         text,
         {
-            "value": _outward(value, False),
-            "theta": _outward(theta_upper, True),
+            "value": value,
+            "theta": cap,
             "dims": [d_a, d_b],
             "restarts": args.restarts,
             "seed": args.seed,
@@ -268,14 +272,14 @@ def _report_items():
 
     def theta_of(g):
         if g not in thetas:
-            thetas[g] = theta.lovasz_theta(g).value
+            thetas[g] = theta.lovasz_theta(g)
         return thetas[g]
 
     for name, g, alpha_target, theta_target in (
         ("pentagon", graphs.cycle(5), 2, sqrt5),
         ("circulant(8;1,4)", graphs.circulant(8, {1, 4}), 3, two_sqrt2),
     ):
-        alpha, t = graphs.independence_number(g)[0], theta_of(g)
+        alpha, t = graphs.independence_number(g)[0], theta_of(g).value
         item(
             f"{name} alpha/theta",
             alpha == alpha_target and abs(t - theta_target) <= 1e-6,
@@ -308,8 +312,11 @@ def _report_items():
         iq = scenarios.named_inequality(name)
         value, _ = quantum.qmax_seesaw(iq, dims=(2, 2), restarts=32, seed=0)
         seesaw_values[name] = value
-        tv = theta_of(scenarios.exclusivity_graph(iq)[0])
-        ok &= abs(value - target) <= 1e-6 and value <= tv + 1e-6
+        g = scenarios.exclusivity_graph(iq)[0]
+        _, upper, cert_ok = theta.replay(g, theta_of(g), 1e-7)
+        # capped by theta's replayed upper bound as qmax compares them: both
+        # rounded outward to 6 decimals, so within one print unit each side
+        ok &= abs(value - target) <= 1e-6 and cert_ok and _outward(value, False) <= _outward(upper, True)
         details.append(f"{name}:{value:.7f}")
     item("see-saw quantum maxima", ok, " ".join(details))
 

@@ -575,6 +575,80 @@ def test_printed_qmax_value_never_exceeds_its_model_replay(tmp_path, monkeypatch
     assert violations == []
 
 
+def test_qmax_compares_its_printed_bounds_without_slack(tmp_path, monkeypatch):
+    # terms 00|00 and 11|00: the exclusivity graph is K2, theta = alpha = 1.
+    # A model's replay can exceed theta's replayed upper bound 1.0 by a few
+    # ulps; its printed lower bound does not exceed the printed upper bound
+    path = str(tmp_path / "k2.json")
+    terms = [{"alice": [0, 0], "bob": [0, 0]}, {"alice": [0, 1], "bob": [0, 1]}]
+    save_json({"name": "k2", "alice_settings": 1, "bob_settings": 1, "terms": terms}, path)
+    code, out, _ = run_cli(["qmax", path, "--dims", "3,3", "--restarts", "4", "--seed", "0"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["lovasz theta of exclusivity graph = 1.000000", "value <= theta: yes"]
+    monkeypatch.setattr(scenarios, "evaluate", lambda iq, behavior: 1.0 + 9 * 2.0**-52)
+    code, out, _ = run_cli(["qmax", path, "--restarts", "4", "--seed", "0"])
+    assert code == 0
+    assert out.splitlines() == [
+        "quantum value = 1.000000",
+        "lovasz theta of exclusivity graph = 1.000000",
+        "value <= theta: yes",
+    ]
+
+
+def test_qmax_says_no_when_the_value_exceeds_thetas_upper_bound(monkeypatch):
+    # a model replaying above theta's certified upper bound sqrt 5 on C5
+    monkeypatch.setattr(scenarios, "evaluate", lambda iq, behavior: 2.25)
+    code, out, _ = run_cli(["qmax", "pentagon-2", "--restarts", "4", "--seed", "0"])
+    assert code == 0
+    assert out.splitlines() == [
+        "quantum value = 2.250000",
+        "lovasz theta of exclusivity graph = 2.236068",
+        "value <= theta: NO",
+    ]
+
+
+def test_qmax_exits_two_when_thetas_certificate_does_not_replay(monkeypatch):
+    # a C5 dual B = I is not 1 on the non-edges, so it certifies no bound
+    honest = theta.lovasz_theta(cycle(5))
+    fake = theta.ThetaResult(honest.value, honest.primal, np.eye(5), 1, 0.0)
+    monkeypatch.setattr(theta, "lovasz_theta", lambda g: fake)
+    code, out, err = run_cli(["qmax", "pentagon-2", "--restarts", "4", "--seed", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: theta's certificate for the exclusivity graph does not replay\n"
+
+
+def test_report_caps_the_seesaw_by_thetas_upper_bound(monkeypatch):
+    # a valid but loose C5 result: X_S of the independent set {0, 2}
+    # (lower bound 2) with the honest dual (upper bound sqrt 5); the
+    # see-saw values of the pentagons, about 2.2, lie between the two
+    c5 = cycle(5)
+    honest = theta.lovasz_theta(c5)
+    x = np.zeros((5, 5))
+    x[np.ix_([0, 2], [0, 2])] = 0.5
+    upper = theta.replay(c5, honest, 1e-7)[1]
+    loose = theta.ThetaResult(2.0, x, honest.dual, 1, upper - 2.0)
+    assert theta.replay(c5, loose, 1e-7) == (2.0, upper, True)
+    solve = theta.lovasz_theta
+    monkeypatch.setattr(theta, "lovasz_theta", lambda g: loose if g == c5 else solve(g))
+    code, out, _ = run_cli(["report", "--json"])
+    items = {it["name"]: it["ok"] for it in json.loads(out)["items"]}
+    assert code == 1
+    assert items["pentagon alpha/theta"] is False
+    assert items["see-saw quantum maxima"] is True
+
+
+def test_report_fails_the_seesaw_when_thetas_certificate_does_not_replay(monkeypatch):
+    # the honest C5 value with a dual B = I, which certifies no bound
+    c5 = cycle(5)
+    honest = theta.lovasz_theta(c5)
+    fake = theta.ThetaResult(honest.value, honest.primal, np.eye(5), 1, 0.0)
+    solve = theta.lovasz_theta
+    monkeypatch.setattr(theta, "lovasz_theta", lambda g: fake if g == c5 else solve(g))
+    code, out, _ = run_cli(["report", "--json"])
+    assert code == 1
+    assert [it["name"] for it in json.loads(out)["items"] if not it["ok"]] == ["see-saw quantum maxima"]
+
+
 def test_stalled_theta_exits_two_naming_the_reason(tmp_path):
     # at tol 1e-10 this held-out graph's best gap stops shrinking (near
     # 1e-9, how near depends on BLAS threading) long before the cap
