@@ -51,6 +51,22 @@ def _outward(x: float, up: bool, places: int = 6, digits: int | None = None) -> 
     return Decimal(x).quantize(Decimal(1).scaleb(-places), rounding=ROUND_CEILING if up else ROUND_FLOOR)
 
 
+def _seesaw_bounds(iq, model, theta_of):
+    """The bounds `qmax` states around the quantum maximum of the
+    inequality from a see-saw model: (value, lower, upper).  value is what
+    the model replays to, `scenarios.evaluate` of its behaviour (the
+    see-saw's top eigenvalue can exceed it by rounding), and lower is
+    value rounded down.  upper is the replayed upper bound of theta_of's
+    result for the exclusivity graph, rounded up, or None when that
+    certificate does not replay.  lower and upper compare as printed,
+    since the floats can cross by a few ulps where they meet (theta =
+    alpha)."""
+    value = scenarios.evaluate(iq, quantum.behavior_of(model))
+    g, _ = scenarios.exclusivity_graph(iq)
+    _, upper, cert_ok = theta.replay(g, theta_of(g), 1e-7)
+    return value, _outward(value, False), (_outward(upper, True) if cert_ok else None)
+
+
 def _default_seed() -> int:
     raw = os.environ.get("PENTABELL_SEED", "0")
     try:
@@ -137,16 +153,9 @@ def cmd_qmax(args) -> int:
     except ValueError:
         raise InvalidInputError(f"--dims must be two integers dA,dB, got {args.dims!r}") from None
     _, model = quantum.qmax_seesaw(iq, dims=(d_a, d_b), restarts=args.restarts, seed=args.seed)
-    # the value the model replays to bounds the quantum maximum from below
-    # (the see-saw's top eigenvalue can exceed it by rounding), theta's
-    # replayed upper bound from above; the two compare as printed, since
-    # the floats can cross by a few ulps where they meet (theta = alpha)
-    value = _outward(scenarios.evaluate(iq, quantum.behavior_of(model)), False)
-    g, _ = scenarios.exclusivity_graph(iq)
-    _, upper, cert_ok = theta.replay(g, theta.lovasz_theta(g), 1e-7)
-    if not cert_ok:
+    _, value, cap = _seesaw_bounds(iq, model, theta.lovasz_theta)
+    if cap is None:
         raise ConvergenceError("theta's certificate for the exclusivity graph does not replay")
-    cap = _outward(upper, True)
     if args.model_out:
         quantum.save_model(model, args.model_out)
     text = (
@@ -310,13 +319,11 @@ def _report_items():
     seesaw_values = {}
     for name, target in seesaw_targets.items():
         iq = scenarios.named_inequality(name)
-        value, _ = quantum.qmax_seesaw(iq, dims=(2, 2), restarts=32, seed=0)
+        _, model = quantum.qmax_seesaw(iq, dims=(2, 2), restarts=32, seed=0)
+        # the model's replay, capped by theta's replayed upper bound, as qmax states them
+        value, lower, upper = _seesaw_bounds(iq, model, theta_of)
         seesaw_values[name] = value
-        g = scenarios.exclusivity_graph(iq)[0]
-        _, upper, cert_ok = theta.replay(g, theta_of(g), 1e-7)
-        # capped by theta's replayed upper bound as qmax compares them: both
-        # rounded outward to 6 decimals, so within one print unit each side
-        ok &= abs(value - target) <= 1e-6 and cert_ok and _outward(value, False) <= _outward(upper, True)
+        ok &= abs(value - target) <= 1e-6 and upper is not None and lower <= upper
         details.append(f"{name}:{value:.7f}")
     item("see-saw quantum maxima", ok, " ".join(details))
 

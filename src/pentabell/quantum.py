@@ -21,8 +21,9 @@ through `_effect_bell_matrix` on the effect stacks it keeps, and
 blocks or full operators at once) and so `block_reductions` use it with a
 three-pair stack.  The scan's top eigenvalue is symmetric under
 theta -> pi - theta for either party and under swapping the parties'
-angles, so it searches one line, t -> (pi - t, t): a 91-point grid in one
-batched eigenvalue call, then a golden-section search.
+angles, so it searches one line, t -> (pi - t, t), by one rule: a batched
+grid (91 points over [0, pi/2], then 17 over the last bracket) in one
+eigenvalue call, and a new bracket at the two neighbours of its maximum.
 
 The see-saw runs all its restarts as one stack of projectors: each
 iteration is one batched Bell-operator build and eigenvalue call, then one
@@ -43,14 +44,15 @@ whose value fails to grow by 1e-12 and keeps the state and measurements
 of that step.
 
 The block reduction works on whole stacks of instances that share Alice's
-and Bob's dimensions.  `block_reductions` validates a stack in one pass,
-takes every range basis from one eigh per party, runs one SVD per group
-of instances with the same pair of ranks, and builds all blocks of one
-size with one compression and one `two_projector_operator` call;
-`block_reduce` is its one-instance case.  Every block, residual spectrum
-and singular value is bit-for-bit what the instance gives alone.  Every
-call pays the stacked path's fixed costs, so instances are best reduced
-in as few calls as their dimensions allow.
+and Bob's dimensions.  `block_reductions` checks each stack in one pass (P1
+and P2 by the projector rule every model's measurements follow), takes
+every range basis from one eigh per party, runs one SVD per group of
+instances with the same pair of ranks, and builds all blocks of one size
+with one compression and one `two_projector_operator` call; `block_reduce`
+is its one-instance case.  Every block, residual spectrum and singular
+value is bit-for-bit what the instance gives alone.  Every call pays the
+stacked path's fixed costs, so instances are best reduced in as few calls
+as their dimensions allow.
 """
 
 from __future__ import annotations
@@ -88,7 +90,9 @@ class QuantumModel:
 
     dims is read as a pair of integers and every state and projector entry
     as a real number, so a bool, 2.0 or "2" for a dimension and a bool, "1"
-    or None for an entry raise InvalidInputError.
+    or None for an entry raise InvalidInputError.  Each party's projectors
+    are checked as one stack by `_projectors`, the rule `block_reductions`
+    applies to P1 and P2, and stored symmetrized and read-only.
     """
 
     dims: tuple
@@ -109,21 +113,34 @@ class QuantumModel:
         state.flags.writeable = False
         object.__setattr__(self, "state", state)
         for label, projs, d in (("alice", self.alice, d_a), ("bob", self.bob, d_b)):
-            validated = []
+            read = []
             for k, p in enumerate(strict_iterable(projs, f"{label} projectors")):
                 p = strict_reals(p, f"{label} projector {k} entry")
                 if p.shape != (d, d):
                     raise InvalidInputError(f"{label} projector {k} is not {d}x{d}")
-                if not np.all(np.isfinite(p)):
-                    raise InvalidInputError(f"{label} projector {k} has non-finite entries")
-                if np.max(np.abs(p - p.T)) > _PROJECTOR_TOL:
-                    raise InvalidInputError(f"{label} projector {k} is not symmetric")
-                if np.max(np.abs(p @ p - p)) > _PROJECTOR_TOL:
-                    raise InvalidInputError(f"{label} projector {k} is not idempotent")
-                p = (p + p.T) / 2.0
-                p.flags.writeable = False
-                validated.append(p)
-            object.__setattr__(self, label, tuple(validated))
+                read.append(p)
+            stack = _projectors(np.reshape(read, (-1, d, d)), f"{label} projector")
+            object.__setattr__(self, label, tuple(stack))
+
+
+def _projectors(m: np.ndarray, name: str) -> np.ndarray:
+    """The symmetrized, read-only copy of a float (k, d, d) stack of
+    projectors, each finite, symmetric and idempotent within
+    _PROJECTOR_TOL.  Otherwise raises InvalidInputError naming the first
+    matrix that is not, as f"{name} {index}", and its first failed check."""
+    with np.errstate(all="ignore"):  # an overflow or a non-finite entry fails a check
+        checks = (
+            ("has non-finite entries", np.isfinite(m).all(axis=(-2, -1))),
+            ("is not symmetric", np.abs(m - m.mT).max(axis=(-2, -1), initial=0.0) <= _PROJECTOR_TOL),
+            ("is not idempotent", np.abs(m @ m - m).max(axis=(-2, -1), initial=0.0) <= _PROJECTOR_TOL),
+        )
+    passed = np.logical_and.reduce([ok for _, ok in checks])
+    if not passed.all():
+        k = int(np.argmin(passed))
+        raise InvalidInputError(f"{name} {k} " + next(what for what, ok in checks if not ok[k]))
+    s = (m + m.mT) / 2.0
+    s.flags.writeable = False
+    return s
 
 
 def projector_onto(vector) -> np.ndarray:
@@ -376,32 +393,21 @@ def qmax_scan_ineq2() -> ScanResult:
     which covers every real-qubit model up to local rotations.  The top
     eigenvalue is unchanged by theta -> pi - theta for either party
     (conjugation by diag(1, -1) fixes sigma_z) and by swapping the two
-    angles, so the search runs along t -> (pi - t, t) for t in [0, pi/2]:
-    a 91-point grid in one batched eigenvalue call, then a golden-section
-    search of the bracket around the grid's maximum down to a 1e-10 width.
-    The value and the model's state are the top eigenpair of one eigh of
-    the Bell operator at the final angle.
+    angles, so the search runs along t -> (pi - t, t) for t in [0, pi/2].
+    It repeats one rule until the bracket is at most 1e-10 wide: the top
+    eigenvalues of a grid over the bracket in one batched eigenvalue call
+    (91 points over [0, pi/2] first, then 17), and a new bracket at the two
+    neighbours of the grid's maximum.  The value and the model's state are
+    the top eigenpair of one eigh of the Bell operator at the bracket's
+    midpoint.
     """
     w = coefficient_tensor(named_inequality("pentagon-1"), 2, 2)
-
-    def top_eig(t):
-        return np.linalg.eigvalsh(_bell_matrix(w, *_pentagon1_settings(np.pi - t, t)))[..., -1]
-
-    grid = np.linspace(0.0, np.pi / 2, 91)
-    i = int(np.argmax(top_eig(grid)))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    shrink = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fc, fd = top_eig(c), top_eig(d)
+    lo, hi = 0.0, np.pi / 2
+    grid = np.linspace(lo, hi, 91)
     while hi - lo > 1e-10:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - shrink * (hi - lo)
-            fc = top_eig(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + shrink * (hi - lo)
-            fd = top_eig(d)
+        i = int(np.argmax(np.linalg.eigvalsh(_bell_matrix(w, *_pentagon1_settings(np.pi - grid, grid)))[:, -1]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        grid = np.linspace(lo, hi, 17)
 
     t = (lo + hi) / 2.0
     alice, bob = _pentagon1_settings(np.pi - t, t)
@@ -446,11 +452,11 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _instances(a) -> np.ndarray:
-    """Validated, symmetrized (k, n, n) stack of k instances' matrices."""
+    """(k, n, n) float stack of k instances' square matrices, n >= 1."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 3:
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
         raise InvalidInputError(f"expected a (k, n, n) stack of matrices, got shape {m.shape}")
-    return as_sym_matrix(m)
+    return m
 
 
 def block_reduce(p1, p2, q0, q1, q2) -> BlockReduction:
@@ -470,20 +476,19 @@ def block_reductions(p1, p2, q0, q1, q2) -> list:
     (2 x Bob)-dimensional space.  Alice directions orthogonal to both
     ranges only feel Q0 and contribute the residual spectrum.
 
-    The whole stack is validated in one pass and its range bases come from
-    one eigh per party.  The SVDs run once per group of instances sharing
-    a pair of ranks.  The paired directions' bases of all instances form
+    P1 and P2 are checked by `_projectors`, the rule `QuantumModel` applies
+    to its measurements, so an error names the first bad instance; each Q
+    stack by `numerics.as_sym_matrix`.  The range bases come from one eigh
+    per party.  The SVDs run once per group of instances sharing a pair of
+    ranks.  The paired directions' bases of all instances form
     one (n, d_A, 2) stack and the single directions' one (n, d_A, 1) stack,
     so every block of one size comes from one stacked compression and one
     `two_projector_operator` call, and the residual spectra from one
     eigvalsh of the Q0 stack.  Each instance's blocks, residual spectrum
     and singular values are bit-for-bit those of a stack holding it alone.
     """
-    p1, p2 = _instances(p1), _instances(p2)
-    for name, p in (("P1", p1), ("P2", p2)):
-        if np.max(np.abs(p @ p - p), initial=0.0) > _PROJECTOR_TOL:
-            raise InvalidInputError(f"{name} is not a projector")
-    q0, q1, q2 = (_instances(q) for q in (q0, q1, q2))
+    p1, p2 = (_projectors(_instances(p), f"{name} of instance") for p, name in ((p1, "P1"), (p2, "P2")))
+    q0, q1, q2 = (as_sym_matrix(_instances(q)) for q in (q0, q1, q2))
     k, d_a, _ = p1.shape
     if p2.shape[-1] != d_a:
         raise InvalidInputError("P1 and P2 act on different spaces")

@@ -515,7 +515,7 @@ def eprinciple_check(iq: Inequality, behavior: Behavior) -> EPrincipleReport:
     number, sqrt(5) from Lovasz's odd-cycle closed form
     (`theta.odd_cycle_theta`; no SDP is solved), and when the inequality is
     a pure correlator combination that cap is translated into a bound on
-    the unit-coefficient correlator form.
+    the unit-coefficient correlator form.  The full sum is `evaluate`'s.
     """
     n = len(iq.terms)
     if n > 10:
@@ -532,7 +532,7 @@ def eprinciple_check(iq: Inequality, behavior: Behavior) -> EPrincipleReport:
     if sums[best] > best_sum:
         best_sum, best_clique = float(sums[best]), tuple(np.flatnonzero(cliques[best]).tolist())
 
-    value = float(sum(probs.tolist()))
+    value = evaluate(iq, behavior)
     pentagon_cap = None
     chsh_cap = None
     if n == 5 and (adjacent.sum(axis=1) == 2).all():  # the only 2-regular simple graph on 5 vertices is C5

@@ -649,6 +649,24 @@ def test_report_fails_the_seesaw_when_thetas_certificate_does_not_replay(monkeyp
     assert [it["name"] for it in json.loads(out)["items"] if not it["ok"]] == ["see-saw quantum maxima"]
 
 
+def test_report_states_the_seesaw_models_replay(monkeypatch):
+    # a see-saw whose top eigenvalue sits 5e-6 above what its model replays
+    # to: the report checks and prints the replay, the bound qmax states
+    seesaw = quantum.qmax_seesaw
+
+    def above_its_replay(*args, **kwargs):
+        value, model = seesaw(*args, **kwargs)
+        return value + 5e-6, model
+
+    monkeypatch.setattr(quantum, "qmax_seesaw", above_its_replay)
+    code, out, _ = run_cli(["report", "--json"])
+    golden = json.loads((GOLDEN_DIR / "report.json").read_text())["items"]
+    assert code == 0
+    assert [it for it in json.loads(out)["items"] if it["name"] == "see-saw quantum maxima"] == [
+        it for it in golden if it["name"] == "see-saw quantum maxima"
+    ]
+
+
 def test_stalled_theta_exits_two_naming_the_reason(tmp_path):
     # at tol 1e-10 this held-out graph's best gap stops shrinking (near
     # 1e-9, how near depends on BLAS threading) long before the cap

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,26 @@ def test_model_validation():
         QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (), (np.array([[1.0, 1.0], [0.0, 0.0]]),))
 
 
+
+
+def test_a_projector_asymmetric_beyond_its_tolerance_is_rejected_everywhere():
+    # exactly idempotent, but 1e-9 from symmetric: the one projector rule
+    # rejects it in a model and in a block reduction alike
+    skew = np.array([[1.0, 1e-9], [0.0, 0.0]])
+    assert np.array_equal(skew @ skew, skew)
+    with pytest.raises(InvalidInputError, match="alice projector 0 is not symmetric"):
+        QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (skew,), ())
+    with pytest.raises(InvalidInputError, match="P2 of instance 0 is not symmetric"):
+        block_reduce(np.eye(2), skew, np.eye(2), np.eye(2), np.eye(2))
+
+
+def test_the_projector_rule_names_the_first_bad_matrix():
+    half, nan = np.diag([0.5, 0.5]), np.full((2, 2), np.nan)
+    with pytest.raises(InvalidInputError, match="bob projector 0 is not idempotent"):
+        QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (), (half, np.eye(2), nan))
+    stack = np.array([half, np.eye(2), nan])
+    with pytest.raises(InvalidInputError, match="P1 of instance 0 is not idempotent"):
+        block_reductions(stack, *[np.array([np.eye(2)] * 3)] * 4)
 
 @pytest.mark.parametrize("dims", [(2.7, 2), ("2", "2"), (2, True), [2.0, 2], (2, 2, 2), 2])
 def test_model_rejects_non_integer_dims(dims):
@@ -632,6 +653,20 @@ def test_scan_returns_the_pinned_optimum():
     assert result.angles == pytest.approx((2.4458718, 0.6957209), abs=1e-6)
 
 
+def test_scan_makes_few_batched_eigenvalue_calls(monkeypatch):
+    # one rule refines the bracket: each step is one grid of at least 17
+    # points in one batched call, with no scalar search loop
+    grids = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        grids.append(np.prod(np.shape(a)[:-2], dtype=int))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    qmax_scan_ineq2()
+    assert 1 <= len(grids) <= 12 and min(grids) >= 17
+
 def pentagon1_top_eig(angle_a, angle_b):
     sigma_z0 = np.diag([1.0, 0.0])
     alice = [sigma_z0, projector_onto((np.cos(angle_a), np.sin(angle_a)))]
@@ -901,6 +936,9 @@ def test_block_reductions_reject_stacks_that_do_not_match():
     p, q = np.diag([1.0, 0.0]), np.eye(2)
     with pytest.raises(InvalidInputError, match=r"expected a \(k, n, n\) stack of matrices, got shape \(2, 2\)"):
         block_reductions(p, p, q, q, q)  # one instance, not a stack of them
+    for shape in [(1, 2, 3), (1, 0, 0)]:
+        with pytest.raises(InvalidInputError, match=re.escape(f"stack of matrices, got shape {shape}")):
+            block_reductions(np.zeros(shape), p[None], q[None], q[None], q[None])
     with pytest.raises(InvalidInputError, match="P1 and P2 act on different spaces"):
         block_reduce(p, np.diag([1.0, 0.0, 0.0]), q, q, q)
     with pytest.raises(InvalidInputError, match="P1, P2, Q0, Q1 and Q2 hold different numbers of instances"):
@@ -936,9 +974,9 @@ def test_block_reductions_equal_block_reduce_on_each_instance():
 def test_block_reductions_reject_a_stack_with_one_non_projector():
     group = list(reduction_stacks()[(2, 2)])
     group[3] = (np.diag([0.5, 0.5]),) + group[3][1:]
-    with pytest.raises(InvalidInputError, match="P1 is not a projector"):
+    with pytest.raises(InvalidInputError, match="P1 of instance 0 is not idempotent"):
         block_reduce(*group[3])
-    with pytest.raises(InvalidInputError, match="P1 is not a projector"):
+    with pytest.raises(InvalidInputError, match="P1 of instance 3 is not idempotent"):
         block_reductions(*(np.stack(mats) for mats in zip(*group)))
 
 

@@ -672,7 +672,8 @@ def _assert_eprinciple_matches_reference_loop(iq, tables):
     """eprinciple_check on each table against the clique loop it ran before
     it searched an array: neighbour bitmasks from the typed edges, every
     subset in increasing bitmask order, a Python sum over each clique's
-    members in term order and the first strictly larger sum kept."""
+    members in term order and the first strictly larger sum kept.  The
+    full sum is `evaluate`'s, within 1e-12 of the term-order sum."""
     g, edges = exclusivity_graph(iq)
     masks = [0] * g.n
     for e in edges:
@@ -692,7 +693,7 @@ def _assert_eprinciple_matches_reference_loop(iq, tables):
             if total > best_sum:
                 best_sum, best_clique = total, tuple(members)
         report = eprinciple_check(iq, behavior)
-        assert report.value.hex() == float(sum(probs)).hex()
+        assert report.value.hex() == evaluate(iq, behavior).hex() and abs(report.value - sum(probs)) <= 1e-12
         assert report.max_clique_sum.hex() == best_sum.hex() and type(report.max_clique_sum) is float
         assert report.worst_clique == best_clique and all(type(v) is int for v in report.worst_clique)
         assert (report.pentagon_cap is not None) == (g.n == 5 and g.adjacency.sum(axis=1).tolist() == [2] * 5)
