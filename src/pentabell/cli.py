@@ -207,7 +207,13 @@ def cmd_simulate(args) -> int:
     if args.model:
         model = quantum.load_model(args.model)
     else:
+        # a built-in model is optimal only for the built-in inequality, not
+        # for a file that borrows its name
         model = quantum.known_optimal_model(iq.name)
+        if iq != scenarios.named_inequality(iq.name):
+            raise InvalidInputError(
+                f"scenario {iq.name!r} is not the built-in inequality of that name; give its model with --model"
+            )
     cfg = simkit.SimConfig(shots=args.shots, seed=args.seed, visibility=args.visibility)
     report = simkit.run_experiment(iq, model, cfg)
     _emit(args, report.to_text(), report.to_json_dict())
@@ -220,47 +226,6 @@ def cmd_simulate(args) -> int:
 
 IDEAL_COLUMN_1 = (0.464, 0.464, 0.323, 0.464, 0.464)
 IDEAL_COLUMN_2 = (0.427, 0.427, 0.427, 0.427, 0.5)
-
-
-def _block_spectra_worst_dev() -> float:
-    """Largest gap between the sorted spectrum of P1 x Q1 + P2 x Q2 + 1 x Q0
-    and that of its blocks plus residual, over 100 random instances drawn
-    from default_rng(2024) (Alice dimension 2-6, random ranks, random
-    symmetric Q's).
-
-    The draws keep the order of one instance at a time.  The QR factors,
-    the full operators and their spectra, and the `block_reductions` are
-    then one stacked call per Alice dimension, and the block spectra one
-    per block size.
-    """
-    rng = np.random.default_rng(2024)
-    draws = []
-    for _ in range(100):
-        d_a = int(rng.integers(2, 7))
-        ranks = rng.integers(1, d_a + 1, size=2)
-        draws.append((d_a, ranks, rng.standard_normal((2, d_a, d_a)), rng.standard_normal((3, 2, 2))))
-
-    reductions, full_spectra = [], []
-    for d_a in sorted({draw[0] for draw in draws}):
-        group = [draw[1:] for draw in draws if draw[0] == d_a]
-        bases = np.linalg.qr(np.stack([mats for _, mats, _ in group]))[0]
-        p = np.array(
-            [[b[:, :r] @ b[:, :r].T for b, r in zip(pair, ranks)] for pair, (ranks, _, _) in zip(bases, group)]
-        )
-        qs = np.stack([q for _, _, q in group])
-        qs = (qs + np.swapaxes(qs, -1, -2)) / 2
-        full = quantum.two_projector_operator(p[:, 0], p[:, 1], qs[:, 0], qs[:, 1], qs[:, 2])
-        full_spectra.extend(np.linalg.eigvalsh(full))
-        reductions.extend(quantum.block_reductions(p[:, 0], p[:, 1], qs[:, 0], qs[:, 1], qs[:, 2]))
-
-    blocks = [b for red in reductions for b in red.blocks]
-    sizes = {len(b) for b in blocks}
-    spectra = {n: iter(np.linalg.eigvalsh(np.stack([b for b in blocks if len(b) == n]))) for n in sizes}
-    worst = 0.0
-    for red, full_eigs in zip(reductions, full_spectra):
-        block_eigs = np.concatenate([next(spectra[len(b)]) for b in red.blocks] + [red.residual_spectrum])
-        worst = max(worst, float(np.max(np.abs(np.sort(block_eigs) - full_eigs))))
-    return worst
 
 
 def _report_items():
@@ -342,15 +307,17 @@ def _report_items():
         f"value={scan.value:.6f} schmidt=({coeffs[0]:.4f},{coeffs[1]:.4f})",
     )
 
-    worst = _block_spectra_worst_dev()
-    ok = worst <= 1e-8
-    details = [f"block spectra worst dev {worst:.2e}"]
+    # the see-saw at (4,4) finds no more than at (2,2): each (4,4) model's
+    # replay, the value the see-saw item states, is the (2,2) value
+    ok = True
+    details = []
     for name in ("pentagon-1", "pentagon-2", "pentagon-3"):
         iq = scenarios.named_inequality(name)
-        v44, _ = quantum.qmax_seesaw(iq, dims=(4, 4), restarts=8, seed=0)
+        _, model = quantum.qmax_seesaw(iq, dims=(4, 4), restarts=8, seed=0)
+        v44 = scenarios.evaluate(iq, quantum.behavior_of(model))
         ok &= abs(v44 - seesaw_values[name]) <= 1e-4
         details.append(f"{name}(4,4):{v44:.7f}")
-    item("block reduction / qubits suffice", ok, " ".join(details))
+    item("qubits suffice", ok, " ".join(details))
 
     patterns = scenarios.edge_patterns_c5()
     feasible = scenarios.feasible_patterns()

@@ -18,7 +18,7 @@ contraction that never holds the products as an array;
 `bell_operator` and the scan use it through `_bell_matrix`, the see-saw
 through `_effect_bell_matrix` on the effect stacks it keeps, and
 `two_projector_operator` (P1 x Q1 + P2 x Q2 + 1 x Q0, for a whole stack of
-blocks or full operators at once) and so `block_reductions` use it with a
+blocks or full operators at once) and so `block_reduce` use it with a
 three-pair stack.  The scan's top eigenvalue is symmetric under
 theta -> pi - theta for either party and under swapping the parties'
 angles, so it searches one line, t -> (pi - t, t), by one rule: a batched
@@ -43,16 +43,10 @@ x (y, b) matrix is formed once per run.  A run stops at its first step
 whose value fails to grow by 1e-12 and keeps the state and measurements
 of that step.
 
-The block reduction works on whole stacks of instances that share Alice's
-and Bob's dimensions.  `block_reductions` checks each stack in one pass (P1
-and P2 by the projector rule every model's measurements follow), takes
-every range basis from one eigh per party, runs one SVD per group of
-instances with the same pair of ranks, and builds all blocks of one size
-with one compression and one `two_projector_operator` call; `block_reduce`
-is its one-instance case.  Every block, residual spectrum and singular
-value is bit-for-bit what the instance gives alone.  Every call pays the
-stacked path's fixed costs, so instances are best reduced in as few calls
-as their dimensions allow.
+`block_reduce` splits one two-projector operator into the blocks of
+Jordan's lemma, each acting on at most two of Alice's dimensions; every
+block of one size comes from one stacked compression and one
+`two_projector_operator` call.
 """
 
 from __future__ import annotations
@@ -91,7 +85,7 @@ class QuantumModel:
     dims is read as a pair of integers and every state and projector entry
     as a real number, so a bool, 2.0 or "2" for a dimension and a bool, "1"
     or None for an entry raise InvalidInputError.  Each party's projectors
-    are checked as one stack by `_projectors`, the rule `block_reductions`
+    are checked as one stack by `_projectors`, the rule `block_reduce`
     applies to P1 and P2, and stored symmetrized and read-only.
     """
 
@@ -119,15 +113,16 @@ class QuantumModel:
                 if p.shape != (d, d):
                     raise InvalidInputError(f"{label} projector {k} is not {d}x{d}")
                 read.append(p)
-            stack = _projectors(np.reshape(read, (-1, d, d)), f"{label} projector")
+            stack = _projectors(np.reshape(read, (-1, d, d)), [f"{label} projector {k}" for k in range(len(read))])
             object.__setattr__(self, label, tuple(stack))
 
 
-def _projectors(m: np.ndarray, name: str) -> np.ndarray:
+def _projectors(m: np.ndarray, names) -> np.ndarray:
     """The symmetrized, read-only copy of a float (k, d, d) stack of
     projectors, each finite, symmetric and idempotent within
     _PROJECTOR_TOL.  Otherwise raises InvalidInputError naming the first
-    matrix that is not, as f"{name} {index}", and its first failed check."""
+    matrix that is not, by its entry of `names`, and its first failed
+    check."""
     with np.errstate(all="ignore"):  # an overflow or a non-finite entry fails a check
         checks = (
             ("has non-finite entries", np.isfinite(m).all(axis=(-2, -1))),
@@ -137,7 +132,7 @@ def _projectors(m: np.ndarray, name: str) -> np.ndarray:
     passed = np.logical_and.reduce([ok for _, ok in checks])
     if not passed.all():
         k = int(np.argmin(passed))
-        raise InvalidInputError(f"{name} {k} " + next(what for what, ok in checks if not ok[k]))
+        raise InvalidInputError(f"{names[k]} " + next(what for what, ok in checks if not ok[k]))
     s = (m + m.mT) / 2.0
     s.flags.writeable = False
     return s
@@ -419,7 +414,7 @@ def qmax_scan_ineq2() -> ScanResult:
 @dataclass(frozen=True)
 class BlockReduction:
     """Block-diagonal form of P1 x Q1 + P2 x Q2 + 1 x Q0 over Alice's space,
-    for one instance of `block_reductions`.
+    as `block_reduce` returns it.
 
     `blocks` holds one symmetric matrix per singular direction, in the
     order of the singular values: (2 d_B) x (2 d_B) where the direction
@@ -451,110 +446,75 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(x, x))
 
 
-def _instances(a) -> np.ndarray:
-    """(k, n, n) float stack of k instances' square matrices, n >= 1."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
-        raise InvalidInputError(f"expected a (k, n, n) stack of matrices, got shape {m.shape}")
-    return m
-
-
 def block_reduce(p1, p2, q0, q1, q2) -> BlockReduction:
-    """`block_reductions` of the one instance P1, P2, Q0, Q1, Q2."""
-    return block_reductions(*(np.asarray(a, dtype=float)[None] for a in (p1, p2, q0, q1, q2)))[0]
+    """Split the Bell operator P1 x Q1 + P2 x Q2 + 1 x Q0 along the
+    singular directions of the overlap between the ranges of Alice's two
+    projectors.
 
-
-def block_reductions(p1, p2, q0, q1, q2) -> list:
-    """Split the Bell operator of each of k instances along the singular
-    directions of the overlap between the ranges of Alice's two projectors.
-
-    The projectors come as (k, d_A, d_A) stacks and the Q's as (k, d_B, d_B)
-    stacks; the result is one `BlockReduction` per instance.  The Gram
-    matrix of the two range bases is diagonalized by SVD; each singular
-    direction pairs one vector from each range into an invariant Alice
-    subspace of dimension at most two, so each block acts on at most a
-    (2 x Bob)-dimensional space.  Alice directions orthogonal to both
+    The Gram matrix of the two range bases is diagonalized by SVD; each
+    singular direction pairs one vector from each range into an invariant
+    Alice subspace of dimension at most two, so each block acts on at most
+    a (2 x Bob)-dimensional space.  Alice directions orthogonal to both
     ranges only feel Q0 and contribute the residual spectrum.
 
-    P1 and P2 are checked by `_projectors`, the rule `QuantumModel` applies
-    to its measurements, so an error names the first bad instance; each Q
-    stack by `numerics.as_sym_matrix`.  The range bases come from one eigh
-    per party.  The SVDs run once per group of instances sharing a pair of
-    ranks.  The paired directions' bases of all instances form
-    one (n, d_A, 2) stack and the single directions' one (n, d_A, 1) stack,
+    Each argument must be a square matrix of at least 1 x 1; an error
+    names the argument that is not.  P1 and P2 are checked by
+    `_projectors`, the rule `QuantumModel` applies to its measurements, and
+    the Q's by `numerics.as_sym_matrix`.  The paired directions' bases form
+    one (k, d_A, 2) stack and the single directions' one (k, d_A, 1) stack,
     so every block of one size comes from one stacked compression and one
-    `two_projector_operator` call, and the residual spectra from one
-    eigvalsh of the Q0 stack.  Each instance's blocks, residual spectrum
-    and singular values are bit-for-bit those of a stack holding it alone.
+    `two_projector_operator` call.
     """
-    p1, p2 = (_projectors(_instances(p), f"{name} of instance") for p, name in ((p1, "P1"), (p2, "P2")))
-    q0, q1, q2 = (as_sym_matrix(_instances(q)) for q in (q0, q1, q2))
-    k, d_a, _ = p1.shape
-    if p2.shape[-1] != d_a:
+    names = ("P1", "P2", "Q0", "Q1", "Q2")
+    mats = [np.asarray(a, dtype=float) for a in (p1, p2, q0, q1, q2)]
+    for name, m in zip(names, mats):
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise InvalidInputError(f"{name} is not a square matrix: shape {m.shape}")
+    if len(mats[1]) != len(mats[0]):
         raise InvalidInputError("P1 and P2 act on different spaces")
-    if q1.shape[-1] != q0.shape[-1] or q2.shape[-1] != q0.shape[-1]:
+    if len(mats[3]) != len(mats[2]) or len(mats[4]) != len(mats[2]):
         raise InvalidInputError("Q0, Q1 and Q2 act on different spaces")
-    if any(len(a) != k for a in (p2, q0, q1, q2)):
-        raise InvalidInputError("P1, P2, Q0, Q1 and Q2 hold different numbers of instances")
+    p1, p2 = _projectors(np.stack(mats[:2]), names[:2])
+    q0, q1, q2 = (as_sym_matrix(q) for q in mats[2:])
+    d_a = len(p1)
 
-    # a range basis is the eigenvectors of eigenvalue 1, the trailing ones;
-    # held as rows, so each (d_A, r) basis has the layout of a boolean
-    # column selection, which fixes BLAS's summation order
-    (w1, v1), (w2, v2) = np.linalg.eigh(p1), np.linalg.eigh(p2)
-    r1, r2 = np.sum(w1 > 0.5, axis=-1), np.sum(w2 > 0.5, axis=-1)
-    rows1, rows2 = (np.ascontiguousarray(np.swapaxes(v, -1, -2)) for v in (v1, v2))
-    # an instance's blocks fill consecutive slots, one per singular direction
-    n_dirs = np.maximum(r1, r2)
-    first = np.cumsum(n_dirs) - n_dirs
-    s_vals = [None] * k
-    dirs, partners, slots = [np.zeros((0, d_a))], [np.zeros((0, d_a))], [np.zeros(0, dtype=int)]
-    for a, b in sorted(set(zip(r1.tolist(), r2.tolist()))):
-        idx = np.flatnonzero((r1 == a) & (r2 == b))
-        e, f = np.swapaxes(rows1[idx, d_a - a :], -1, -2), np.swapaxes(rows2[idx, d_a - b :], -1, -2)
-        if a and b:
-            u, s, vh = np.linalg.svd(np.swapaxes(e, -1, -2) @ f, full_matrices=True)
-        else:
-            u, s, vh = np.eye(a), np.zeros((len(idx), 0)), np.eye(b)
-        for i, row in zip(idx.tolist(), s):
-            s_vals[i] = row
-        e_rot = np.swapaxes(e @ u, -1, -2)  # one direction per row
-        f_rot = np.swapaxes(f @ np.swapaxes(vh, -1, -2), -1, -2)
-        # direction mu < min(r1, r2) pairs e_mu with f_mu made orthogonal to
-        # it (the dot keeps the rows' strides, which fix BLAS's summation
-        # order); beyond, only the larger range has a direction, normalised
-        # like a partner vector when it is f's, and a zero partner
-        m = min(a, b)
-        extra = e_rot[:, m:] if a > b else f_rot[:, m:] / _norms(f_rot[:, m:])
-        dirs.append(np.concatenate([e_rot[:, :m], extra], axis=1).reshape(-1, d_a))
-        partner = f_rot[:, :m] - _dots(e_rot[:, :m], f_rot[:, :m]) * e_rot[:, :m]
-        partners.append(np.concatenate([partner, np.zeros_like(extra)], axis=1).reshape(-1, d_a))
-        slots.append((first[idx, None] + np.arange(max(a, b))).ravel())
+    # a range basis is the eigenvectors of eigenvalue 1
+    e, f = (v[:, w > 0.5] for w, v in (np.linalg.eigh(p1), np.linalg.eigh(p2)))
+    r1, r2 = e.shape[1], f.shape[1]
+    if r1 == 0 and r2 == 0:
+        full = _kron_sum(np.eye(d_a)[None], q0[None])
+        return BlockReduction((), np.linalg.eigvalsh(full), np.zeros(0))
 
-    dirs, partners, slots = (np.concatenate(x) for x in (dirs, partners, slots))
-    # a pair is one-dimensional when f_mu is e_mu up to 1e-9
-    norm = _norms(partners)
+    if r1 and r2:
+        u, s_vals, vh = np.linalg.svd(e.T @ f, full_matrices=True)
+    else:
+        u, s_vals, vh = np.eye(r1), np.zeros(0), np.eye(r2)
+    e_rot = (e @ u).T  # one direction per row
+    f_rot = (f @ vh.T).T
+
+    # direction mu < min(r1, r2) pairs e_mu with f_mu made orthogonal to it;
+    # the pair is one-dimensional when f_mu is e_mu up to 1e-9
+    m = min(r1, r2)
+    vec = f_rot[:m] - _dots(e_rot[:m], f_rot[:m]) * e_rot[:m]
+    norm = _norms(vec)
     paired = norm[:, 0] > 1e-9
-    bases = (np.stack([dirs[paired], partners[paired] / norm[paired]], axis=-1), dirs[~paired, :, None])
-    owner = np.repeat(np.arange(k), n_dirs)  # the instance of each slot
-    blocks = [None] * len(owner)
-    for b, slot in zip(bases, (slots[paired], slots[~paired])):
+    # beyond min(r1, r2) only the larger range has a direction, normalised
+    # like a partner vector when it is f's
+    extra = e_rot[m:] if r1 > r2 else f_rot[m:] / _norms(f_rot[m:])
+    bases = (
+        np.stack([e_rot[:m][paired], vec[paired] / norm[paired]], axis=-1),
+        np.concatenate([e_rot[:m][~paired], extra])[..., None],
+    )
+    stacks = []
+    for b in bases:
         b = np.ascontiguousarray(b)  # BLAS sums strided vectors in another order
         b_t = np.swapaxes(b, -1, -2)
-        i = owner[slot]
-        stack = two_projector_operator(b_t @ p1[i] @ b, b_t @ p2[i] @ b, q0[i], q1[i], q2[i])
-        for j, block in zip(slot.tolist(), stack):
-            blocks[j] = block
+        stacks.extend(two_projector_operator(b_t @ p1 @ b, b_t @ p2 @ b, q0, q1, q2))
+    order = np.concatenate([np.flatnonzero(paired), np.flatnonzero(~paired), np.arange(m, max(r1, r2))])
+    blocks = tuple(stacks[i] for i in np.argsort(order))
 
-    multiplicity = d_a - n_dirs - np.bincount(owner[slots[paired]], minlength=k)
-    residuals = [np.repeat(eigs, n) for eigs, n in zip(np.linalg.eigvalsh(q0), multiplicity)]
-    # with both projectors zero the residual is the full operator's spectrum
-    zero = np.flatnonzero(n_dirs == 0)
-    for i, spectrum in zip(zero.tolist(), np.linalg.eigvalsh(_kron_sum(np.eye(d_a)[None], q0[zero, None]))):
-        residuals[i] = spectrum
-    return [
-        BlockReduction(tuple(blocks[j : j + n]), residual, s)
-        for j, n, residual, s in zip(first.tolist(), n_dirs.tolist(), residuals, s_vals)
-    ]
+    multiplicity = d_a - 2 * len(bases[0]) - len(bases[1])
+    return BlockReduction(blocks, np.repeat(np.linalg.eigvalsh(q0), multiplicity), s_vals)
 
 
 def kcbs_vectors() -> np.ndarray:

@@ -63,23 +63,16 @@ def test_report_solves_theta_once_per_graph(monkeypatch):
     assert len(set(solved)) == 3
 
 
-def test_report_reduces_blocks_once_per_alice_dimension(monkeypatch):
-    alice_dims = []
-    reduce = quantum.block_reductions
+def test_report_makes_no_block_reduction(monkeypatch):
+    # Tier-1 tests the reduction code; the report states the qubit claim
+    def unexpected(*args):
+        raise AssertionError("report built a two-projector operator")
 
-    def counting(p1, *args):
-        alice_dims.append(np.shape(p1)[-1])
-        return reduce(p1, *args)
-
-    def per_instance(*args):
-        raise AssertionError("report reduced one instance at a time")
-
-    monkeypatch.setattr(quantum, "block_reductions", counting)
-    monkeypatch.setattr(quantum, "block_reduce", per_instance)
-    code, _, _ = run_cli(["report", "--json"])
+    monkeypatch.setattr(quantum, "block_reduce", unexpected)
+    monkeypatch.setattr(quantum, "two_projector_operator", unexpected)
+    code, out, _ = run_cli(["report", "--json"])
     assert code == 0
-    # the report draws Alice dimensions 2-6
-    assert sorted(alice_dims) == [2, 3, 4, 5, 6]
+    assert out == (GOLDEN_DIR / "report.json").read_text()
 
 
 def test_report_reads_the_enumeration_once(monkeypatch):
@@ -278,6 +271,29 @@ def test_simulate_a_saved_built_in_model_as_the_model_itself(tmp_path, monkeypat
         assert built_in[0] == 0
         assert run_cli(["simulate", name, "--model", str(path), *flags]) == built_in
     assert len(reports) == 4 and len({repr(r) for r in reports}) == 1
+
+
+def scenario_file(tmp_path, iq, **changes):
+    terms = [{"alice": e.alice and list(e.alice), "bob": e.bob and list(e.bob)} for e in iq.terms]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"name": iq.name, "terms": terms, **changes}))
+    return str(path)
+
+
+def test_simulate_takes_the_built_in_model_only_for_the_built_in_inequality(tmp_path):
+    flags = ["--seed", "7", "--shots", "2000", "--json"]
+    pentagon2 = scenarios.named_inequality("pentagon-2")
+    code, out, _ = run_cli(["simulate", scenario_file(tmp_path, pentagon2), *flags])
+    assert code == 0
+    assert out == (GOLDEN_DIR / "simulate_pentagon2.json").read_text()
+    # the name alone does not make a file the built-in inequality
+    borrowed = scenarios.Inequality(pentagon2.terms[:2], "pentagon-2")
+    for path in (scenario_file(tmp_path, borrowed), scenario_file(tmp_path, pentagon2, alice_settings=3)):
+        code, out, err = run_cli(["simulate", path, *flags])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: scenario 'pentagon-2' is not the built-in inequality of that name; give its model with --model\n"
+        )
 
 
 def test_simulate_with_model_file(tmp_path):
@@ -651,7 +667,8 @@ def test_report_fails_the_seesaw_when_thetas_certificate_does_not_replay(monkeyp
 
 def test_report_states_the_seesaw_models_replay(monkeypatch):
     # a see-saw whose top eigenvalue sits 5e-6 above what its model replays
-    # to: the report checks and prints the replay, the bound qmax states
+    # to: every report item that runs the see-saw, at (2,2) and at (4,4),
+    # checks and prints the replay, the bound qmax states
     seesaw = quantum.qmax_seesaw
 
     def above_its_replay(*args, **kwargs):
@@ -660,11 +677,8 @@ def test_report_states_the_seesaw_models_replay(monkeypatch):
 
     monkeypatch.setattr(quantum, "qmax_seesaw", above_its_replay)
     code, out, _ = run_cli(["report", "--json"])
-    golden = json.loads((GOLDEN_DIR / "report.json").read_text())["items"]
     assert code == 0
-    assert [it for it in json.loads(out)["items"] if it["name"] == "see-saw quantum maxima"] == [
-        it for it in golden if it["name"] == "see-saw quantum maxima"
-    ]
+    assert out == (GOLDEN_DIR / "report.json").read_text()
 
 
 def test_stalled_theta_exits_two_naming_the_reason(tmp_path):

@@ -20,7 +20,6 @@ from pentabell.quantum import (
     behavior_of,
     bell_operator,
     block_reduce,
-    block_reductions,
     kcbs_model,
     kcbs_vectors,
     known_optimal_model,
@@ -189,7 +188,7 @@ def test_a_projector_asymmetric_beyond_its_tolerance_is_rejected_everywhere():
     assert np.array_equal(skew @ skew, skew)
     with pytest.raises(InvalidInputError, match="alice projector 0 is not symmetric"):
         QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (skew,), ())
-    with pytest.raises(InvalidInputError, match="P2 of instance 0 is not symmetric"):
+    with pytest.raises(InvalidInputError, match="P2 is not symmetric"):
         block_reduce(np.eye(2), skew, np.eye(2), np.eye(2), np.eye(2))
 
 
@@ -197,9 +196,9 @@ def test_the_projector_rule_names_the_first_bad_matrix():
     half, nan = np.diag([0.5, 0.5]), np.full((2, 2), np.nan)
     with pytest.raises(InvalidInputError, match="bob projector 0 is not idempotent"):
         QuantumModel((2, 2), np.array([1.0, 0, 0, 0]), (), (half, np.eye(2), nan))
-    stack = np.array([half, np.eye(2), nan])
-    with pytest.raises(InvalidInputError, match="P1 of instance 0 is not idempotent"):
-        block_reductions(stack, *[np.array([np.eye(2)] * 3)] * 4)
+    with pytest.raises(InvalidInputError, match="P1 is not idempotent"):
+        block_reduce(half, nan, np.eye(2), np.eye(2), np.eye(2))
+
 
 @pytest.mark.parametrize("dims", [(2.7, 2), ("2", "2"), (2, True), [2.0, 2], (2, 2, 2), 2])
 def test_model_rejects_non_integer_dims(dims):
@@ -921,8 +920,26 @@ def test_two_projector_operator_is_the_kron_sum_and_broadcasts():
 
 
 def test_block_reduction_rejects_non_projector():
-    with pytest.raises(InvalidInputError):
-        block_reduce(np.diag([0.5, 0.5]), np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+    half, nan, q = np.diag([0.5, 0.5]), np.full((2, 2), np.nan), np.eye(2)
+    with pytest.raises(InvalidInputError, match="P1 is not idempotent"):
+        block_reduce(half, np.eye(2), q, q, q)
+    with pytest.raises(InvalidInputError, match="P2 is not idempotent"):
+        block_reduce(np.eye(2), half, q, q, q)
+    with pytest.raises(InvalidInputError, match="P2 has non-finite entries"):
+        block_reduce(np.eye(2), nan, q, q, q)
+
+
+def test_block_reductions_reject_a_stack_with_one_non_projector():
+    # P1 and P2 are checked as one stack: the error names the one bad matrix
+    # of a seeded instance whatever its place, and the instance is valid
+    args = reduction_instance(12)
+    block_reduce(*args)
+    half = np.diag(np.full(len(args[0]), 0.5))
+    for k, name in enumerate(("P1", "P2")):
+        bad = list(args)
+        bad[k] = half
+        with pytest.raises(InvalidInputError, match=f"{name} is not idempotent"):
+            block_reduce(*bad)
 
 
 @pytest.mark.parametrize("p", [np.zeros((2, 2)), np.diag([1.0, 0.0])], ids=["rank-0", "rank-1"])
@@ -932,52 +949,42 @@ def test_block_reduction_rejects_qs_of_different_sizes(p):
             block_reduce(p, p, *qs)
 
 
-def test_block_reductions_reject_stacks_that_do_not_match():
+def test_block_reduce_rejects_matrices_that_do_not_match():
     p, q = np.diag([1.0, 0.0]), np.eye(2)
-    with pytest.raises(InvalidInputError, match=r"expected a \(k, n, n\) stack of matrices, got shape \(2, 2\)"):
-        block_reductions(p, p, q, q, q)  # one instance, not a stack of them
-    for shape in [(1, 2, 3), (1, 0, 0)]:
-        with pytest.raises(InvalidInputError, match=re.escape(f"stack of matrices, got shape {shape}")):
-            block_reductions(np.zeros(shape), p[None], q[None], q[None], q[None])
+    names = ("P1", "P2", "Q0", "Q1", "Q2")
+    for shape in [(2, 3), (0, 0), (1, 2, 2), (2,)]:
+        for k, name in enumerate(names):
+            args = [p, p, q, q, q]
+            args[k] = np.zeros(shape)
+            with pytest.raises(InvalidInputError, match=re.escape(f"{name} is not a square matrix: shape {shape}")):
+                block_reduce(*args)
     with pytest.raises(InvalidInputError, match="P1 and P2 act on different spaces"):
         block_reduce(p, np.diag([1.0, 0.0, 0.0]), q, q, q)
-    with pytest.raises(InvalidInputError, match="P1, P2, Q0, Q1 and Q2 hold different numbers of instances"):
-        block_reductions(np.stack([p, p]), p[None], q[None], q[None], q[None])
 
 
-def reduction_stacks():
-    """The 320 `reduction_instance` cases as stacks, one per (d_A, d_B)."""
-    groups = {}
-    for seed in range(320):
-        args = reduction_instance(seed)
-        groups.setdefault((len(args[0]), len(args[2])), []).append(args)
-    return groups
+def seed_2024_instances():
+    """100 instances P1, P2, Q0, Q1, Q2, drawn one at a time from
+    default_rng(2024): an Alice dimension in 2-6, two ranks, two random
+    orthogonal bases whose leading columns span the projectors' ranges, and
+    three random symmetric 2 x 2 Q's."""
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        d_a = int(rng.integers(2, 7))
+        ranks = rng.integers(1, d_a + 1, size=2)
+        bases = np.linalg.qr(rng.standard_normal((2, d_a, d_a)))[0]
+        qs = rng.standard_normal((3, 2, 2))
+        yield (*(b[:, :r] @ b[:, :r].T for b, r in zip(bases, ranks)), *((qs + qs.mT) / 2))
 
 
-def test_block_reductions_equal_block_reduce_on_each_instance():
-    rank_pairs = []
-    for group in reduction_stacks().values():
-        reductions = block_reductions(*(np.stack(mats) for mats in zip(*group)))
-        assert len(reductions) == len(group)
-        for args, red in zip(group, reductions):
-            alone = block_reduce(*args)
-            assert len(red.blocks) == len(alone.blocks)
-            assert all(np.array_equal(b, ref) for b, ref in zip(red.blocks, alone.blocks))
-            assert np.array_equal(red.residual_spectrum, alone.residual_spectrum)
-            assert np.array_equal(red.gram_singular_values, alone.gram_singular_values)
-        rank_pairs.append({(round(np.trace(p1)), round(np.trace(p2))) for p1, p2, *_ in group})
-    # stacks mix rank pairs, and zero ranks ride in stacks with nonzero ones
-    assert all(len(pairs) >= 4 for pairs in rank_pairs)
-    assert any(0 in pair for pairs in rank_pairs for pair in pairs)
-
-
-def test_block_reductions_reject_a_stack_with_one_non_projector():
-    group = list(reduction_stacks()[(2, 2)])
-    group[3] = (np.diag([0.5, 0.5]),) + group[3][1:]
-    with pytest.raises(InvalidInputError, match="P1 of instance 0 is not idempotent"):
-        block_reduce(*group[3])
-    with pytest.raises(InvalidInputError, match="P1 of instance 3 is not idempotent"):
-        block_reductions(*(np.stack(mats) for mats in zip(*group)))
+def test_block_reduction_spectra_on_the_seed_2024_instances():
+    # the blocks' spectra plus the residual are the full operator's
+    worst = 0.0
+    for args in seed_2024_instances():
+        red = block_reduce(*args)
+        block_eigs = np.concatenate([np.linalg.eigvalsh(b) for b in red.blocks] + [red.residual_spectrum])
+        full_eigs = np.linalg.eigvalsh(two_projector_operator(*args))
+        worst = max(worst, float(np.max(np.abs(np.sort(block_eigs) - full_eigs))))
+    assert worst <= 1e-8
 
 
 # -------------------------------------------------------------------- KCBS ---

@@ -26,10 +26,10 @@ prints counts):
   report    simkit.run_experiments as `pentabell report` calls it:
             pentagon-2's known_optimal_model, 5000 shots, seeds 0-199; the
             reprs of all 200 reports
-  blocks    quantum.block_reductions on the 100 instances that `pentabell
-            report` checks (cli._block_spectra_worst_dev, which draws them
-            from default_rng(2024)): every block, residual spectrum and
-            singular value, and the worst spectral deviation's repr
+  blocks    quantum.block_reduce on each of 100 instances drawn one at a
+            time from default_rng(2024), as the Tier-1 spectral test draws
+            them (Alice dimension 2-6, random ranks, random symmetric 2x2
+            Q's): every block, residual spectrum and singular value
   scenarios scenarios.random_ns_tables: the 1000 boxes at default_rng(99),
             with evaluate_tables and chsh_decomposition's predict_tables
             on them for every named inequality that decomposes;
@@ -70,7 +70,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import theta_iterations  # noqa: E402  (tools/, this script's directory)
-from pentabell import cli, graphs, quantum, scenarios, simkit, theta  # noqa: E402
+from pentabell import graphs, quantum, scenarios, simkit, theta  # noqa: E402
 from pentabell.errors import PentabellError  # noqa: E402
 from pentabell.scenarios import named_inequality  # noqa: E402
 
@@ -103,6 +103,18 @@ def graph_digest(family) -> str:
         )
         h.update(repr(parts).encode() + result.primal.tobytes() + result.dual.tobytes())
     return h.hexdigest()
+
+
+def seed_2024_instances():
+    """The 100 instances P1, P2, Q0, Q1, Q2 of
+    tests/test_quantum.py::seed_2024_instances, drawn the same way."""
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        d_a = int(rng.integers(2, 7))
+        ranks = rng.integers(1, d_a + 1, size=2)
+        bases = np.linalg.qr(rng.standard_normal((2, d_a, d_a)))[0]
+        qs = rng.standard_normal((3, 2, 2))
+        yield (*(b[:, :r] @ b[:, :r].T for b, r in zip(bases, ranks)), *((qs + qs.mT) / 2))
 
 
 def model_bytes(model: quantum.QuantumModel) -> bytes:
@@ -147,22 +159,10 @@ def main() -> None:
     iq, model = named_inequality("pentagon-2"), quantum.known_optimal_model("pentagon-2")
     reports = simkit.run_experiments(iq, model, simkit.SimConfig(5000), range(200))
     print(f"report pentagon-2 seeds 0-199: {sha(repr(reports).encode())}")
-    reductions, block_reductions = [], quantum.block_reductions
-
-    def recorded(*args):
-        out = block_reductions(*args)
-        reductions.extend(out)
-        return out
-
-    quantum.block_reductions = recorded
-    try:
-        worst = cli._block_spectra_worst_dev()
-    finally:
-        quantum.block_reductions = block_reductions
+    reductions = [quantum.block_reduce(*args) for args in seed_2024_instances()]
     arrays = [a for r in reductions for a in (*r.blocks, r.residual_spectrum, r.gram_singular_values)]
     data = b"".join(repr(a.shape).encode() + a.tobytes() for a in arrays)
-    print(f"blocks report instances ({len(reductions)}): {sha(data)}")
-    print(f"blocks worst dev: {worst!r}")
+    print(f"blocks seed-2024 instances ({len(reductions)}): {sha(data)}")
     boxes = scenarios.random_ns_tables(np.random.default_rng(99), 1000)
     print(f"scenarios random_ns_tables rng 99: {sha(boxes.tobytes())}")
     for name in INEQUALITIES:
