@@ -31,26 +31,22 @@ STALL_FACTOR = 2.0
 
 
 def as_sym_matrix(a) -> np.ndarray:
-    """Validate a square symmetric matrix, or a (..., n, n) stack of them,
-    and return a symmetrized copy.
+    """Validate a square symmetric matrix and return a symmetrized copy.
 
-    Asymmetry beyond SYMMETRY_RTOL (relative to the largest entry of its own
-    matrix) is an error; smaller round-off asymmetry is silently symmetrized
-    so that downstream code sees entries[..., i, j] == entries[..., j, i]
-    exactly.  Messages name the shape of one matrix, as for a 2-d input.
+    Asymmetry beyond SYMMETRY_RTOL (relative to the largest entry) is an
+    error; smaller round-off asymmetry is silently symmetrized so that
+    downstream code sees entries[i, j] == entries[j, i] exactly.
     """
     m = np.asarray(a, dtype=float)
-    if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
-        raise InvalidInputError(f"expected a 2-d matrix, got shape {m.shape[-2:]}")
+    if m.ndim != 2 or m.size == 0:
+        raise InvalidInputError(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix has non-finite entries")
-    if m.shape[-2] != m.shape[-1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {m.shape[-2:]}")
-    t = np.swapaxes(m, -1, -2)
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    if np.any(np.abs(m - t).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
+    if m.shape[0] != m.shape[1]:
+        raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
+    if np.abs(m - m.T).max() > SYMMETRY_RTOL * max(1.0, np.abs(m).max()):
         raise InvalidInputError("matrix is not symmetric")
-    return (m + t) / 2.0
+    return (m + m.T) / 2.0
 
 
 def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -106,8 +102,6 @@ def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, 
     error state; the caller's is in force between iterates.
     """
     c = as_sym_matrix(c)
-    if c.ndim != 2:
-        raise InvalidInputError(f"expected a 2-d matrix, got shape {c.shape}")
     n = len(c)
     if n > MAX_ORDER:
         raise CapacityError(f"order {n} exceeds the {MAX_ORDER} envelope")

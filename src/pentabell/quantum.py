@@ -17,13 +17,13 @@ sums of Kronecker products for whole stacks of projectors at once, as one
 contraction that never holds the products as an array;
 `bell_operator` and the scan use it through `_bell_matrix`, the see-saw
 through `_effect_bell_matrix` on the effect stacks it keeps, and
-`two_projector_operator` (P1 x Q1 + P2 x Q2 + 1 x Q0, for a whole stack of
-blocks or full operators at once) and so `block_reduce` use it with a
-three-pair stack.  The scan's top eigenvalue is symmetric under
-theta -> pi - theta for either party and under swapping the parties'
-angles, so it searches one line, t -> (pi - t, t), by one rule: a batched
-grid (91 points over [0, pi/2], then 17 over the last bracket) in one
-eigenvalue call, and a new bracket at the two neighbours of its maximum.
+`two_projector_operator` (one operator P1 x Q1 + P2 x Q2 + 1 x Q0) and so
+`block_reduce` use it with a three-pair stack.  The scan's top eigenvalue
+is symmetric under theta -> pi - theta for either party and under swapping
+the parties' angles, so it searches one line, t -> (pi - t, t), by one
+rule: a batched grid (91 points over [0, pi/2], then 17 over the last
+bracket) in one eigenvalue call, and a new bracket at the two neighbours
+of its maximum.
 
 The see-saw runs all its restarts as one stack of projectors: each
 iteration is one batched Bell-operator build and eigenvalue call, then one
@@ -44,9 +44,9 @@ whose value fails to grow by 1e-12 and keeps the state and measurements
 of that step.
 
 `block_reduce` splits one two-projector operator into the blocks of
-Jordan's lemma, each acting on at most two of Alice's dimensions; every
-block of one size comes from one stacked compression and one
-`two_projector_operator` call.
+Jordan's lemma, each acting on at most two of Alice's dimensions: one loop
+over the singular directions builds one block per direction with
+`two_projector_operator`.
 """
 
 from __future__ import annotations
@@ -166,12 +166,6 @@ def bell_operator(iq: Inequality, model: QuantumModel) -> np.ndarray:
     settings the model has (see `_bell_matrix`)."""
     w = coefficient_tensor(iq, len(model.alice), len(model.bob))
     return _bell_matrix(w, np.array(model.alice), np.array(model.bob))
-
-
-def _stack(matrices) -> np.ndarray:
-    """(..., k, d, d) stack of k matrices or matrix stacks whose leading axes
-    broadcast."""
-    return np.stack(np.broadcast_arrays(*matrices), axis=-3)
 
 
 def _effects(projectors: np.ndarray) -> np.ndarray:
@@ -420,8 +414,10 @@ class BlockReduction:
     order of the singular values: (2 d_B) x (2 d_B) where the direction
     pairs a vector of each range, d_B x d_B where it holds one.  Each is
     `two_projector_operator` of the projectors compressed to the block's
-    Alice basis.  The multiset of all block eigenvalues plus the residual
-    spectrum equals the spectrum of the full operator (within 1e-8).
+    Alice basis, and the residual spectrum is Q0's, repeated once per Alice
+    dimension no block uses.  The multiset of all block eigenvalues plus
+    the residual spectrum equals the spectrum of the full operator (within
+    1e-8).
     """
 
     blocks: tuple
@@ -430,20 +426,11 @@ class BlockReduction:
 
 
 def two_projector_operator(p1, p2, q0, q1, q2) -> np.ndarray:
-    """Symmetrized P1 x Q1 + P2 x Q2 + 1 x Q0, summed in that order.
-
-    Every argument may be a stack (..., d, d); the leading axes broadcast,
-    giving one operator per stack element.  A single set of symmetric
-    matrices gives exactly the sum of the three np.kron products.
+    """Symmetrized P1 x Q1 + P2 x Q2 + 1 x Q0, summed in that order: one
+    operator, which for symmetric matrices is exactly the sum of the three
+    np.kron products.
     """
-    return _kron_sum(_stack([p1, p2, np.eye(np.shape(p1)[-1])]), _stack([q1, q2, q0]))
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of a (..., d) stack, as (..., 1): like it,
-    the dot of a contiguous copy of the row with itself."""
-    x = np.ascontiguousarray(x)
-    return np.sqrt(_dots(x, x))
+    return _kron_sum(np.stack([p1, p2, np.eye(len(p1))]), np.stack([q1, q2, q0]))
 
 
 def block_reduce(p1, p2, q0, q1, q2) -> BlockReduction:
@@ -457,16 +444,16 @@ def block_reduce(p1, p2, q0, q1, q2) -> BlockReduction:
     a (2 x Bob)-dimensional space.  Alice directions orthogonal to both
     ranges only feel Q0 and contribute the residual spectrum.
 
-    Each argument must be a square matrix of at least 1 x 1; an error
-    names the argument that is not.  P1 and P2 are checked by
-    `_projectors`, the rule `QuantumModel` applies to its measurements, and
-    the Q's by `numerics.as_sym_matrix`.  The paired directions' bases form
-    one (k, d_A, 2) stack and the single directions' one (k, d_A, 1) stack,
-    so every block of one size comes from one stacked compression and one
-    `two_projector_operator` call.
+    Each argument must be a square matrix of at least 1 x 1 whose entries
+    are real numbers (a bool, "1" or a ragged row raises); an error names
+    the argument.  P1 and P2 are checked by `_projectors`, the rule
+    `QuantumModel` applies to its measurements, and the Q's by
+    `numerics.as_sym_matrix`.  One loop over the singular directions, in
+    singular-value order, compresses the projectors to each direction's
+    Alice basis and builds its block with `two_projector_operator`.
     """
     names = ("P1", "P2", "Q0", "Q1", "Q2")
-    mats = [np.asarray(a, dtype=float) for a in (p1, p2, q0, q1, q2)]
+    mats = [strict_reals(a, f"{name} entry") for name, a in zip(names, (p1, p2, q0, q1, q2))]
     for name, m in zip(names, mats):
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise InvalidInputError(f"{name} is not a square matrix: shape {m.shape}")
@@ -476,15 +463,10 @@ def block_reduce(p1, p2, q0, q1, q2) -> BlockReduction:
         raise InvalidInputError("Q0, Q1 and Q2 act on different spaces")
     p1, p2 = _projectors(np.stack(mats[:2]), names[:2])
     q0, q1, q2 = (as_sym_matrix(q) for q in mats[2:])
-    d_a = len(p1)
 
     # a range basis is the eigenvectors of eigenvalue 1
     e, f = (v[:, w > 0.5] for w, v in (np.linalg.eigh(p1), np.linalg.eigh(p2)))
     r1, r2 = e.shape[1], f.shape[1]
-    if r1 == 0 and r2 == 0:
-        full = _kron_sum(np.eye(d_a)[None], q0[None])
-        return BlockReduction((), np.linalg.eigvalsh(full), np.zeros(0))
-
     if r1 and r2:
         u, s_vals, vh = np.linalg.svd(e.T @ f, full_matrices=True)
     else:
@@ -492,29 +474,21 @@ def block_reduce(p1, p2, q0, q1, q2) -> BlockReduction:
     e_rot = (e @ u).T  # one direction per row
     f_rot = (f @ vh.T).T
 
-    # direction mu < min(r1, r2) pairs e_mu with f_mu made orthogonal to it;
-    # the pair is one-dimensional when f_mu is e_mu up to 1e-9
-    m = min(r1, r2)
-    vec = f_rot[:m] - _dots(e_rot[:m], f_rot[:m]) * e_rot[:m]
-    norm = _norms(vec)
-    paired = norm[:, 0] > 1e-9
-    # beyond min(r1, r2) only the larger range has a direction, normalised
-    # like a partner vector when it is f's
-    extra = e_rot[m:] if r1 > r2 else f_rot[m:] / _norms(f_rot[m:])
-    bases = (
-        np.stack([e_rot[:m][paired], vec[paired] / norm[paired]], axis=-1),
-        np.concatenate([e_rot[:m][~paired], extra])[..., None],
-    )
-    stacks = []
-    for b in bases:
-        b = np.ascontiguousarray(b)  # BLAS sums strided vectors in another order
-        b_t = np.swapaxes(b, -1, -2)
-        stacks.extend(two_projector_operator(b_t @ p1 @ b, b_t @ p2 @ b, q0, q1, q2))
-    order = np.concatenate([np.flatnonzero(paired), np.flatnonzero(~paired), np.arange(m, max(r1, r2))])
-    blocks = tuple(stacks[i] for i in np.argsort(order))
-
-    multiplicity = d_a - 2 * len(bases[0]) - len(bases[1])
-    return BlockReduction(blocks, np.repeat(np.linalg.eigvalsh(q0), multiplicity), s_vals)
+    # direction mu holds e_mu and f_mu made orthogonal to it, where each
+    # exists; f's vector is dropped when it is e_mu up to 1e-9
+    blocks, used = [], 0
+    for mu in range(max(r1, r2)):
+        basis = [e_rot[mu]] if mu < r1 else []
+        if mu < r2:
+            # a fresh contiguous vector: BLAS sums strided ones in another order
+            vec = f_rot[mu] - ((e_rot[mu] @ f_rot[mu]) * e_rot[mu] if basis else 0.0)
+            norm = np.linalg.norm(vec)
+            if norm > 1e-9:
+                basis.append(vec / norm)
+        b = np.column_stack(basis)
+        blocks.append(two_projector_operator(b.T @ p1 @ b, b.T @ p2 @ b, q0, q1, q2))
+        used += len(basis)
+    return BlockReduction(tuple(blocks), np.repeat(np.linalg.eigvalsh(q0), len(p1) - used), s_vals)
 
 
 def kcbs_vectors() -> np.ndarray:

@@ -347,8 +347,11 @@ def random_ns_tables(rng: np.random.Generator, count: int) -> np.ndarray:
     Each box is a convex mixture of the 16 deterministic behaviors and the
     PR box, so it is no-signaling by construction; the weights are one
     (count, 17) draw, so count calls with count 1 take the same numbers
-    from rng.
+    from rng.  count is read as an integer of at least 0.
     """
+    count = strict_int(count, "count")
+    if count < 0:
+        raise InvalidInputError(f"count must be >= 0, not {count}")
     weights = rng.random((count, 17))
     weights /= weights.sum(axis=1, keepdims=True)
     tables = weights @ _ns_vertices().reshape(17, -1)

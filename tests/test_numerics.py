@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -212,29 +213,28 @@ def test_sdp_rejects_nonfinite_asymmetric_and_malformed_input():
         sdp_path(eye, [1.0], [0, 0], [(0, 0), (1, 1)], [1.0])
 
 
-def test_as_sym_matrix_validates_each_matrix_of_a_stack():
+def test_as_sym_matrix_validates_one_matrix():
     rng = np.random.default_rng(5)
-    stack = np.stack([random_symmetric(3, rng) for _ in range(4)])
-    stack[0] += 1e-12 * rng.standard_normal((3, 3))  # round-off asymmetry is symmetrized
-    for k in range(4):
-        assert np.array_equal(as_sym_matrix(stack[k : k + 1])[0], as_sym_matrix(stack[k]))
-    sym = as_sym_matrix(stack)
-    assert np.array_equal(sym, np.swapaxes(sym, -1, -2))
-    bad = stack.copy()
-    bad[2, 0, 1] = np.inf
+    m = random_symmetric(3, rng) + 1e-12 * rng.standard_normal((3, 3))  # round-off asymmetry is symmetrized
+    sym = as_sym_matrix(m)
+    assert np.array_equal(sym, sym.T) and np.array_equal(sym, (m + m.T) / 2.0)
+    bad = m.copy()
+    bad[0, 1] = np.inf
     with pytest.raises(InvalidInputError, match="non-finite"):
         as_sym_matrix(bad)
-    # the symmetry scale is each matrix's own: 1e3 entries elsewhere in the
-    # stack do not excuse a 1e-6 asymmetry in a matrix of unit entries
-    bad = stack.copy()
-    bad[1] *= 1e3 / np.abs(bad[1]).max()
-    bad[3, 0, 1] += 1e-6
+    # the symmetry tolerance is relative to the largest entry: a 1e-6
+    # asymmetry is rejected at unit scale and accepted at 1e3
+    unit = m / np.abs(m).max()
+    unit[0, 1] += 1e-6
     with pytest.raises(InvalidInputError, match="not symmetric"):
-        as_sym_matrix(bad)
+        as_sym_matrix(unit)
+    large = m * (1e3 / np.abs(m).max())
+    large[0, 1] += 1e-6
+    as_sym_matrix(large)
     with pytest.raises(InvalidInputError, match="square"):
-        as_sym_matrix(np.zeros((2, 3, 4)))
-    for shape in ((3,), (2, 0, 0)):
-        with pytest.raises(InvalidInputError, match="expected a 2-d matrix"):
+        as_sym_matrix(np.zeros((2, 3)))
+    for shape in ((3,), (0, 0), (2, 3, 3)):
+        with pytest.raises(InvalidInputError, match=re.escape(f"expected a 2-d matrix, got shape {shape}")):
             as_sym_matrix(np.zeros(shape))
 
 

@@ -14,7 +14,6 @@ from pentabell.quantum import (
     _positive_eigenspace_projector,
     _rank_one_projectors,
     _seesaw,
-    _stack,
     _start_draws,
     _start_projectors,
     behavior_of,
@@ -51,6 +50,12 @@ IDEAL_COLUMN_1 = (0.464, 0.464, 0.323, 0.464, 0.464)
 def random_sym(n, rng):
     m = rng.standard_normal((n, n))
     return (m + m.T) / 2.0
+
+
+def settings_stack(projectors):
+    """(..., settings, d, d) stack of one projector or projector stack per
+    setting, whose leading axes broadcast."""
+    return np.stack(np.broadcast_arrays(*projectors), axis=-3)
 
 
 def random_projector(d, rng):
@@ -584,7 +589,7 @@ def test_bell_matrix_broadcasts_over_projector_stacks(name, dims):
     # Bob's setting 0 is one shared matrix, broadcast against the stacks
     bob[0] = bob[0][0]
     w = coefficients(iq, iq.alice_settings, iq.bob_settings)
-    batched = _bell_matrix(w, _stack(alice), _stack(bob))
+    batched = _bell_matrix(w, settings_stack(alice), settings_stack(bob))
     assert batched.shape == (k, dims[0] * dims[1], dims[0] * dims[1])
     for i in range(k):
         alice_i, bob_i = [p[i] for p in alice], [bob[0]] + [p[i] for p in bob[1:]]
@@ -593,7 +598,7 @@ def test_bell_matrix_broadcasts_over_projector_stacks(name, dims):
         assert np.max(np.abs(batched[i] - kron_bell_matrix_by_events(iq, alice_i, bob_i, dims))) <= 1e-14
     # one pair of matrices reproduces the np.kron sum bit for bit
     alice0, bob0 = [p[0] for p in alice], [bob[0]] + [p[0] for p in bob[1:]]
-    assert np.array_equal(_bell_matrix(w, _stack(alice0), _stack(bob0)), kron_bell_matrix(iq, alice0, bob0, dims))
+    assert np.array_equal(_bell_matrix(w, np.array(alice0), np.array(bob0)), kron_bell_matrix(iq, alice0, bob0, dims))
 
 
 def test_seesaw_capacity_and_validation():
@@ -671,7 +676,7 @@ def pentagon1_top_eig(angle_a, angle_b):
     alice = [sigma_z0, projector_onto((np.cos(angle_a), np.sin(angle_a)))]
     bob = [sigma_z0, projector_onto((np.cos(angle_b), np.sin(angle_b)))]
     w = coefficients(named_inequality("pentagon-1"), 2, 2)
-    return np.linalg.eigvalsh(_bell_matrix(w, _stack(alice), _stack(bob)))[-1]
+    return np.linalg.eigvalsh(_bell_matrix(w, np.array(alice), np.array(bob)))[-1]
 
 
 def test_scan_eigenvalue_symmetries():
@@ -689,7 +694,7 @@ def test_no_two_angle_grid_point_beats_the_scan():
     sigma_z0 = np.diag([1.0, 0.0])
     grid = np.array([projector_onto((np.cos(t), np.sin(t))) for t in np.linspace(0.0, math.pi, 181)])
     w = coefficients(named_inequality("pentagon-1"), 2, 2)
-    operators = _bell_matrix(w, _stack([sigma_z0, grid[:, None]]), _stack([sigma_z0, grid]))
+    operators = _bell_matrix(w, settings_stack([sigma_z0, grid[:, None]]), settings_stack([sigma_z0, grid]))
     assert operators.shape == (181, 181, 4, 4)
     assert np.linalg.eigvalsh(operators)[..., -1].max() <= qmax_scan_ineq2().value + 1e-12
 
@@ -905,18 +910,12 @@ def test_block_reduction_matches_kron_reference():
     assert any(paired for _, paired in kinds_seen)
 
 
-def test_two_projector_operator_is_the_kron_sum_and_broadcasts():
-    rng = np.random.default_rng(31)
+def test_two_projector_operator_is_the_kron_sum():
     p1, p2, q0, q1, q2 = reduction_instance(31)
     p1, p2 = (p1 + p1.T) / 2.0, (p2 + p2.T) / 2.0
     d_a = p1.shape[0]
     kron_sum = np.kron(p1, q1) + np.kron(p2, q2) + np.kron(np.eye(d_a), q0)
     assert np.array_equal(two_projector_operator(p1, p2, q0, q1, q2), kron_sum)
-    q0s = np.stack([q0, random_sym(q0.shape[0], rng)])
-    stacked = two_projector_operator(p1, p2, q0s, q1, q2)
-    assert stacked.shape == (2,) + kron_sum.shape
-    assert np.array_equal(stacked[0], kron_sum)
-    assert np.array_equal(stacked[1], two_projector_operator(p1, p2, q0s[1], q1, q2))
 
 
 def test_block_reduction_rejects_non_projector():
@@ -960,6 +959,24 @@ def test_block_reduce_rejects_matrices_that_do_not_match():
                 block_reduce(*args)
     with pytest.raises(InvalidInputError, match="P1 and P2 act on different spaces"):
         block_reduce(p, np.diag([1.0, 0.0, 0.0]), q, q, q)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([[1, 0], [0]], "entry must be a real number, not [1, 0]"),
+        ("ab", "entry must be a real number, not 'ab'"),
+        ([[True, False], [False, False]], "entry must be a real number, not True"),
+    ],
+    ids=["ragged", "str", "bool"],
+)
+def test_block_reduce_reads_entries_as_real_numbers(entry, message):
+    p, q = np.diag([1.0, 0.0]), np.eye(2)
+    for k, name in enumerate(("P1", "P2", "Q0", "Q1", "Q2")):
+        args = [p, p, q, q, q]
+        args[k] = entry
+        with pytest.raises(InvalidInputError, match=re.escape(f"{name} {message}")):
+            block_reduce(*args)
 
 
 def seed_2024_instances():

@@ -594,6 +594,22 @@ def test_random_ns_tables_match_component_loop():
     assert rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    [(-1, "count must be >= 0"), (2.0, "count must be an integer"), (True, "count must be an integer")],
+    ids=["negative", "float", "bool"],
+)
+def test_random_ns_tables_reads_count_as_a_non_negative_integer(count, message):
+    with pytest.raises(InvalidInputError, match=message):
+        random_ns_tables(np.random.default_rng(0), count)
+
+
+def test_random_ns_tables_with_count_zero_draws_nothing():
+    rng = np.random.default_rng(5)
+    assert random_ns_tables(rng, 0).shape == (0, 2, 2, 2, 2)
+    assert random_ns_tables(rng, np.int64(1)).tobytes() == random_ns_tables(np.random.default_rng(5), 1).tobytes()
+
+
 def test_decomposition_rejects_three_settings():
     with pytest.raises(InvalidInputError):
         chsh_decomposition(named_inequality("pentagon-3"))
