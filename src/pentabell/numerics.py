@@ -216,13 +216,13 @@ def certified_solve(points, bounds, tol: float, max_iterations: int, result, low
     ConvergenceError naming the reason and carrying that result and the
     reason.
 
-    Candidates are computed once their cap reaches the best upper bound
-    less the gap that decides the next test: tol at every iteration, the
-    gap that would count as progress at a stall check (highest cap first),
-    and any gap when the walk ends (likewise); those whose cap falls below
-    the best lower bound are dropped.  So a candidate that could meet a test is computed
-    before the test is made, and the stop, its reason and the result are
-    those of computing every candidate at once.
+    Candidates are settled once per iteration, highest cap first, so that
+    a bound computed early drops every candidate whose cap falls below it:
+    those whose cap reaches the best upper bound less tol are computed, less
+    max(tol, the gap that would count as progress) at a stall check, and
+    any gap when the walk ends.  A candidate left pending cannot meet the
+    closed test or the stall test, so the stop, its reason and the result
+    are those of computing every candidate at once.
 
     The stall window and factor were chosen as sdp_path's step rule was, by
     Lovasz theta on the held-out graphs of tools/theta_iterations.py with
@@ -238,45 +238,39 @@ def certified_solve(points, bounds, tol: float, max_iterations: int, result, low
     pending = [(next(orders), cap, compute) for cap, compute in lower]
     best = (-math.inf, -math.inf, None)  # (bound, order, certificate)
 
-    def settle(threshold, highest_cap_first=False):
+    def settle(threshold):
+        # highest cap first: compute while the top cap reaches the threshold
+        # and the best bound, then drop every cap below the best bound
         nonlocal pending, best
-        if highest_cap_first:  # where many may be computed, the likeliest first
-            pending.sort(key=lambda c: -c[1](upper[0]))
-        kept = []
-        for order, cap, compute in pending:
-            reach = cap(upper[0])
-            if reach < best[0]:
-                continue
-            if reach < threshold:
-                kept.append((order, cap, compute))
-                continue
+        reach = lambda candidate: candidate[1](upper[0])
+        pending.sort(key=reach, reverse=True)
+        while pending and reach(pending[0]) >= max(threshold, best[0]):
+            order, _, compute = pending.pop(0)
             bound, certificate = compute()
             if (bound, order) > best[:2]:
                 best = (bound, order, certificate)
-        pending = kept
+        pending = [candidate for candidate in pending if reach(candidate) >= best[0]]
 
     iterations, stop, progress = 0, "failed step", math.inf
     for iterations, point in enumerate(points, 1):
         bound, found = bounds(point)
-        for cap, compute in found:
-            pending.append((next(orders), cap, compute))
+        pending += [(next(orders), cap, compute) for cap, compute in found]
         if bound[0] < upper[0]:
             upper = bound
-        settle(upper[0] - tol)
+        check = iterations % STALL_WINDOW == 0
+        settle(upper[0] - (max(tol, progress / STALL_FACTOR) if check else tol))
         if upper[0] - best[0] <= tol:
             stop = "closed"
             break
-        if iterations % STALL_WINDOW == 0:
-            threshold = upper[0] - progress / STALL_FACTOR
-            settle(threshold, True)
-            if best[0] < threshold:
+        if check:
+            if best[0] < upper[0] - progress / STALL_FACTOR:
                 stop = "stalled"
                 break
             progress = upper[0] - best[0]
         if iterations == max_iterations:
             stop = "cap"
             break
-    settle(-math.inf, True)
+    settle(-math.inf)
     solved = result((best[0], best[2]), upper, iterations)
     if stop == "closed":
         return solved

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError, json_decoder, load_json
-from .errors import strict_int, strict_iterable, strict_pair, strict_text
+from .errors import strict_int, strict_iterable, strict_pair, strict_reals, strict_text
 from .graphs import Graph, cycle, graph
 from .theta import odd_cycle_theta
 
@@ -257,15 +257,17 @@ class Behavior:
     """Probability table P(ab|xy) with derived marginals and correlators.
 
     Built from one dense (n_a, n_b, 2, 2) array over (x, y, a, b) that
-    covers every setting pair of its shape.  Construction validates the
-    table with `_checked_tables` (settings, finiteness, normalization,
-    non-negativity and no-signaling, each within 1e-9); an offending table
-    is rejected.
+    covers every setting pair of its shape.  Construction reads every entry
+    as a real number through `errors.strict_reals` (a bool, a string or a
+    ragged table raises) and validates the table with `_checked_tables`
+    (settings, finiteness, normalization, non-negativity and no-signaling,
+    each within 1e-9); an offending table is rejected.
     """
 
     def __init__(self, tables):
-        if np.shape(tables)[2:] != (2, 2):
-            raise InvalidInputError(f"a behavior's table has shape (n_a, n_b, 2, 2), not {np.shape(tables)}")
+        tables = strict_reals(tables, "behavior table entry")
+        if tables.shape[2:] != (2, 2):
+            raise InvalidInputError(f"a behavior's table has shape (n_a, n_b, 2, 2), not {tables.shape}")
         self._p = _checked_tables(tables)
 
     @property
@@ -347,8 +349,11 @@ def random_ns_tables(rng: np.random.Generator, count: int) -> np.ndarray:
     Each box is a convex mixture of the 16 deterministic behaviors and the
     PR box, so it is no-signaling by construction; the weights are one
     (count, 17) draw, so count calls with count 1 take the same numbers
-    from rng.  count is read as an integer of at least 0.
+    from rng.  rng must be a numpy Generator and count an integer of at
+    least 0.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInputError(f"rng must be a numpy Generator, not {rng!r}")
     count = strict_int(count, "count")
     if count < 0:
         raise InvalidInputError(f"count must be >= 0, not {count}")
@@ -415,12 +420,21 @@ def evaluate(iq: Inequality, behavior: Behavior) -> float:
     return float(evaluate_tables(iq, behavior._p))
 
 
+def _stacked(tables) -> np.ndarray:
+    """tables as a float array of shape (..., n_a, n_b, 2, 2); any other
+    shape raises InvalidInputError.  Only the shape is read."""
+    tables = np.asarray(tables, dtype=float)
+    if tables.shape[-2:] != (2, 2) or tables.ndim < 4:
+        raise InvalidInputError(f"tables have shape (..., n_a, n_b, 2, 2), not {tables.shape}")
+    return tables
+
+
 def evaluate_tables(iq: Inequality, tables: np.ndarray) -> np.ndarray:
     """Inequality value of each table of a dense (..., n_a, n_b, 2, 2)
     stack: one contraction with its coefficient tensor over the shape."""
-    tables = np.asarray(tables, dtype=float)
+    tables = _stacked(tables)
     weights = coefficient_tensor(iq, *tables.shape[-4:-2])
-    return tables.reshape(tables.shape[:-4] + (-1,)) @ weights.reshape(-1)
+    return tables.reshape(tables.shape[:-4] + (weights.size,)) @ weights.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -429,37 +443,27 @@ class CorrelatorDecomposition:
 
     correlator_only is True when the marginal coefficients vanish, i.e. the
     inequality is a rescaled, shifted combination of correlators alone.
+    weights is the same form as a read-only (2, 2, 2, 2) tensor w[x, y, a,
+    b] with value = offset + sum w * P over the four setting pairs.
     """
 
     offset: float
     coefficients: dict
     correlator_only: bool
     residual: float
-    alice_coefficients: dict = field(default_factory=dict)
-    bob_coefficients: dict = field(default_factory=dict)
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """Read-only (2, 2, 2, 2) tensor w[x, y, a, b] with value = offset +
-        sum w * P over the four setting pairs: c_xy s_a s_b for the
-        correlators (s = +1, -1), plus the marginal coefficients on each
-        party's outcomes at partner setting 0, where every table covering
-        the four pairs reads its marginals."""
-        s = np.array([1.0, -1.0])
-        w = np.zeros((2, 2, 2, 2))
-        for (x, y), c in self.coefficients.items():
-            w[x, y] += c * np.outer(s, s)
-        for x, c in self.alice_coefficients.items():
-            w[x, 0] += c * s[:, None]
-        for y, c in self.bob_coefficients.items():
-            w[0, y] += c * s[None, :]
-        w.flags.writeable = False
-        return w
+    alice_coefficients: dict
+    bob_coefficients: dict
+    weights: np.ndarray = field(repr=False, compare=False)
 
     def predict_tables(self, tables: np.ndarray) -> np.ndarray:
         """The affine form on each table of a dense (..., n_a, n_b, 2, 2)
-        stack whose settings 0 and 1 cover the four pairs."""
-        block = np.asarray(tables, dtype=float)[..., :2, :2, :, :]
+        stack whose settings 0 and 1 cover the four pairs; a stack that
+        does not raises InvalidInputError naming the first missing pair."""
+        tables = _stacked(tables)
+        missing = [(x, y) for x, y in _PAIRS_2X2 if x >= tables.shape[-4] or y >= tables.shape[-3]]
+        if missing:
+            raise InvalidInputError(f"tables do not cover setting pair ({missing[0][0]},{missing[0][1]})")
+        block = tables[..., :2, :2, :, :]
         return self.offset + block.reshape(block.shape[:-4] + (16,)) @ self.weights.reshape(16)
 
 
@@ -472,26 +476,34 @@ def chsh_decomposition(iq: Inequality) -> CorrelatorDecomposition:
     is sum W/4, c_xy = sum_ab s_a s_b W[x, y, a, b]/4, a_x = sum s_a W[x]/4
     and b_y = sum s_b W[:, y]/4.  These are exact multiples of 1/4, and the
     inequality is correlator-only when every marginal sum is zero.  The
-    residual replays the form (`predict_tables`) against `evaluate_tables`
-    on the 16 deterministic behaviors.  A term outside the 2x2 settings
-    raises InvalidInputError (from coefficient_tensor).
+    form's tensor is built once from these sums: c_xy s_a s_b, plus a_x s_a
+    at (x, 0) and b_y s_b at (0, y), where every table covering the four
+    pairs reads its marginals.  The residual replays the form against
+    `evaluate_tables` on the 16 deterministic behaviors.  A term outside
+    the 2x2 settings raises InvalidInputError (from coefficient_tensor).
     """
     w = coefficient_tensor(iq, 2, 2)
     s = np.array([1.0, -1.0])
     c = np.einsum("xyab,a,b->xy", w, s, s) / 4.0
     alice, bob = np.einsum("xyab,a->x", w, s) / 4.0, np.einsum("xyab,b->y", w, s) / 4.0
     correlator_only = not (alice.any() or bob.any())
-    dec = CorrelatorDecomposition(
-        offset=float(w.sum()) / 4.0,
+    offset = float(w.sum()) / 4.0
+    weights = c[:, :, None, None] * np.outer(s, s) + 0.0  # + 0.0: a zero c_xy gives 0.0, not -0.0
+    weights[:, 0] += alice[:, None, None] * s[:, None]
+    weights[0] += bob[:, None, None] * s
+    weights.flags.writeable = False
+    tables = _deterministic(2, 2)[1]
+    predicted = offset + tables.reshape(16, 16) @ weights.reshape(16)
+    residual = np.max(np.abs(predicted - evaluate_tables(iq, tables)))
+    return CorrelatorDecomposition(
+        offset=offset,
         coefficients=dict(zip(_PAIRS_2X2, c.reshape(4).tolist())),
         correlator_only=correlator_only,
-        residual=0.0,
+        residual=float(residual),
         alice_coefficients={} if correlator_only else dict(enumerate(alice.tolist())),
         bob_coefficients={} if correlator_only else dict(enumerate(bob.tolist())),
+        weights=weights,
     )
-    tables = _deterministic(2, 2)[1]
-    residual = np.max(np.abs(dec.predict_tables(tables) - evaluate_tables(iq, tables)))
-    return replace(dec, residual=float(residual))
 
 
 @dataclass(frozen=True)
@@ -545,7 +557,7 @@ def eprinciple_check(iq: Inequality, behavior: Behavior) -> EPrincipleReport:
         except InvalidInputError:
             dec = None
         if dec is not None and dec.correlator_only:
-            mags = {round(abs(c), 12) for c in dec.coefficients.values()}
+            mags = {abs(c) for c in dec.coefficients.values()}
             if len(mags) == 1 and mags != {0.0}:
                 scale = abs(next(iter(dec.coefficients.values())))
                 chsh_cap = (pentagon_cap - dec.offset) / scale

@@ -208,23 +208,22 @@ def _threshold_counts(seeds: np.ndarray, shots: int, edges: np.ndarray, compared
     return below
 
 
-def _count_stack(behavior: Behavior, cfg: SimConfig, seeds, cells=None) -> np.ndarray:
+def _count_stack(behavior: Behavior, cfg: SimConfig, seeds, cells: np.ndarray) -> np.ndarray:
     """(len(seeds), n_a, n_b, 2, 2) int64 count tables of cfg's experiment at
     each master seed, over the behavior's (n_a, n_b) settings.  The cells of
-    the boolean (n_a, n_b, 2, 2) mask `cells` (default: every cell) are
+    the boolean (n_a, n_b, 2, 2) mask `cells`, which the caller names, are
     counted; every other cell holds zeros.
 
     A setting pair is drawn when any of its cells is counted: (x, y) at
     master seed s thresholds the uniforms of substream derive_seed(s, x, y)
     against the visibility-mixed distribution cumulated in row-major (a, b)
     order, and edge k is compared only when cell k or k + 1 is counted.
-    All streams are counted in one pass.
+    The drawn pairs' tables are read in one index of the behavior's table,
+    and all streams are counted in one pass.
     """
-    if cells is None:
-        cells = np.ones(behavior._p.shape, dtype=bool)
     xs, ys = np.nonzero(cells.any(axis=(2, 3)))
     pairs = list(zip(xs.tolist(), ys.tolist()))
-    p = cfg.visibility * np.array([behavior.table(x, y) for x, y in pairs]) + (1.0 - cfg.visibility) / 4.0
+    p = cfg.visibility * behavior._p[xs, ys] + (1.0 - cfg.visibility) / 4.0
     edges = np.cumsum(p.reshape(-1, 4), axis=1)[:, :3]
     read = cells[xs, ys].reshape(-1, 4)
     compared = read[:, :3] | read[:, 1:]
@@ -250,7 +249,7 @@ def sample_counts(model: Union[QuantumModel, Behavior], cfg: SimConfig) -> Count
     sampler behind run_experiments.
     """
     behavior = model if isinstance(model, Behavior) else behavior_of(model)
-    table = _count_stack(behavior, cfg, (cfg.seed,))[0]
+    table = _count_stack(behavior, cfg, (cfg.seed,), np.ones(behavior._p.shape, dtype=bool))[0]
     table.flags.writeable = False
     return CountTable(cfg.shots, {(x, y): table[x, y] for x, y in sorted(behavior.pairs)})
 

@@ -39,8 +39,10 @@ complete graph needs no iteration: its independent set (alpha = n or 1)
 is the primal certificate and B = J or I the dual.
 
 The two costly lower bounds are candidates with cheap caps, computed only
-when they can change the answer.  The PSD shift moves an iterate's entry
-sum toward 1, so its bound is at most max(1, sum of the scaled iterate);
+when they can change the answer: certified_solve settles them once per
+iteration, highest cap first, so a computed bound drops every candidate
+whose cap it exceeds.  The PSD shift moves an iterate's entry sum toward
+1, so its bound is at most max(1, sum of the scaled iterate);
 alpha <= theta <= u is an integer, so it is at most floor(u) for the best
 upper bound u.  The stop iteration, the certificates and any
 ConvergenceError are bit-for-bit those of computing both at every

@@ -332,3 +332,19 @@ def test_deferred_candidates_decide_as_if_computed_at_once(seed):
 
     assert solve(True) == solve(False)
     assert computed.count(True) < computed.count(False)
+
+
+def test_the_highest_cap_is_settled_first():
+    # two candidates of one point, the lower cap first: the higher one's
+    # bound exceeds the lower cap, so the lower one is never computed
+    computed = []
+
+    def candidate(cap, bound):
+        return lambda _: cap, lambda: computed.append(cap) or (bound, cap)
+
+    def bounds(point):
+        return (10.0, "upper"), [candidate(5.0, 4.9), candidate(6.0, 5.9)]
+
+    lower, upper, iterations = certified_solve(iter([0]), bounds, 100.0, 10, lambda *sides: sides)
+    assert computed == [6.0]
+    assert (lower, upper, iterations) == ((5.9, 6.0), (10.0, "upper"), 1)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -312,6 +314,20 @@ def test_behavior_rejects_tables_of_the_wrong_shape():
         Behavior(random_ns_tables(np.random.default_rng(0), 1))
 
 
+@pytest.mark.parametrize(
+    "tables",
+    [
+        [[np.full((2, 2), 0.25).tolist(), [[0.5, 0.5]]]],
+        np.arange(4).reshape(1, 1, 2, 2) == 0,
+        [[[["0.25", "0.25"], ["0.25", "0.25"]]]],
+    ],
+    ids=["ragged", "one-hot-bool", "strings"],
+)
+def test_behavior_reads_its_entries_as_real_numbers(tables):
+    with pytest.raises(InvalidInputError, match="behavior table entry must be a real number"):
+        Behavior(tables)
+
+
 def test_behavior_covers_every_pair_of_its_table():
     b = Behavior(np.full((3, 2, 2, 2), 0.25))
     assert b.pairs == frozenset(itertools.product(range(3), range(2)))
@@ -575,6 +591,58 @@ def test_predict_needs_the_four_setting_pairs():
     assert marginal.predict_tables(box._p) == pytest.approx(box.table(0, 0)[0, 0], abs=1e-12)
 
 
+def test_stacked_table_functions_reject_bad_shapes():
+    iq = named_inequality("pentagon-2")
+    dec = chsh_decomposition(iq)
+    missing = {(1, 1, 2, 2): "(0,1)", (5, 2, 1, 2, 2): "(0,1)", (1, 3, 2, 2): "(1,0)", (0, 2, 2, 2): "(0,0)"}
+    for shape, pair in missing.items():
+        with pytest.raises(InvalidInputError, match=re.escape(f"tables do not cover setting pair {pair}")):
+            dec.predict_tables(np.full(shape, 0.25))
+    for shape in ((2, 2, 2), (2, 2, 3, 2), (2,), ()):
+        for stacked in (dec.predict_tables, lambda tables: evaluate_tables(iq, tables)):
+            with pytest.raises(InvalidInputError, match=r"tables have shape \(\.\.\., n_a, n_b, 2, 2\)"):
+                stacked(np.zeros(shape))
+
+
+def test_stacked_table_functions_take_an_empty_stack():
+    iq = named_inequality("pentagon-2")
+    for stacked in (chsh_decomposition(iq).predict_tables, lambda tables: evaluate_tables(iq, tables)):
+        assert stacked(np.zeros((0, 2, 2, 2, 2))).shape == (0,)
+        assert stacked(np.zeros((3, 0, 2, 2, 2, 2))).shape == (3, 0)
+
+
+def _loop_weights(dec):
+    """Reference: the affine tensor built one coefficient at a time."""
+    s = np.array([1.0, -1.0])
+    w = np.zeros((2, 2, 2, 2))
+    for (x, y), c in dec.coefficients.items():
+        w[x, y] += c * np.outer(s, s)
+    for x, c in dec.alice_coefficients.items():
+        w[x, 0] += c * s[:, None]
+    for y, c in dec.bob_coefficients.items():
+        w[0, y] += c * s[None, :]
+    return w
+
+
+def test_decomposition_weights_are_a_read_only_field_equal_to_the_coefficient_loops():
+    events = [Event.parse(f"{a}{b}|{x}{y}") for a, b, x, y in itertools.product((0, 1), repeat=4)]
+    events += [Event.parse(f"_{b}|_{y}") for b, y in itertools.product((0, 1), repeat=2)]
+    events += [Event.parse(f"{a}_|{x}_") for a, x in itertools.product((0, 1), repeat=2)]
+    inequalities = [named_inequality(name) for name in ("pentagon-1", "pentagon-2", "chsh-prob")]
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        picks = sorted(rng.choice(len(events), size=int(rng.integers(1, 9)), replace=False).tolist())
+        inequalities.append(Inequality(tuple(events[k] for k in picks), alice_settings=2, bob_settings=2))
+    for iq in inequalities:
+        dec = chsh_decomposition(iq)
+        assert dec.weights.tobytes() == _loop_weights(dec).tobytes()
+        assert "weights" not in repr(dec) and dec == chsh_decomposition(iq)
+        with pytest.raises(ValueError, match="read-only"):
+            dec.weights[0, 0, 0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.weights = np.zeros((2, 2, 2, 2))
+
+
 def test_random_ns_tables_match_component_loop():
     components = [
         strategy_behavior(DeterministicStrategy(sa, sb))
@@ -602,6 +670,12 @@ def test_random_ns_tables_match_component_loop():
 def test_random_ns_tables_reads_count_as_a_non_negative_integer(count, message):
     with pytest.raises(InvalidInputError, match=message):
         random_ns_tables(np.random.default_rng(0), count)
+
+
+@pytest.mark.parametrize("rng", [1, None, np.random.RandomState(0)], ids=["int", "none", "legacy"])
+def test_random_ns_tables_needs_a_generator(rng):
+    with pytest.raises(InvalidInputError, match="rng must be a numpy Generator"):
+        random_ns_tables(rng, 5)
 
 
 def test_random_ns_tables_with_count_zero_draws_nothing():

@@ -189,7 +189,7 @@ def test_seed_blocked_counts_match_per_seed_reference():
     m = known_optimal_model("pentagon-2")
     ideal = behavior_of(m)
     cfg = SimConfig(shots=5000)
-    stack = simkit._count_stack(ideal, cfg, range(200))
+    stack = simkit._count_stack(ideal, cfg, range(200), np.ones(ideal._p.shape, dtype=bool))
     assert stack.dtype == np.int64
     for seed in range(200):
         per_seed = SimConfig(shots=5000, seed=seed)

@@ -11,13 +11,14 @@ ended by each stop reason of numerics.certified_solve (closed, stalled,
 cap, failed step) and every graph that raises, with its best certified gap,
 its stop reason and the iterations it ran after its best gap was reached
 (found by rerunning it with theta.MAX_ITERATIONS lowered), then how many
-graphs of the set needed the independence number (theta computes alpha
-only when it can decide a stop test or the returned certificate), counted
-by wrapping theta.independence_number, how many certificates, returned
-or carried by a ConvergenceError, fail theta.replay at that tolerance, and
-how many of those results state a value other than the lower bound
-theta.replay recomputes or a gap other than max(upper - value, 0) for the
-upper bound it recomputes.
+graphs of the set needed the independence number and how many PSD shifts
+of an iterate were computed over the set (theta computes each only when it
+can decide a stop test or the returned certificate), counted by wrapping
+theta.independence_number and theta._psd_shift, how many certificates,
+returned or carried by a ConvergenceError, fail theta.replay at that
+tolerance, and how many of those results state a value other than the
+lower bound theta.replay recomputes or a gap other than max(upper - value,
+0) for the upper bound it recomputes.
 
 Sets:
   fixed     odd cycles C7..C31 and five circulants with their complements,
@@ -126,16 +127,20 @@ def best_gap_reached(g, tol: float, best) -> int:
 
 def table(name: str, family, tol: float) -> None:
     """Print one row of the table."""
-    total, raised, needed_alpha, unreplayed, misstated = 0, [], 0, 0, 0
+    total, raised, unreplayed, misstated = 0, [], 0, 0
     stops = dict.fromkeys(("closed", "stalled", "cap", "failed step"), 0)
-    alpha = theta.independence_number
+    calls = {"independence_number": 0, "_psd_shift": 0}
+    wrapped = {attr: getattr(theta, attr) for attr in calls}
 
-    def counted(g):
-        nonlocal needed_alpha
-        needed_alpha += 1
-        return alpha(g)
+    def counted(attr):
+        def call(arg):
+            calls[attr] += 1
+            return wrapped[attr](arg)
 
-    theta.independence_number = counted
+        return call
+
+    for attr in calls:
+        setattr(theta, attr, counted(attr))
     for label, g in family:
         try:
             res, stop = theta.lovasz_theta(g, tol=tol), "closed"
@@ -147,14 +152,16 @@ def table(name: str, family, tol: float) -> None:
         lower, upper, ok = theta.replay(g, res, tol)
         unreplayed += not ok
         misstated += lower != res.value or res.gap != max(upper - res.value, 0.0)
-    theta.independence_number = alpha
+    for attr, function in wrapped.items():
+        setattr(theta, attr, function)
     print(f"{name:9s} tol {tol:.0e}: {len(family)} graphs, {total} iterations, {len(raised)} raise")
     print("    stops: " + ", ".join(f"{count} {stop}" for stop, count in stops.items()))
     for label, g, res, stop in raised:
         after = res.iterations - best_gap_reached(g, tol, res)
         print(f"    {label}: best gap {res.gap:.2e} after {res.iterations} iterations ({stop}),", end=" ")
         print(f"{after} after the best gap")
-    print(f"    alpha needed on {needed_alpha}/{len(family)} graphs")
+    print(f"    alpha needed on {calls['independence_number']}/{len(family)} graphs")
+    print(f"    PSD shifts computed: {calls['_psd_shift']}")
     print(f"    replay fails on {unreplayed}/{len(family)} certificates")
     print(f"    value or gap differs from replay on {misstated}/{len(family)} results")
 
