@@ -351,7 +351,7 @@ def _report_items():
     chsh_value = (
         box.correlator(0, 0) + box.correlator(0, 1) + box.correlator(1, 0) - box.correlator(1, 1)
     )
-    cap = scenarios.eprinciple_check(iq2, box).chsh_cap
+    cap = scenarios.chsh_cap(iq2)
     pr_value = scenarios.evaluate(iq2, box)
     ok &= abs(pr_value - 2.5) <= 1e-12
     ok &= abs(chsh_value - 4.0) <= 1e-12

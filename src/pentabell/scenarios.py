@@ -3,22 +3,23 @@
 Covers the event model (including single-party "wildcard" events such as
 _1|_0, where only Bob's setting and outcome are fixed), exclusivity-graph
 extraction with typed edges, classical bounds by deterministic-strategy
-enumeration, correlator decomposition, the PR box, exclusivity-principle
-checks, and the enumeration of all pentagonal inequalities up to relabeling.
+enumeration, correlator decomposition, the PR box, the exclusivity
+principle's cap on a pentagonal CHSH form, and the enumeration of all
+pentagonal inequalities up to relabeling.
 
 An inequality's terms have one numeric form: `term_cells` resolves each
 event once into 0/1 cells c[t, x, y, a, b] over the covered setting pairs,
 placing a wildcard event at its lowest covered partner setting.  A Behavior
 is one dense (n_a, n_b, 2, 2) table that covers every setting pair of its
-shape, so a wildcard is read at partner setting 0, and probabilities,
-`evaluate` and `eprinciple_check` are contractions of those cells.  Only
-measured counts may cover a subset of the pairs: `simkit` reads a count
-table through the same cells.  Summed over the terms, the cells are the
-coefficient tensor W[x, y, a, b] (`coefficient_tensor`) that the LHV bound
-(against the stacked tables of all deterministic strategies), the
-correlator decomposition and every quantum Bell operator and see-saw
-update read.  The same contractions run over a leading axis of tables,
-validated once by `_checked_tables`.
+shape, so a wildcard is read at partner setting 0, and probabilities and
+`evaluate` are contractions of those cells.  Only measured counts may
+cover a subset of the pairs: `simkit` reads a count table through the
+same cells.  Summed over the terms, the cells are the coefficient tensor
+W[x, y, a, b] (`coefficient_tensor`) that the LHV bound (against the
+stacked tables of all deterministic strategies), the correlator
+decomposition and every quantum Bell operator and see-saw update read.
+The same contractions run over a leading axis of tables, validated once
+by `_checked_tables`.
 
 Each input type checks its own values when it is built: an Event reads
 each party's (setting, outcome) through `errors.strict_pair`, which owns
@@ -30,9 +31,9 @@ setting counts straight to these constructors.
 
 The exclusivity rule is written once, on integer event codes
 (`_exclusive_parts`): the exclusivity graph and the enumeration read it,
-and the exclusivity-principle check reads the exclusivity graph.  The
-enumeration works on those codes throughout, and the equivalence group
-acts on them through precomputed index maps.
+and `chsh_cap` reads the exclusivity graph.  The enumeration works on
+those codes throughout, and the equivalence group acts on them through
+precomputed index maps.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, json_decoder, load_json
+from .errors import InvalidInputError, json_decoder, load_json
 from .errors import strict_int, strict_iterable, strict_pair, strict_reals, strict_text
 from .graphs import Graph, cycle, graph
 from .theta import odd_cycle_theta
@@ -217,10 +218,11 @@ def _checked_tables(tables) -> np.ndarray:
     probability tables over (x, y, a, b), each covering every setting pair
     of its shape.
 
-    Every leading axis is validated at once: settings within
-    [0, MAX_SETTING], finite entries, non-negativity, normalization and
-    no-signaling (each party's marginal at every pair against its marginal
-    at partner setting 0), each within _ATOL.  Each condition is checked
+    Every leading axis is validated at once: at least one setting per
+    party, settings within [0, MAX_SETTING], finite entries,
+    non-negativity, normalization and no-signaling (each party's marginal
+    at every pair against its marginal at partner setting 0), each within
+    _ATOL.  Each condition is checked
     over the whole stack before the next, and the first offending table in
     C order raises InvalidInputError naming the setting pair or party
     setting, so a stack of one table fails exactly as that table does.
@@ -228,6 +230,8 @@ def _checked_tables(tables) -> np.ndarray:
     """
     tables = np.asarray(tables, dtype=float)
     lead, (n_a, n_b) = tables.shape[:-4], tables.shape[-4:-2]
+    if 0 in (n_a, n_b):
+        raise InvalidInputError(f"tables of shape {tables.shape} have no setting pair")
     _dense_shape(_all_pairs(n_a, n_b))  # rejects a setting beyond MAX_SETTING
     blocks = tables.reshape(int(np.prod(lead)), n_a * n_b, 2, 2)
     nonfinite = ~np.isfinite(blocks).all(axis=(2, 3))
@@ -260,8 +264,9 @@ class Behavior:
     covers every setting pair of its shape.  Construction reads every entry
     as a real number through `errors.strict_reals` (a bool, a string or a
     ragged table raises) and validates the table with `_checked_tables`
-    (settings, finiteness, normalization, non-negativity and no-signaling,
-    each within 1e-9); an offending table is rejected.
+    (at least one setting pair, settings, finiteness, normalization,
+    non-negativity and no-signaling, each within 1e-9); an offending table
+    is rejected.
     """
 
     def __init__(self, tables):
@@ -506,64 +511,32 @@ def chsh_decomposition(iq: Inequality) -> CorrelatorDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class EPrincipleReport:
-    """Exclusivity-principle audit of a behavior against an inequality."""
+def chsh_cap(iq: Inequality) -> Optional[float]:
+    """The exclusivity principle's cap on a pentagonal inequality in CHSH
+    form, or None.
 
-    value: float
-    max_clique_sum: float
-    worst_clique: tuple
-    pentagon_cap: Optional[float]
-    chsh_cap: Optional[float]
-    violated: bool
-
-
-def eprinciple_check(iq: Inequality, behavior: Behavior) -> EPrincipleReport:
-    """Check that pairwise-exclusive event probabilities sum to at most 1.
-
-    All cliques of the exclusivity graph (the adjacency matrix of
-    `exclusivity_graph`) are enumerated exhaustively: every nonempty subset
-    of the terms is one row of a boolean array, in increasing bitmask
-    order, and the worst clique is the first of largest
-    sum (summed in term order) in that order.  For pentagonal inequalities
-    the principle additionally caps the full sum at the pentagon's Lovasz
-    number, sqrt(5) from Lovasz's odd-cycle closed form
-    (`theta.odd_cycle_theta`; no SDP is solved), and when the inequality is
-    a pure correlator combination that cap is translated into a bound on
-    the unit-coefficient correlator form.  The full sum is `evaluate`'s.
+    On an inequality of five terms whose exclusivity graph is 2-regular
+    (the only such simple graph is C5) the principle caps the term sum at
+    the pentagon's Lovasz number, sqrt(5) from Lovasz's odd-cycle closed
+    form (`theta.odd_cycle_theta`; no SDP is solved).  When it is also
+    correlator-only, value = offset + sum c_xy E_xy, and every such
+    pentagon over 2x2 settings weighs its four correlators by one magnitude
+    |c_00|, so the cap is (sqrt(5) - offset) / |c_00| on the
+    unit-coefficient correlator form; for pentagon-2 that is 4 sqrt(5) - 6.
+    Any other inequality, or one with a term outside the 2x2 settings, has
+    no cap.  The cap depends on the inequality alone: for two parties every
+    no-signaling Behavior obeys local orthogonality, so no clique of
+    exclusive events can sum past 1.
     """
-    n = len(iq.terms)
-    if n > 10:
-        raise CapacityError("clique enumeration limited to 10 vertices")
-    adjacent = exclusivity_graph(iq)[0].adjacency
-    probs = behavior.probs(iq.terms)
-    subsets = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    # a subset is a clique when none of its members is apart from another
-    apart = ~adjacent & ~np.eye(n, dtype=bool)
-    cliques = subsets[~(subsets & (subsets @ apart)).any(axis=1)]
-    sums = np.cumsum(np.where(cliques, probs, 0.0), axis=1)[:, -1]
-    best = int(sums.argmax())
-    best_sum, best_clique = 0.0, ()
-    if sums[best] > best_sum:
-        best_sum, best_clique = float(sums[best]), tuple(np.flatnonzero(cliques[best]).tolist())
-
-    value = evaluate(iq, behavior)
-    pentagon_cap = None
-    chsh_cap = None
-    if n == 5 and (adjacent.sum(axis=1) == 2).all():  # the only 2-regular simple graph on 5 vertices is C5
-        pentagon_cap = odd_cycle_theta(5)
-        try:
-            dec = chsh_decomposition(iq)
-        except InvalidInputError:
-            dec = None
-        if dec is not None and dec.correlator_only:
-            mags = {abs(c) for c in dec.coefficients.values()}
-            if len(mags) == 1 and mags != {0.0}:
-                scale = abs(next(iter(dec.coefficients.values())))
-                chsh_cap = (pentagon_cap - dec.offset) / scale
-
-    violated = best_sum > 1.0 + 1e-9 or (pentagon_cap is not None and value > pentagon_cap + 1e-9)
-    return EPrincipleReport(value, best_sum, best_clique, pentagon_cap, chsh_cap, violated)
+    if len(iq.terms) != 5 or (exclusivity_graph(iq)[0].adjacency.sum(axis=1) != 2).any():
+        return None
+    try:
+        dec = chsh_decomposition(iq)
+    except InvalidInputError:
+        return None
+    if not dec.correlator_only:
+        return None
+    return (odd_cycle_theta(5) - dec.offset) / abs(dec.coefficients[(0, 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -360,9 +360,10 @@ def run_experiments(iq: Inequality, model: QuantumModel, cfg: SimConfig, seeds) 
     of seeds, read through `errors.strict_iterable`) in place of cfg.seed;
     no seeds give no reports.
 
-    The ideal behavior is computed once, and the terms' cells over its
-    setting pairs are resolved before any draw, so a model whose pairs do
-    not cover the inequality raises InvalidInputError without sampling,
+    The terms' cells over the model's setting pairs are resolved first,
+    then the ideal behavior is computed once, so a model whose pairs do not
+    cover the inequality (a model with no setting for a party too) raises
+    InvalidInputError naming the first uncovered event, without sampling,
     even with no seeds.
     Only the cells that some term reads are counted, over one seed axis for
     all seeds: a pair none of whose cells is read is not drawn (pentagon-3
@@ -372,8 +373,8 @@ def run_experiments(iq: Inequality, model: QuantumModel, cfg: SimConfig, seeds) 
     and weighs nothing, so each report equals estimate's on sample_counts'
     table.
     """
+    cells = term_cells(iq.terms, frozenset(np.ndindex(len(model.alice), len(model.bob))))
     ideal = behavior_of(model)
-    cells = term_cells(iq.terms, ideal.pairs)
     seeds = list(strict_iterable(seeds, "seeds"))
     if not seeds:
         return []

@@ -162,7 +162,7 @@ def test_criterion_08_correlator_identity_and_pr_box():
     ok &= worst <= 1e-10
     box = scenarios.pr_box()
     chsh = box.correlator(0, 0) + box.correlator(0, 1) + box.correlator(1, 0) - box.correlator(1, 1)
-    cap = scenarios.eprinciple_check(iq, box).chsh_cap
+    cap = scenarios.chsh_cap(iq)
     ok &= abs(scenarios.evaluate(iq, box) - 2.5) <= 1e-12
     ok &= abs(chsh - 4.0) <= 1e-12
     ok &= cap is not None and abs(cap - (4 * SQRT5 - 6)) <= 1e-6

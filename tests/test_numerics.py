@@ -348,3 +348,19 @@ def test_the_highest_cap_is_settled_first():
     lower, upper, iterations = certified_solve(iter([0]), bounds, 100.0, 10, lambda *sides: sides)
     assert computed == [6.0]
     assert (lower, upper, iterations) == ((5.9, 6.0), (10.0, "upper"), 1)
+
+
+def test_a_tie_between_lower_bounds_goes_to_the_earlier_candidate():
+    # two candidates of one point with equal bounds, the later one's cap
+    # higher: it is computed first, and the earlier one still replaces it
+    computed = []
+
+    def candidate(cap, name):
+        return lambda _: cap, lambda: computed.append(name) or (4.0, name)
+
+    def bounds(point):
+        return (10.0, "upper"), [candidate(5.0, "earlier"), candidate(6.0, "later")]
+
+    lower, upper, iterations = certified_solve(iter([0]), bounds, 100.0, 10, lambda *sides: sides)
+    assert computed == ["later", "earlier"]
+    assert (lower, upper, iterations) == ((4.0, "earlier"), (10.0, "upper"), 1)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pentabell.errors import CapacityError, InvalidInputError, save_json
+from pentabell.errors import InvalidInputError, save_json
 from pentabell.graphs import cycle, graph, independence_number
 from pentabell import scenarios
 from pentabell.scenarios import (
@@ -15,10 +15,10 @@ from pentabell.scenarios import (
     Event,
     Inequality,
     canonical_form,
+    chsh_cap,
     chsh_decomposition,
     edge_patterns_c5,
     enumerate_pentagonal,
-    eprinciple_check,
     evaluate,
     evaluate_tables,
     exclusivity_graph,
@@ -32,6 +32,7 @@ from pentabell.scenarios import (
     strategy_behavior,
 )
 from pentabell.simkit import CountTable, estimate
+from pentabell.theta import odd_cycle_theta
 
 PENTAGONS = ("pentagon-1", "pentagon-2", "pentagon-3")
 
@@ -305,6 +306,14 @@ def test_behavior_rejects_setting_pairs_outside_range(pair):
         Behavior(np.full((*shape, 2, 2), 0.25))
     with pytest.raises(InvalidInputError, match=r"outside \[0,3\]"):
         scenarios._checked_tables(np.full((3, *shape, 2, 2), 0.25))
+
+
+def test_behavior_needs_a_setting_pair():
+    for shape in ((0, 0, 2, 2), (0, 2, 2, 2), (2, 0, 2, 2)):
+        with pytest.raises(InvalidInputError, match="no setting pair"):
+            Behavior(np.zeros(shape))
+    # an empty leading axis is an empty stack, not an empty table
+    assert random_ns_tables(np.random.default_rng(0), 0).shape == (0, 2, 2, 2, 2)
 
 
 def test_behavior_rejects_tables_of_the_wrong_shape():
@@ -711,125 +720,109 @@ def test_pr_box_values():
     chsh = box.correlator(0, 0) + box.correlator(0, 1) + box.correlator(1, 0) - box.correlator(1, 1)
     assert chsh == pytest.approx(4.0)
     assert evaluate(named_inequality("pentagon-2"), box) == pytest.approx(2.5)
+    assert evaluate(named_inequality("pentagon-2"), box) > odd_cycle_theta(5)  # past the exclusivity cap
 
 
-# -------------------------------------------------------------- e-principle ---
+# ----------------------------------------------------- exclusivity principle ---
 
 
-def test_eprinciple_quantum_behavior_passes():
-    from pentabell.quantum import behavior_of, known_optimal_model
-
-    report = eprinciple_check(
-        named_inequality("pentagon-2"), behavior_of(known_optimal_model("pentagon-2"))
+def _events_2x2():
+    """The 24 events over 2 x 2 settings: 16 two-party, then 8 one-party."""
+    parts = [(x, a) for x in (0, 1) for a in (0, 1)]
+    return tuple(
+        [Event(pa, pb) for pa in parts for pb in parts]
+        + [Event(pa, None) for pa in parts]
+        + [Event(None, pb) for pb in parts]
     )
-    assert report.max_clique_sum <= 1.0 + 1e-9
-    assert not report.violated
 
 
-def test_eprinciple_flags_pr_box():
-    report = eprinciple_check(named_inequality("pentagon-2"), pr_box())
-    assert report.violated
-    assert report.value == pytest.approx(2.5)
-    assert report.pentagon_cap == pytest.approx(math.sqrt(5), abs=1e-6)
+def maximal_cliques(adjacent):
+    """Every maximal clique of a graph (a boolean adjacency matrix), by
+    Bron-Kerbosch with pivoting."""
+    neighbours = [set(np.flatnonzero(row).tolist()) for row in adjacent]
+    cliques = []
+
+    def expand(clique, candidates, excluded):
+        if not candidates and not excluded:
+            cliques.append(clique)
+            return
+        pivot = max(candidates | excluded, key=lambda v: len(neighbours[v] & candidates))
+        for v in sorted(candidates - neighbours[pivot]):
+            expand(clique + [v], candidates & neighbours[v], excluded & neighbours[v])
+            candidates, excluded = candidates - {v}, excluded | {v}
+
+    expand([], set(range(len(adjacent))), set())
+    return cliques
 
 
-def test_eprinciple_chsh_cap():
-    report = eprinciple_check(named_inequality("pentagon-2"), pr_box())
-    assert report.chsh_cap == pytest.approx(4 * math.sqrt(5) - 6, abs=1e-6)
+def test_no_signaling_boxes_obey_local_orthogonality():
+    # Two-party no-signaling implies local orthogonality: pairwise
+    # exclusive events sum to at most 1 (Fritz et al., Nat. Commun. 4, 2263,
+    # 2013).  A clique sum is linear in the box, so the 24 vertices of the
+    # 2x2 no-signaling polytope, the 16 deterministic boxes and the 8 PR
+    # boxes a xor b = xy xor alpha x xor beta y xor gamma, bound it on every
+    # Behavior over these events; on each vertex the largest sum is 1.
+    events = _events_2x2()
+    g, _ = exclusivity_graph(Inequality(events))
+    cliques = maximal_cliques(g.adjacency)
+    assert len(cliques) == 32
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    pr_boxes = [
+        0.5 * ((a ^ b) == ((x & y) ^ (alpha * x) ^ (beta * y) ^ gamma))
+        for alpha, beta, gamma in itertools.product((0, 1), repeat=3)
+    ]
+    vertices = [*scenarios._deterministic(2, 2)[1], *pr_boxes]
+    assert len({table.tobytes() for table in vertices}) == 24
+    for table in vertices:
+        probs = Behavior(table).probs(events)
+        assert abs(max(probs[clique].sum() for clique in cliques) - 1.0) <= scenarios._ATOL
 
 
-def test_eprinciple_cap_is_the_closed_form_without_a_solve(monkeypatch):
+def test_chsh_cap():
+    assert chsh_cap(named_inequality("pentagon-2")) == pytest.approx(4 * math.sqrt(5) - 6, abs=1e-6)
+
+
+def test_chsh_cap_is_the_closed_form_without_a_solve(monkeypatch):
     from pentabell import theta
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("eprinciple_check solved an SDP")
+        raise AssertionError("chsh_cap solved an SDP")
 
     monkeypatch.setattr(theta, "lovasz_theta", no_solve)
-    report = eprinciple_check(named_inequality("pentagon-2"), pr_box())
-    assert abs(report.chsh_cap - (4 * math.sqrt(5) - 6)) <= 1e-12
+    assert abs(chsh_cap(named_inequality("pentagon-2")) - (4 * math.sqrt(5) - 6)) <= 1e-12
 
 
-def test_eprinciple_caps_only_pentagons():
+def test_chsh_caps_only_pentagons():
     # five terms and five edges, but a 4-cycle with a pendant vertex, not C5
     iq = Inequality(tuple(Event.parse(t) for t in ("00|00", "11|00", "00|01", "11|01", "00|10")))
     g, _ = exclusivity_graph(iq)
     assert len(g.edges) == 5 and sorted(g.adjacency.sum(axis=1).tolist()) == [1, 2, 2, 2, 3]
-    report = eprinciple_check(iq, pr_box())
-    assert report.pentagon_cap is None and report.chsh_cap is None
+    assert chsh_cap(iq) is None
+    # pentagon-1 has marginal terms, chsh-prob is no pentagon, and
+    # pentagon-3 and i3322 reach beyond the 2x2 settings
+    for name in ("pentagon-1", "pentagon-3", "chsh-prob", "i3322"):
+        assert chsh_cap(named_inequality(name)) is None
 
 
-def _assert_eprinciple_matches_reference_loop(iq, tables):
-    """eprinciple_check on each table against the clique loop it ran before
-    it searched an array: neighbour bitmasks from the typed edges, every
-    subset in increasing bitmask order, a Python sum over each clique's
-    members in term order and the first strictly larger sum kept.  The
-    full sum is `evaluate`'s, within 1e-12 of the term-order sum."""
-    g, edges = exclusivity_graph(iq)
-    masks = [0] * g.n
-    for e in edges:
-        masks[e.i] |= 1 << e.j
-        masks[e.j] |= 1 << e.i
-    cliques = []
-    for subset in range(1, 1 << g.n):
-        members = [v for v in range(g.n) if subset >> v & 1]
-        if all(masks[i] >> j & 1 for i, j in itertools.combinations(members, 2)):
-            cliques.append(members)
-    for table in tables:
-        behavior = Behavior(table)
-        probs = behavior.probs(iq.terms).tolist()
-        best_sum, best_clique = 0.0, ()
-        for members in cliques:
-            total = sum(probs[v] for v in members)
-            if total > best_sum:
-                best_sum, best_clique = total, tuple(members)
-        report = eprinciple_check(iq, behavior)
-        assert report.value.hex() == evaluate(iq, behavior).hex() and abs(report.value - sum(probs)) <= 1e-12
-        assert report.max_clique_sum.hex() == best_sum.hex() and type(report.max_clique_sum) is float
-        assert report.worst_clique == best_clique and all(type(v) is int for v in report.worst_clique)
-        assert (report.pentagon_cap is not None) == (g.n == 5 and g.adjacency.sum(axis=1).tolist() == [2] * 5)
-
-
-def _mixtures(rng, shape, count):
-    """count random convex mixtures of the deterministic tables of a shape."""
-    tables = scenarios._deterministic(*shape)[1]
-    weights = rng.random((count, len(tables)))
-    weights /= weights.sum(axis=1, keepdims=True)
-    return np.tensordot(weights, tables, axes=1)
-
-
-def test_eprinciple_cliques_match_reference_loop_on_random_inequalities():
-    rng = np.random.default_rng(26)
-    for _ in range(400):
-        shape = ((2, 2), (3, 2), (2, 3), (3, 3))[rng.integers(4)]
-        events = [
-            Event(pa, pb)
-            for pa in [None] + [(x, a) for x in range(shape[0]) for a in (0, 1)]
-            for pb in [None] + [(y, b) for y in range(shape[1]) for b in (0, 1)]
-            if pa is not None or pb is not None
-        ]
-        picked = rng.choice(len(events), size=rng.integers(1, 11), replace=False)
-        iq = Inequality(tuple(events[k] for k in picked))
-        if shape == (2, 2):
-            tables = [*random_ns_tables(rng, 2), pr_box()._p]
-        else:  # deterministic tables as well, whose 0/1 probabilities tie
-            tables = [*_mixtures(rng, shape, 2), scenarios._deterministic(*shape)[1][rng.integers(2 ** sum(shape))]]
-        _assert_eprinciple_matches_reference_loop(iq, tables)
-
-
-@pytest.mark.parametrize("name", ["pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322"])
-def test_eprinciple_cliques_match_reference_loop_on_named_inequalities(name):
-    iq = named_inequality(name)
-    shape = (iq.alice_settings, iq.bob_settings)
-    tables = list(_mixtures(np.random.default_rng(3), shape, 3))
-    if shape == (2, 2):
-        tables += [*random_ns_tables(np.random.default_rng(3), 3), pr_box()._p]
-    _assert_eprinciple_matches_reference_loop(iq, tables)
-
-
-def test_eprinciple_rejects_more_than_ten_events():
-    terms = tuple(Event(pa, pb) for pa in [(0, 0), (0, 1), (1, 0), (1, 1)] for pb in [(0, 0), (0, 1), (1, 0)])[:11]
-    with pytest.raises(CapacityError, match="limited to 10 vertices"):
-        eprinciple_check(Inequality(terms), Behavior(np.full((2, 2, 2, 2), 0.25)))
+def test_chsh_cap_on_every_induced_pentagon_of_the_2x2_events():
+    # 128 induced 5-cycles; the cap exists exactly on the 64 correlator-only
+    # ones, and each of those weighs its four correlators by one magnitude
+    events = _events_2x2()
+    g, _ = exclusivity_graph(Inequality(events))
+    cycles = scenarios._induced_five_cycles(g.adjacency, range(len(events)))
+    assert len(cycles) == 128
+    capped = 0
+    for row in cycles.tolist():
+        iq = Inequality(tuple(events[k] for k in row))
+        dec = chsh_decomposition(iq)
+        cap = chsh_cap(iq)
+        assert (cap is not None) == dec.correlator_only
+        if dec.correlator_only:
+            magnitudes = {abs(c) for c in dec.coefficients.values()}
+            assert len(magnitudes) == 1 and 0.0 not in magnitudes
+            assert cap == (odd_cycle_theta(5) - dec.offset) / magnitudes.pop()
+            capped += 1
+    assert capped == 64
 
 
 # ---------------------------------------------------------------- patterns ---

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -85,6 +86,59 @@ def test_replay_rejects_a_certificate_of_the_wrong_shape():
     wrong = theta.ThetaResult(res.value, res.primal[:4, :4], res.dual, 1, res.gap)
     lower, upper, ok = theta.replay(cycle(5), wrong, 1e-7)
     assert math.isnan(lower) and math.isnan(upper) and ok is False
+
+
+# the fixed primal tolerances of theta.replay
+PRIMAL_TOLERANCES = {"symmetry": 1e-12, "trace": 1e-8, "edges": 1e-7, "psd": 1e-8}
+
+
+def primal_defects(g, x):
+    """How far X misses each primal condition that replay checks."""
+    return {
+        "symmetry": np.max(np.abs(x - x.T)),
+        "trace": abs(np.trace(x) - 1.0),
+        "edges": np.max(np.abs(x[g.adjacency])),
+        "psd": -np.linalg.eigvalsh(x)[0],
+    }
+
+
+def perturbed_primal(x, condition, size):
+    """A copy of C5's X that misses one primal condition by size and keeps
+    the others."""
+    n = len(x)
+    if condition == "symmetry":  # one entry above the diagonal, on a non-edge
+        x = x.copy()
+        x[0, 2] += size
+        return x
+    if condition == "trace":  # one diagonal entry: X stays PSD
+        return x + size * np.diag(np.eye(n)[0])
+    if condition == "edges":
+        # toward M = (e0+e1)(e0+e1)^T/2, which has trace 1, is PSD and has
+        # M_01 = 1/2 on the edge (0, 1): (1-s)X + sM with s = 2 size
+        m = np.zeros((n, n))
+        m[:2, :2] = 0.5
+        return (1 - 2 * size) * x + 2 * size * m
+    # the least eigenvalue to -size along its eigenvector v, the trace kept
+    # by raising the others: X + c(I/n - vv^T)
+    w, v = np.linalg.eigh(x)
+    c = (size + w[0]) * n / (n - 1)
+    return x + c * (np.eye(n) / n - np.outer(v[:, 0], v[:, 0]))
+
+
+@pytest.mark.parametrize("condition", list(PRIMAL_TOLERANCES))
+def test_replay_holds_each_primal_tolerance(condition):
+    # C5's certificate missed by half a tolerance is accepted, by twice it
+    # rejected, while every other condition holds
+    g = cycle(5)
+    res = theta.lovasz_theta(g, 1e-7)
+    limit = PRIMAL_TOLERANCES[condition]
+    for factor, accepted in ((0.5, True), (2.0, False)):
+        x = perturbed_primal(res.primal, condition, factor * limit)
+        defects = primal_defects(g, x)
+        assert defects.pop(condition) == pytest.approx(factor * limit, rel=1e-3)
+        assert all(defects[k] <= PRIMAL_TOLERANCES[k] for k in defects)
+        assert abs(float(x.sum()) - res.value) <= max(res.gap, 1e-7)
+        assert theta.replay(g, dataclasses.replace(res, primal=x), 1e-7)[2] is accepted
 
 
 def test_circulant_8_14():

@@ -1,12 +1,12 @@
 """Digests of the see-saw's, the scan's, the simulator's, the block
-reduction's, the scenario layer's, the exclusivity-principle check's and
-the graph layer's outputs, to show that a change to any of them leaves
-every output bit-identical.
+reduction's, the scenario layer's, the exclusivity cap's and the graph
+layer's outputs, to show that a change to any of them leaves every output
+bit-identical.
 
 Usage: python tools/output_digest.py
 
 Prints a sha256 of each output's bytes, per case (the model files line
-prints counts):
+prints counts and the chsh_cap lines print values):
   seesaw    quantum.qmax_seesaw at 32 restarts for the five named
             inequalities at dims (2,2), (3,3) and (4,4), seeds 0, 1 and 7:
             the value, the state and the projector set (Alice's, then Bob's)
@@ -38,12 +38,8 @@ prints counts):
             enumerate_pentagonal at (2, 2), (3, 2), (2, 3), (3, 3) and
             (4, 4); and the five named exclusivity graphs with their typed
             edges
-  eprinciple scenarios.eprinciple_check of each named inequality on its
-            model (known_optimal_model for the pentagons, the (2,2) seed-0
-            see-saw model above for chsh-prob and i3322), on the PR box
-            and on 50 boxes of random_ns_tables at default_rng(26): the
-            reports' reprs, or the exception class where the 2x2 boxes do
-            not cover the terms
+  chsh_cap  scenarios.chsh_cap of each named inequality: the float's repr,
+            or None
   graphs    for each graph of the fixed, random84 and held-out sets of
             tools/theta_iterations.py (23, 84 and 130 graphs) and of the six
             scenarios.named_graph graphs: graphs.independence_number (alpha
@@ -180,22 +176,8 @@ def main() -> None:
         print(f"scenarios enumerate {alice}x{bob}: {sha(repr(classes).encode())}")
     graphs = [scenarios.exclusivity_graph(named_inequality(name)) for name in INEQUALITIES]
     print(f"scenarios exclusivity graphs: {sha(repr([(g.n, edges) for g, edges in graphs]).encode())}")
-    models = {name: quantum.known_optimal_model(name) for name in PENTAGONS}
-    models.update((name, model) for name, dims, seed, model in seesaw_models if (dims, seed) == ((2, 2), 0))
-    random_boxes = [scenarios.Behavior(t) for t in scenarios.random_ns_tables(np.random.default_rng(26), 50)]
     for name in INEQUALITIES:
-        iq = named_inequality(name)
-        for label, behaviors in (
-            ("model", [quantum.behavior_of(models[name])]),
-            ("PR box", [scenarios.pr_box()]),
-            ("random boxes", random_boxes),
-        ):
-            try:
-                reports = [scenarios.eprinciple_check(iq, b) for b in behaviors]
-            except PentabellError as exc:
-                print(f"eprinciple {name} {label}: {type(exc).__name__}")
-                continue
-            print(f"eprinciple {name} {label}: {sha(repr(reports).encode())}")
+        print(f"chsh_cap {name}: {scenarios.chsh_cap(named_inequality(name))!r}")
     sets = {
         "fixed": theta_iterations.fixed_family(),
         "random84": theta_iterations.random84(),
