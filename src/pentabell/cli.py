@@ -63,7 +63,7 @@ def _seesaw_bounds(iq, model, theta_of):
     alpha)."""
     value = scenarios.evaluate(iq, quantum.behavior_of(model))
     g, _ = scenarios.exclusivity_graph(iq)
-    _, upper, cert_ok = theta.replay(g, theta_of(g), 1e-7)
+    _, upper, cert_ok = theta.replay(g, theta_of(g), theta.DEFAULT_TOL)
     return value, _outward(value, False), (_outward(upper, True) if cert_ok else None)
 
 
@@ -156,14 +156,13 @@ def cmd_qmax(args) -> int:
     _, value, cap = _seesaw_bounds(iq, model, theta.lovasz_theta)
     if cap is None:
         raise ConvergenceError("theta's certificate for the exclusivity graph does not replay")
-    if args.model_out:
-        quantum.save_model(model, args.model_out)
     text = (
         f"quantum value = {value}\n"
         f"lovasz theta of exclusivity graph = {cap}\n"
         f"value <= theta: {'yes' if value <= cap else 'NO'}"
     )
     if args.model_out:
+        quantum.save_model(model, args.model_out)
         text += f"\nmodel written to {args.model_out}"
     _emit(
         args,
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="Lovasz number of a graph", parents=[common])
     p.add_argument("graph", help="graph JSON file or built-in scenario name")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=theta.DEFAULT_TOL)
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("lhv", help="classical bound by strategy enumeration", parents=[common])

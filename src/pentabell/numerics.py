@@ -1,7 +1,9 @@
 """Dense real linear algebra used by every other module: validated
 symmetric matrices, one interior-point core for semidefinite programs in
 standard form (sdp_path) and one loop that walks its path keeping the best
-certified bounds and decides when to stop (certified_solve).
+certified bounds and decides when to stop (certified_solve).  The loop
+returns what it proved and why it stopped; whether an open gap is an error
+is its caller's decision.
 
 All operations work on plain numpy arrays in 64-bit floating point and
 validate their inputs (finiteness, shape, symmetry) before delegating to
@@ -17,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, InvalidInputError
+from .errors import CapacityError, InvalidInputError
 
 MAX_ORDER = 64
 
@@ -192,7 +194,7 @@ def sdp_path(c, b, rows, pairs, coef) -> Iterator[tuple[np.ndarray, np.ndarray, 
     return iterates()
 
 
-def certified_solve(points, bounds, tol: float, max_iterations: int, result, lower=(), upper=(math.inf, None)):
+def certified_solve(points, bounds, tol: float, max_iterations: int, lower=(), upper=(math.inf, None)):
     """The best certified bounds along an interior-point path, and why it
     stopped.
 
@@ -211,18 +213,18 @@ def certified_solve(points, bounds, tol: float, max_iterations: int, result, low
                    last stall check, made at every multiple of STALL_WINDOW;
       cap          max_iterations points were read;
       failed step  the path ended.
-    It returns result(lower, upper, iterations) with the best (bound,
-    certificate) of each side if the gap closed, and otherwise raises
-    ConvergenceError naming the reason and carrying that result and the
-    reason.
+    It returns (lower, upper, iterations, stop): the best (bound,
+    certificate) of each side, the number of points read and the reason.
+    It raises nothing of its own: an open gap is a correct answer here,
+    and a caller for which it is an error raises (theta.lovasz_theta does).
 
     Candidates are settled once per iteration, highest cap first, so that
     a bound computed early drops every candidate whose cap falls below it:
     those whose cap reaches the best upper bound less tol are computed, less
     max(tol, the gap that would count as progress) at a stall check, and
     any gap when the walk ends.  A candidate left pending cannot meet the
-    closed test or the stall test, so the stop, its reason and the result
-    are those of computing every candidate at once.
+    closed test or the stall test, so the stop and the bounds returned are
+    those of computing every candidate at once.
 
     The stall window and factor were chosen as sdp_path's step rule was, by
     Lovasz theta on the held-out graphs of tools/theta_iterations.py with
@@ -271,12 +273,7 @@ def certified_solve(points, bounds, tol: float, max_iterations: int, result, low
             stop = "cap"
             break
     settle(-math.inf)
-    solved = result((best[0], best[2]), upper, iterations)
-    if stop == "closed":
-        return solved
-    raise ConvergenceError(
-        f"solver stopped ({stop}) after {iterations} iterations, short of gap {tol}", result=solved, reason=stop
-    )
+    return (best[0], best[2]), upper, iterations, stop
 
 
 def _sym(a: np.ndarray) -> np.ndarray:

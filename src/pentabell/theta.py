@@ -25,18 +25,20 @@ Convergence is certified, not assumed: every iteration builds
 Any matrix gives valid bounds this way, so the solver, and which of its
 points are tested, changes how fast the gap closes, never whether a bound
 holds.  The walk over the points is numerics.certified_solve, the one
-certified-solve loop: it keeps the best bound of each side and stops when
-the best upper bound is within the requested tolerance of the best lower
-bound (closed), or raises ConvergenceError when the gap stalls, the
-iteration cap MAX_ITERATIONS is reached or a step fails.  Both matrices
-are returned, so the value can be replayed from either side without
-rerunning the solver: `replay` re-derives both bounds from X and B alone
-and checks them against what ThetaResult states.  Each side's bound is
-stated by one function, which the solver and `replay` share, so the value
-is exactly the replayed entry sum of X and the gap exactly the replayed
-lambda_max(B) less the value (0 if that is negative).  An edgeless or a
-complete graph needs no iteration: its independent set (alpha = n or 1)
-is the primal certificate and B = J or I the dual.
+certified-solve loop: it keeps the best bound of each side and returns
+them with its stop, closed when the best upper bound is within the
+requested tolerance of the best lower bound.  A theta short of that is an
+error: lovasz_theta raises ConvergenceError, carrying the best result and
+the stop, when the gap stalls, the iteration cap MAX_ITERATIONS is reached
+or a step fails.  Both matrices are returned, so the value can be replayed
+from either side without rerunning the solver: `replay` re-derives both
+bounds from X and B alone and checks them against what ThetaResult
+states.  Each side's bound is stated by one function, which the solver and
+`replay` share, so the value is exactly the replayed entry sum of X and the
+gap exactly the replayed lambda_max(B) less the value (0 if that is
+negative).  An edgeless or a complete graph needs no iteration: its
+independent set (alpha = n or 1) is the primal certificate and B = J or I
+the dual.
 
 The two costly lower bounds are candidates with cheap caps, computed only
 when they can change the answer: certified_solve settles them once per
@@ -57,12 +59,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, strict_real
+from .errors import CapacityError, ConvergenceError, InvalidInputError, strict_real
 from .graphs import Graph, independence_number
 from .numerics import certified_solve, sdp_path
 
 MAX_VERTICES = 32
 MAX_ITERATIONS = 100
+# the gap tolerance of lovasz_theta, the CLI's `theta --tol` and the replay
+# of the theta bound that `qmax` and `report` state
+DEFAULT_TOL = 1e-7
 # rounding slack on the cheap caps that decide which lower bounds are computed
 _SLACK = 1e-9
 
@@ -153,7 +158,7 @@ def _sdp_form(n: int, edges, non_edges):
     return np.eye(n) / n, b, rows, pairs, coef, False
 
 
-def lovasz_theta(g: Graph, tol: float = 1e-7) -> ThetaResult:
+def lovasz_theta(g: Graph, tol: float = DEFAULT_TOL) -> ThetaResult:
     """Lovasz number of g with a primal and a dual certificate.
 
     tol is read as a real number (a bool, "1e-7" or None raises
@@ -193,7 +198,12 @@ def lovasz_theta(g: Graph, tol: float = 1e-7) -> ThetaResult:
     # lambda_max(J) = n, stated without an eigvalsh; the first point's dual
     # bound replaces it whenever it is lower
     start = (float(n), np.ones((n, n)))
-    return certified_solve(sdp_path(*problem), bounds, tol, MAX_ITERATIONS, _result, [alpha], start)
+    *sides, stop = certified_solve(sdp_path(*problem), bounds, tol, MAX_ITERATIONS, [alpha], start)
+    result = _result(*sides)
+    if stop == "closed":
+        return result
+    message = f"solver stopped ({stop}) after {result.iterations} iterations, short of gap {tol}"
+    raise ConvergenceError(message, result=result, reason=stop)
 
 
 def _result(lower, upper, iterations: int) -> ThetaResult:

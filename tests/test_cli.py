@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -631,6 +632,20 @@ def test_qmax_exits_two_when_thetas_certificate_does_not_replay(monkeypatch):
     code, out, err = run_cli(["qmax", "pentagon-2", "--restarts", "4", "--seed", "0"])
     assert (code, out) == (2, "")
     assert err == "error: theta's certificate for the exclusivity graph does not replay\n"
+
+
+def test_seesaw_bounds_replay_theta_at_its_default_tolerance():
+    # C5's value lowered by 5e-7 misses its entry sum and lambda_max(B) by
+    # more than 1e-7 and less than 1e-6: it replays at 1e-6 only, so the
+    # bounds qmax and report state give it no upper bound
+    iq = scenarios.named_inequality("pentagon-2")
+    g = scenarios.exclusivity_graph(iq)[0]
+    honest = theta.lovasz_theta(g)
+    forged = dataclasses.replace(honest, value=honest.value - 5e-7)
+    assert theta.replay(g, forged, 1e-6)[2] and not theta.replay(g, forged, theta.DEFAULT_TOL)[2]
+    model = quantum.known_optimal_model("pentagon-2")
+    assert cli._seesaw_bounds(iq, model, lambda _: honest)[2] is not None
+    assert cli._seesaw_bounds(iq, model, lambda _: forged)[2] is None
 
 
 def test_report_caps_the_seesaw_by_thetas_upper_bound(monkeypatch):

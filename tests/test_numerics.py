@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pentabell.errors import CapacityError, ConvergenceError, InvalidInputError
+from pentabell.errors import CapacityError, InvalidInputError
 from pentabell.numerics import STALL_FACTOR, STALL_WINDOW, as_sym_matrix, certified_solve, sdp_path
 
 
@@ -267,11 +267,7 @@ def gap_path(gaps):
 
 def solve_path(gaps, tol=1e-10, max_iterations=1000):
     points, bounds = gap_path(gaps)
-    try:
-        return "closed", certified_solve(points, bounds, tol, max_iterations, lambda *sides: sides)
-    except ConvergenceError as exc:
-        assert exc.reason in str(exc)
-        return exc.reason, exc.result
+    return certified_solve(points, bounds, tol, max_iterations)
 
 
 def test_a_stalled_path_stops_within_the_window():
@@ -279,8 +275,8 @@ def test_a_stalled_path_stops_within_the_window():
     # runs on: the first stall check that covers a window without halving
     # stops it, long before the cap of 1000 iterations
     gaps = itertools.chain((2.0**-k for k in range(1, 13)), itertools.repeat(2.0**-12))
-    reason, (lower, upper, iterations) = solve_path(gaps)
-    assert reason == "stalled"
+    lower, upper, iterations, stop = solve_path(gaps)
+    assert stop == "stalled"
     assert iterations % STALL_WINDOW == 0 and 12 < iterations <= 12 + 2 * STALL_WINDOW
     # the best bounds are the first to reach the final gap
     assert lower == (1.0 - 2.0**-13, ("lower", 12)) and upper == (1.0 + 2.0**-13, ("upper", 12))
@@ -288,20 +284,29 @@ def test_a_stalled_path_stops_within_the_window():
 
 def test_a_gap_that_shrinks_by_the_factor_each_window_does_not_stall():
     gaps = (STALL_FACTOR ** -(k // STALL_WINDOW) for k in itertools.count(1))
-    reason, (_, _, iterations) = solve_path(gaps, max_iterations=6 * STALL_WINDOW)
-    assert (reason, iterations) == ("cap", 6 * STALL_WINDOW)
+    _, _, iterations, stop = solve_path(gaps, max_iterations=6 * STALL_WINDOW)
+    assert (stop, iterations) == ("cap", 6 * STALL_WINDOW)
 
 
 def test_stop_reasons_closed_cap_and_failed_step():
     gaps = [2.0**-k for k in range(1, 25)]
     cases = ((gaps, 100, ("closed", 20)), (gaps, 4, ("cap", 4)), (gaps[:7], 100, ("failed step", 7)))
-    for path, max_iterations, stop in cases:
-        reason, (_, _, iterations) = solve_path(path, 2.0**-20, max_iterations)
-        assert (reason, iterations) == stop
+    for path, max_iterations, expected in cases:
+        _, _, iterations, stop = solve_path(path, 2.0**-20, max_iterations)
+        assert (stop, iterations) == expected
     # a path that ends before its first point keeps the bounds it started with
-    with pytest.raises(ConvergenceError, match=r"\(failed step\) after 0 iterations") as info:
-        certified_solve(iter(()), None, 1e-7, 100, lambda *sides: sides, upper=(3.0, "start"))
-    assert info.value.result == ((-math.inf, None), (3.0, "start"), 0)
+    solved = certified_solve(iter(()), None, 1e-7, 100, upper=(3.0, "start"))
+    assert solved == ((-math.inf, None), (3.0, "start"), 0, "failed step")
+
+
+def test_a_stalled_solve_returns_its_open_interval():
+    # a gap of 1e-3 that never shrinks, as an NPA bound that cannot close:
+    # the interval the first point certified is the answer, returned with
+    # its stop at the second stall check, the first that has a reference
+    points, bounds = gap_path(itertools.repeat(1e-3))
+    lower, upper, iterations, stop = certified_solve(points, bounds, 1e-10, 1000)
+    assert (stop, iterations) == ("stalled", 2 * STALL_WINDOW)
+    assert lower == (1.0 - 5e-4, ("lower", 1)) and upper == (1.0 + 5e-4, ("upper", 1))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -325,10 +330,7 @@ def test_deferred_candidates_decide_as_if_computed_at_once(seed):
             return (uppers[k], k), [candidate(k)]
 
         known = [(lambda u: min(u, 1.0) if lazy else math.inf, lambda: computed.append(lazy) or (0.5, "known"))]
-        try:
-            return certified_solve(iter(range(80)), bounds, 1e-9, 60, lambda *sides: sides, known)
-        except ConvergenceError as exc:
-            return exc.reason, exc.result
+        return certified_solve(iter(range(80)), bounds, 1e-9, 60, known)
 
     assert solve(True) == solve(False)
     assert computed.count(True) < computed.count(False)
@@ -345,9 +347,9 @@ def test_the_highest_cap_is_settled_first():
     def bounds(point):
         return (10.0, "upper"), [candidate(5.0, 4.9), candidate(6.0, 5.9)]
 
-    lower, upper, iterations = certified_solve(iter([0]), bounds, 100.0, 10, lambda *sides: sides)
+    solved = certified_solve(iter([0]), bounds, 100.0, 10)
     assert computed == [6.0]
-    assert (lower, upper, iterations) == ((5.9, 6.0), (10.0, "upper"), 1)
+    assert solved == ((5.9, 6.0), (10.0, "upper"), 1, "closed")
 
 
 def test_a_tie_between_lower_bounds_goes_to_the_earlier_candidate():
@@ -361,6 +363,6 @@ def test_a_tie_between_lower_bounds_goes_to_the_earlier_candidate():
     def bounds(point):
         return (10.0, "upper"), [candidate(5.0, "earlier"), candidate(6.0, "later")]
 
-    lower, upper, iterations = certified_solve(iter([0]), bounds, 100.0, 10, lambda *sides: sides)
+    solved = certified_solve(iter([0]), bounds, 100.0, 10)
     assert computed == ["later", "earlier"]
-    assert (lower, upper, iterations) == ((4.0, "earlier"), (10.0, "upper"), 1)
+    assert solved == ((4.0, "earlier"), (10.0, "upper"), 1, "closed")

@@ -141,6 +141,50 @@ def test_replay_holds_each_primal_tolerance(condition):
         assert theta.replay(g, dataclasses.replace(res, primal=x), 1e-7)[2] is accepted
 
 
+# replay's sandwich: value - 1e-9 <= lambda_max(B) <= value + max(gap, tol) + 1e-9
+SANDWICH_MARGIN = 1e-9
+
+
+def sandwich_defects(res, tol):
+    """How far a result misses each side of replay's sandwich, less its
+    margin: below is value - lambda_max(B), above is lambda_max(B) less
+    value + max(gap, tol)."""
+    upper = float(np.linalg.eigvalsh(res.dual)[-1])
+    return {"below": res.value - upper, "above": upper - res.value - max(res.gap, tol)}
+
+
+def perturbed_sandwich(res, side, size, tol):
+    """A copy of C5's result that misses one side of the sandwich by size."""
+    if side == "below":  # the stated value above lambda_max(B)
+        return dataclasses.replace(res, value=float(np.linalg.eigvalsh(res.dual)[-1]) + size)
+    # lambda_max(B) raised along the edges only, by Newton's method on the
+    # step t, with d lambda_max / dt = v^T A v for the top eigenvector v
+    on_edge = cycle(5).adjacency.astype(float)
+    target = res.value + max(res.gap, tol) + size
+    t = 0.0
+    for _ in range(4):
+        w, v = np.linalg.eigh(res.dual + t * on_edge)
+        t += (target - w[-1]) / float(v[:, -1] @ on_edge @ v[:, -1])
+    return dataclasses.replace(res, dual=res.dual + t * on_edge)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_replay_holds_each_sandwich_margin(side):
+    # C5's result missing one side by half the margin is accepted, by twice
+    # it rejected, while the other side and every primal condition hold
+    g = cycle(5)
+    res = theta.lovasz_theta(g, 1e-7)
+    for factor, accepted in ((0.5, True), (2.0, False)):
+        forged = perturbed_sandwich(res, side, factor * SANDWICH_MARGIN, 1e-7)
+        defects = sandwich_defects(forged, 1e-7)
+        assert defects.pop(side) == pytest.approx(factor * SANDWICH_MARGIN, rel=1e-3)
+        assert all(defect <= 0.0 for defect in defects.values())
+        assert np.all(forged.dual[~g.adjacency] == 1.0) and np.array_equal(forged.dual, forged.dual.T)
+        assert all(primal_defects(g, forged.primal)[k] <= PRIMAL_TOLERANCES[k] for k in PRIMAL_TOLERANCES)
+        assert abs(float(forged.primal.sum()) - forged.value) <= max(forged.gap, 1e-7)
+        assert theta.replay(g, forged, 1e-7)[2] is accepted
+
+
 def test_circulant_8_14():
     assert lovasz_theta(circulant(8, {1, 4})).value == pytest.approx(2 + math.sqrt(2), abs=1e-6)
 
@@ -346,8 +390,9 @@ def test_theta_equal_to_alpha_is_closed_by_the_independent_set():
 def test_convergence_error_carries_certified_bounds(monkeypatch):
     monkeypatch.setattr(theta, "MAX_ITERATIONS", 5)
     g = circulant(31, {1, 5, 11})
-    with pytest.raises(ConvergenceError, match=r"stopped \(cap\) after 5 iterations, short of gap 1e-07") as info:
+    with pytest.raises(ConvergenceError) as info:
         theta.lovasz_theta(g)
+    assert str(info.value) == "solver stopped (cap) after 5 iterations, short of gap 1e-07"
     assert info.value.reason == "cap"
     best = info.value.result
     assert best.iterations == 5 and best.gap > 1e-7
@@ -358,7 +403,8 @@ def eager_theta(g, tol, path):
     """lovasz_theta with both costly lower bounds computed at once, through
     the same stop rule: alpha before the first point, then every point of
     the path shifted into the PSD cone.  Each bound is its certificate's
-    own: the entry sum of X, lambda_max of B."""
+    own: the entry sum of X, lambda_max of B.  Returns the ThetaResult and
+    the stop."""
     n = g.n
     on_edge = g.adjacency
     edge_form = problem_of(g)[-1]
@@ -379,7 +425,8 @@ def eager_theta(g, tol, path):
         return theta._dual_bound(dual_side, on_edge), [(lambda _: math.inf, lambda: shifted)]
 
     start = (float(n), np.ones((n, n)))
-    return certified_solve(path, bounds, tol, theta.MAX_ITERATIONS, theta._result, known, start)
+    lower, upper, iterations, stop = certified_solve(path, bounds, tol, theta.MAX_ITERATIONS, known, start)
+    return theta._result(lower, upper, iterations), stop
 
 
 def problem_of(g):
@@ -432,12 +479,17 @@ def lazy_bound_cases():
     return cases + [petersen(), graph(11, bipartite)]
 
 
-def solve_outcome(solve):
+def theta_outcome(g, tol):
+    """lovasz_theta's result and stop: closed, or the reason its
+    ConvergenceError carries with its result."""
     try:
-        res, message = solve(), None
+        return theta.lovasz_theta(g, tol), "closed"
     except ConvergenceError as exc:
-        res, message = exc.result, str(exc)
-    return res.value, res.primal.tobytes(), res.dual.tobytes(), res.iterations, res.gap, message
+        return exc.result, exc.reason
+
+
+def outcome_bytes(res, stop):
+    return res.value, res.primal.tobytes(), res.dual.tobytes(), res.iterations, res.gap, stop
 
 
 @pytest.fixture(scope="module")
@@ -450,14 +502,14 @@ def recorded_paths():
 @pytest.mark.parametrize("cap", [None, 2, 5])
 @pytest.mark.parametrize("tol", [1e-7, 1e-10])
 def test_deferred_lower_bounds_match_the_eager_solver_bit_for_bit(monkeypatch, recorded_paths, tol, cap):
-    # capped and stalled runs raise ConvergenceError, whose result and message must match too
+    # capped and stalled runs raise ConvergenceError, whose result and reason must match too
     if cap is not None:
         monkeypatch.setattr(theta, "MAX_ITERATIONS", cap)
     for g in lazy_bound_cases():
         path = recorded_paths[g]
         monkeypatch.setattr(theta, "sdp_path", lambda *problem: iter(path))
-        lazy = solve_outcome(lambda: theta.lovasz_theta(g, tol))
-        assert lazy == solve_outcome(lambda: eager_theta(g, tol, path))
+        lazy = outcome_bytes(*theta_outcome(g, tol))
+        assert lazy == outcome_bytes(*eager_theta(g, tol, path))
 
 
 def test_recorded_paths_are_the_paths_sdp_path_yields(monkeypatch, recorded_paths):
@@ -465,7 +517,7 @@ def test_recorded_paths_are_the_paths_sdp_path_yields(monkeypatch, recorded_path
     # recorded one bit for bit, as far as the deepest case above reads it
     for g, recorded in recorded_paths.items():
         monkeypatch.setattr(theta, "sdp_path", lambda *problem: iter(recorded))
-        solve_outcome(lambda: theta.lovasz_theta(g, 1e-10))
+        theta_outcome(g, 1e-10)
         fresh = sdp_path(*problem_of(g)[:-1])
         assert recorded.points
         for point in recorded.points:
@@ -515,10 +567,9 @@ def test_ties_go_to_the_independent_set_then_the_earliest_iterate():
         return (2.0, "B"), [(lambda _: cap, lambda: (theta._psd_shift(scaled)[0], f"iterate {point[1]}"))]
 
     def solve(known):
-        with pytest.raises(ConvergenceError) as info:
-            certified_solve(iter(points), bounds, 1e-7, 100, lambda *sides: sides, known)
-        assert info.value.reason == "failed step"
-        return info.value.result[0]
+        lower, _, _, stop = certified_solve(iter(points), bounds, 1e-7, 100, known)
+        assert stop == "failed step"
+        return lower
 
     assert solve([]) == (1.0, "iterate 1")
     independent_set = (lambda _: 1.0, lambda: (1.0, "S"))
