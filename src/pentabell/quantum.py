@@ -4,9 +4,9 @@ Everything is real-valued: states are real unit vectors and measurements
 are real symmetric projectors (the stored projector is the outcome-0
 effect; outcome 1 is its complement).  Includes Bell operators, see-saw
 optimization of state and measurements, an eigenvalue scan for the first
-pentagonal inequality, the block reduction that shows two qubits suffice,
-Schmidt analysis, and the qutrit construction reaching the pentagon's
-Lovasz number.
+pentagonal inequality, the NPA level-1+AB upper bound, the block reduction
+that shows two qubits suffice, Schmidt analysis, and the qutrit
+construction reaching the pentagon's Lovasz number.
 
 Bell operators come from one coefficient tensor and one builder.  An
 inequality enters only as its tensor W[x, y, a, b]
@@ -43,6 +43,15 @@ x (y, b) matrix is formed once per run.  A run stops at its first step
 whose value fails to grow by 1e-12 and keeps the state and measurements
 of that step.
 
+The NPA relaxation at level 1+AB (Navascues, Pironio & Acin,
+arXiv:0803.4290) bounds the quantum maximum from above in every dimension.
+It is numerics.sdp_path's second client, in the standard form that core
+takes (`_npa_problem`), and numerics.certified_solve walks its path: the
+upper side is `npa_upper_bound` of each point's dual vector y, which
+rebuilds Z = C - A^T(y) from the inequality and y alone, and the one lower
+candidate is a model's replay.  `npa_interval` returns the loop's interval
+and stop unchanged, since an open interval (i3322's) is an answer.
+
 `block_reduce` splits one two-projector operator into the blocks of
 Jordan's lemma, each acting on at most two of Alice's dimensions: one loop
 over the singular directions builds one block per direction with
@@ -59,10 +68,12 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError, json_decoder, load_json, save_json
 from .errors import strict_int, strict_iterable, strict_pair, strict_reals
-from .numerics import as_sym_matrix
-from .scenarios import MAX_SETTING, Behavior, Inequality, coefficient_tensor, named_inequality
+from .numerics import as_sym_matrix, certified_solve, sdp_path
+from .scenarios import MAX_SETTING, Behavior, Inequality, coefficient_tensor, evaluate, named_inequality
+from .theta import MAX_ITERATIONS
 
 MAX_LOCAL_DIM = 4
+NPA_TOL = 1e-8  # the certified gap at which npa_interval closes
 _PROJECTOR_TOL = 1e-10
 _RESTART_BLOCK = 1024  # see-saw restarts stacked at once; bounds the stack's memory
 _START_DRAWS = 2 * (MAX_SETTING + 1) * MAX_LOCAL_DIM  # a restart's start directions
@@ -403,6 +414,91 @@ def qmax_scan_ineq2() -> ScanResult:
     values, v = np.linalg.eigh(_bell_matrix(w, alice, bob))
     model = QuantumModel((2, 2), v[:, -1], alice, bob)
     return ScanResult(float(values[-1]), (float(np.pi - t), float(t)), model)
+
+
+def _npa_problem(iq: Inequality):
+    """The level-1+AB relaxation of the inequality's quantum maximum over its
+    declared settings, as (c, b, rows, pairs, coef) for numerics.sdp_path.
+
+    The words are 1, A_x, B_y and A_x B_y, A_x and B_y the outcome-0
+    projectors, and Gamma_uv is the moment of u^T v, reduced by A^2 = A and
+    with a word and its simultaneous reversal one moment.  Row 0 is
+    Gamma_00 = 1; each later entry of a moment adds one row, its first entry
+    less that one.  The objective is on row 0: P(ab|xy) is <E_a F_b> with
+    E_0 = A_x and E_1 = 1 - A_x, and likewise for Bob.
+    """
+    n_a, n_b = iq.alice_settings, iq.bob_settings
+    # a word as (Alice's settings, Bob's settings)
+    words = [((), ())] + [((x,), ()) for x in range(n_a)] + [((), (y,)) for y in range(n_b)]
+    words += [((x,), (y,)) for x in range(n_a) for y in range(n_b)]
+    reduced = lambda w: w[:1] if w[:1] == w[1:] else w
+    first, rows, pairs, coef = {}, [0], [(0, 0)], [1.0]
+    for p, q in zip(*np.triu_indices(len(words))):
+        (ua, ub), (va, vb) = words[p], words[q]
+        moment = (reduced(ua + va), reduced(ub + vb))
+        moment = min(moment, (moment[0][::-1], moment[1][::-1]))
+        if moment not in first:
+            first[moment] = (p, q)
+            continue
+        rows += [rows[-1] + 1] * 2
+        pairs += [first[moment], (p, q)]
+        coef += [1.0, -1.0]
+    # <E_a F_b> over the words (1 or A, 1 or B): E = L (1, A) with rows over a
+    ell = np.array([[0.0, 1.0], [1.0, -1.0]])
+    v = np.einsum("as,xyab,bt->stxy", ell, coefficient_tensor(iq, n_a, n_b), ell)
+    g = np.concatenate([[v[0, 0].sum()], v[1, 0].sum(axis=1), v[0, 1].sum(axis=0), v[1, 1].ravel()])
+    c = np.zeros((len(words), len(words)))
+    c[0] = c[:, 0] = -g / 2.0
+    c[0, 0] = -g[0]
+    b = np.zeros(rows[-1] + 1)
+    b[0] = 1.0
+    return c, b, np.array(rows), np.array(pairs), np.array(coef)
+
+
+def _npa_bound(problem, y: np.ndarray) -> float:
+    # Every feasible Gamma has <C, Gamma> = <Z, Gamma> + y_0 for
+    # Z = C - A^T(y), and its diagonal in [0, 1], so tr Gamma <= N and its
+    # value -<C, Gamma> is at most -y_0 + N max(0, -lambda_min(Z)); adding
+    # N eps |Z|_F covers the rounding of eigvalsh
+    c, _, rows, pairs, coef = problem
+    z = c.copy()
+    half = coef * y[rows] / 2.0
+    np.subtract.at(z, tuple(pairs.T), half)
+    np.subtract.at(z, tuple(pairs.T[::-1]), half)
+    n = len(z)
+    shift = max(0.0, -float(np.linalg.eigvalsh(z)[0]))
+    return -float(y[0]) + n * shift + n * float(np.finfo(float).eps * np.linalg.norm(z))
+
+
+def npa_upper_bound(iq: Inequality, y) -> float:
+    """The upper bound on the inequality's quantum maximum, in every
+    dimension, that a dual vector y of the level-1+AB relaxation
+    (`_npa_problem`) certifies: -y_0 + N max(0, -lambda_min(Z)) +
+    N eps |Z|_F, with Z = C - A^T(y) rebuilt from the inequality and y alone
+    (Jansson, Chaykin & Keil, SIAM J. Optim. 18, 2007).  y is read as real
+    numbers; a y of the wrong length or with a non-finite entry raises
+    InvalidInputError."""
+    problem = _npa_problem(iq)
+    y = strict_reals(y, "y entry")
+    if y.shape != problem[1].shape or not np.all(np.isfinite(y)):
+        raise InvalidInputError(f"y must be {len(problem[1])} finite numbers, got shape {y.shape}")
+    return _npa_bound(problem, y)
+
+
+def npa_interval(iq: Inequality, model: QuantumModel):
+    """The certified interval around the inequality's quantum maximum, as
+    numerics.certified_solve returns it: ((value, model), (upper, y),
+    iterations, stop).  The lower side is the model's replay,
+    `scenarios.evaluate` of its behaviour; the upper side is
+    `npa_upper_bound` of each point's y along the level-1+AB path, which
+    holds in every dimension.  The walk stops closed within NPA_TOL, or
+    stalled, at the cap MAX_ITERATIONS or at a failed step: an open
+    interval is an answer here, not an error."""
+    problem = _npa_problem(iq)
+    value = evaluate(iq, behavior_of(model))
+    bounds = lambda point: ((_npa_bound(problem, point[1]), point[1]), [])
+    lower = [(lambda _: value, lambda: (value, model))]
+    return certified_solve(sdp_path(*problem), bounds, NPA_TOL, MAX_ITERATIONS, lower)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,34 @@ def test_report_makes_no_block_reduction(monkeypatch):
     assert out == (GOLDEN_DIR / "report.json").read_text()
 
 
+def test_report_runs_no_seesaw_above_qubits(monkeypatch):
+    # the qubit claim rests on NPA's intervals, which hold in every dimension
+    seesaw = quantum.qmax_seesaw
+
+    def qubits_only(iq, dims=(2, 2), *args, **kwargs):
+        if tuple(dims) != (2, 2):
+            raise AssertionError(f"report ran a see-saw at dims {dims}")
+        return seesaw(iq, dims, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "qmax_seesaw", qubits_only)
+    code, out, _ = run_cli(["report", "--json"])
+    assert code == 0
+    assert out == (GOLDEN_DIR / "report.json").read_text()
+
+
+def test_report_fails_the_qubit_claim_on_an_open_interval(monkeypatch):
+    interval = quantum.npa_interval
+
+    def stalled(*args):
+        lower, upper, iterations, _ = interval(*args)
+        return lower, upper, iterations, "stalled"
+
+    monkeypatch.setattr(quantum, "npa_interval", stalled)
+    code, out, _ = run_cli(["report", "--json"])
+    assert code == 1
+    assert [it["name"] for it in json.loads(out)["items"] if not it["ok"]] == ["qubits suffice"]
+
+
 def test_report_reads_the_enumeration_once(monkeypatch):
     calls = []
 
@@ -592,6 +620,22 @@ def test_printed_qmax_value_never_exceeds_its_model_replay(tmp_path, monkeypatch
     assert violations == []
 
 
+@pytest.mark.parametrize("name", ["pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322"])
+def test_qmax_prints_the_npa_upper_bound_and_its_stop(name):
+    # the interval of the see-saw model qmax states, its upper bound
+    # rounded up; i3322's stays open, and an open interval exits 0
+    iq = scenarios.named_inequality(name)
+    _, model = quantum.qmax_seesaw(iq, dims=(2, 2), restarts=32, seed=0)
+    _, (upper, _), _, stop = quantum.npa_interval(iq, model)
+    assert stop == ("stalled" if name == "i3322" else "closed")
+    code, out, _ = run_cli(["qmax", name, "--seed", "0", "--json"])
+    assert code == 0
+    payload = json.loads(out, parse_float=Fraction)
+    assert Fraction(upper) <= payload["npa"] < upper + 1e-6
+    assert payload["npa_stop"] == stop
+    assert payload["value"] <= payload["npa"] <= payload["theta"]
+
+
 def test_qmax_compares_its_printed_bounds_without_slack(tmp_path, monkeypatch):
     # terms 00|00 and 11|00: the exclusivity graph is K2, theta = alpha = 1.
     # A model's replay can exceed theta's replayed upper bound 1.0 by a few
@@ -601,13 +645,18 @@ def test_qmax_compares_its_printed_bounds_without_slack(tmp_path, monkeypatch):
     save_json({"name": "k2", "alice_settings": 1, "bob_settings": 1, "terms": terms}, path)
     code, out, _ = run_cli(["qmax", path, "--dims", "3,3", "--restarts", "4", "--seed", "0"])
     assert code == 0
-    assert out.splitlines()[1:] == ["lovasz theta of exclusivity graph = 1.000000", "value <= theta: yes"]
+    assert out.splitlines()[1:] == [
+        "lovasz theta of exclusivity graph = 1.000000",
+        "npa level 1+AB upper bound = 1.000001 (closed)",
+        "value <= theta: yes",
+    ]
     monkeypatch.setattr(scenarios, "evaluate", lambda iq, behavior: 1.0 + 9 * 2.0**-52)
     code, out, _ = run_cli(["qmax", path, "--restarts", "4", "--seed", "0"])
     assert code == 0
     assert out.splitlines() == [
         "quantum value = 1.000000",
         "lovasz theta of exclusivity graph = 1.000000",
+        "npa level 1+AB upper bound = 1.000001 (closed)",
         "value <= theta: yes",
     ]
 
@@ -620,6 +669,7 @@ def test_qmax_says_no_when_the_value_exceeds_thetas_upper_bound(monkeypatch):
     assert out.splitlines() == [
         "quantum value = 2.250000",
         "lovasz theta of exclusivity graph = 2.236068",
+        "npa level 1+AB upper bound = 2.207107 (closed)",
         "value <= theta: NO",
     ]
 
@@ -682,8 +732,8 @@ def test_report_fails_the_seesaw_when_thetas_certificate_does_not_replay(monkeyp
 
 def test_report_states_the_seesaw_models_replay(monkeypatch):
     # a see-saw whose top eigenvalue sits 5e-6 above what its model replays
-    # to: every report item that runs the see-saw, at (2,2) and at (4,4),
-    # checks and prints the replay, the bound qmax states
+    # to: the see-saw item checks and prints the replay, the bound qmax
+    # states, and the qubit claim's NPA intervals start from the replay too
     seesaw = quantum.qmax_seesaw
 
     def above_its_replay(*args, **kwargs):

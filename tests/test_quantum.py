@@ -11,6 +11,7 @@ from pentabell.graphs import cycle
 from pentabell.quantum import (
     QuantumModel,
     _bell_matrix,
+    _npa_problem,
     _positive_eigenspace_projector,
     _rank_one_projectors,
     _seesaw,
@@ -25,6 +26,8 @@ from pentabell.quantum import (
     load_model,
     model_from_json,
     model_to_json,
+    npa_interval,
+    npa_upper_bound,
     projector_onto,
     qmax_scan_ineq2,
     qmax_seesaw,
@@ -40,7 +43,9 @@ from pentabell.scenarios import (
     named_inequality,
     term_cells,
 )
-from pentabell.theta import lovasz_theta
+from pentabell.cli import _outward
+from pentabell.numerics import sdp_path
+from pentabell.theta import DEFAULT_TOL, lovasz_theta, replay
 
 PENT_Q = (3 + math.sqrt(2)) / 2
 IDEAL_COLUMN_1 = (0.464, 0.464, 0.323, 0.464, 0.464)
@@ -1068,3 +1073,109 @@ def test_model_json_matrix_projectors():
 def test_model_json_validation():
     with pytest.raises(InvalidInputError):
         model_from_json({"dims": [2, 2]})
+
+
+# ---------------------------------------------------------------------------
+# NPA level 1+AB
+# ---------------------------------------------------------------------------
+
+NAMED = ("pentagon-1", "pentagon-2", "pentagon-3", "chsh-prob", "i3322")
+
+
+@functools.cache
+def seesaw_model(name, dims=(2, 2)):
+    # the model qmax and the report read: 32 restarts at seed 0
+    return qmax_seesaw(named_inequality(name), dims=dims, restarts=32, seed=0)[1]
+
+
+@functools.cache
+def npa_of(name):
+    return npa_interval(named_inequality(name), seesaw_model(name))
+
+
+def moment_matrix(model):
+    # Gamma_uv = <psi| u^T v |psi> over the words 1, A_x, B_y, A_x B_y
+    d_a, d_b = model.dims
+    words = [np.eye(d_a * d_b)]
+    words += [np.kron(a, np.eye(d_b)) for a in model.alice] + [np.kron(np.eye(d_a), b) for b in model.bob]
+    words += [np.kron(a, b) for a in model.alice for b in model.bob]
+    vectors = np.array([w @ model.state for w in words])
+    return vectors @ vectors.T
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_npa_problem_holds_every_models_moment_matrix(name):
+    # a model of any dimension gives a feasible Gamma whose objective is the
+    # model's value, so the relaxation's maximum bounds every model's value
+    iq = named_inequality(name)
+    c, b, rows, pairs, coef = _npa_problem(iq)
+    n_a, n_b = iq.alice_settings, iq.bob_settings
+    assert len(c) == 1 + n_a + n_b + n_a * n_b
+    assert len(b) == {9: 29, 12: 48, 16: 79}[len(c)]
+    for dims in ((2, 2), (3, 3)):
+        model = seesaw_model(name, dims)
+        gamma = moment_matrix(model)
+        assert np.bincount(rows, coef * gamma[tuple(pairs.T)]) == pytest.approx(b, abs=1e-12)
+        assert -float(np.sum(c * gamma)) == pytest.approx(evaluate(iq, behavior_of(model)), abs=1e-12)
+
+
+def test_npa_intervals_of_the_named_inequalities():
+    # the pentagons and chsh-prob close on their (2, 2) models; i3322's
+    # level-1+AB bound lies above its qubit value, so its interval stays open
+    for name in NAMED[:4]:
+        (lower, _), (upper, _), _, stop = npa_of(name)
+        assert stop == "closed" and lower <= upper <= lower + 1e-8
+    (lower, _), (upper, _), iterations, stop = npa_of("i3322")
+    assert stop == "stalled" and lower == pytest.approx(4.25, abs=1e-12)
+    assert 4.2508 < upper < 4.2516
+
+
+def test_a_forged_dual_vector_gets_the_bound_the_replay_recomputes():
+    # y_0 shifted by 1e-6 at pentagon-2's last path point: -y_0 alone would
+    # claim a bound 1e-6 below the model's value, but the replay rebuilds Z
+    # from y, and its lambda_min term keeps the bound above that value
+    iq = named_inequality("pentagon-2")
+    (value, _), (upper, _), iterations, _ = npa_of("pentagon-2")
+    *_, (_, y, _) = itertools.islice(sdp_path(*_npa_problem(iq)), iterations)
+    assert npa_upper_bound(iq, y) == upper
+    forged = y.copy()
+    forged[0] += 1e-6
+    assert -forged[0] < value - 0.9e-6
+    n = 9  # the order of the moment matrix
+    assert value < npa_upper_bound(iq, forged) <= upper + (n - 1) * 1e-6
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_the_replayed_bound_holds_on_the_first_path_points(name):
+    # far from the optimum, Z = C - A^T(y) is far from PSD, and the bound
+    # covers that: every point's bound is at least the model's value
+    iq = named_inequality(name)
+    value = npa_of(name)[0][0]
+    for _, y, _ in itertools.islice(sdp_path(*_npa_problem(iq)), 4):
+        assert npa_upper_bound(iq, y) >= value
+
+
+@pytest.mark.parametrize(
+    "y",
+    [np.zeros(28), np.zeros(30), np.zeros((1, 29)), 0.0, [np.nan] + [0.0] * 28, [0.0] * 28 + [np.inf], ["1"] * 29],
+    ids=["short", "long", "2-d", "scalar", "nan", "inf", "strings"],
+)
+def test_npa_upper_bound_rejects_a_malformed_dual_vector(y):
+    with pytest.raises(InvalidInputError):
+        npa_upper_bound(named_inequality("pentagon-1"), y)
+
+
+def test_model_values_npa_and_theta_chain_on_the_named_inequalities():
+    # every model's value <= the quantum maximum <= NPA level 1+AB <= theta
+    # of the exclusivity graph, each compared as qmax prints it
+    for name in NAMED:
+        iq = named_inequality(name)
+        upper = npa_of(name)[1][0]
+        g = exclusivity_graph(iq)[0]
+        theta_upper = replay(g, lovasz_theta(g), DEFAULT_TOL)[1]
+        for dims in ((2, 2), (3, 3), (4, 4)):
+            value = evaluate(iq, behavior_of(seesaw_model(name, dims)))
+            assert _outward(value, False) <= _outward(upper, True), (name, dims)
+        assert _outward(upper, True) <= _outward(theta_upper, True), name
+        if name.startswith("pentagon"):
+            assert upper < math.sqrt(5.0) - 1e-3

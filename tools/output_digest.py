@@ -1,12 +1,12 @@
 """Digests of the see-saw's, the scan's, the simulator's, the block
-reduction's, the scenario layer's, the exclusivity cap's and the graph
-layer's outputs, to show that a change to any of them leaves every output
-bit-identical.
+reduction's, the scenario layer's, the exclusivity cap's, the NPA bound's
+and the graph layer's outputs, to show that a change to any of them leaves
+every output bit-identical.
 
 Usage: python tools/output_digest.py
 
 Prints a sha256 of each output's bytes, per case (the model files line
-prints counts and the chsh_cap lines print values):
+prints counts and the chsh_cap and npa lines print values):
   seesaw    quantum.qmax_seesaw at 32 restarts for the five named
             inequalities at dims (2,2), (3,3) and (4,4), seeds 0, 1 and 7:
             the value, the state and the projector set (Alice's, then Bob's)
@@ -40,6 +40,9 @@ prints counts and the chsh_cap lines print values):
             edges
   chsh_cap  scenarios.chsh_cap of each named inequality: the float's repr,
             or None
+  npa       quantum.npa_interval of each named inequality on its see-saw
+            model above at dims (2,2), seed 0: the repr of the upper bound,
+            the iterations and the stop
   graphs    for each graph of the fixed, random84 and held-out sets of
             tools/theta_iterations.py (23, 84 and 130 graphs) and of the six
             scenarios.named_graph graphs: graphs.independence_number (alpha
@@ -119,6 +122,7 @@ def model_bytes(model: quantum.QuantumModel) -> bytes:
 
 def main() -> None:
     seesaw_models = []
+    qubit_models = {}  # each inequality's (2,2) see-saw model at seed 0
     replayed_differently = reloaded_equal = 0
     for name in INEQUALITIES:
         iq = named_inequality(name)
@@ -130,6 +134,8 @@ def main() -> None:
                 print(f"seesaw {name} {dims[0]}x{dims[1]} seed {seed}: value {digests[0]}")
                 print(f"    state {digests[1]}")
                 print(f"    projectors {digests[2]}")
+                if dims == (2, 2) and seed == 0:
+                    qubit_models[name] = model
                 if name in SEESAW_SIMULATED:
                     seesaw_models.append((name, dims, seed, model))
                 loaded = quantum.model_from_json(json.loads(json.dumps(quantum.model_to_json(model))))
@@ -178,6 +184,9 @@ def main() -> None:
     print(f"scenarios exclusivity graphs: {sha(repr([(g.n, edges) for g, edges in graphs]).encode())}")
     for name in INEQUALITIES:
         print(f"chsh_cap {name}: {scenarios.chsh_cap(named_inequality(name))!r}")
+    for name in INEQUALITIES:
+        _, (upper, _), iterations, stop = quantum.npa_interval(named_inequality(name), qubit_models[name])
+        print(f"npa {name}: upper {upper!r} iterations {iterations} stop {stop}")
     sets = {
         "fixed": theta_iterations.fixed_family(),
         "random84": theta_iterations.random84(),
